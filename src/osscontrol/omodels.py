@@ -176,11 +176,12 @@ def verify_optimality_model(om: OptimalityModel, up: UncertainPlant, delta, w,
     return bool(np.linalg.norm(y_bar - oracle["y_star"]) <= 10 * tol)
 
 
-def gather_broadcast_input(a_coeffs, b_coeffs, eta: float) -> np.ndarray:
+def gather_broadcast_input(a_coeffs, b_coeffs, eta) -> np.ndarray:
     """Inverse-marginal-cost dispatch map for per-node quadratic costs.
 
     With node cost 0.5 a_i u_i^2 + b_i u_i (a_i > 0), the input equalizing
-    all marginal costs at level ``eta`` is u_i = (eta - b_i) / a_i.
+    all marginal costs at level ``eta`` is u_i = (eta - b_i) / a_i.  A 1-D
+    array of levels gives one input row per level.
     """
     a = np.asarray(a_coeffs, dtype=float).ravel()
     b = np.asarray(b_coeffs, dtype=float).ravel()
@@ -188,4 +189,4 @@ def gather_broadcast_input(a_coeffs, b_coeffs, eta: float) -> np.ndarray:
         raise ValueError("coefficient vectors must have equal length")
     if a.size and a.min() <= 0:
         raise ValueError("quadratic cost coefficients must be positive")
-    return (float(eta) - b) / a
+    return (np.asarray(eta, dtype=float)[..., None] - b) / a

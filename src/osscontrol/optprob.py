@@ -385,7 +385,6 @@ def oracle_optimal_output(prog: ConvexProgram, pm: PlantMatrices, w,
     by more than ``y_tol``.
     """
     w = np.asarray(w, dtype=float).ravel()
-    prog = prog.at_delta(None) if not callable(prog.h_eq) else prog
     if callable(prog.h_eq):
         raise ValueError("resolve delta-dependent constraints with at_delta first")
     if prog.n_ic > ACTIVE_SET_CAP:

@@ -239,20 +239,21 @@ def build_gather_broadcast(net: PowerNetwork, c_weights, w=None) -> ClosedLoopSy
     n_state = n + nt + 1
     blocks = {"x": (0, n + nt), "nu": (n + nt, 0), "mu": (n + nt, 0), "eta": (n + nt, 1)}
 
-    def input_of(z):
-        return gather_broadcast_input(net.cost_a, net.cost_b, -z[-1]) + 0.0
+    def input_of(eta):
+        return gather_broadcast_input(net.cost_a, net.cost_b, -eta) + 0.0
 
     def rhs(_t, z):
-        u = input_of(z)
+        u = input_of(z[-1])
         x_dot = a_mat @ z[: n + nt] + b_mat @ u + b_mat @ w
         return np.concatenate([x_dot, [c @ z[:n]]])
 
-    def outputs(z):
-        u = input_of(z)
-        omega = z[:n]
-        y = np.concatenate([u, omega])
-        eps = np.array([c @ omega])
-        cost = float(np.sum(0.5 * net.cost_a * u ** 2 + net.cost_b * u))
+    def outputs(zs):
+        # elementwise over rows; matmul makes the same dot call per row as c @ omega
+        u = input_of(zs[:, -1])
+        omega = zs[:, :n]
+        y = np.hstack([u, omega])
+        eps = np.matmul(c, omega[:, :, None])
+        cost = np.sum(0.5 * net.cost_a * u ** 2 + net.cost_b * u, axis=1)
         return y, u, eps, cost
 
     base = rhs(0.0, np.zeros(n_state))

@@ -590,7 +590,7 @@ def _run_check(ctx: _Context, spec: dict) -> CheckResult:
         sys = assemble(sc.plant, d, ctx.w, plan.om, plan.stabilizer)
         zbar, resid = equilibrium_solve(sys, np.zeros(sys.n_state),
                                         tol=_num(spec.get("newton_tol", 1e-10)))
-        ybar = sys.outputs(zbar)[0]
+        ybar = sys.outputs(zbar[None])[0][0]
         res = ctx.oracle(d)
         gap = float(np.linalg.norm(ybar - res["y_star"]))
         ok = gap >= _num(spec.get("at_least", 0.0))

@@ -11,7 +11,15 @@ proxy-error feedback to quadratic objectives (affine loop).
 Integration is classical fixed-step RK4: deterministic, bit-stable for fixed
 inputs, so golden traces are byte-reproducible.  For fully affine loops the
 four stages collapse to a precomputed linear step map, which is the same
-update in exact arithmetic.
+update in exact arithmetic, and divergence is checked once per block of
+ROW_BLOCK steps; a block that may hold a diverged state is rescanned step by
+step, so the truncation step is the one a per-step check would find.
+
+A loop's ``outputs`` maps a (k, n_state) array of states to row-stacked
+(y, u, eps, cost) arrays.  Affine loops evaluate it ROW_BLOCK rows at a time
+with row-stacked matrix-vector products, which make the same BLAS call per
+row as the single-state formulas, so the results are bit-identical to
+evaluating each row on its own.
 """
 
 from __future__ import annotations
@@ -24,20 +32,31 @@ import numpy as np
 
 from .errors import OssError
 from .omodels import OptimalityModel, om_dynamics
-from .plant import UncertainPlant, eval_plant
+from .plant import PlantMatrices, UncertainPlant, eval_plant
 from .stabilize import Stabilizer
 
 DIVERGENCE_LIMIT = 1e12
+# Rows per output block and steps per divergence check.  Outputs built over a
+# whole trajectory at once need temporaries several times its size (peak
+# memory of the bundled runs grew by a sixth); blocks keep them small.
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class ClosedLoopSystem:
-    """Assembled autonomous closed loop z_dot = rhs(t, z) with output maps."""
+    """Assembled autonomous closed loop z_dot = rhs(t, z) with output maps.
+
+    ``rhs`` takes one state.  ``outputs`` takes a (k, n_state) array of states
+    and returns row-stacked ``(y, u, eps, cost)`` of shapes (k, p), (k, m),
+    (k, eps_dim) and (k,); row i is bit-identical to evaluating the output
+    formulas at state i alone.  ``affine`` holds (A_cl, b_cl) with
+    rhs(z) = A_cl z + b_cl when the loop is affine.
+    """
 
     n_state: int
     blocks: dict
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    outputs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, float]]
+    outputs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     m: int
     p: int
     eps_dim: int
@@ -167,26 +186,90 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer
         x_dot = pm.a @ x + pm.b @ u + pm.bw @ w
         return np.concatenate([x_dot, state_dot, eps])
 
-    def outputs(z: np.ndarray):
-        x = z[:n]
-        state = z[n: n + n_nu + n_mu]
-        u = input_of(z)
-        y = pm.c @ x + pm.d @ u + pm.q @ w
-        _, eps = om_dynamics(om, y, w, state)
-        return y, u, eps, prog.objective_value(y, w)
-
-    affine = None
     if affine_loop:
+        outputs = _affine_outputs(pm, om, w, u_gain, u_offset)
         base = rhs(0.0, np.zeros(n_state))
         a_cl = np.column_stack([
             rhs(0.0, np.eye(n_state)[:, i]) - base for i in range(n_state)
         ]) if n_state else np.zeros((0, 0))
         affine = (a_cl, base)
+    else:
+        affine = None
+
+        def outputs(zs: np.ndarray):
+            k = zs.shape[0]
+            ys, us, epss, costs = (np.empty((k, pm.p)), np.empty((k, m)),
+                                   np.empty((k, n_eta)), np.empty(k))
+            for i, z in enumerate(zs):
+                u = input_of(z)
+                y = pm.c @ z[:n] + pm.d @ u + pm.q @ w
+                _, eps = om_dynamics(om, y, w, z[n: n + n_nu + n_mu])
+                ys[i], us[i], epss[i], costs[i] = y, u, eps, prog.objective_value(y, w)
+            return ys, us, epss, costs
 
     return ClosedLoopSystem(
         n_state=n_state, blocks=blocks, rhs=rhs, outputs=outputs,
         m=m, p=pm.p, eps_dim=n_eta, affine=affine,
     )
+
+
+def _rows_mv(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Row i is ``a @ zs[i]``: matmul makes the same BLAS call per row as for
+    a single vector, so rows are bit-identical to it (``zs @ a.T`` is one GEMM
+    with a different summation order, and is not)."""
+    return np.matmul(a, zs[:, :, None])[:, :, 0]
+
+
+def _rows_vm(zs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row i is ``zs[i] @ a``, bit-identical to the single-vector product."""
+    return np.matmul(zs[:, None, :], a)[:, 0, :]
+
+
+def _rows_dot(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Entry i is ``xs[i] @ ys[i]`` (or ``xs[i] @ ys`` for 1-D ys), bit-identical
+    to the single-vector dot product."""
+    return np.matmul(xs[:, None, :], ys[..., None])[:, 0, 0]
+
+
+def _affine_outputs(pm: PlantMatrices, om: OptimalityModel, w: np.ndarray,
+                    u_gain: np.ndarray, u_offset: np.ndarray):
+    """Row-stacked outputs of an affine loop: a QP model without inequalities.
+
+    Evaluates, ROW_BLOCK rows at a time, the formulas of ``assemble``'s input
+    and output map, of ``om_dynamics`` and of ``ConvexProgram.objective_value``
+    in the same operation order, so each row equals the per-state result.
+    """
+    n, m, n_mu, n_eta = pm.n, pm.m, om.n_mu, om.eps_dim
+    prog = om.program
+    qp = prog.qp
+    qw, nw, lw = pm.q @ w, qp.n_cost @ w, prog.l_eq @ w
+
+    def block(z: np.ndarray):
+        u = -_rows_mv(u_gain, z) - u_offset + 0.0
+        y = _rows_mv(pm.c, z[:, :n]) + _rows_mv(pm.d, u) + qw
+        grad = _rows_mv(qp.m_cost, y) - nw + qp.c
+        eq_violation = _rows_mv(prog.h_eq, y) - lw
+        if om.variant == "rfs":
+            eps = np.hstack([eq_violation, _rows_mv(om.basis.T, grad)])
+        elif om.variant == "ros":
+            mu = z[:, n: n + n_mu]
+            eps = _rows_mv(om.basis.T, grad + _rows_mv(prog.h_eq.T, mu))
+        else:
+            eps = eq_violation + _rows_mv(om.basis.T, grad)
+        cost = (_rows_dot(_rows_vm(0.5 * y, qp.m_cost), y)
+                - _rows_dot(_rows_vm(y, qp.n_cost), w)
+                + _rows_mv(qp.c[None, :], y)[:, 0])
+        return y, u, eps, cost
+
+    def outputs(zs: np.ndarray):
+        k = zs.shape[0]
+        out = (np.empty((k, pm.p)), np.empty((k, m)), np.empty((k, n_eta)), np.empty(k))
+        for lo in range(0, k, ROW_BLOCK):
+            for arr, part in zip(out, block(zs[lo: lo + ROW_BLOCK])):
+                arr[lo: lo + ROW_BLOCK] = part
+        return out
+
+    return outputs
 
 
 def _rk4_step_map(a_cl: np.ndarray, b_cl: np.ndarray, h: float):
@@ -207,10 +290,15 @@ def _rk4_step_map(a_cl: np.ndarray, b_cl: np.ndarray, h: float):
     return phi, psi_mat @ b_cl
 
 
+def _diverged(z: np.ndarray) -> bool:
+    return not np.isfinite(z).all() or np.linalg.norm(z) > DIVERGENCE_LIMIT
+
+
 def integrate_rk4(sys: ClosedLoopSystem, z0, t_end: float, h: float) -> Trajectory:
     """Classical 4th-order fixed-step integration from z0 to t_end.
 
-    Truncates with ``diverged=True`` when the state norm passes 1e12.
+    Truncates with ``diverged=True`` at the first state that is not finite or
+    whose norm passes 1e12.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -224,12 +312,24 @@ def integrate_rk4(sys: ClosedLoopSystem, z0, t_end: float, h: float) -> Trajecto
     last = steps
     if sys.affine is not None:
         phi, psi = _rk4_step_map(*sys.affine, h)
-        for k in range(steps):
-            z = phi @ z + psi
-            states[k + 1] = z
-            if not np.isfinite(z).all() or np.linalg.norm(z) > DIVERGENCE_LIMIT:
-                diverged, last = True, k + 1
-                break
+        # A block may run past the divergence step into overflow; those
+        # states are discarded, so their floating-point warnings are too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, steps, ROW_BLOCK):
+                hi = min(lo + ROW_BLOCK, steps)
+                for k in range(lo, hi):
+                    z = phi @ z + psi
+                    states[k + 1] = z
+                block = states[lo + 1: hi + 1]
+                # A state _diverged flags has a nan or inf sum of squares, or
+                # one above LIMIT**2, four times this bound; a block passing
+                # the bound therefore holds none and needs no exact scan.
+                if (np.einsum("ij,ij->i", block, block) <= (0.5 * DIVERGENCE_LIMIT) ** 2).all():
+                    continue
+                hit = next((k for k in range(lo + 1, hi + 1) if _diverged(states[k])), None)
+                if hit is not None:
+                    diverged, last = True, hit
+                    break
     else:
         for k in range(steps):
             k1 = sys.rhs(0.0, z)
@@ -238,17 +338,12 @@ def integrate_rk4(sys: ClosedLoopSystem, z0, t_end: float, h: float) -> Trajecto
             k4 = sys.rhs(0.0, z + h * k3)
             z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             states[k + 1] = z
-            if not np.isfinite(z).all() or np.linalg.norm(z) > DIVERGENCE_LIMIT:
+            if _diverged(z):
                 diverged, last = True, k + 1
                 break
     states = states[: last + 1]
     times = np.arange(last + 1) * h
-    ys = np.empty((last + 1, sys.p))
-    us = np.empty((last + 1, sys.m))
-    epss = np.empty((last + 1, sys.eps_dim))
-    costs = np.empty(last + 1)
-    for i in range(last + 1):
-        ys[i], us[i], epss[i], costs[i] = sys.outputs(states[i])
+    ys, us, epss, costs = sys.outputs(states)
     return Trajectory(times=times, states=states, y=ys, u=us, eps=epss,
                       cost=costs, diverged=diverged)
 

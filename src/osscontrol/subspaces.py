@@ -191,7 +191,7 @@ def check_prop6_detectability_condition(up: UncertainPlant, h_eq, t0, tol: float
     for delta in up.delta_samples:
         h = h_eq(delta) if callable(h_eq) else h_eq
         pm = eval_plant(up, delta)
-        h = as_matrix(h).reshape(-1, pm.p) if h_eq is not None and np.size(h) else np.zeros((0, pm.p))
+        h = as_matrix(h).reshape(-1, pm.p) if h is not None and np.size(h) else np.zeros((0, pm.p))
         n_ec = h.shape[0]
         if n_ec == 0:
             continue

@@ -274,6 +274,17 @@ class TestProp6DetectabilityCondition:
         t0 = np.zeros((2, 1))
         assert not check_prop6_detectability_condition(up, h, t0)
 
+    def test_callable_h_is_evaluated_per_sample(self):
+        pm = PlantMatrices(a=[[-1.0]], b=[[1.0]], bw=[[1.0]],
+                           c=[[1.0], [0.0]], d=[[0.0], [1.0]], q=np.zeros((2, 1)))
+        up = fixed_plant(pm)
+        h = equilibrium_geometry(pm).gperp[:1, :]
+        t0 = np.zeros((2, 1))
+        assert not check_prop6_detectability_condition(up, lambda _delta: h, t0)
+        # a sample where the callable yields no equality constraints is skipped,
+        # as in check_rerfs_range_condition
+        assert check_prop6_detectability_condition(up, lambda _delta: None, t0)
+
     def test_swing_dapi_case(self):
         net, up, _ = swing_pieces()
         h = np.hstack([np.zeros((net.n, net.n)), np.eye(net.n)])
