@@ -14,6 +14,7 @@ from .matlib import (
     null_basis,
     numerical_rank,
     range_basis,
+    rank_decision,
     solve_linear,
     subspace_equal,
     subspace_intersection,

@@ -4,9 +4,10 @@ All subspaces are carried as orthonormal column bases (`SubspaceBasis`), so
 equality and intersection tests are well conditioned.  The empty subspace is
 a first-class value: a basis with zero columns.
 
-Rank decisions use a relative threshold ``tol * sigma_max * max(rows, cols)``
-and every decision can report the spectral gap ``sigma_r / sigma_{r+1}`` so
-borderline calls are visible to callers.
+Rank decisions use a relative threshold ``tol * sigma_max * max(rows, cols)``.
+``rank_decision`` is the one yes/no rank test: it also returns its margin,
+the deciding singular value over the threshold (or the reciprocal when the
+answer is no), so borderline calls are visible to callers.
 """
 
 from __future__ import annotations
@@ -81,11 +82,15 @@ def _svd(m: np.ndarray):
     return np.linalg.svd(m, full_matrices=True)
 
 
+def _rank_threshold(s: np.ndarray, shape, tol: float, floor: float = 0.0) -> float:
+    """Singular values above this count toward the rank (``s`` nonempty, descending)."""
+    return max(tol * s[0] * max(shape), floor)
+
+
 def _rank_from_singular_values(s: np.ndarray, shape, tol: float, floor: float = 0.0) -> int:
     if s.size == 0 or s[0] <= floor:
         return 0
-    thresh = max(tol * s[0] * max(shape), floor)
-    return int(np.count_nonzero(s > thresh))
+    return int(np.count_nonzero(s > _rank_threshold(s, shape, tol, floor)))
 
 
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> int:
@@ -99,23 +104,28 @@ def numerical_rank(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> int:
     return _rank_from_singular_values(s, a.shape, tol, floor)
 
 
-def rank_with_gap(m, tol: float = DEFAULT_RANK_TOL) -> tuple[int, float]:
-    """Rank plus the spectral gap ``sigma_r / sigma_{r+1}`` at the decision.
+def rank_decision(m, want_rank: int, tol: float = DEFAULT_RANK_TOL) -> tuple[bool, float]:
+    """Decide ``rank(m) >= want_rank`` for a real or complex matrix.
 
-    The gap is ``inf`` when the cut falls after the last singular value or
-    when ``sigma_{r+1}`` is exactly zero; a small gap flags a borderline rank
-    decision.
+    Uses the threshold of :func:`numerical_rank`.  The margin is
+    ``sigma_want / threshold`` when the answer is yes and its reciprocal when
+    it is no, so a margin near 1 flags a borderline call; it is ``inf`` when
+    the call is exact (``want_rank`` 0, an empty or zero matrix, or
+    ``sigma_want`` exactly zero).
     """
-    a = as_matrix(m)
-    _, s, _ = _svd(a)
-    r = _rank_from_singular_values(s, a.shape, tol)
-    if r == 0:
-        gap = np.inf if s.size == 0 or s[0] == 0.0 else 0.0
-    elif r >= s.size or s[r] == 0.0:
-        gap = np.inf
-    else:
-        gap = float(s[r - 1] / s[r])
-    return r, gap
+    if want_rank == 0:
+        return True, np.inf
+    a = np.asarray(m)
+    if a.size == 0:
+        return False, np.inf
+    s = np.linalg.svd(a, compute_uv=False)
+    if s[0] == 0.0:
+        return False, np.inf
+    thresh = _rank_threshold(s, a.shape, tol)
+    sigma = s[want_rank - 1] if want_rank <= s.size else 0.0
+    if sigma > thresh:
+        return True, float(sigma / thresh)
+    return False, np.inf if sigma == 0.0 else float(thresh / sigma)
 
 
 def null_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> SubspaceBasis:

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InfeasibleProblem, NonuniqueOptimizer
-from .matlib import as_matrix, left_null_basis, null_basis, solve_linear
+from .matlib import as_matrix, left_null_basis, null_basis, rank_decision, solve_linear
 from .plant import PlantMatrices
 
 ACTIVE_SET_CAP = 12
@@ -237,25 +237,31 @@ def kkt_residual(prog: ConvexProgram, plant_eq: dict, pt: KKTPoint, w) -> dict:
     return {"stationarity": stationarity, "primal": primal, "complementarity": complementarity}
 
 
-def unique_optimizer_check(m_cost, t0, tol: float = 1e-10) -> bool:
-    """True iff t0' M t0 is positive definite (minimum eigenvalue above tol scale)."""
+def unique_optimizer_check(m_cost, t0, tol: float = 1e-10) -> tuple[bool, float]:
+    """Is t0' M t0 positive definite?  Its minimum eigenvalue is compared with
+    ``tol * max(1, max |eig|)``; the margin is lambda_min over that threshold
+    when it passes, else the threshold over lambda_min (``inf`` if
+    lambda_min <= 0)."""
     m = as_matrix(m_cost)
     t = as_matrix(t0)
     if t.shape[1] == 0:
-        return True
+        return True, np.inf
     red = t.T @ m @ t
     eigs = np.linalg.eigvalsh(0.5 * (red + red.T))
-    return bool(eigs.min() > tol * max(1.0, float(np.abs(eigs).max())))
+    lam = float(eigs.min())
+    thresh = tol * max(1.0, float(np.abs(eigs).max()))
+    if lam > thresh:
+        return True, lam / thresh
+    return False, thresh / lam if lam > 0 else np.inf
 
 
-def nonredundant_check(gperp, h_eq, tol: float = 1e-10) -> bool:
-    """True iff the stacked constraint matrix [gperp; H] has full row rank."""
-    from .matlib import numerical_rank
-
+def nonredundant_check(gperp, h_eq, tol: float = 1e-10) -> tuple[bool, float]:
+    """Does the stacked constraint matrix [gperp; H] have full row rank?
+    Returns the decision and its :func:`rank_decision` margin."""
     g = as_matrix(gperp)
     h = as_matrix(h_eq).reshape(-1, g.shape[1]) if np.size(h_eq) else np.zeros((0, g.shape[1]))
     stack = np.vstack([g, h])
-    return numerical_rank(stack, tol) == stack.shape[0]
+    return rank_decision(stack, stack.shape[0], tol)
 
 
 # -- smooth norms ----------------------------------------------------------------

@@ -19,11 +19,11 @@ All use the package-wide negative-feedback convention u = -(gains . states).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .matlib import as_matrix, null_basis, numerical_rank
+from .matlib import as_matrix, numerical_rank
 from .omodels import OptimalityModel, gather_broadcast_input
 from .optprob import ConvexProgram
 from .plant import PlantMatrices, UncertainPlant
@@ -170,7 +170,7 @@ def build_dapi(net: PowerNetwork, k: float = 1.0) -> tuple[OptimalityModel, Stab
         raise ValueError("integral gain parameter k must be positive")
     prog = frequency_program(net)
     om = OptimalityModel(variant="rerfs", basis=dapi_feasible_basis(net), program=prog)
-    stab = Stabilizer(keta=np.eye(net.n) / k, note=f"dapi k={k}")
+    stab = Stabilizer(keta=np.eye(net.n) / k)
     return om, stab
 
 
@@ -207,7 +207,7 @@ def build_novel_freq_controller(net: PowerNetwork, c_weights, gains=None) -> tup
         k2 = as_matrix(gains["k2"]).reshape(net.n, net.n - 1)
         k3 = as_matrix(gains["k3"]).reshape(net.n, net.n)
         kx = np.hstack([k3, np.zeros((net.n, net.n_lines))])
-        stab = Stabilizer(kx=kx, keta=np.hstack([k1, k2]), note="two-integrator gains")
+        stab = Stabilizer(kx=kx, keta=np.hstack([k1, k2]))
     return om, stab
 
 
@@ -229,12 +229,8 @@ def build_gather_broadcast(net: PowerNetwork, c_weights, w=None) -> ClosedLoopSy
     """
     c = _validate_weights(net, c_weights)
     n, nt = net.n, net.n_lines
-    inc = net.incidence()
-    m_inv = np.diag(1.0 / net.inertia)
-    bsus = np.diag(net.susceptance)
-    a_mat = np.block([[-m_inv @ np.diag(net.damping), -m_inv @ inc],
-                      [bsus @ inc.T, np.zeros((nt, nt))]])
-    b_mat = np.vstack([m_inv, np.zeros((nt, n))])
+    swing = build_swing_plant(net).evaluate(np.zeros(1))
+    a_mat, b_mat = swing.a, swing.b
     w = net.p_star if w is None else np.asarray(w, dtype=float).reshape(n)
     n_state = n + nt + 1
     blocks = {"x": (0, n + nt), "nu": (n + nt, 0), "mu": (n + nt, 0), "eta": (n + nt, 1)}

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import power
 from .errors import OssError
-from .matlib import as_matrix, range_basis, subspace_equal
-from .omodels import OptimalityModel, om_dynamics
+from .matlib import range_basis, subspace_equal
+from .omodels import OptimalityModel
 from .optprob import ConvexProgram, check_gradients, oracle_optimal_output, smooth_norm
 from .plant import PlantMatrices, UncertainPlant, build_augmented_qp, eval_plant
 from .simulate import ClosedLoopSystem, Trajectory, assemble, convergence_metrics, equilibrium_solve, integrate_rk4
@@ -54,7 +54,10 @@ SIM_CHECK_KINDS = frozenset({
 def _decode_matrix(obj, what: str) -> np.ndarray:
     if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
         raise ValueError(f"{what}: matrices need explicit rows/cols/data")
-    rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    if not (isinstance(rows, int) and isinstance(cols, int) and isinstance(data, list)
+            and all(isinstance(v, (int, float)) for v in data)):
+        raise ValueError(f"{what}: rows and cols must be integers and data a flat list of numbers")
     if len(data) != rows * cols:
         raise ValueError(f"{what}: expected {rows * cols} entries, got {len(data)}")
     return np.asarray(data, dtype=float).reshape(rows, cols)

@@ -24,8 +24,7 @@ evaluating each row on its own.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -103,11 +102,6 @@ class Trajectory:
             with open(path_or_file, "w", newline="\n") as f:
                 np.savetxt(f, data, fmt="%.15g", delimiter=",",
                            header=header, comments="", newline="\n")
-
-    def csv_bytes(self) -> bytes:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue().encode()
 
 
 def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer) -> ClosedLoopSystem:

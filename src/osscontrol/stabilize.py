@@ -13,31 +13,17 @@ excluded from equivalence checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotStabilizable, NumericsDisagreement, RiccatiFailure
-from .matlib import as_matrix, eigenvalues, range_basis, rank_with_gap, subspace_equal
-from .optprob import ConvexProgram, unique_optimizer_check
+from .matlib import as_matrix, eigenvalues, range_basis, rank_decision, subspace_equal
+from .optprob import ConvexProgram, nonredundant_check, unique_optimizer_check
 from .plant import AugmentedPlant, PlantMatrices, UncertainPlant, build_augmented_qp, eval_plant
-from .subspaces import equilibrium_geometry
+from .subspaces import equilibrium_geometry, reduced_error_complement_condition
 
 PBH_TOL = 1e-9
-
-
-def _rank_decision(mat: np.ndarray, want_rank: int, tol: float) -> tuple[bool, float]:
-    """Decide rank(mat) >= want_rank; margin is the distance from the threshold."""
-    if mat.size == 0:
-        return want_rank == 0, np.inf
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s[0] == 0.0:
-        return want_rank == 0, np.inf
-    thresh = tol * s[0] * max(mat.shape)
-    sigma = s[want_rank - 1] if want_rank - 1 < s.size else 0.0
-    if sigma > thresh:
-        return True, float(sigma / thresh)
-    return False, np.inf if sigma == 0.0 else float(thresh / sigma)
 
 
 def _pbh_margin(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[bool, float]:
@@ -51,7 +37,7 @@ def _pbh_margin(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[bool, float]:
         if lam.real < -tol:
             continue
         mat = np.hstack([lam * np.eye(n) - a, b.astype(complex)])
-        full, m = _rank_decision(mat, n, tol)
+        full, m = rank_decision(mat, n, tol)
         margin = min(margin, m)
         ok = ok and full
     return ok, margin
@@ -122,7 +108,7 @@ def theorem1_check(pm: PlantMatrices, tol: float = PBH_TOL) -> ConditionReport:
     stab, m1 = _pbh_margin(pm.a, pm.b, tol)
     det, m2 = _pbh_margin(pm.a.T, pm.cm.T, tol)
     block = np.block([[pm.a, pm.b], [pm.c, pm.d]])
-    full, m3 = _rank_decision(block, pm.n + pm.p, tol)
+    full, m3 = rank_decision(block, pm.n + pm.p, tol)
     clauses = (
         ClauseResult("(A, B) stabilizable", stab, margin=m1),
         ClauseResult("(Cm, A) detectable", det, margin=m2),
@@ -160,52 +146,28 @@ def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis, cm,
     ]
 
     if variant in ("rfs", "ros"):
-        stack = np.vstack([geom.gperp, prog.h_eq])
-        nonred, m3 = _rank_decision(stack, stack.shape[0], tol)
+        nonred, m3 = nonredundant_check(geom.gperp, prog.h_eq, tol)
         clauses.append(ClauseResult(
             "nonredundant constraints", nonred,
-            detail=f"rank of stacked constraints vs {stack.shape[0]} rows", margin=m3))
+            detail=f"rank of stacked constraints vs {geom.gperp.shape[0] + prog.n_ec} rows",
+            margin=m3))
 
-    tb = geom.t_basis.basis
-    red = tb.T @ prog.qp.m_cost @ tb
-    if red.size:
-        eigs = np.linalg.eigvalsh(0.5 * (red + red.T))
-        thresh = tol * max(1.0, float(np.abs(eigs).max()))
-        unique = bool(eigs.min() > thresh)
-        m4 = float(eigs.min() / thresh) if unique else (
-            np.inf if eigs.min() <= 0 else float(thresh / eigs.min()))
-        if not unique and eigs.min() <= 0:
-            m4 = np.inf if eigs.min() < -thresh or eigs.min() == 0.0 else m4
-    else:
-        unique, m4 = True, np.inf
+    unique, m4 = unique_optimizer_check(prog.qp.m_cost, geom.t_basis.basis, tol)
     clauses.append(ClauseResult(
         "unique optimizer (cost positive definite on feasible directions)",
         unique, margin=m4))
 
-    if variant == "rfs":
-        fcr, m5 = _rank_decision(basis, basis.shape[1], tol)
-        clauses.append(ClauseResult("t0 full column rank", fcr, margin=m5))
-        premise = subspace_equal(range_basis(basis), geom.t_basis)
-    elif variant == "ros":
-        fcr, m5 = _rank_decision(basis, basis.shape[1], tol)
-        clauses.append(ClauseResult("g0 full column rank", fcr, margin=m5))
-        premise = subspace_equal(range_basis(basis), geom.g_range)
-    else:
-        n_ec = prog.n_ec
-        hg = prog.h_eq @ geom.g
-        floor = 1e-12 * (1.0 + np.linalg.norm(prog.h_eq)) * (1.0 + np.linalg.norm(geom.g))
-        stack = np.vstack([np.eye(n_ec) - range_basis(hg, floor=floor).projector(),
-                           np.eye(n_ec) - range_basis(basis.T, floor=1e-12 * (1.0 + np.linalg.norm(basis))).projector()]) if n_ec else np.zeros((0, 0))
-        if n_ec:
-            r, gap = rank_with_gap(stack, tol)
-            cond_ok = r == n_ec
-            m5 = gap if np.isfinite(gap) else np.inf
-        else:
-            cond_ok, m5 = True, np.inf
+    if variant == "rerfs":
+        cond_ok, m5 = reduced_error_complement_condition(prog.h_eq, geom.g, basis, tol)
         clauses.append(ClauseResult(
             "complements of range(H G) and range(t0') meet only at zero",
             cond_ok, margin=m5))
-        premise = subspace_equal(range_basis(basis), geom.t_basis)
+    else:
+        fcr, m5 = rank_decision(basis, basis.shape[1], tol)
+        clauses.append(ClauseResult(
+            f"{'g0' if variant == 'ros' else 't0'} full column rank", fcr, margin=m5))
+    premise = subspace_equal(range_basis(basis),
+                             geom.g_range if variant == "ros" else geom.t_basis)
 
     aug = build_augmented_qp(pm, prog.qp.m_cost, prog.qp.n_cost, prog.h_eq,
                              prog.l_eq, variant, basis)
@@ -254,13 +216,11 @@ class Stabilizer:
     opposite sign must be negated on entry.
     """
 
-    kind: str = "static_gains"
     kx: np.ndarray | None = None
     knu: np.ndarray | None = None
     kmu: np.ndarray | None = None
     keta: np.ndarray | None = None
     keps: np.ndarray | None = None
-    note: str = ""
 
     def block(self, name: str, m: int, size: int) -> np.ndarray:
         val = getattr(self, name)
@@ -317,7 +277,7 @@ def synthesize_lqr(aug: AugmentedPlant, q_cost, r_cost, tol: float = PBH_TOL) ->
     kx = k[:, : aug.n]
     kmu = k[:, aug.n: aug.n + aug.n_mu]
     keta = k[:, aug.n + aug.n_mu:]
-    return Stabilizer(kind="lqr_state_feedback", kx=kx, kmu=kmu, keta=keta)
+    return Stabilizer(kx=kx, kmu=kmu, keta=keta)
 
 
 def closed_loop_matrix(aug: AugmentedPlant, stab: Stabilizer) -> dict:

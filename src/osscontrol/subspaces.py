@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matlib import (
+    DEFAULT_RANK_TOL,
     SubspaceBasis,
     as_matrix,
     left_null_basis,
     null_basis,
-    numerical_rank,
     range_basis,
+    rank_decision,
     subspace_equal,
     subspace_intersection,
 )
@@ -93,53 +94,48 @@ def _per_sample_geometry(up: UncertainPlant, h_eq):
     return out
 
 
-def check_ros(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
-    """Robust-output-subspace check: is range G(delta) the same at every sample?
+def _robust_subspace(up: UncertainPlant, h_eq, tol: float, key: str, subspace) -> dict:
+    """Compare ``subspace(geometry)`` at every sample with its nominal value.
 
-    Returns holds, the nominal orthonormal basis g0 when it holds, the first
-    violating (reference, delta) pair otherwise, and per-sample verdicts.
+    Returns holds, the nominal orthonormal basis under ``key`` when it holds,
+    the first violating (reference, delta) pair otherwise, and per-sample
+    verdicts.
     """
     geoms = _per_sample_geometry(up, h_eq)
     ref_delta, ref_geom = geoms[0]
-    ref_range = ref_geom.g_range
+    ref = subspace(ref_geom)
     per_sample = []
     witness = None
     for delta, geom in geoms[1:]:
-        same = subspace_equal(ref_range, geom.g_range, tol)
+        same = subspace_equal(ref, subspace(geom), tol)
         per_sample.append({"delta": delta, "matches_nominal": same})
         if not same and witness is None:
             witness = (ref_delta, delta)
     holds = witness is None
     return {
         "holds": holds,
-        "g0": ref_range.basis if holds else None,
+        key: ref.basis if holds else None,
         "witness": witness,
         "per_sample": per_sample,
     }
+
+
+def check_ros(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
+    """Robust-output-subspace check: is range G(delta) the same at every sample?
+
+    The nominal basis, when it holds, is returned as ``g0``.
+    """
+    return _robust_subspace(up, h_eq, tol, "g0", lambda geom: geom.g_range)
 
 
 def check_rfs(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
     """Robust-feasible-subspace check: is null [gperp(delta); H(delta)] fixed?
 
     ``h_eq`` may be a callable of delta for uncertain equality constraints;
-    the same comparison runs with H evaluated per sample.
+    the same comparison runs with H evaluated per sample.  The nominal basis,
+    when it holds, is returned as ``t0``.
     """
-    geoms = _per_sample_geometry(up, h_eq)
-    ref_delta, ref_geom = geoms[0]
-    per_sample = []
-    witness = None
-    for delta, geom in geoms[1:]:
-        same = subspace_equal(ref_geom.t_basis, geom.t_basis, tol)
-        per_sample.append({"delta": delta, "matches_nominal": same})
-        if not same and witness is None:
-            witness = (ref_delta, delta)
-    holds = witness is None
-    return {
-        "holds": holds,
-        "t0": ref_geom.t_basis.basis if holds else None,
-        "witness": witness,
-        "per_sample": per_sample,
-    }
+    return _robust_subspace(up, h_eq, tol, "t0", lambda geom: geom.t_basis)
 
 
 def check_robust_full_rank(up: UncertainPlant, tol: float = 1e-10) -> bool:
@@ -147,17 +143,36 @@ def check_robust_full_rank(up: UncertainPlant, tol: float = 1e-10) -> bool:
     for delta in up.delta_samples:
         pm = eval_plant(up, delta)
         block = np.block([[pm.a, pm.b], [pm.c, pm.d]])
-        if numerical_rank(block, tol) != pm.n + pm.p:
+        if not rank_decision(block, pm.n + pm.p, tol)[0]:
             return False
     return True
 
 
-def check_rerfs_range_condition(up: UncertainPlant, h_eq, t0, tol: float = 1e-8) -> dict:
-    """Range condition for the reduced-error model:
-    range(H G(delta)) and range(t0') intersect only at zero, at every sample."""
+def _reduced_error_ranges(h: np.ndarray, g: np.ndarray, t0: np.ndarray):
+    """range(H G) and range(t0'), with absolute rank floors: H G is a product
+    that may cancel to roundoff."""
+    floor = 1e-12 * (1.0 + np.linalg.norm(h)) * (1.0 + np.linalg.norm(g))
+    return (range_basis(h @ g, floor=floor),
+            range_basis(t0.T, floor=1e-12 * (1.0 + np.linalg.norm(t0))))
+
+
+def reduced_error_complement_condition(h, g, t0, tol: float = DEFAULT_RANK_TOL) -> tuple[bool, float]:
+    """Complement condition of the reduced-error model at one realization.
+
+    The orthogonal complements of range(H G) and range(t0') meet only at
+    zero, that is, the two ranges together span the equality-constraint
+    space.  Returns the decision and its :func:`rank_decision` margin.
+    """
+    hg, t0t = _reduced_error_ranges(h, g, t0)
+    return rank_decision(np.hstack([hg.basis, t0t.basis]), h.shape[0], tol)
+
+
+def _reduced_error_samples(up: UncertainPlant, h_eq, t0, clause):
+    """Yield (delta, clause(H, G, t0)) at every sample, resolving callable H.
+
+    A sample without equality constraints holds vacuously.
+    """
     t0 = as_matrix(t0)
-    per_sample = []
-    witness = None
     for delta in up.delta_samples:
         h = h_eq(delta) if callable(h_eq) else h_eq
         pm = eval_plant(up, delta)
@@ -165,45 +180,38 @@ def check_rerfs_range_condition(up: UncertainPlant, h_eq, t0, tol: float = 1e-8)
         if t0.shape[0] != pm.p:
             raise ValueError(f"t0 must have {pm.p} rows, got {t0.shape[0]}")
         if h.shape[0] == 0:
-            per_sample.append({"delta": delta, "holds": True})
+            yield delta, True
             continue
         if t0.shape[1] != h.shape[0]:
             raise ValueError(
-                "the reduced-error range condition compares subspaces of the "
+                "the reduced-error conditions compare subspaces of the "
                 f"equality-constraint space: t0 needs {h.shape[0]} columns, got {t0.shape[1]}"
             )
-        geom = equilibrium_geometry(pm, h)
-        floor = 1e-12 * (1.0 + np.linalg.norm(h)) * (1.0 + np.linalg.norm(geom.g))
-        hg_range = range_basis(h @ geom.g, floor=floor)
-        t0t_range = range_basis(t0.T, floor=1e-12 * (1.0 + np.linalg.norm(t0)))
-        inter = subspace_intersection(hg_range, t0t_range)
-        ok = inter.is_empty
+        yield delta, clause(h, equilibrium_geometry(pm, h).g, t0)
+
+
+def check_rerfs_range_condition(up: UncertainPlant, h_eq, t0, tol: float = DEFAULT_RANK_TOL) -> dict:
+    """Range condition for the reduced-error model:
+    range(H G(delta)) and range(t0') intersect only at zero, at every sample."""
+
+    def clause(h, g, t0):
+        return subspace_intersection(*_reduced_error_ranges(h, g, t0), tol).is_empty
+
+    per_sample = []
+    witness = None
+    for delta, ok in _reduced_error_samples(up, h_eq, t0, clause):
         per_sample.append({"delta": delta, "holds": ok})
         if not ok and witness is None:
             witness = delta
     return {"holds": witness is None, "witness": witness, "per_sample": per_sample}
 
 
-def check_prop6_detectability_condition(up: UncertainPlant, h_eq, t0, tol: float = 1e-8) -> bool:
-    """Orthogonal-complement condition for the reduced-error model:
-    the complements of range(H G(delta)) and range(t0') meet only at zero."""
-    t0 = as_matrix(t0)
-    for delta in up.delta_samples:
-        h = h_eq(delta) if callable(h_eq) else h_eq
-        pm = eval_plant(up, delta)
-        h = as_matrix(h).reshape(-1, pm.p) if h is not None and np.size(h) else np.zeros((0, pm.p))
-        n_ec = h.shape[0]
-        if n_ec == 0:
-            continue
-        if t0.shape[1] != n_ec:
-            raise ValueError(
-                "the complement condition compares subspaces of the equality-"
-                f"constraint space: t0 needs {n_ec} columns, got {t0.shape[1]}"
-            )
-        geom = equilibrium_geometry(pm, h)
-        floor = 1e-12 * (1.0 + np.linalg.norm(h)) * (1.0 + np.linalg.norm(geom.g))
-        hg_comp = left_null_basis(h @ geom.g, floor=floor)
-        t0t_comp = left_null_basis(t0.T, floor=1e-12 * (1.0 + np.linalg.norm(t0)))
-        if not subspace_intersection(hg_comp, t0t_comp).is_empty:
-            return False
-    return True
+def check_prop6_detectability_condition(up: UncertainPlant, h_eq, t0,
+                                        tol: float = DEFAULT_RANK_TOL) -> bool:
+    """Complement condition for the reduced-error model at every sample
+    (see :func:`reduced_error_complement_condition`)."""
+
+    def clause(h, g, t0):
+        return reduced_error_complement_condition(h, g, t0, tol)[0]
+
+    return all(ok for _, ok in _reduced_error_samples(up, h_eq, t0, clause))

@@ -9,7 +9,7 @@ from osscontrol.matlib import (
     null_basis,
     numerical_rank,
     range_basis,
-    rank_with_gap,
+    rank_decision,
     solve_linear,
     subspace_equal,
     subspace_intersection,
@@ -33,13 +33,16 @@ class TestNumericalRank:
     def test_empty_matrix(self):
         assert numerical_rank(np.zeros((0, 3))) == 0
 
-    def test_gap_reporting(self):
-        r, gap = rank_with_gap(np.diag([1.0, 1e-3, 0.0]))
-        assert r == 2 and gap == np.inf
-        r, gap = rank_with_gap(np.diag([1.0, 1e-4]), tol=1e-6)
-        assert r == 2
-        r, gap = rank_with_gap(np.diag([1.0, 1e-8]), tol=1e-6)
-        assert r == 1 and gap == pytest.approx(1e8)
+    def test_rank_decision_margin(self):
+        # threshold 1e-10 * 1 * 3: rank 2 is decided with sigma_2 far above it,
+        # rank 3 fails exactly because sigma_3 is zero
+        ok, margin = rank_decision(np.diag([1.0, 1e-3, 0.0]), 2)
+        assert ok and margin == pytest.approx(1e-3 / 3e-10)
+        assert rank_decision(np.diag([1.0, 1e-3, 0.0]), 3) == (False, np.inf)
+        ok, margin = rank_decision(np.diag([1.0, 1e-4]), 2, tol=1e-6)
+        assert ok and margin == pytest.approx(50.0)
+        ok, margin = rank_decision(np.diag([1.0, 1e-8]), 2, tol=1e-6)
+        assert not ok and margin == pytest.approx(200.0)
 
 
 class TestNullBasis:

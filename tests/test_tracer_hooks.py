@@ -1,0 +1,44 @@
+"""The benchmark tracer (``perfbench/tracer.py``) hooks package functions by
+name; a renamed hook target must fail here, not only in a traced benchmark run."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from osscontrol.plant import fixed_plant
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def package_namespaces():
+    return {name: dict(vars(mod)) for name, mod in sys.modules.items()
+            if name == "osscontrol" or name.startswith("osscontrol.")}
+
+
+def test_install_hooks_and_uninstall_restores(monkeypatch, two_state_plant):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    tracer = importlib.import_module("tracer")
+    from osscontrol import scenarios, stabilize
+
+    before = package_namespaces()
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        # spans sit where a layer calls another: the scenario engine's names
+        for name in tracer.SUBSPACE_CHECKS:
+            getattr(scenarios, name)(fixed_plant(two_state_plant))
+        stabilize.pbh_stabilizable(np.eye(1), np.ones((1, 1)))
+    finally:
+        tr.uninstall()
+    assert package_namespaces() == before
+    calls = {name: stat["calls"] for name, stat in tr.by_name().items()}
+    for layer, name in tracer.PRIVATE:
+        assert f"{layer}.{name}" in calls
+    assert calls["stabilize._pbh_margin"] == 1
+    for name in tracer.SUBSPACE_CHECKS:
+        assert calls[f"subspaces.{name}"] == 1
+    assert tr.counts["subspaces.samples"] == len(tracer.SUBSPACE_CHECKS)
