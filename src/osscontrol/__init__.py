@@ -41,12 +41,8 @@ from .subspaces import (
 )
 from .omodels import (
     OptimalityModel,
-    PhiNu,
     gather_broadcast_input,
     om_dynamics,
-    phi_projection,
-    phi_saddle,
-    verify_optimality_model,
 )
 from .stabilize import (
     ConditionReport,

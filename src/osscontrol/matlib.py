@@ -68,11 +68,6 @@ class SubspaceBasis:
         """Orthogonal projector onto the subspace."""
         return self.basis @ self.basis.T
 
-    def contains(self, v: np.ndarray, tol: float = 1e-8) -> bool:
-        v = np.asarray(v, dtype=float).ravel()
-        resid = v - self.basis @ (self.basis.T @ v)
-        return np.linalg.norm(resid) <= tol * (1.0 + np.linalg.norm(v))
-
 
 def _empty_basis(ambient_dim: int, tol: float) -> SubspaceBasis:
     return SubspaceBasis(np.zeros((ambient_dim, 0)), ambient_dim, tol)

@@ -12,46 +12,21 @@ variants are provided, differing in which fixed subspace matrix they need:
 - "rerfs": reduced-error variant of "rfs" with t0 of exactly n_ec columns;
            eps adds the projected gradient onto the equality violation.
 
-Inequality constraints enter through a multiplier state nu driven by a
-complementarity function phi(alpha, beta) whose zeros encode
-alpha >= 0, beta <= 0, alpha'beta = 0.
+Inequality constraints g(y, w) <= 0 enter through a multiplier state nu
+driven by the projection nu_dot = max(nu + g, 0) - nu, which is globally
+Lipschitz and vanishes exactly when nu >= 0, g <= 0 and nu'g = 0.
+``om_dynamics`` evaluates a model; ``gather_broadcast_input`` is the static
+dispatch map of the gather-and-broadcast power controller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .matlib import as_matrix
-from .optprob import ConvexProgram, oracle_optimal_output
-from .plant import UncertainPlant, eval_plant
-
-
-@dataclass(frozen=True)
-class PhiNu:
-    """Complementarity function for inequality-multiplier dynamics."""
-
-    kind: str
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __call__(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        return self.evaluator(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
-
-
-def phi_projection() -> PhiNu:
-    """max(alpha + beta, 0) - alpha: globally Lipschitz, simulation-friendly."""
-    return PhiNu("projection_max", lambda a, b: np.maximum(a + b, 0.0) - a)
-
-
-def phi_saddle() -> PhiNu:
-    """beta_i where alpha_i > 0, max(0, beta_i) otherwise (discontinuous)."""
-
-    def f(a, b):
-        return np.where(a > 0.0, b, np.maximum(0.0, b))
-
-    return PhiNu("saddle_point", f)
+from .optprob import ConvexProgram
 
 
 @dataclass(frozen=True)
@@ -64,7 +39,6 @@ class OptimalityModel:
     variant: str
     basis: np.ndarray
     program: ConvexProgram
-    phi: PhiNu = field(default_factory=phi_projection)
 
     def __post_init__(self):
         if self.variant not in ("rfs", "ros", "rerfs"):
@@ -107,12 +81,6 @@ class OptimalityModel:
             return self.basis.shape[1]
         return self.n_ec
 
-    def split_state(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        state = np.asarray(state, dtype=float).ravel()
-        if state.size != self.state_dim:
-            raise ValueError(f"state must have {self.state_dim} entries, got {state.size}")
-        return state[: self.n_ic], state[self.n_ic:]
-
 
 def om_dynamics(om: OptimalityModel, y, w, state) -> tuple[np.ndarray, np.ndarray]:
     """Filter state derivative and proxy error at (y, w, state).
@@ -129,7 +97,7 @@ def om_dynamics(om: OptimalityModel, y, w, state) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"state must have {n_ic + om.n_mu} entries, got {state.size}")
     nu, mu = state[:n_ic], state[n_ic:]
     if n_ic:
-        nu_dot = om.phi(nu, prog.ineq_values(y, w))
+        nu_dot = np.maximum(nu + prog.ineq_values(y, w), 0.0) - nu
         grad = prog.objective_grad(y, w) + prog.ineq_grads(y, w).T @ nu
     else:
         nu_dot = np.zeros(0)
@@ -146,34 +114,6 @@ def om_dynamics(om: OptimalityModel, y, w, state) -> tuple[np.ndarray, np.ndarra
         eps = eq_violation + om.basis.T @ grad
         mu_dot = np.zeros(0)
     return np.concatenate([nu_dot, mu_dot]), eps
-
-
-def verify_optimality_model(om: OptimalityModel, up: UncertainPlant, delta, w,
-                            eq_point, tol: float = 1e-8) -> bool:
-    """Check the defining implication of an optimality model at a concrete point.
-
-    ``eq_point`` is ``(x_bar, om_state, u_bar)``.  True iff the steady-state
-    residuals (plant equilibrium, filter stationarity, eps = 0) are all
-    within ``tol`` and the resulting output matches the oracle optimizer
-    within ``10 * tol``.
-    """
-    x_bar, state, u_bar = eq_point
-    x_bar = np.asarray(x_bar, dtype=float).ravel()
-    u_bar = np.asarray(u_bar, dtype=float).ravel()
-    w = np.asarray(w, dtype=float).ravel()
-    pm = eval_plant(up, delta)
-    plant_resid = pm.a @ x_bar + pm.b @ u_bar + pm.bw @ w
-    y_bar = pm.output(x_bar, u_bar, w)
-    state_dot, eps = om_dynamics(om, y_bar, w, state)
-    resid = max(
-        np.abs(plant_resid).max() if plant_resid.size else 0.0,
-        np.abs(state_dot).max() if state_dot.size else 0.0,
-        np.abs(eps).max() if eps.size else 0.0,
-    )
-    if resid > tol:
-        return False
-    oracle = oracle_optimal_output(om.program, pm, w)
-    return bool(np.linalg.norm(y_bar - oracle["y_star"]) <= 10 * tol)
 
 
 def gather_broadcast_input(a_coeffs, b_coeffs, eta) -> np.ndarray:

@@ -94,9 +94,6 @@ class PlantMatrices:
     def p_m(self) -> int:
         return self.cm.shape[0]
 
-    def output(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return self.c @ x + self.d @ u + self.q @ w
-
     def dc_gain(self) -> np.ndarray:
         """-C A^-1 B + D, defined when A is invertible."""
         return -self.c @ np.linalg.solve(self.a, self.b) + self.d
@@ -124,21 +121,6 @@ class UncertainPlant:
     @property
     def nominal(self) -> np.ndarray:
         return self.delta_samples[0]
-
-    def corner_samples(self) -> list[np.ndarray]:
-        """delta_box corner points, for sweeps beyond the explicit samples."""
-        if self.delta_box is None:
-            return list(self.delta_samples)
-        corners = [np.zeros(self.delta_dim)]
-        for i, (lo, hi) in enumerate(self.delta_box):
-            new = []
-            for c in corners:
-                for v in (lo, hi):
-                    cc = c.copy()
-                    cc[i] = v
-                    new.append(cc)
-            corners = new
-        return corners
 
 
 def fixed_plant(pm: PlantMatrices) -> UncertainPlant:

@@ -233,7 +233,6 @@ def build_gather_broadcast(net: PowerNetwork, c_weights, w=None) -> ClosedLoopSy
     a_mat, b_mat = swing.a, swing.b
     w = net.p_star if w is None else np.asarray(w, dtype=float).reshape(n)
     n_state = n + nt + 1
-    blocks = {"x": (0, n + nt), "nu": (n + nt, 0), "mu": (n + nt, 0), "eta": (n + nt, 1)}
 
     def input_of(eta):
         return gather_broadcast_input(net.cost_a, net.cost_b, -eta) + 0.0
@@ -254,7 +253,7 @@ def build_gather_broadcast(net: PowerNetwork, c_weights, w=None) -> ClosedLoopSy
 
     base = rhs(0.0, np.zeros(n_state))
     a_cl = np.column_stack([rhs(0.0, np.eye(n_state)[:, i]) - base for i in range(n_state)])
-    return ClosedLoopSystem(n_state=n_state, blocks=blocks, rhs=rhs, outputs=outputs,
+    return ClosedLoopSystem(n_state=n_state, rhs=rhs, outputs=outputs,
                             m=n, p=2 * n, eps_dim=1, affine=(a_cl, base))
 
 

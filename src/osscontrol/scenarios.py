@@ -9,7 +9,8 @@ merge) to express paired runs such as two controller tunings.
 Expectations come in two flavors: analysis checks (subspace robustness,
 proposition clause lists, spectra, equilibrium comparisons) and simulation
 checks (convergence metrics on an integrated trajectory).  ``check`` runs
-only the former; ``run`` runs both.
+only the former; ``run`` runs both.  ``CHECKS`` maps each expectation kind to
+its check function, and loading rejects a kind that is not in it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import power
 from .errors import OssError
-from .matlib import range_basis, subspace_equal
+from .matlib import numerical_rank, range_basis, subspace_equal
 from .omodels import OptimalityModel
 from .optprob import ConvexProgram, check_gradients, oracle_optimal_output, smooth_norm
 from .plant import PlantMatrices, UncertainPlant, build_augmented_qp, eval_plant
@@ -42,10 +43,6 @@ BUNDLED_NAMES = (
     "power-novel",
     "power-gb",
 )
-
-SIM_CHECK_KINDS = frozenset({
-    "final_err", "settling", "final_cost", "extrema", "dispatch", "final_input_abs",
-})
 
 
 # -- JSON decoding -----------------------------------------------------------------
@@ -89,7 +86,12 @@ def _build_plant(spec: dict, network: power.PowerNetwork | None) -> UncertainPla
             samples = spec.get("delta_samples", [[0.0], [0.3], [-0.3]])
             return power.build_swing_plant(network, tuple(tuple(s) for s in samples))
         raise ValueError(f"unknown plant builder {name!r}")
-    mats = spec["matrices"]
+    mats = spec.get("matrices")
+    if not isinstance(mats, dict):
+        raise ValueError("plant needs a builder or a matrices object")
+    missing = [f"plant.matrices.{k}" for k in ("a", "b", "bw", "c", "d", "q") if k not in mats]
+    if missing:
+        raise ValueError(f"missing required matrices: {', '.join(missing)}")
     names = ("a", "b", "bw", "c", "d", "q", "cm", "dm", "qm")
     base = {k: _decode_matrix(mats[k], f"plant.{k}") for k in names if k in mats}
     addends = {
@@ -198,8 +200,6 @@ def _resolve_basis(spec, up: UncertainPlant, prog: ConvexProgram, variant: str) 
         geom = equilibrium_geometry(eval_plant(up, up.nominal),
                                     prog.h_eq if not callable(prog.h_eq) else prog.h_eq(up.nominal))
         g = geom.g
-        from .matlib import numerical_rank
-
         return g if numerical_rank(g) == g.shape[1] else report["g0"]
     report = check_rfs(up, prog.h_eq)
     if not report["holds"]:
@@ -245,6 +245,17 @@ class Scenario:
         raise KeyError(f"scenario {self.name} has no variant {name!r}")
 
 
+def _lqr(up: UncertainPlant, om: OptimalityModel, spec: dict) -> Stabilizer:
+    """LQR gains for the augmented plant at the nominal delta, weights q I and r I."""
+    pm = eval_plant(up, up.nominal)
+    prog = om.program
+    aug = build_augmented_qp(pm, prog.qp.m_cost, prog.qp.n_cost, prog.h_eq, prog.l_eq,
+                             om.variant, om.basis)
+    q = float(spec.get("q", 1.0)) * np.eye(aug.n_state)
+    r = float(spec.get("r", 1.0)) * np.eye(pm.m)
+    return synthesize_lqr(aug, q, r)
+
+
 def _build_controller(doc: dict, up: UncertainPlant, prog: ConvexProgram,
                       network: power.PowerNetwork | None):
     """Resolve (om, stabilizer, controller_kind, gb_weights, program) for one variant."""
@@ -261,14 +272,7 @@ def _build_controller(doc: dict, up: UncertainPlant, prog: ConvexProgram,
             gains = ctrl.get("gains")
             om, stab = power.build_novel_freq_controller(network, weights, gains)
             if stab is None:
-                lqr = ctrl.get("lqr", {"q": 1.0, "r": 1.0})
-                pm = eval_plant(up, up.nominal)
-                aug = build_augmented_qp(pm, om.program.qp.m_cost, om.program.qp.n_cost,
-                                         om.program.h_eq, om.program.l_eq, om.variant,
-                                         om.basis)
-                q = float(lqr.get("q", 1.0)) * np.eye(aug.n_state)
-                r = float(lqr.get("r", 1.0)) * np.eye(pm.m)
-                stab = synthesize_lqr(aug, q, r)
+                stab = _lqr(up, om, ctrl.get("lqr", {}))
             return om, stab, "standard", None, om.program
         if name == "gather_broadcast":
             weights = np.asarray(ctrl.get("c", [1.0 / network.n] * network.n), dtype=float)
@@ -290,15 +294,34 @@ def _build_controller(doc: dict, up: UncertainPlant, prog: ConvexProgram,
                   ("kx", "knu", "kmu", "keta", "keps") if k in g}
         stab = Stabilizer(**blocks)
     elif "lqr" in stab_spec:
-        pm = eval_plant(up, up.nominal)
-        aug = build_augmented_qp(pm, prog.qp.m_cost, prog.qp.n_cost, prog.h_eq,
-                                 prog.l_eq, om.variant, om.basis)
-        q = float(stab_spec["lqr"].get("q", 1.0)) * np.eye(aug.n_state)
-        r = float(stab_spec["lqr"].get("r", 1.0)) * np.eye(pm.m)
-        stab = synthesize_lqr(aug, q, r)
+        stab = _lqr(up, om, stab_spec["lqr"])
     else:
         raise ValueError("stabilizer block needs 'gains' or 'lqr'")
     return om, stab, "standard", None, prog
+
+
+def _expectations(specs, where: str) -> list[dict]:
+    """The ``expect`` list at ``where``, each entry checked for a known kind."""
+    if not isinstance(specs, list):
+        raise ValueError(f"{where} must be a list of expectation objects")
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, dict):
+            raise ValueError(f"{where}[{i}] must be an object with a kind, "
+                             f"got {type(spec).__name__}")
+        kind = spec.get("kind")
+        if not isinstance(kind, str) or kind not in CHECKS:
+            raise ValueError(f"{where}[{i}].kind: unknown expectation kind {kind!r}")
+        if kind == "prop" and spec.get("which") not in (4, 5, 6):
+            raise ValueError(f"{where}[{i}].which must be 4, 5 or 6, got {spec.get('which')!r}")
+    return list(specs)
+
+
+def _require_objects(doc: dict, where: str) -> None:
+    """Reject a block of ``doc`` that is not a JSON object (``sim`` may be null)."""
+    for key in ("plant", "program", "network", "om", "stabilizer", "controller", "sim"):
+        val = doc.get(key)
+        if key in doc and not isinstance(val, dict) and not (key == "sim" and val is None):
+            raise ValueError(f"{where}{key} must be an object, got {type(val).__name__}")
 
 
 def load_scenario(source) -> Scenario:
@@ -316,9 +339,12 @@ def load_scenario(source) -> Scenario:
                 doc = json.load(f)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"a scenario must be a JSON object, got {type(doc).__name__}")
     for key in ("name", "plant", "program", "sim"):
         if key not in doc:
             raise ValueError(f"scenario is missing required key {key!r}")
+    _require_objects(doc, "")
 
     network = None
     if "network" in doc:
@@ -337,8 +363,13 @@ def load_scenario(source) -> Scenario:
     program = _build_program(doc["program"], network, pm0.p, pm0.n_w)
 
     variant_docs = doc.get("variants") or [{}]
+    if not isinstance(variant_docs, list):
+        raise ValueError("variants must be a list of objects")
     plans = []
-    for vdoc in variant_docs:
+    for i, vdoc in enumerate(variant_docs):
+        if not isinstance(vdoc, dict):
+            raise ValueError(f"variants[{i}] must be an object, got {type(vdoc).__name__}")
+        _require_objects(vdoc, f"variants[{i}].")
         merged = _deep_merge(
             {k: doc[k] for k in ("om", "stabilizer", "controller", "sim", "program") if k in doc},
             {k: vdoc[k] for k in ("om", "stabilizer", "controller", "sim", "program") if k in vdoc},
@@ -351,12 +382,13 @@ def load_scenario(source) -> Scenario:
         plans.append(VariantPlan(
             name=vdoc.get("name", "main"),
             om=om, stabilizer=stab, controller_kind=kind, gb_weights=gb_w,
-            sim=sim, program=vprog, expect=list(vdoc.get("expect", [])),
+            sim=sim, program=vprog,
+            expect=_expectations(vdoc.get("expect", []), f"variants[{i}].expect"),
         ))
     return Scenario(
         name=doc["name"], description=doc.get("description", ""),
         plant=up, program=program, network=network, variants=plans,
-        expect=list(doc.get("expect", [])), notes=doc.get("notes", ""),
+        expect=_expectations(doc.get("expect", []), "expect"), notes=doc.get("notes", ""),
     )
 
 
@@ -427,7 +459,11 @@ class RunReport:
 
 
 class _Context:
-    """Lazy artifact cache shared by the expectation checks of one variant."""
+    """Lazy artifact cache shared by the expectation checks of one variant.
+
+    Every per-delta artifact (oracle, loop, trajectory, spectrum) is computed
+    once per delta; ``delta=None`` means the variant's simulation delta.
+    """
 
     def __init__(self, sc: Scenario, plan: VariantPlan, h=None, t_end=None):
         self.sc = sc
@@ -453,256 +489,288 @@ class _Context:
             return self.sc.network.p_star
         raise ValueError("sim block needs a disturbance vector w")
 
+    def _per_delta(self, what: str, delta, make):
+        # Keyed by the exact bits of delta.  Sweep threads share the cache:
+        # setdefault is atomic, so threads racing on one delta all get the
+        # first result stored.
+        d = self.delta if delta is None else np.asarray(delta, dtype=float)
+        key = (what, d.tobytes())
+        if key not in self._cache:
+            self._cache.setdefault(key, make(d))
+        return self._cache[key]
+
+    @property
+    def om(self) -> OptimalityModel:
+        if self.plan.om is None:
+            raise ValueError("this check needs a standard optimality-model controller")
+        return self.plan.om
+
     def pm(self, delta=None) -> PlantMatrices:
         return eval_plant(self.sc.plant, self.delta if delta is None else delta)
 
     def oracle(self, delta=None) -> dict:
-        key = ("oracle", tuple(np.atleast_1d(self.delta if delta is None else delta)))
-        if key not in self._cache:
-            prog = self.plan.program if self.plan.program is not None else self.sc.program
-            self._cache[key] = oracle_optimal_output(prog, self.pm(delta), self.w)
-        return self._cache[key]
+        prog = self.plan.program if self.plan.program is not None else self.sc.program
+        return self._per_delta("oracle", delta,
+                               lambda d: oracle_optimal_output(prog, self.pm(d), self.w))
 
     def loop(self, delta=None) -> ClosedLoopSystem:
-        d = self.delta if delta is None else np.asarray(delta, dtype=float)
-        key = ("loop", tuple(np.atleast_1d(d)))
-        if key not in self._cache:
-            if self.plan.controller_kind == "gather_broadcast":
-                if not np.allclose(d, self.sc.plant.nominal):
-                    raise ValueError("gather-broadcast loop is built at nominal delta only")
-                self._cache[key] = power.build_gather_broadcast(
-                    self.sc.network, self.plan.gb_weights, self.w)
-            else:
-                self._cache[key] = assemble(self.sc.plant, d, self.w, self.plan.om,
-                                            self.plan.stabilizer)
-        return self._cache[key]
+        def build(d):
+            if self.plan.controller_kind != "gather_broadcast":
+                return assemble(self.sc.plant, d, self.w, self.plan.om, self.plan.stabilizer)
+            if not np.allclose(d, self.sc.plant.nominal):
+                raise ValueError("gather-broadcast loop is built at nominal delta only")
+            return power.build_gather_broadcast(self.sc.network, self.plan.gb_weights, self.w)
 
-    def trajectory(self) -> Trajectory:
-        if "traj" not in self._cache:
-            sys = self.loop()
+        return self._per_delta("loop", delta, build)
+
+    def trajectory(self, delta=None) -> Trajectory:
+        def integrate(d):
+            sys = self.loop(d)
             z0 = (_decode_vector(self.sim["z0"], "sim.z0") if "z0" in self.sim
                   else np.zeros(sys.n_state))
-            self._cache["traj"] = integrate_rk4(sys, z0, float(self.sim["t_end"]),
-                                                float(self.sim["h"]))
-        return self._cache["traj"]
+            return integrate_rk4(sys, z0, float(self.sim["t_end"]), float(self.sim["h"]))
+
+        return self._per_delta("trajectory", delta, integrate)
+
+    def spectrum(self, delta=None) -> np.ndarray:
+        return self._per_delta(
+            "spectrum", delta,
+            lambda d: closed_loop_matrix(self.augmented(d), self.plan.stabilizer)["spectrum"])
 
     def metrics(self, settle_tol: float = 1e-3) -> dict:
         return convergence_metrics(self.trajectory(), self.oracle()["y_star"], settle_tol)
 
     def augmented(self, delta=None):
-        plan = self.plan
-        if plan.om is None:
-            raise ValueError("this check needs a standard optimality-model controller")
-        prog = plan.om.program
+        om = self.om
+        prog = om.program
         if not prog.is_qp or prog.n_ic:
             raise ValueError("this check applies to equality-constrained QP scenarios")
         pm = self.pm(delta)
         return build_augmented_qp(pm, prog.qp.m_cost, prog.qp.n_cost, prog.h_eq,
-                                  prog.l_eq, plan.om.variant, plan.om.basis)
+                                  prog.l_eq, om.variant, om.basis)
 
 
-def _num(x) -> float:
-    return float(x)
+# Each check takes (ctx, spec) and returns (passed, detail).
+
+
+def _within(value, spec: dict, lo: str, hi: str, cast=float) -> bool:
+    """``spec[lo] <= value <= spec[hi]``, each bound only when present."""
+    return ((lo not in spec or value >= cast(spec[lo]))
+            and (hi not in spec or value <= cast(spec[hi])))
+
+
+def _witness_detail(rep: dict) -> str:
+    detail = f"holds={rep['holds']}"
+    if rep["witness"] is not None:
+        detail += f", witness deltas {rep['witness'][0].tolist()} vs {rep['witness'][1].tolist()}"
+    return detail
+
+
+def _check_ros(ctx, spec):
+    h_eq = ctx.sc.program.h_eq
+    rep = check_ros(ctx.sc.plant, None if callable(h_eq) else h_eq)
+    return rep["holds"] == bool(spec["holds"]), _witness_detail(rep)
+
+
+def _check_rfs(ctx, spec):
+    rep = check_rfs(ctx.sc.plant, ctx.sc.program.h_eq)
+    ok = rep["holds"] == bool(spec["holds"])
+    detail = _witness_detail(rep)
+    if spec.get("witness") is not None and rep["witness"] is not None:
+        want_w = [np.asarray(x, dtype=float) for x in spec["witness"]]
+        ok = ok and all(np.allclose(a, b) for a, b in zip(want_w, rep["witness"]))
+    om = ctx.plan.om
+    if spec.get("matches_om_basis") and om is not None:
+        same = subspace_equal(range_basis(om.basis),
+                              range_basis(rep["t0"])) if rep["holds"] else False
+        ok = ok and same
+        detail += f", om basis spans it: {same}"
+    return ok, detail
+
+
+def _check_robust_full_rank(ctx, spec):
+    got = check_robust_full_rank(ctx.sc.plant)
+    return got == bool(spec["holds"]), f"holds={got}"
+
+
+_PROP_CHECKS = {4: prop4_check, 5: prop5_check, 6: prop6_check}
+
+
+def _check_prop(ctx, spec):
+    which = int(spec["which"])
+    om = ctx.om
+    rep = _PROP_CHECKS[which](ctx.sc.plant, ctx.delta, om.program, om.basis)
+    return (rep.overall == bool(spec["overall"]),
+            f"prop{which} overall={rep.overall}, direct PBH={rep.direct_pbh}")
+
+
+def _check_stabilizable(ctx, spec):
+    aug = ctx.augmented()
+    pm = ctx.pm()
+    got = (pbh_stabilizable(aug.a, aug.b)
+           and pbh_detectable(aug.measurement_matrix(pm.cm), aug.a))
+    return got == bool(spec["value"]), f"augmented plant stabilizable+detectable={got}"
+
+
+def _check_spectrum(ctx, spec):
+    got = np.sort_complex(ctx.spectrum())
+    want = np.sort_complex(np.asarray(spec["values"], dtype=complex))
+    ok = got.size == want.size and np.abs(got - want).max() <= float(spec.get("tol", 1e-9))
+    return ok, f"spectrum={np.round(got, 6).tolist()}"
+
+
+def _check_hurwitz_at_samples(ctx, spec):
+    worst = max(float(ctx.spectrum(d).real.max()) for d in ctx.sc.plant.delta_samples)
+    return (worst < 0) == bool(spec["value"]), f"max Re over samples = {worst:.3g}"
+
+
+def _check_oracle_y(ctx, spec):
+    err = float(np.linalg.norm(ctx.oracle()["y_star"] - np.asarray(spec["values"], dtype=float)))
+    return err <= float(spec.get("tol", 1e-9)), f"|y* - target| = {err:.3g}"
+
+
+def _check_oracle_matches_dispatch(ctx, spec):
+    y_star = ctx.oracle()["y_star"]
+    err = float(np.linalg.norm(y_star - power.dispatch_oracle(ctx.sc.network, ctx.w)["y_star"]))
+    return err <= float(spec.get("tol", 1e-8)), f"|oracle - dispatch| = {err:.3g}"
+
+
+def _check_equilibrium_mismatch(ctx, spec):
+    d = np.asarray(spec["delta"], dtype=float)
+    sys = ctx.loop(d)
+    zbar, resid = equilibrium_solve(sys, np.zeros(sys.n_state),
+                                    tol=float(spec.get("newton_tol", 1e-10)))
+    ybar = sys.outputs(zbar[None])[0][0]
+    gap = float(np.linalg.norm(ybar - ctx.oracle(d)["y_star"]))
+    ok = gap >= float(spec.get("at_least", 0.0))
+    if "equals" in spec:
+        ok = ok and abs(gap - float(spec["equals"])) <= float(spec.get("equals_tol", 1e-6))
+    return ok, f"|ybar - y*| = {gap:.6g} (newton residual {resid:.1e})"
+
+
+def _check_final_err(ctx, spec):
+    err = ctx.metrics()["final_err"]
+    return _within(err, spec, "min", "tol"), f"final err = {err:.3g}"
+
+
+def _check_settling(ctx, spec):
+    settling = ctx.metrics(float(spec.get("tol", 1e-3)))["settling_time"]
+    return settling <= float(spec["by"]), f"settling time = {settling:.3g}"
+
+
+def _check_final_cost(ctx, spec):
+    gap = abs(float(ctx.trajectory().cost[-1]) - ctx.oracle()["cost"])
+    return gap <= float(spec["tol"]), f"|final cost - optimal cost| = {gap:.3g}"
+
+
+def _check_extrema(ctx, spec):
+    count = ctx.metrics()["extrema_count"]
+    return _within(count, spec, "min", "max", int), f"cost extrema after transient = {count}"
+
+
+def _check_dispatch(ctx, spec):
+    net = ctx.sc.network
+    y_end = ctx.trajectory().y[-1]
+    disp = power.dispatch_oracle(net, ctx.w)
+    u_end, omega_end = y_end[:net.n], y_end[net.n:]
+    marg = net.marginal_cost(u_end)
+    u_err = float(np.abs(u_end - disp["u_star"]).max())
+    w_err = float(np.abs(omega_end).max())
+    spread = float(marg.max() - marg.min())
+    ok = (u_err <= float(spec.get("u_tol", 1e-3))
+          and w_err <= float(spec.get("omega_tol", 1e-5))
+          and spread <= float(spec.get("marginal_spread_tol", 1e-4)))
+    return ok, (f"max|u-u*|={u_err:.2e}, max|omega|={w_err:.2e}, "
+                f"marginal spread={spread:.2e}")
+
+
+def _check_final_input_abs(ctx, spec):
+    index = int(spec["index"])
+    val = abs(float(ctx.trajectory().u[-1, index]))
+    return _within(val, spec, "min", "max"), f"|u_{index + 1}(t_end)| = {val:.4g}"
+
+
+# kind -> (check, whether it reads the integrated trajectory)
+CHECKS = {
+    "ros": (_check_ros, False),
+    "rfs": (_check_rfs, False),
+    "robust_full_rank": (_check_robust_full_rank, False),
+    "prop": (_check_prop, False),
+    "stabilizable": (_check_stabilizable, False),
+    "spectrum": (_check_spectrum, False),
+    "hurwitz_at_samples": (_check_hurwitz_at_samples, False),
+    "oracle_y": (_check_oracle_y, False),
+    "oracle_matches_dispatch": (_check_oracle_matches_dispatch, False),
+    "equilibrium_mismatch": (_check_equilibrium_mismatch, False),
+    "final_err": (_check_final_err, True),
+    "settling": (_check_settling, True),
+    "final_cost": (_check_final_cost, True),
+    "extrema": (_check_extrema, True),
+    "dispatch": (_check_dispatch, True),
+    "final_input_abs": (_check_final_input_abs, True),
+}
+SIM_CHECK_KINDS = frozenset(kind for kind, (_, simulated) in CHECKS.items() if simulated)
 
 
 def _run_check(ctx: _Context, spec: dict) -> CheckResult:
-    sc, plan = ctx.sc, ctx.plan
-    kind = spec["kind"]
-    name = plan.name if plan is not None else ""
-
-    if kind == "ros":
-        rep = check_ros(sc.plant, None if callable(sc.program.h_eq) else sc.program.h_eq)
-        want = bool(spec["holds"])
-        detail = f"holds={rep['holds']}"
-        if rep["witness"] is not None:
-            detail += f", witness deltas {rep['witness'][0].tolist()} vs {rep['witness'][1].tolist()}"
-        return CheckResult(kind, rep["holds"] == want, detail, name)
-
-    if kind == "rfs":
-        rep = check_rfs(sc.plant, sc.program.h_eq)
-        ok = rep["holds"] == bool(spec["holds"])
-        detail = f"holds={rep['holds']}"
-        if rep["witness"] is not None:
-            detail += f", witness deltas {rep['witness'][0].tolist()} vs {rep['witness'][1].tolist()}"
-        if spec.get("witness") is not None and rep["witness"] is not None:
-            want_w = [np.asarray(x, dtype=float) for x in spec["witness"]]
-            ok = ok and all(np.allclose(a, b) for a, b in zip(want_w, rep["witness"]))
-        if spec.get("matches_om_basis") and plan is not None and plan.om is not None:
-            same = subspace_equal(range_basis(plan.om.basis),
-                                  range_basis(rep["t0"])) if rep["holds"] else False
-            ok = ok and same
-            detail += f", om basis spans it: {same}"
-        return CheckResult(kind, ok, detail, name)
-
-    if kind == "robust_full_rank":
-        got = check_robust_full_rank(sc.plant)
-        return CheckResult(kind, got == bool(spec["holds"]), f"holds={got}", name)
-
-    if kind == "prop":
-        which = int(spec["which"])
-        checker = {4: prop4_check, 5: prop5_check, 6: prop6_check}[which]
-        rep = checker(sc.plant, ctx.delta, plan.om.program, plan.om.basis)
-        ok = rep.overall == bool(spec["overall"])
-        return CheckResult(kind, ok,
-                           f"prop{which} overall={rep.overall}, direct PBH={rep.direct_pbh}",
-                           name)
-
-    if kind == "stabilizable":
-        aug = ctx.augmented()
-        pm = ctx.pm()
-        got = (pbh_stabilizable(aug.a, aug.b)
-               and pbh_detectable(aug.measurement_matrix(pm.cm), aug.a))
-        return CheckResult(kind, got == bool(spec["value"]),
-                           f"augmented plant stabilizable+detectable={got}", name)
-
-    if kind == "spectrum":
-        aug = ctx.augmented()
-        out = closed_loop_matrix(aug, plan.stabilizer)
-        got = np.sort_complex(out["spectrum"])
-        want = np.sort_complex(np.asarray(spec["values"], dtype=complex))
-        tol = _num(spec.get("tol", 1e-9))
-        ok = got.size == want.size and np.abs(got - want).max() <= tol
-        return CheckResult(kind, ok, f"spectrum={np.round(got, 6).tolist()}", name)
-
-    if kind == "hurwitz_at_samples":
-        worst = -np.inf
-        for d in sc.plant.delta_samples:
-            aug = ctx.augmented(d)
-            out = closed_loop_matrix(aug, plan.stabilizer)
-            worst = max(worst, float(out["spectrum"].real.max()))
-        got = worst < 0
-        return CheckResult(kind, got == bool(spec["value"]),
-                           f"max Re over samples = {worst:.3g}", name)
-
-    if kind == "oracle_y":
-        res = ctx.oracle()
-        want = np.asarray(spec["values"], dtype=float)
-        err = float(np.linalg.norm(res["y_star"] - want))
-        return CheckResult(kind, err <= _num(spec.get("tol", 1e-9)),
-                           f"|y* - target| = {err:.3g}", name)
-
-    if kind == "oracle_matches_dispatch":
-        res = ctx.oracle()
-        disp = power.dispatch_oracle(sc.network, ctx.w)
-        err = float(np.linalg.norm(res["y_star"] - disp["y_star"]))
-        return CheckResult(kind, err <= _num(spec.get("tol", 1e-8)),
-                           f"|oracle - dispatch| = {err:.3g}", name)
-
-    if kind == "equilibrium_mismatch":
-        d = np.asarray(spec["delta"], dtype=float)
-        sys = assemble(sc.plant, d, ctx.w, plan.om, plan.stabilizer)
-        zbar, resid = equilibrium_solve(sys, np.zeros(sys.n_state),
-                                        tol=_num(spec.get("newton_tol", 1e-10)))
-        ybar = sys.outputs(zbar[None])[0][0]
-        res = ctx.oracle(d)
-        gap = float(np.linalg.norm(ybar - res["y_star"]))
-        ok = gap >= _num(spec.get("at_least", 0.0))
-        if "equals" in spec:
-            ok = ok and abs(gap - _num(spec["equals"])) <= _num(spec.get("equals_tol", 1e-6))
-        return CheckResult(kind, ok,
-                           f"|ybar - y*| = {gap:.6g} (newton residual {resid:.1e})", name)
-
-    if kind == "final_err":
-        mets = ctx.metrics()
-        ok = True
-        if "tol" in spec:
-            ok = ok and mets["final_err"] <= _num(spec["tol"])
-        if "min" in spec:
-            ok = ok and mets["final_err"] >= _num(spec["min"])
-        return CheckResult(kind, ok, f"final err = {mets['final_err']:.3g}", name)
-
-    if kind == "settling":
-        mets = ctx.metrics(_num(spec.get("tol", 1e-3)))
-        ok = mets["settling_time"] <= _num(spec["by"])
-        return CheckResult(kind, ok, f"settling time = {mets['settling_time']:.3g}", name)
-
-    if kind == "final_cost":
-        traj = ctx.trajectory()
-        res = ctx.oracle()
-        gap = abs(float(traj.cost[-1]) - res["cost"])
-        return CheckResult(kind, gap <= _num(spec["tol"]),
-                           f"|final cost - optimal cost| = {gap:.3g}", name)
-
-    if kind == "extrema":
-        mets = ctx.metrics()
-        count = mets["extrema_count"]
-        ok = True
-        if "min" in spec:
-            ok = ok and count >= int(spec["min"])
-        if "max" in spec:
-            ok = ok and count <= int(spec["max"])
-        return CheckResult(kind, ok, f"cost extrema after transient = {count}", name)
-
-    if kind == "dispatch":
-        traj = ctx.trajectory()
-        disp = power.dispatch_oracle(sc.network, ctx.w)
-        n = sc.network.n
-        y_end = traj.y[-1]
-        u_end, omega_end = y_end[:n], y_end[n:]
-        marg = sc.network.marginal_cost(u_end)
-        u_err = float(np.abs(u_end - disp["u_star"]).max())
-        w_err = float(np.abs(omega_end).max())
-        spread = float(marg.max() - marg.min())
-        ok = (u_err <= _num(spec.get("u_tol", 1e-3))
-              and w_err <= _num(spec.get("omega_tol", 1e-5))
-              and spread <= _num(spec.get("marginal_spread_tol", 1e-4)))
-        return CheckResult(kind, ok,
-                           f"max|u-u*|={u_err:.2e}, max|omega|={w_err:.2e}, "
-                           f"marginal spread={spread:.2e}", name)
-
-    if kind == "final_input_abs":
-        traj = ctx.trajectory()
-        val = abs(float(traj.u[-1, int(spec["index"])]))
-        ok = True
-        if "max" in spec:
-            ok = ok and val <= _num(spec["max"])
-        if "min" in spec:
-            ok = ok and val >= _num(spec["min"])
-        return CheckResult(kind, ok, f"|u_{int(spec['index']) + 1}(t_end)| = {val:.4g}", name)
-
-    raise ValueError(f"unknown expectation kind {kind!r}")
+    check, _ = CHECKS[spec["kind"]]
+    passed, detail = check(ctx, spec)
+    return CheckResult(spec["kind"], bool(passed), detail, ctx.plan.name)
 
 
-def _spectrum_info(sc: Scenario, plan: VariantPlan) -> list[str]:
-    if plan.om is None or not plan.om.program.is_qp or plan.om.program.n_ic:
+def _spectrum_info(ctx: _Context) -> list[str]:
+    plan = ctx.plan
+    if (plan.om is None or plan.stabilizer is None or not plan.om.program.is_qp
+            or plan.om.program.n_ic):
         return []
     out = []
-    for d in sc.plant.delta_samples:
+    for d in ctx.sc.plant.delta_samples:
+        where = f"[{plan.name}] delta={np.atleast_1d(d).tolist()}"
         try:
-            pm = eval_plant(sc.plant, d)
-            prog = plan.om.program
-            aug = build_augmented_qp(pm, prog.qp.m_cost, prog.qp.n_cost, prog.h_eq,
-                                     prog.l_eq, plan.om.variant, plan.om.basis)
-            if plan.stabilizer is None:
-                continue
-            spec = closed_loop_matrix(aug, plan.stabilizer)["spectrum"]
-            out.append(
-                f"[{plan.name}] delta={np.atleast_1d(d).tolist()}: "
-                f"max Re(closed-loop spectrum) = {spec.real.max():.4g}"
-                + ("  ** unstable **" if spec.real.max() >= 0 else "")
-            )
+            top = ctx.spectrum(d).real.max()
         except (ValueError, OssError) as exc:
-            out.append(f"[{plan.name}] delta={np.atleast_1d(d).tolist()}: spectrum unavailable ({exc})")
+            out.append(f"{where}: spectrum unavailable ({exc})")
+            continue
+        out.append(f"{where}: max Re(closed-loop spectrum) = {top:.4g}"
+                   + ("  ** unstable **" if top >= 0 else ""))
     return out
+
+
+def _evaluate(sc: Scenario, variant: str | None, simulate: bool, h=None, t_end=None,
+              sweep: bool = False) -> tuple[RunReport, dict]:
+    """Evaluate the expectations of ``sc`` (analysis only unless ``simulate``).
+
+    Scenario-level expectations run against the first variant, then each
+    variant's own.  Returns the report and the trajectories by variant name.
+    """
+    report = RunReport(scenario=sc.name)
+    plans = [sc.variant(variant)] if variant else sc.variants
+    contexts = [_Context(sc, plan, h=h, t_end=t_end) for plan in plans]
+    trajectories: dict[str, Trajectory] = {}
+
+    def run_checks(ctx, specs):
+        report.results.extend(_run_check(ctx, spec) for spec in specs
+                              if simulate or spec["kind"] not in SIM_CHECK_KINDS)
+
+    run_checks(contexts[0], sc.expect)
+    for ctx in contexts:
+        plan = ctx.plan
+        report.info.extend(_spectrum_info(ctx))
+        if simulate and plan.sim is not None:
+            traj = ctx.trajectory()
+            trajectories[plan.name] = traj
+            if traj.diverged:
+                report.diverged = True
+                report.info.append(f"[{plan.name}] trajectory diverged and was truncated")
+        run_checks(ctx, plan.expect)
+        if sweep and plan.sim is not None and plan.controller_kind == "standard":
+            trajectories.update(_sweep(ctx, report))
+    return report, trajectories
 
 
 def check_scenario(sc: Scenario, variant: str | None = None) -> RunReport:
     """Run the analysis expectations (no trajectory integration)."""
-    report = RunReport(scenario=sc.name)
-    plans = [sc.variant(variant)] if variant else sc.variants
-    first_ctx = _Context(sc, plans[0])
-    for spec in sc.expect:
-        if spec["kind"] in SIM_CHECK_KINDS:
-            continue
-        report.results.append(_run_check(first_ctx, spec))
-    for plan in plans:
-        ctx = _Context(sc, plan)
-        report.info.extend(_spectrum_info(sc, plan))
-        for spec in plan.expect:
-            if spec["kind"] in SIM_CHECK_KINDS:
-                continue
-            report.results.append(_run_check(ctx, spec))
-    return report
+    return _evaluate(sc, variant, simulate=False)[0]
 
 
 def run_scenario(sc: Scenario, variant: str | None = None, out_dir=None,
@@ -714,25 +782,8 @@ def run_scenario(sc: Scenario, variant: str | None = None, out_dir=None,
     ``sweep`` the variant loops are also integrated at every delta sample
     (thread pool, deterministic merge order) and written as extra traces.
     """
-    report = RunReport(scenario=sc.name)
-    plans = [sc.variant(variant)] if variant else sc.variants
-    trajectories: dict[str, Trajectory] = {}
-    first_ctx = _Context(sc, plans[0], h=h, t_end=t_end)
-    for spec in sc.expect:
-        report.results.append(_run_check(first_ctx, spec))
-    for plan in plans:
-        ctx = _Context(sc, plan, h=h, t_end=t_end)
-        report.info.extend(_spectrum_info(sc, plan))
-        if plan.sim is not None:
-            traj = ctx.trajectory()
-            trajectories[plan.name] = traj
-            if traj.diverged:
-                report.diverged = True
-                report.info.append(f"[{plan.name}] trajectory diverged and was truncated")
-        for spec in plan.expect:
-            report.results.append(_run_check(ctx, spec))
-        if sweep and plan.sim is not None and plan.controller_kind == "standard":
-            trajectories.update(_sweep(sc, plan, ctx, report))
+    report, trajectories = _evaluate(sc, variant, simulate=True, h=h, t_end=t_end,
+                                     sweep=sweep)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -744,27 +795,22 @@ def run_scenario(sc: Scenario, variant: str | None = None, out_dir=None,
     return report, trajectories
 
 
-def _sweep(sc: Scenario, plan: VariantPlan, ctx: _Context, report: RunReport) -> dict:
-    """Integrate the variant at every delta sample in worker threads."""
-    from concurrent.futures import ThreadPoolExecutor
+def _sweep(ctx: _Context, report: RunReport) -> dict:
+    """Integrate the variant at every delta sample in worker threads.
 
-    def one(idx_delta):
-        idx, d = idx_delta
-        sys = assemble(sc.plant, d, ctx.w, plan.om, plan.stabilizer)
-        z0 = (_decode_vector(ctx.sim["z0"], "sim.z0") if "z0" in ctx.sim
-              else np.zeros(sys.n_state))
-        traj = integrate_rk4(sys, z0, float(ctx.sim["t_end"]), float(ctx.sim["h"]))
-        return idx, d, traj
+    A sample equal to the variant's own delta reuses its trajectory.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # check-only runs never load it
 
+    samples = ctx.sc.plant.delta_samples
     with ThreadPoolExecutor() as pool:
-        results = list(pool.map(one, enumerate(sc.plant.delta_samples)))
+        trajs = list(pool.map(ctx.trajectory, samples))
     out = {}
-    for idx, d, traj in sorted(results, key=lambda r: r[0]):
-        key = f"{plan.name}--delta{idx}"
-        out[key] = traj
+    for idx, (d, traj) in enumerate(zip(samples, trajs)):
+        out[f"{ctx.plan.name}--delta{idx}"] = traj
         tail = float(np.linalg.norm(traj.eps[-1])) if traj.eps.size else 0.0
         report.info.append(
-            f"[{plan.name}] sweep delta={np.atleast_1d(d).tolist()}: "
+            f"[{ctx.plan.name}] sweep delta={np.atleast_1d(d).tolist()}: "
             f"final |eps| = {tail:.3g}" + (" (diverged)" if traj.diverged else "")
         )
         report.diverged = report.diverged or traj.diverged

@@ -53,17 +53,12 @@ class ClosedLoopSystem:
     """
 
     n_state: int
-    blocks: dict
     rhs: Callable[[float, np.ndarray], np.ndarray]
     outputs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     m: int
     p: int
     eps_dim: int
     affine: tuple[np.ndarray, np.ndarray] | None = None
-
-    def block(self, z: np.ndarray, name: str) -> np.ndarray:
-        off, size = self.blocks[name]
-        return z[off: off + size]
 
 
 @dataclass
@@ -120,12 +115,6 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer
     n, m = pm.n, pm.m
     n_nu, n_mu, n_eta = om.n_ic, om.n_mu, om.eps_dim
     n_state = n + n_nu + n_mu + n_eta
-    blocks = {
-        "x": (0, n),
-        "nu": (n, n_nu),
-        "mu": (n + n_nu, n_mu),
-        "eta": (n + n_nu + n_mu, n_eta),
-    }
     k_full = np.hstack([
         stab.block("kx", m, n),
         stab.block("knu", m, n_nu),
@@ -202,7 +191,7 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer
             return ys, us, epss, costs
 
     return ClosedLoopSystem(
-        n_state=n_state, blocks=blocks, rhs=rhs, outputs=outputs,
+        n_state=n_state, rhs=rhs, outputs=outputs,
         m=m, p=pm.p, eps_dim=n_eta, affine=affine,
     )
 
@@ -401,7 +390,6 @@ def convergence_metrics(traj: Trajectory, y_star, settle_tol: float = 1e-3) -> d
         if below[i:].all():
             settling = float(traj.times[i])
             break
-    ise = float(np.trapezoid(err ** 2, traj.times))
     t_end = traj.times[-1] if len(traj.times) else 0.0
     guard = traj.times > 0.05 * t_end
     c = traj.cost[guard]
@@ -416,6 +404,5 @@ def convergence_metrics(traj: Trajectory, y_star, settle_tol: float = 1e-3) -> d
     return {
         "final_err": final_err,
         "settling_time": settling,
-        "ise": ise,
         "extrema_count": extrema,
     }

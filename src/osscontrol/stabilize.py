@@ -79,7 +79,6 @@ class ConditionReport:
     clauses: tuple[ClauseResult, ...]
     premise_ok: bool | None = None
     direct_pbh: bool | None = None
-    label: str = ""
 
     @property
     def overall(self) -> bool:
@@ -88,18 +87,6 @@ class ConditionReport:
     @property
     def min_margin(self) -> float:
         return min((c.margin for c in self.clauses), default=np.inf)
-
-    def lines(self) -> list[str]:
-        out = [f"{self.label}: {'PASS' if self.overall else 'FAIL'}"]
-        for c in self.clauses:
-            mark = "ok" if c.passed else "FAIL"
-            extra = f" ({c.detail})" if c.detail else ""
-            out.append(f"  [{mark}] {c.name}{extra}")
-        if self.premise_ok is not None and not self.premise_ok:
-            out.append("  [warn] supplied subspace matrix does not span the required subspace")
-        if self.direct_pbh is not None:
-            out.append(f"  direct PBH on augmented plant: {self.direct_pbh}")
-        return out
 
 
 def theorem1_check(pm: PlantMatrices, tol: float = PBH_TOL) -> ConditionReport:
@@ -118,7 +105,7 @@ def theorem1_check(pm: PlantMatrices, tol: float = PBH_TOL) -> ConditionReport:
             margin=m3,
         ),
     )
-    return ConditionReport(clauses=clauses, label="plant + integrator stabilizability")
+    return ConditionReport(clauses=clauses)
 
 
 def _augmented_pbh(aug: AugmentedPlant, cm: np.ndarray, tol: float) -> tuple[bool, float]:
@@ -176,9 +163,6 @@ def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis, cm,
         clauses=tuple(clauses),
         premise_ok=bool(premise),
         direct_pbh=direct,
-        label={"rfs": "feasible-subspace model conditions",
-               "ros": "output-subspace model conditions",
-               "rerfs": "reduced-error model conditions"}[variant],
     )
     borderline = min(report.min_margin, m_direct) < 1e3
     if premise and report.overall != direct and not borderline:

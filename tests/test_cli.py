@@ -1,20 +1,54 @@
 """The ``oss`` command line: exit codes on malformed scenario files."""
 
 import json
-from pathlib import Path
 
 import pytest
 
 from osscontrol import cli, scenarios
 
-NO_HURWITZ = Path(scenarios.__file__).parent / "scenario_files" / "no-hurwitz.json"
+DELETE = object()
 
 
-@pytest.mark.parametrize("key, value", [("rows", None), ("data", 1.0)])
-def test_malformed_matrix_block_exits_2(tmp_path, capsys, key, value):
-    doc = json.loads(NO_HURWITZ.read_text())
-    doc["plant"]["matrices"]["a"][key] = value
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    assert cli.main(["check", str(path)]) == 2
-    assert "plant.a" in capsys.readouterr().err
+def edit(doc, path, value):
+    """Set (or, with ``DELETE``, remove) the entry at ``path`` inside ``doc``."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if value is DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@pytest.mark.parametrize("name, path, value, field", [
+    pytest.param("no-hurwitz", ("plant", "matrices", "a", "rows"), None, "plant.a",
+                 id="rows-None"),
+    pytest.param("no-hurwitz", ("plant", "matrices", "a", "data"), 1.0, "plant.a",
+                 id="data-1.0"),
+    pytest.param("no-hurwitz", ("expect", 0), "robust_full_rank", "expect[0]",
+                 id="expect-entry-string"),
+    pytest.param("no-hurwitz", ("variants", 0), "main", "variants[0]", id="variant-string"),
+    pytest.param("no-hurwitz", ("plant",), [], "plant", id="plant-list"),
+    pytest.param("no-hurwitz", ("plant", "matrices", "a"), DELETE, "plant.matrices.a",
+                 id="missing-a"),
+    pytest.param("no-hurwitz", ("expect", 1, "which"), 7, "expect[1].which",
+                 id="prop-which-7"),
+    pytest.param("no-hurwitz", ("variants", 0, "stabilizer"), "lqr", "variants[0].stabilizer",
+                 id="stabilizer-string"),
+    pytest.param("power-gb", ("expect", 0), {"kind": "prop", "which": 4, "overall": True},
+                 "optimality-model controller", id="prop-without-model"),
+])
+def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
+    doc = json.loads(scenarios.bundled_path(name).read_text())
+    edit(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["check", str(bad)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_check_json_report_is_json(capsys):
+    # a numpy boolean verdict (the spectrum check) must not reach the encoder
+    assert cli.main(["check", "no-hurwitz", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["passed"] for c in report["checks"]] == [True, True, True]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 import warnings
 from functools import cache
 from pathlib import Path
@@ -129,7 +130,7 @@ def diagonal_loop(rates, offset=None):
         k = zs.shape[0]
         return zs.copy(), np.zeros((k, 0)), np.zeros((k, 0)), np.zeros(k)
 
-    return ClosedLoopSystem(n_state=len(rates), blocks={}, rhs=lambda _t, z: a @ z + b,
+    return ClosedLoopSystem(n_state=len(rates), rhs=lambda _t, z: a @ z + b,
                             outputs=outputs, m=0, p=len(rates), eps_dim=0, affine=(a, b))
 
 
@@ -221,3 +222,42 @@ def test_tracking_sparse_check_passes():
     analysis = [(kind, variant) for kind, variant in expected_checks(sc, sc.variants)
                 if kind not in scenarios.SIM_CHECK_KINDS]
     assert [(r.kind, r.variant) for r in report.results] == analysis
+
+
+def test_sweep_reuses_the_variant_trajectory():
+    sc = load("power-dapi")
+    _, trajectories = scenarios.run_scenario(sc, t_end=1.0, sweep=True)
+    assert trajectories["main--delta0"] is trajectories["main"]
+    assert trajectories["main--delta1"] is not trajectories["main"]
+
+
+def test_check_builds_one_closed_loop_matrix_per_delta(monkeypatch):
+    calls = []
+    original = scenarios.closed_loop_matrix
+
+    def counting(aug, stab):
+        calls.append(aug)
+        return original(aug, stab)
+
+    monkeypatch.setattr(scenarios, "closed_loop_matrix", counting)
+    sc = load("rfs-violation")
+    assert scenarios.check_scenario(sc).exit_code == 0
+    assert len(calls) == len(sc.plant.delta_samples)
+
+
+def test_sweep_threads_share_one_trajectory_per_delta():
+    # more samples than worker threads, four distinct values, frequent thread
+    # switches: workers racing on one delta must all return the first result
+    doc = json.loads(scenarios.bundled_path("rfs-violation").read_text())
+    doc["plant"]["delta_samples"] = [[0.0], [0.5], [-0.5], [0.25]] * 10
+    sc = scenarios.load_scenario(doc)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _, trajectories = scenarios.run_scenario(sc, t_end=0.05, sweep=True)
+    finally:
+        sys.setswitchinterval(interval)
+    first = {}
+    for i, d in enumerate(sc.plant.delta_samples):
+        traj = trajectories[f"main--delta{i}"]
+        assert first.setdefault(d.tobytes(), traj) is traj
