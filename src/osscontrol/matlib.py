@@ -194,6 +194,24 @@ def subspace_intersection(u: SubspaceBasis, v: SubspaceBasis, tol: float = DEFAU
     return null_basis(stack, tol)
 
 
+def _mv(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``a @ z`` for one vector z (n,) or for each row of a stack (k, n).
+
+    matmul makes the same BLAS call per row as for a single vector, so row i
+    is bit-identical to ``a @ z[i]`` (``z @ a.T`` is one GEMM with a different
+    summation order, and is not).  ``y @ a`` per row is ``_mv(a.T, y)``.  One
+    vector skips the reshaping, which costs a third of a small product.
+    """
+    if z.ndim == 1:
+        return a @ z
+    return np.matmul(a, z[..., None])[..., 0]
+
+
+def _vdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` for vectors, per row for stacks, bit-identical to the single dot."""
+    return np.matmul(x[..., None, :], y[..., None])[..., 0, 0]
+
+
 def eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a square matrix, unordered, as a complex array."""
     m = as_matrix(a)

@@ -15,8 +15,10 @@ variants are provided, differing in which fixed subspace matrix they need:
 Inequality constraints g(y, w) <= 0 enter through a multiplier state nu
 driven by the projection nu_dot = max(nu + g, 0) - nu, which is globally
 Lipschitz and vanishes exactly when nu >= 0, g <= 0 and nu'g = 0.
-``om_dynamics`` evaluates a model; ``gather_broadcast_input`` is the static
-dispatch map of the gather-and-broadcast power controller.
+``om_dynamics`` evaluates a model, the one place its formulas are written,
+at one point or at a row stack of points; row i of a stacked result is
+bit-identical to the call on row i alone.  ``gather_broadcast_input`` is the
+static dispatch map of the gather-and-broadcast power controller.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matlib import as_matrix
+from .matlib import _mv, as_matrix
 from .optprob import ConvexProgram
 
 
@@ -85,35 +87,32 @@ class OptimalityModel:
 def om_dynamics(om: OptimalityModel, y, w, state) -> tuple[np.ndarray, np.ndarray]:
     """Filter state derivative and proxy error at (y, w, state).
 
-    Returns ``(state_dot, eps)`` with ``state_dot`` in the flat [nu; mu]
-    layout of the model.
+    Takes one point, y (p,) and state (state_dim,), or row stacks (k, p) and
+    (k, state_dim).  Returns ``(state_dot, eps)`` with the same leading
+    shape, ``state_dot`` in the flat [nu; mu] layout of the model.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float).ravel()
+    state = np.asarray(state, dtype=float)
     prog = om.program
-    n_ic = len(prog.inequalities)
-    state = np.asarray(state, dtype=float).ravel()
-    if state.size != n_ic + om.n_mu:
-        raise ValueError(f"state must have {n_ic + om.n_mu} entries, got {state.size}")
-    nu, mu = state[:n_ic], state[n_ic:]
-    if n_ic:
-        nu_dot = np.maximum(nu + prog.ineq_values(y, w), 0.0) - nu
-        grad = prog.objective_grad(y, w) + prog.ineq_grads(y, w).T @ nu
-    else:
-        nu_dot = np.zeros(0)
-        grad = prog.objective_grad(y, w)
-    eq_violation = prog.h_eq @ y - prog.l_eq @ w
+    n_ic = prog.n_ic
+    if state.shape[-1:] != (om.state_dim,):
+        raise ValueError(f"state must have {om.state_dim} entries, got shape {state.shape}")
+    # nu is empty without inequalities, and mu except for "ros"
+    nu, mu = state[..., :n_ic], state[..., n_ic:]
+    grad = prog.lagrangian_grad(y, w, nu)
+    nu_dot = np.maximum(nu + prog.ineq_values(y, w), 0.0) - nu if n_ic else nu
+    mu_dot = mu
+    eq_violation = _mv(prog.h_eq, y) - _mv(prog.l_eq, w)
 
     if om.variant == "rfs":
-        eps = np.concatenate([eq_violation, om.basis.T @ grad])
-        mu_dot = np.zeros(0)
+        eps = np.concatenate([eq_violation, _mv(om.basis.T, grad)], axis=-1)
     elif om.variant == "ros":
-        eps = om.basis.T @ (grad + prog.h_eq.T @ mu)
+        eps = _mv(om.basis.T, grad + _mv(prog.h_eq.T, mu))
         mu_dot = eq_violation
     else:
-        eps = eq_violation + om.basis.T @ grad
-        mu_dot = np.zeros(0)
-    return np.concatenate([nu_dot, mu_dot]), eps
+        eps = eq_violation + _mv(om.basis.T, grad)
+    return np.concatenate([nu_dot, mu_dot], axis=-1), eps
 
 
 def gather_broadcast_input(a_coeffs, b_coeffs, eta) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InfeasibleProblem, NonuniqueOptimizer
-from .matlib import as_matrix, left_null_basis, null_basis, rank_decision, solve_linear
+from .matlib import _mv, _vdot, as_matrix, left_null_basis, null_basis, rank_decision, solve_linear
 from .plant import PlantMatrices
 
 ACTIVE_SET_CAP = 12
@@ -156,36 +156,56 @@ class ConvexProgram:
                              inequalities=self.inequalities)
 
     # -- evaluation -------------------------------------------------------------
+    # Each takes one output y (p,) or a row stack (k, p); row i of a stacked
+    # result is bit-identical to evaluating row i alone.  Callables are
+    # applied row by row.
 
-    def objective_value(self, y, w) -> float:
-        y = np.asarray(y, dtype=float).ravel()
+    def objective_value(self, y, w):
+        """f0(y; w): a float for one output, a (k,) array for a stack."""
+        y = np.asarray(y, dtype=float)
         w = np.asarray(w, dtype=float).ravel()
         if self.qp is not None:
-            return float(0.5 * y @ self.qp.m_cost @ y - y @ self.qp.n_cost @ w + self.qp.c @ y)
-        return float(self.f0(y, w))
+            qp = self.qp
+            val = (_vdot(_mv(qp.m_cost.T, 0.5 * y), y) - _vdot(_mv(qp.n_cost.T, y), w)
+                   + _vdot(qp.c, y))
+        else:
+            val = _each_row(self.f0, y, w, ())
+        return float(val) if y.ndim == 1 else val
 
     def objective_grad(self, y, w) -> np.ndarray:
-        y = np.asarray(y, dtype=float).ravel()
+        y = np.asarray(y, dtype=float)
         w = np.asarray(w, dtype=float).ravel()
         if self.qp is not None:
-            return self.qp.m_cost @ y - self.qp.n_cost @ w + self.qp.c
-        return np.asarray(self.grad_f0(y, w), dtype=float).ravel()
+            return _mv(self.qp.m_cost, y) - _mv(self.qp.n_cost, w) + self.qp.c
+        return _each_row(self.grad_f0, y, w, (self.p,))
 
     def ineq_values(self, y, w) -> np.ndarray:
-        return np.array([float(f(y, w)) for f, _ in self.inequalities])
+        return _each_row(lambda r, w: [float(f(r, w)) for f, _ in self.inequalities],
+                         np.asarray(y, dtype=float), w, (self.n_ic,))
 
     def ineq_grads(self, y, w) -> np.ndarray:
-        if not self.inequalities:
-            return np.zeros((0, self.p))
-        return np.vstack([np.asarray(g(y, w), dtype=float).ravel() for _, g in self.inequalities])
+        return _each_row(lambda r, w: [np.asarray(g(r, w), dtype=float).ravel()
+                                       for _, g in self.inequalities],
+                         np.asarray(y, dtype=float), w, (self.n_ic, self.p))
 
     def lagrangian_grad(self, y, w, nu) -> np.ndarray:
-        """grad f0 + sum_i nu_i grad f_i."""
+        """grad f0 + sum_i nu_i grad f_i, with nu (n_ic,) or (k, n_ic)."""
         g = self.objective_grad(y, w)
-        nu = np.asarray(nu, dtype=float).ravel()
-        if nu.size:
-            g = g + self.ineq_grads(y, w).T @ nu
+        nu = np.asarray(nu, dtype=float)
+        if nu.shape[-1]:
+            g = g + _mv(np.swapaxes(self.ineq_grads(y, w), -1, -2), nu)
         return g
+
+
+def _each_row(fn, y: np.ndarray, w, shape: tuple) -> np.ndarray:
+    """``fn(y, w)`` as a float array of ``shape`` for one output y (p,), or
+    stacked to (k, *shape) over the rows of y (k, p)."""
+    if y.ndim == 1:
+        return np.asarray(fn(y, w), dtype=float).reshape(shape)
+    out = np.empty((len(y),) + shape)
+    for i, row in enumerate(y):
+        out[i] = np.asarray(fn(row, w), dtype=float).reshape(shape)
+    return out
 
 
 def check_gradients(prog: ConvexProgram, w, rng: np.random.Generator,

@@ -4,7 +4,7 @@ A plant is
 
     x_dot = A x + B u + Bw w
     y     = C x + D u + Q w        (optimization output)
-    y_m   = Cm x + Dm u + Qm w     (measurements)
+    y_m   = Cm x                   (measurements)
 
 with every matrix a function of an uncertainty vector delta.  Uncertainty is
 represented by an evaluation callable plus a finite sample set of delta
@@ -32,8 +32,6 @@ class PlantMatrices:
     d: np.ndarray
     q: np.ndarray
     cm: np.ndarray | None = None
-    dm: np.ndarray | None = None
-    qm: np.ndarray | None = None
 
     def __post_init__(self):
         def rows(mat, r, what):
@@ -63,15 +61,8 @@ class PlantMatrices:
         cm = as_matrix(self.cm) if self.cm is not None else np.eye(n)
         if cm.shape[1] != n:
             raise ValueError(f"Cm has {cm.shape[1]} columns, expected {n}")
-        pm = cm.shape[0]
-        dm = rows(self.dm, pm, "Dm") if self.dm is not None else np.zeros((pm, b.shape[1]))
-        qm = rows(self.qm, pm, "Qm") if self.qm is not None else np.zeros((pm, bw.shape[1]))
-        if dm.shape != (pm, b.shape[1]):
-            raise ValueError(f"Dm must be {pm}x{b.shape[1]}, got {dm.shape}")
-        if qm.shape != (pm, bw.shape[1]):
-            raise ValueError(f"Qm must be {pm}x{bw.shape[1]}, got {qm.shape}")
         for name, val in (("a", a), ("b", b), ("bw", bw), ("c", c), ("d", d),
-                          ("q", q), ("cm", cm), ("dm", dm), ("qm", qm)):
+                          ("q", q), ("cm", cm)):
             object.__setattr__(self, name, val)
 
     @property

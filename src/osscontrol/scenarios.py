@@ -92,7 +92,11 @@ def _build_plant(spec: dict, network: power.PowerNetwork | None) -> UncertainPla
     missing = [f"plant.matrices.{k}" for k in ("a", "b", "bw", "c", "d", "q") if k not in mats]
     if missing:
         raise ValueError(f"missing required matrices: {', '.join(missing)}")
-    names = ("a", "b", "bw", "c", "d", "q", "cm", "dm", "qm")
+    names = ("a", "b", "bw", "c", "d", "q", "cm")
+    unknown = sorted(set(mats) - set(names) - {f"{k}_delta" for k in names})
+    if unknown:
+        raise ValueError(f"plant.matrices.{unknown[0]}: unknown matrix; the plant takes "
+                         f"{', '.join(names)} and their _delta lists")
     base = {k: _decode_matrix(mats[k], f"plant.{k}") for k in names if k in mats}
     addends = {
         k: [_decode_matrix(mm, f"plant.{k}_delta") for mm in mats[f"{k}_delta"]]
@@ -301,7 +305,8 @@ def _build_controller(doc: dict, up: UncertainPlant, prog: ConvexProgram,
 
 
 def _expectations(specs, where: str) -> list[dict]:
-    """The ``expect`` list at ``where``, each entry checked for a known kind."""
+    """The ``expect`` list at ``where``, each entry checked for a known kind
+    and the fields its check requires."""
     if not isinstance(specs, list):
         raise ValueError(f"{where} must be a list of expectation objects")
     for i, spec in enumerate(specs):
@@ -311,6 +316,9 @@ def _expectations(specs, where: str) -> list[dict]:
         kind = spec.get("kind")
         if not isinstance(kind, str) or kind not in CHECKS:
             raise ValueError(f"{where}[{i}].kind: unknown expectation kind {kind!r}")
+        missing = [name for name in CHECKS[kind][2] if name not in spec]
+        if missing:
+            raise ValueError(f"{where}[{i}].{missing[0]} is missing: a {kind} check needs it")
         if kind == "prop" and spec.get("which") not in (4, 5, 6):
             raise ValueError(f"{where}[{i}].which must be 4, 5 or 6, got {spec.get('which')!r}")
     return list(specs)
@@ -690,30 +698,30 @@ def _check_final_input_abs(ctx, spec):
     return _within(val, spec, "min", "max"), f"|u_{index + 1}(t_end)| = {val:.4g}"
 
 
-# kind -> (check, whether it reads the integrated trajectory)
+# kind -> (check, whether it reads the integrated trajectory, required fields)
 CHECKS = {
-    "ros": (_check_ros, False),
-    "rfs": (_check_rfs, False),
-    "robust_full_rank": (_check_robust_full_rank, False),
-    "prop": (_check_prop, False),
-    "stabilizable": (_check_stabilizable, False),
-    "spectrum": (_check_spectrum, False),
-    "hurwitz_at_samples": (_check_hurwitz_at_samples, False),
-    "oracle_y": (_check_oracle_y, False),
-    "oracle_matches_dispatch": (_check_oracle_matches_dispatch, False),
-    "equilibrium_mismatch": (_check_equilibrium_mismatch, False),
-    "final_err": (_check_final_err, True),
-    "settling": (_check_settling, True),
-    "final_cost": (_check_final_cost, True),
-    "extrema": (_check_extrema, True),
-    "dispatch": (_check_dispatch, True),
-    "final_input_abs": (_check_final_input_abs, True),
+    "ros": (_check_ros, False, ("holds",)),
+    "rfs": (_check_rfs, False, ("holds",)),
+    "robust_full_rank": (_check_robust_full_rank, False, ("holds",)),
+    "prop": (_check_prop, False, ("which", "overall")),
+    "stabilizable": (_check_stabilizable, False, ("value",)),
+    "spectrum": (_check_spectrum, False, ("values",)),
+    "hurwitz_at_samples": (_check_hurwitz_at_samples, False, ("value",)),
+    "oracle_y": (_check_oracle_y, False, ("values",)),
+    "oracle_matches_dispatch": (_check_oracle_matches_dispatch, False, ()),
+    "equilibrium_mismatch": (_check_equilibrium_mismatch, False, ("delta",)),
+    "final_err": (_check_final_err, True, ()),
+    "settling": (_check_settling, True, ("by",)),
+    "final_cost": (_check_final_cost, True, ("tol",)),
+    "extrema": (_check_extrema, True, ()),
+    "dispatch": (_check_dispatch, True, ()),
+    "final_input_abs": (_check_final_input_abs, True, ("index",)),
 }
-SIM_CHECK_KINDS = frozenset(kind for kind, (_, simulated) in CHECKS.items() if simulated)
+SIM_CHECK_KINDS = frozenset(kind for kind, (_, simulated, _) in CHECKS.items() if simulated)
 
 
 def _run_check(ctx: _Context, spec: dict) -> CheckResult:
-    check, _ = CHECKS[spec["kind"]]
+    check = CHECKS[spec["kind"]][0]
     passed, detail = check(ctx, spec)
     return CheckResult(spec["kind"], bool(passed), detail, ctx.plan.name)
 
@@ -740,19 +748,22 @@ def _evaluate(sc: Scenario, variant: str | None, simulate: bool, h=None, t_end=N
               sweep: bool = False) -> tuple[RunReport, dict]:
     """Evaluate the expectations of ``sc`` (analysis only unless ``simulate``).
 
-    Scenario-level expectations run against the first variant, then each
-    variant's own.  Returns the report and the trajectories by variant name.
+    Scenario-level expectations run against the scenario's first variant,
+    whichever variant is selected, then each selected variant's own.  Returns
+    the report and the trajectories by variant name.
     """
     report = RunReport(scenario=sc.name)
     plans = [sc.variant(variant)] if variant else sc.variants
     contexts = [_Context(sc, plan, h=h, t_end=t_end) for plan in plans]
+    first = (contexts[0] if plans[0] is sc.variants[0]
+             else _Context(sc, sc.variants[0], h=h, t_end=t_end))
     trajectories: dict[str, Trajectory] = {}
 
     def run_checks(ctx, specs):
         report.results.extend(_run_check(ctx, spec) for spec in specs
                               if simulate or spec["kind"] not in SIM_CHECK_KINDS)
 
-    run_checks(contexts[0], sc.expect)
+    run_checks(first, sc.expect)
     for ctx in contexts:
         plan = ctx.plan
         report.info.extend(_spectrum_info(ctx))

@@ -15,11 +15,13 @@ update in exact arithmetic, and divergence is checked once per block of
 ROW_BLOCK steps; a block that may hold a diverged state is rescanned step by
 step, so the truncation step is the one a per-step check would find.
 
-A loop's ``outputs`` maps a (k, n_state) array of states to row-stacked
-(y, u, eps, cost) arrays.  Affine loops evaluate it ROW_BLOCK rows at a time
-with row-stacked matrix-vector products, which make the same BLAS call per
-row as the single-state formulas, so the results are bit-identical to
-evaluating each row on its own.
+``assemble`` writes the loop's input and output map once, as ``evaluate``:
+one state (n_state,) or a row stack (k, n_state) to (u, y, state_dot, eps),
+through ``om_dynamics``.  ``rhs`` adds the plant derivative at one state;
+``outputs`` maps a (k, n_state) array to row-stacked (y, u, eps, cost),
+ROW_BLOCK rows at a time, affine or not.  Row-stacked matrix-vector products
+make the same BLAS call per row as for one state, so row i of a stacked
+result is bit-identical to evaluating state i alone.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import OssError
+from .matlib import _mv
 from .omodels import OptimalityModel, om_dynamics
-from .plant import PlantMatrices, UncertainPlant, eval_plant
+from .plant import UncertainPlant, eval_plant
 from .stabilize import Stabilizer
 
 DIVERGENCE_LIMIT = 1e12
@@ -114,7 +117,8 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer
     w = np.asarray(w, dtype=float).reshape(pm.n_w)
     n, m = pm.n, pm.m
     n_nu, n_mu, n_eta = om.n_ic, om.n_mu, om.eps_dim
-    n_state = n + n_nu + n_mu + n_eta
+    n_om = n_nu + n_mu
+    n_state = n + n_om + n_eta
     k_full = np.hstack([
         stab.block("kx", m, n),
         stab.block("knu", m, n_nu),
@@ -123,6 +127,7 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer
     ])
     keps = stab.block("keps", m, n_eta)
     affine_loop = prog.is_qp and n_nu == 0
+    qw, bw_w = pm.q @ w, pm.bw @ w
 
     if np.any(keps):
         if not affine_loop:
@@ -130,17 +135,11 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer
                 "proportional proxy-error feedback (Keps != 0) needs a quadratic "
                 "objective without inequalities so the input loop is affine"
             )
-        # probe eps = E_y y + E_s (nu, mu) + e_w, exact for the affine model
-        zero_state = np.zeros(om.state_dim)
-        e_w = om_dynamics(om, np.zeros(pm.p), w, zero_state)[1]
-        e_y = np.column_stack([
-            om_dynamics(om, np.eye(pm.p)[:, i], w, zero_state)[1] - e_w
-            for i in range(pm.p)
-        ]) if pm.p else np.zeros((n_eta, 0))
-        e_s = np.column_stack([
-            om_dynamics(om, np.zeros(pm.p), w, np.eye(om.state_dim)[:, i])[1] - e_w
-            for i in range(om.state_dim)
-        ]) if om.state_dim else np.zeros((n_eta, 0))
+        # probe eps = E_y y + E_s (nu, mu) + e_w, exact for the affine model, on
+        # identity rows; E_y and E_s are copied to C order for the products below
+        e_w = om_dynamics(om, np.zeros(pm.p), w, np.zeros(n_om))[1]
+        e_y = (om_dynamics(om, np.eye(pm.p), w, np.zeros((pm.p, n_om)))[1] - e_w).T.copy()
+        e_s = (om_dynamics(om, np.zeros((n_om, pm.p)), w, np.eye(n_om))[1] - e_w).T.copy()
         loop = np.eye(m) + keps @ e_y @ pm.d
         try:
             loop_inv = np.linalg.inv(loop)
@@ -148,111 +147,48 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer
             raise ValueError("proxy-error feedthrough loop is singular") from exc
         c_z = np.zeros((pm.p, n_state))
         c_z[:, :n] = pm.c
-        s_z = np.zeros((om.state_dim, n_state))
-        s_z[:, n: n + om.state_dim] = np.eye(om.state_dim)
+        s_z = np.zeros((n_om, n_state))
+        s_z[:, n: n + n_om] = np.eye(n_om)
         u_gain = loop_inv @ (k_full + keps @ (e_y @ c_z + e_s @ s_z))
-        u_offset = loop_inv @ (keps @ (e_y @ (pm.q @ w) + e_w))
+        u_offset = loop_inv @ (keps @ (e_y @ qw + e_w))
     else:
         u_gain = k_full
         u_offset = np.zeros(m)
 
-    def input_of(z: np.ndarray) -> np.ndarray:
+    def evaluate(z: np.ndarray):
+        """(u, y, state_dot, eps) at one state (n_state,) or a row stack (k, n_state)."""
         # + 0.0 normalizes negative zero so traces of resting loops read cleanly
-        return -(u_gain @ z) - u_offset + 0.0
+        u = -_mv(u_gain, z) - u_offset + 0.0
+        y = _mv(pm.c, z[..., :n]) + _mv(pm.d, u) + qw
+        state_dot, eps = om_dynamics(om, y, w, z[..., n: n + n_om])
+        return u, y, state_dot, eps
 
     def rhs(_t: float, z: np.ndarray) -> np.ndarray:
-        x = z[:n]
-        state = z[n: n + n_nu + n_mu]
-        u = input_of(z)
-        y = pm.c @ x + pm.d @ u + pm.q @ w
-        state_dot, eps = om_dynamics(om, y, w, state)
-        x_dot = pm.a @ x + pm.b @ u + pm.bw @ w
+        u, _, state_dot, eps = evaluate(z)
+        x_dot = pm.a @ z[:n] + pm.b @ u + bw_w
         return np.concatenate([x_dot, state_dot, eps])
-
-    if affine_loop:
-        outputs = _affine_outputs(pm, om, w, u_gain, u_offset)
-        base = rhs(0.0, np.zeros(n_state))
-        a_cl = np.column_stack([
-            rhs(0.0, np.eye(n_state)[:, i]) - base for i in range(n_state)
-        ]) if n_state else np.zeros((0, 0))
-        affine = (a_cl, base)
-    else:
-        affine = None
-
-        def outputs(zs: np.ndarray):
-            k = zs.shape[0]
-            ys, us, epss, costs = (np.empty((k, pm.p)), np.empty((k, m)),
-                                   np.empty((k, n_eta)), np.empty(k))
-            for i, z in enumerate(zs):
-                u = input_of(z)
-                y = pm.c @ z[:n] + pm.d @ u + pm.q @ w
-                _, eps = om_dynamics(om, y, w, z[n: n + n_nu + n_mu])
-                ys[i], us[i], epss[i], costs[i] = y, u, eps, prog.objective_value(y, w)
-            return ys, us, epss, costs
-
-    return ClosedLoopSystem(
-        n_state=n_state, rhs=rhs, outputs=outputs,
-        m=m, p=pm.p, eps_dim=n_eta, affine=affine,
-    )
-
-
-def _rows_mv(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Row i is ``a @ zs[i]``: matmul makes the same BLAS call per row as for
-    a single vector, so rows are bit-identical to it (``zs @ a.T`` is one GEMM
-    with a different summation order, and is not)."""
-    return np.matmul(a, zs[:, :, None])[:, :, 0]
-
-
-def _rows_vm(zs: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Row i is ``zs[i] @ a``, bit-identical to the single-vector product."""
-    return np.matmul(zs[:, None, :], a)[:, 0, :]
-
-
-def _rows_dot(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Entry i is ``xs[i] @ ys[i]`` (or ``xs[i] @ ys`` for 1-D ys), bit-identical
-    to the single-vector dot product."""
-    return np.matmul(xs[:, None, :], ys[..., None])[:, 0, 0]
-
-
-def _affine_outputs(pm: PlantMatrices, om: OptimalityModel, w: np.ndarray,
-                    u_gain: np.ndarray, u_offset: np.ndarray):
-    """Row-stacked outputs of an affine loop: a QP model without inequalities.
-
-    Evaluates, ROW_BLOCK rows at a time, the formulas of ``assemble``'s input
-    and output map, of ``om_dynamics`` and of ``ConvexProgram.objective_value``
-    in the same operation order, so each row equals the per-state result.
-    """
-    n, m, n_mu, n_eta = pm.n, pm.m, om.n_mu, om.eps_dim
-    prog = om.program
-    qp = prog.qp
-    qw, nw, lw = pm.q @ w, qp.n_cost @ w, prog.l_eq @ w
-
-    def block(z: np.ndarray):
-        u = -_rows_mv(u_gain, z) - u_offset + 0.0
-        y = _rows_mv(pm.c, z[:, :n]) + _rows_mv(pm.d, u) + qw
-        grad = _rows_mv(qp.m_cost, y) - nw + qp.c
-        eq_violation = _rows_mv(prog.h_eq, y) - lw
-        if om.variant == "rfs":
-            eps = np.hstack([eq_violation, _rows_mv(om.basis.T, grad)])
-        elif om.variant == "ros":
-            mu = z[:, n: n + n_mu]
-            eps = _rows_mv(om.basis.T, grad + _rows_mv(prog.h_eq.T, mu))
-        else:
-            eps = eq_violation + _rows_mv(om.basis.T, grad)
-        cost = (_rows_dot(_rows_vm(0.5 * y, qp.m_cost), y)
-                - _rows_dot(_rows_vm(y, qp.n_cost), w)
-                + _rows_mv(qp.c[None, :], y)[:, 0])
-        return y, u, eps, cost
 
     def outputs(zs: np.ndarray):
         k = zs.shape[0]
         out = (np.empty((k, pm.p)), np.empty((k, m)), np.empty((k, n_eta)), np.empty(k))
         for lo in range(0, k, ROW_BLOCK):
-            for arr, part in zip(out, block(zs[lo: lo + ROW_BLOCK])):
+            u, y, _, eps = evaluate(zs[lo: lo + ROW_BLOCK])
+            for arr, part in zip(out, (y, u, eps, prog.objective_value(y, w))):
                 arr[lo: lo + ROW_BLOCK] = part
         return out
 
-    return outputs
+    affine = None
+    if affine_loop:
+        base = rhs(0.0, np.zeros(n_state))
+        a_cl = np.column_stack([
+            rhs(0.0, np.eye(n_state)[:, i]) - base for i in range(n_state)
+        ]) if n_state else np.zeros((0, 0))
+        affine = (a_cl, base)
+
+    return ClosedLoopSystem(
+        n_state=n_state, rhs=rhs, outputs=outputs,
+        m=m, p=pm.p, eps_dim=n_eta, affine=affine,
+    )
 
 
 def _rk4_step_map(a_cl: np.ndarray, b_cl: np.ndarray, h: float):

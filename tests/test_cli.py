@@ -37,6 +37,27 @@ def edit(doc, path, value):
                  id="stabilizer-string"),
     pytest.param("power-gb", ("expect", 0), {"kind": "prop", "which": 4, "overall": True},
                  "optimality-model controller", id="prop-without-model"),
+    pytest.param("no-hurwitz", ("plant", "matrices", "dm"),
+                 {"rows": 5, "cols": 1, "data": [0.0] * 5}, "plant.matrices.dm", id="dm-given"),
+    pytest.param("no-hurwitz", ("plant", "matrices", "qm"),
+                 {"rows": 5, "cols": 1, "data": [0.0] * 5}, "plant.matrices.qm", id="qm-given"),
+    # each field a check reads unconditionally, missing
+    pytest.param("no-hurwitz", ("expect", 0, "holds"), DELETE, "expect[0].holds",
+                 id="missing-holds"),
+    pytest.param("no-hurwitz", ("expect", 1, "overall"), DELETE, "expect[1].overall",
+                 id="missing-overall"),
+    pytest.param("equilibrium-necessity", ("variants", 0, "expect", 0, "value"), DELETE,
+                 "variants[0].expect[0].value", id="missing-value"),
+    pytest.param("no-hurwitz", ("expect", 2, "values"), DELETE, "expect[2].values",
+                 id="missing-values"),
+    pytest.param("rfs-violation", ("expect", 3, "delta"), DELETE, "expect[3].delta",
+                 id="missing-delta"),
+    pytest.param("equilibrium-necessity", ("variants", 0, "expect", 2, "by"), DELETE,
+                 "variants[0].expect[2].by", id="missing-by"),
+    pytest.param("pd-vs-oss", ("variants", 0, "expect", 0, "tol"), DELETE,
+                 "variants[0].expect[0].tol", id="missing-tol"),
+    pytest.param("tracking-sparse", ("variants", 0, "expect", 1, "index"), DELETE,
+                 "variants[0].expect[1].index", id="missing-index"),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
     doc = json.loads(scenarios.bundled_path(name).read_text())
@@ -52,3 +73,13 @@ def test_check_json_report_is_json(capsys):
     assert cli.main(["check", "no-hurwitz", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [c["passed"] for c in report["checks"]] == [True, True, True]
+
+
+def test_scenario_checks_run_in_the_first_variant_with_another_selected(capsys):
+    # equilibrium-necessity's oracle_y check needs the sim block of its first
+    # variant; the kkt-controller variant has none
+    assert cli.main(["check", "equilibrium-necessity", "--variant", "kkt-controller",
+                     "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [(c["kind"], c["variant"]) for c in report["checks"]] == [
+        ("oracle_y", "oss"), ("stabilizable", "kkt-controller")]

@@ -27,7 +27,6 @@ class TestPlantMatrices:
 
     def test_default_measurement_is_full_state(self, two_state_plant):
         assert np.allclose(two_state_plant.cm, np.eye(2))
-        assert two_state_plant.dm.shape == (2, 1)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Closed-loop outputs, divergence truncation and the bundled scenario claims."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -117,6 +118,30 @@ def test_stacked_outputs_match_per_row_reference(name):
             assert_bits_equal(g, r, f"{name} {label} {what}")
 
 
+CROSS_ROUTE_STEPS = 200
+# The step map is built from the probed closed-loop matrix and reassociates
+# the four RK4 stages, so the routes agree to rounding only: at most 1.5e-14
+# relative to the state scale on the bundled loops, checked here with a
+# hundredfold margin.
+CROSS_ROUTE_TOL = 1e-12
+
+
+@pytest.mark.parametrize("name", AFFINE_SCENARIOS)
+def test_affine_step_map_matches_generic_rk4(name):
+    for label, plan, _, _, sys in simulated_loops(name):
+        h = float(plan.sim["h"])
+        z0 = np.asarray(plan.sim.get("z0", np.zeros(sys.n_state)), dtype=float)
+        fast = integrate_rk4(sys, z0, CROSS_ROUTE_STEPS * h, h)
+        generic = integrate_rk4(dataclasses.replace(sys, affine=None), z0,
+                                CROSS_ROUTE_STEPS * h, h)
+        assert len(fast.times) == len(generic.times) == CROSS_ROUTE_STEPS + 1, label
+        for what in ("states", "y"):
+            got, want = getattr(fast, what), getattr(generic, what)
+            np.testing.assert_allclose(
+                got, want, rtol=0, atol=CROSS_ROUTE_TOL * (1.0 + np.abs(want).max()),
+                err_msg=f"{name} {label} {what}")
+
+
 # -- divergence truncation --------------------------------------------------------
 
 
@@ -222,6 +247,25 @@ def test_tracking_sparse_check_passes():
     analysis = [(kind, variant) for kind, variant in expected_checks(sc, sc.variants)
                 if kind not in scenarios.SIM_CHECK_KINDS]
     assert [(r.kind, r.variant) for r in report.results] == analysis
+
+
+# SHA-256 of tracking-sparse's traces over a 2 s horizon (1000 nonlinear RK4
+# steps per variant).  Kept out of golden_traces.json, whose keys are the
+# affine scenarios.
+TRACKING_SPARSE_SHORT = {
+    "tracking-sparse--theta-sparse.csv":
+        "d72c60ae117a3afabc652a838b9aae23b93bd071263634794488d36e61f3ab96",
+    "tracking-sparse--theta-tiny.csv":
+        "4fc99a50df638da31e716b0d660abe057e25b0b9c176afa4705439c17c31c3d6",
+}
+
+
+def test_tracking_sparse_short_run_traces(tmp_path):
+    # the claims need the full 40 s horizon; at 2 s only the traces are pinned
+    scenarios.run_scenario(load("tracking-sparse"), out_dir=tmp_path, t_end=2.0)
+    traces = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in sorted(tmp_path.glob("*.csv"))}
+    assert traces == TRACKING_SPARSE_SHORT
 
 
 def test_sweep_reuses_the_variant_trajectory():
