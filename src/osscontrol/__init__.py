@@ -24,7 +24,6 @@ from .optprob import (
     ConvexProgram,
     KKTPoint,
     QPData,
-    kkt_residual,
     nonredundant_check,
     oracle_optimal_output,
     smooth_norm,
@@ -47,7 +46,6 @@ from .omodels import (
 from .stabilize import (
     ConditionReport,
     Stabilizer,
-    closed_loop_matrix,
     pbh_detectable,
     pbh_stabilizable,
     prop4_check,

@@ -153,13 +153,6 @@ def left_null_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> Sub
     return SubspaceBasis(u[:, r:].copy(), a.shape[0], tol)
 
 
-def complement_basis(u: SubspaceBasis) -> SubspaceBasis:
-    """Orthonormal basis of the orthogonal complement of a subspace."""
-    if u.is_empty:
-        return range_basis(np.eye(u.ambient_dim), u.tol)
-    return left_null_basis(u.basis, u.tol)
-
-
 def subspace_equal(u: SubspaceBasis, v: SubspaceBasis, tol: float = 1e-8) -> bool:
     """True iff the subspaces have equal dimension and max principal-angle sine <= tol."""
     if u.ambient_dim != v.ambient_dim:

@@ -83,6 +83,26 @@ class OptimalityModel:
             return self.basis.shape[1]
         return self.n_ec
 
+    def linear_maps(self, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(m_y, m_s, m_0)`` with ``[state_dot; eps] = m_y y + m_s state + m_0``.
+
+        Probed from ``om_dynamics`` on identity rows at disturbance w, so exact
+        only for a QP without inequalities; raises ValueError otherwise.
+        ``m_y`` and ``m_s`` are C-ordered.
+        """
+        prog = self.program
+        if not prog.is_qp or prog.n_ic:
+            raise ValueError("the optimality model is linear only for an equality-constrained QP")
+        p, n_s = prog.p, self.state_dim
+
+        def stacked(y, state):
+            return np.concatenate(om_dynamics(self, y, w, state), axis=-1)
+
+        m_0 = stacked(np.zeros(p), np.zeros(n_s))
+        m_y = (stacked(np.eye(p), np.zeros((p, n_s))) - m_0).T.copy()
+        m_s = (stacked(np.zeros((n_s, p)), np.eye(n_s)) - m_0).T.copy()
+        return m_y, m_s, m_0
+
 
 def om_dynamics(om: OptimalityModel, y, w, state) -> tuple[np.ndarray, np.ndarray]:
     """Filter state derivative and proxy error at (y, w, state).

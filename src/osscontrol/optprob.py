@@ -1,4 +1,4 @@
-"""Convex steady-state programs, KKT residuals, and independent optimizer oracles.
+"""Convex steady-state programs and independent optimizer oracles.
 
 The program minimized over the plant's optimization output y is
 
@@ -234,27 +234,6 @@ def check_gradients(prog: ConvexProgram, w, rng: np.random.Generator,
                 raise ValueError(
                     f"gradient check failed at y={y}: analytic {grad} vs fd {fd}"
                 )
-
-
-def kkt_residual(prog: ConvexProgram, plant_eq: dict, pt: KKTPoint, w) -> dict:
-    """Residual blocks of the first-order optimality system at a candidate point.
-
-    ``plant_eq`` supplies the equilibrium-constraint data: ``gperp`` (full row
-    rank, annihilating the equilibrium-output subspace) and offset ``b``.
-    """
-    w = np.asarray(w, dtype=float).ravel()
-    gperp = as_matrix(plant_eq["gperp"]).reshape(-1, prog.p)
-    b = np.asarray(plant_eq["b"], dtype=float).ravel()
-    y = pt.y
-    stationarity = prog.lagrangian_grad(y, w, pt.nu) + gperp.T @ pt.lam + prog.h_eq.T @ pt.mu
-    fvals = prog.ineq_values(y, w)
-    primal = np.concatenate([
-        gperp @ y - b,
-        prog.h_eq @ y - prog.l_eq @ w,
-        np.maximum(fvals, 0.0),
-    ])
-    complementarity = pt.nu * fvals
-    return {"stationarity": stationarity, "primal": primal, "complementarity": complementarity}
 
 
 def unique_optimizer_check(m_cost, t0, tol: float = 1e-10) -> tuple[bool, float]:

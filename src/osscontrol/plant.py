@@ -9,6 +9,10 @@ A plant is
 with every matrix a function of an uncertainty vector delta.  Uncertainty is
 represented by an evaluation callable plus a finite sample set of delta
 values; all "for every delta" checks run over the samples.
+
+``build_augmented_qp`` puts a plant in series with an optimality model and
+the proxy-error integrators.  It writes none of the model's formulas: the
+model's linear maps are probed from ``omodels.om_dynamics``.
 """
 
 from __future__ import annotations
@@ -85,10 +89,6 @@ class PlantMatrices:
     def p_m(self) -> int:
         return self.cm.shape[0]
 
-    def dc_gain(self) -> np.ndarray:
-        """-C A^-1 B + D, defined when A is invertible."""
-        return -self.c @ np.linalg.solve(self.a, self.b) + self.d
-
 
 @dataclass(frozen=True)
 class UncertainPlant:
@@ -134,26 +134,19 @@ class AugmentedPlant:
     """Plant in series with an optimality model and integrators on the proxy error.
 
     State is partitioned as (x, mu, eta) where the mu block is present only
-    for the ROS variant.  The eta rows of ``a``/``b``/``bw`` are exactly the
-    proxy-error output maps, since eta_dot = eps.
+    for the ROS variant.  The eta rows of ``a``/``b`` are the proxy-error
+    output maps, since eta_dot = eps.
     """
 
     a: np.ndarray
     b: np.ndarray
-    bw: np.ndarray
     n: int
     n_mu: int
     n_eta: int
-    variant: str
 
     @property
     def n_state(self) -> int:
         return self.n + self.n_mu + self.n_eta
-
-    def eps_output(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(C_eps, D_eps, Q_eps) such that eps = C_eps z + D_eps u + Q_eps w."""
-        rows = slice(self.n + self.n_mu, self.n_state)
-        return self.a[rows, :], self.b[rows, :], self.bw[rows, :]
 
     def measurement_matrix(self, cm: np.ndarray) -> np.ndarray:
         """Stacked output map for (y_m, mu, eta): plant measurements plus
@@ -165,70 +158,19 @@ class AugmentedPlant:
         return np.vstack([top, bottom])
 
 
-def build_augmented_qp(pm: PlantMatrices, m_cost: np.ndarray, n_cost: np.ndarray,
-                       h_eq: np.ndarray, l_eq: np.ndarray, variant: str,
-                       basis: np.ndarray) -> AugmentedPlant:
-    """Assemble the LTI augmented plant for an equality-constrained QP.
+def build_augmented_qp(pm: PlantMatrices, om) -> AugmentedPlant:
+    """The LTI augmented plant of ``pm`` and an optimality model of a QP
+    without inequalities.  ``om`` is an ``omodels.OptimalityModel``, not
+    imported here because omodels depends on this module.
 
-    ``basis`` is the fixed subspace matrix of the optimality model: the
-    feasible-direction matrix for the "rfs"/"rerfs" variants, the
-    equilibrium-output matrix for "ros".  Supported variants:
+    With the model's linear maps ``[mu_dot; eps] = m_y y + m_s mu`` at
+    w = 0 (``OptimalityModel.linear_maps``) and y = C x + D u:
 
-    - "rfs":   eta_dot = [H; T0' M] y - [L; T0' N] w
-    - "ros":   extra mu state, mu_dot = H y - L w,
-               eta_dot = G0' (M y + H' mu - N w)
-    - "rerfs": eta_dot = (H + T0' M) y - (L + T0' N) w
+        a = [[A, 0], [m_y C, m_s, 0]],   b = [B; m_y D]
     """
-    mc = as_matrix(m_cost)
-    p = pm.p
-    if mc.shape != (p, p):
-        raise ValueError(f"cost matrix must be {p}x{p}, got {mc.shape}")
-    nc = as_matrix(n_cost).reshape(p, -1)
-    if nc.shape[1] != pm.n_w:
-        raise ValueError(f"linear-cost matrix must have {pm.n_w} columns, got {nc.shape[1]}")
-    h = as_matrix(h_eq).reshape(-1, p)
-    n_ec = h.shape[0]
-    l = as_matrix(l_eq).reshape(n_ec, -1) if n_ec else np.zeros((0, pm.n_w))
-    if n_ec and l.shape[1] != pm.n_w:
-        raise ValueError(f"L must have {pm.n_w} columns, got {l.shape[1]}")
-    t = as_matrix(basis)
-    if t.shape[0] != p:
-        raise ValueError(f"subspace matrix must have {p} rows, got {t.shape[0]}")
-    n = pm.n
-
-    if variant == "rfs":
-        ce = np.vstack([h @ pm.c, t.T @ mc @ pm.c])
-        de = np.vstack([h @ pm.d, t.T @ mc @ pm.d])
-        qe = np.vstack([h @ pm.q - l, t.T @ (mc @ pm.q - nc)])
-        n_mu, n_eta = 0, n_ec + t.shape[1]
-        a = np.block([[pm.a, np.zeros((n, n_eta))],
-                      [ce, np.zeros((n_eta, n_eta))]])
-        b = np.vstack([pm.b, de])
-        bw = np.vstack([pm.bw, qe])
-    elif variant == "rerfs":
-        if t.shape[1] != n_ec:
-            raise ValueError(
-                f"reduced-error variant needs a subspace matrix with exactly "
-                f"{n_ec} columns (one per equality constraint), got {t.shape[1]}"
-            )
-        ce = (h + t.T @ mc) @ pm.c
-        de = (h + t.T @ mc) @ pm.d
-        qe = h @ pm.q - l + t.T @ (mc @ pm.q - nc)
-        n_mu, n_eta = 0, n_ec
-        a = np.block([[pm.a, np.zeros((n, n_eta))],
-                      [ce, np.zeros((n_eta, n_eta))]])
-        b = np.vstack([pm.b, de])
-        bw = np.vstack([pm.bw, qe])
-    elif variant == "ros":
-        n_mu, n_eta = n_ec, t.shape[1]
-        a = np.block([
-            [pm.a, np.zeros((n, n_mu + n_eta))],
-            [h @ pm.c, np.zeros((n_mu, n_mu + n_eta))],
-            [t.T @ mc @ pm.c, t.T @ h.T, np.zeros((n_eta, n_eta))],
-        ])
-        b = np.vstack([pm.b, h @ pm.d, t.T @ mc @ pm.d])
-        bw = np.vstack([pm.bw, h @ pm.q - l, t.T @ (mc @ pm.q - nc)])
-    else:
-        raise ValueError(f"unknown optimality-model variant {variant!r}")
-
-    return AugmentedPlant(a=a, b=b, bw=bw, n=n, n_mu=n_mu, n_eta=n_eta, variant=variant)
+    m_y, m_s, _ = om.linear_maps(np.zeros(pm.n_w))
+    n_mu, n_eta = om.n_mu, om.eps_dim
+    a = np.block([[pm.a, np.zeros((pm.n, n_mu + n_eta))],
+                  [m_y @ pm.c, m_s, np.zeros((n_mu + n_eta, n_eta))]])
+    b = np.vstack([pm.b, m_y @ pm.d])
+    return AugmentedPlant(a=a, b=b, n=pm.n, n_mu=n_mu, n_eta=n_eta)

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matlib import as_matrix, numerical_rank
+from .matlib import _mv, _vdot, as_matrix, numerical_rank
 from .omodels import OptimalityModel, gather_broadcast_input
 from .optprob import ConvexProgram
 from .plant import PlantMatrices, UncertainPlant
-from .simulate import ClosedLoopSystem
+from .simulate import ClosedLoopSystem, _affine_maps
 from .stabilize import Stabilizer
 
 
@@ -238,9 +238,9 @@ def build_gather_broadcast(net: PowerNetwork, c_weights, w=None) -> ClosedLoopSy
         return gather_broadcast_input(net.cost_a, net.cost_b, -eta) + 0.0
 
     def rhs(_t, z):
-        u = input_of(z[-1])
-        x_dot = a_mat @ z[: n + nt] + b_mat @ u + b_mat @ w
-        return np.concatenate([x_dot, [c @ z[:n]]])
+        u = input_of(z[..., -1])
+        x_dot = _mv(a_mat, z[..., : n + nt]) + _mv(b_mat, u) + b_mat @ w
+        return np.concatenate([x_dot, _vdot(c, z[..., :n])[..., None]], axis=-1)
 
     def outputs(zs):
         # elementwise over rows; matmul makes the same dot call per row as c @ omega
@@ -251,10 +251,8 @@ def build_gather_broadcast(net: PowerNetwork, c_weights, w=None) -> ClosedLoopSy
         cost = np.sum(0.5 * net.cost_a * u ** 2 + net.cost_b * u, axis=1)
         return y, u, eps, cost
 
-    base = rhs(0.0, np.zeros(n_state))
-    a_cl = np.column_stack([rhs(0.0, np.eye(n_state)[:, i]) - base for i in range(n_state)])
     return ClosedLoopSystem(n_state=n_state, rhs=rhs, outputs=outputs,
-                            m=n, p=2 * n, eps_dim=1, affine=(a_cl, base))
+                            m=n, p=2 * n, eps_dim=1, affine=_affine_maps(rhs, n_state))
 
 
 def dispatch_oracle(net: PowerNetwork, w=None) -> dict:

@@ -25,12 +25,12 @@ import numpy as np
 
 from . import power
 from .errors import OssError
-from .matlib import numerical_rank, range_basis, subspace_equal
+from .matlib import eigenvalues, numerical_rank, range_basis, subspace_equal
 from .omodels import OptimalityModel
 from .optprob import ConvexProgram, check_gradients, oracle_optimal_output, smooth_norm
 from .plant import PlantMatrices, UncertainPlant, build_augmented_qp, eval_plant
 from .simulate import ClosedLoopSystem, Trajectory, assemble, convergence_metrics, equilibrium_solve, integrate_rk4
-from .stabilize import Stabilizer, closed_loop_matrix, pbh_detectable, pbh_stabilizable, prop4_check, prop5_check, prop6_check, synthesize_lqr
+from .stabilize import Stabilizer, pbh_detectable, pbh_stabilizable, prop4_check, prop5_check, prop6_check, synthesize_lqr
 from .subspaces import check_rfs, check_robust_full_rank, check_ros, equilibrium_geometry
 
 BUNDLED_NAMES = (
@@ -68,9 +68,12 @@ def _decode_vector(obj, what: str) -> np.ndarray:
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
+    """``base`` with ``override`` merged in; an explicit null removes the key."""
     out = copy.deepcopy(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
+        if val is None:
+            out.pop(key, None)
+        elif isinstance(val, dict) and isinstance(out.get(key), dict):
             out[key] = _deep_merge(out[key], val)
         else:
             out[key] = copy.deepcopy(val)
@@ -252,9 +255,7 @@ class Scenario:
 def _lqr(up: UncertainPlant, om: OptimalityModel, spec: dict) -> Stabilizer:
     """LQR gains for the augmented plant at the nominal delta, weights q I and r I."""
     pm = eval_plant(up, up.nominal)
-    prog = om.program
-    aug = build_augmented_qp(pm, prog.qp.m_cost, prog.qp.n_cost, prog.h_eq, prog.l_eq,
-                             om.variant, om.basis)
+    aug = build_augmented_qp(pm, om)
     q = float(spec.get("q", 1.0)) * np.eye(aug.n_state)
     r = float(spec.get("r", 1.0)) * np.eye(pm.m)
     return synthesize_lqr(aug, q, r)
@@ -521,15 +522,15 @@ class _Context:
         return self._per_delta("oracle", delta,
                                lambda d: oracle_optimal_output(prog, self.pm(d), self.w))
 
-    def loop(self, delta=None) -> ClosedLoopSystem:
-        def build(d):
-            if self.plan.controller_kind != "gather_broadcast":
-                return assemble(self.sc.plant, d, self.w, self.plan.om, self.plan.stabilizer)
-            if not np.allclose(d, self.sc.plant.nominal):
-                raise ValueError("gather-broadcast loop is built at nominal delta only")
-            return power.build_gather_broadcast(self.sc.network, self.plan.gb_weights, self.w)
+    def _build_loop(self, d) -> ClosedLoopSystem:
+        if self.plan.controller_kind != "gather_broadcast":
+            return assemble(self.sc.plant, d, self.w, self.plan.om, self.plan.stabilizer)
+        if not np.allclose(d, self.sc.plant.nominal):
+            raise ValueError("gather-broadcast loop is built at nominal delta only")
+        return power.build_gather_broadcast(self.sc.network, self.plan.gb_weights, self.w)
 
-        return self._per_delta("loop", delta, build)
+    def loop(self, delta=None) -> ClosedLoopSystem:
+        return self._per_delta("loop", delta, self._build_loop)
 
     def trajectory(self, delta=None) -> Trajectory:
         def integrate(d):
@@ -541,21 +542,18 @@ class _Context:
         return self._per_delta("trajectory", delta, integrate)
 
     def spectrum(self, delta=None) -> np.ndarray:
-        return self._per_delta(
-            "spectrum", delta,
-            lambda d: closed_loop_matrix(self.augmented(d), self.plan.stabilizer)["spectrum"])
+        """Eigenvalues of the affine loop's A_cl.  Only they are kept: a loop
+        per delta of a dense sample set would hold its closures and matrices."""
+        def eigs(d):
+            sys = self._build_loop(d)
+            if sys.affine is None:
+                raise ValueError("the closed-loop spectrum needs an affine loop")
+            return eigenvalues(sys.affine[0])
+
+        return self._per_delta("spectrum", delta, eigs)
 
     def metrics(self, settle_tol: float = 1e-3) -> dict:
         return convergence_metrics(self.trajectory(), self.oracle()["y_star"], settle_tol)
-
-    def augmented(self, delta=None):
-        om = self.om
-        prog = om.program
-        if not prog.is_qp or prog.n_ic:
-            raise ValueError("this check applies to equality-constrained QP scenarios")
-        pm = self.pm(delta)
-        return build_augmented_qp(pm, prog.qp.m_cost, prog.qp.n_cost, prog.h_eq,
-                                  prog.l_eq, om.variant, om.basis)
 
 
 # Each check takes (ctx, spec) and returns (passed, detail).
@@ -613,8 +611,8 @@ def _check_prop(ctx, spec):
 
 
 def _check_stabilizable(ctx, spec):
-    aug = ctx.augmented()
     pm = ctx.pm()
+    aug = build_augmented_qp(pm, ctx.om)
     got = (pbh_stabilizable(aug.a, aug.b)
            and pbh_detectable(aug.measurement_matrix(pm.cm), aug.a))
     return got == bool(spec["value"]), f"augmented plant stabilizable+detectable={got}"
@@ -728,7 +726,7 @@ def _run_check(ctx: _Context, spec: dict) -> CheckResult:
 
 def _spectrum_info(ctx: _Context) -> list[str]:
     plan = ctx.plan
-    if (plan.om is None or plan.stabilizer is None or not plan.om.program.is_qp
+    if (plan.om is None or plan.sim is None or not plan.om.program.is_qp
             or plan.om.program.n_ic):
         return []
     out = []

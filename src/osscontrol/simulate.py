@@ -6,7 +6,8 @@ proxy-error integrators eta, in that order.  The control input is the
 static feedback u = -(Kx x + Knu nu + Kmu mu + Keta eta) - Keps eps; when
 Keps is nonzero the input appears on both sides through the plant
 feedthrough, and the loop is solved exactly, which restricts proportional
-proxy-error feedback to quadratic objectives (affine loop).
+proxy-error feedback to quadratic objectives (affine loop).  That solve
+reads the eps rows of the model's linear maps (``OptimalityModel.linear_maps``).
 
 Integration is classical fixed-step RK4: deterministic, bit-stable for fixed
 inputs, so golden traces are byte-reproducible.  For fully affine loops the
@@ -17,11 +18,14 @@ step, so the truncation step is the one a per-step check would find.
 
 ``assemble`` writes the loop's input and output map once, as ``evaluate``:
 one state (n_state,) or a row stack (k, n_state) to (u, y, state_dot, eps),
-through ``om_dynamics``.  ``rhs`` adds the plant derivative at one state;
-``outputs`` maps a (k, n_state) array to row-stacked (y, u, eps, cost),
-ROW_BLOCK rows at a time, affine or not.  Row-stacked matrix-vector products
-make the same BLAS call per row as for one state, so row i of a stacked
-result is bit-identical to evaluating state i alone.
+through ``om_dynamics``.  ``rhs`` adds the plant derivative, at one state
+or a row stack; ``outputs`` maps a (k, n_state) array to row-stacked
+(y, u, eps, cost), ROW_BLOCK rows at a time, affine or not.  Row-stacked
+matrix-vector products make the same BLAS call per row as for one state, so
+row i of a stacked result is bit-identical to evaluating state i alone.  An
+affine loop's (A_cl, b_cl) is probed from one ``rhs`` call on the rows
+[0; I]; it is the one closed-loop matrix of the package: the RK4 step map,
+the equilibrium Newton solve and the spectrum checks all read it.
 """
 
 from __future__ import annotations
@@ -135,11 +139,9 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer
                 "proportional proxy-error feedback (Keps != 0) needs a quadratic "
                 "objective without inequalities so the input loop is affine"
             )
-        # probe eps = E_y y + E_s (nu, mu) + e_w, exact for the affine model, on
-        # identity rows; E_y and E_s are copied to C order for the products below
-        e_w = om_dynamics(om, np.zeros(pm.p), w, np.zeros(n_om))[1]
-        e_y = (om_dynamics(om, np.eye(pm.p), w, np.zeros((pm.p, n_om)))[1] - e_w).T.copy()
-        e_s = (om_dynamics(om, np.zeros((n_om, pm.p)), w, np.eye(n_om))[1] - e_w).T.copy()
+        # eps = e_y y + e_s (nu, mu) + e_w: the eps rows of the model's linear maps
+        m_y, m_s, m_0 = om.linear_maps(w)
+        e_y, e_s, e_w = m_y[n_om:], m_s[n_om:], m_0[n_om:]
         loop = np.eye(m) + keps @ e_y @ pm.d
         try:
             loop_inv = np.linalg.inv(loop)
@@ -165,8 +167,8 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer
 
     def rhs(_t: float, z: np.ndarray) -> np.ndarray:
         u, _, state_dot, eps = evaluate(z)
-        x_dot = pm.a @ z[:n] + pm.b @ u + bw_w
-        return np.concatenate([x_dot, state_dot, eps])
+        x_dot = _mv(pm.a, z[..., :n]) + _mv(pm.b, u) + bw_w
+        return np.concatenate([x_dot, state_dot, eps], axis=-1)
 
     def outputs(zs: np.ndarray):
         k = zs.shape[0]
@@ -177,18 +179,17 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer
                 arr[lo: lo + ROW_BLOCK] = part
         return out
 
-    affine = None
-    if affine_loop:
-        base = rhs(0.0, np.zeros(n_state))
-        a_cl = np.column_stack([
-            rhs(0.0, np.eye(n_state)[:, i]) - base for i in range(n_state)
-        ]) if n_state else np.zeros((0, 0))
-        affine = (a_cl, base)
-
     return ClosedLoopSystem(
-        n_state=n_state, rhs=rhs, outputs=outputs,
-        m=m, p=pm.p, eps_dim=n_eta, affine=affine,
+        n_state=n_state, rhs=rhs, outputs=outputs, m=m, p=pm.p, eps_dim=n_eta,
+        affine=_affine_maps(rhs, n_state) if affine_loop else None,
     )
+
+
+def _affine_maps(rhs, n_state: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(A_cl, b_cl)`` of an affine ``rhs(z) = A_cl z + b_cl``, from one call
+    on the row stack [0; I]; A_cl is C-ordered."""
+    out = rhs(0.0, np.vstack([np.zeros(n_state), np.eye(n_state)]))
+    return (out[1:] - out[0]).T.copy(), out[0]
 
 
 def _rk4_step_map(a_cl: np.ndarray, b_cl: np.ndarray, h: float):

@@ -3,8 +3,11 @@
 PBH tests decide stabilizability and detectability eigenvalue by eigenvalue.
 The proposition checkers evaluate clause lists for the three optimality-model
 variants and cross-validate each verdict by running the PBH tests directly on
-the assembled augmented plant; disagreement beyond tolerance raises, because
-the two routes are provably equivalent and a mismatch means a numerics bug.
+the augmented plant (``plant.build_augmented_qp``, probed from the model's
+``om_dynamics``); disagreement beyond tolerance raises, because the two
+routes are provably equivalent and a mismatch means a numerics bug.  The
+closed-loop spectrum of a stabilizer is not computed here: it is read from
+the loop ``simulate.assemble`` builds, the one the simulation integrates.
 
 Every rank-style decision carries a margin (decision value over threshold, or
 its reciprocal when the decision is negative), so borderline instances can be
@@ -19,6 +22,7 @@ import numpy as np
 
 from .errors import NotStabilizable, NumericsDisagreement, RiccatiFailure
 from .matlib import as_matrix, eigenvalues, range_basis, rank_decision, subspace_equal
+from .omodels import OptimalityModel
 from .optprob import ConvexProgram, nonredundant_check, unique_optimizer_check
 from .plant import AugmentedPlant, PlantMatrices, UncertainPlant, build_augmented_qp, eval_plant
 from .subspaces import equilibrium_geometry, reduced_error_complement_condition
@@ -119,8 +123,8 @@ def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis, cm,
                 variant: str, tol: float) -> ConditionReport:
     pm = eval_plant(up, delta)
     prog = prog.at_delta(delta)
-    if not prog.is_qp or prog.n_ic:
-        raise ValueError("proposition checkers apply to equality-constrained QPs")
+    # builds only for an equality-constrained QP, which the clauses assume
+    aug = build_augmented_qp(pm, OptimalityModel(variant, basis, prog))
     basis = as_matrix(basis)
     cm = np.eye(pm.n) if cm is None else as_matrix(cm).reshape(-1, pm.n)
     geom = equilibrium_geometry(pm, prog.h_eq)
@@ -156,8 +160,6 @@ def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis, cm,
     premise = subspace_equal(range_basis(basis),
                              geom.g_range if variant == "ros" else geom.t_basis)
 
-    aug = build_augmented_qp(pm, prog.qp.m_cost, prog.qp.n_cost, prog.h_eq,
-                             prog.l_eq, variant, basis)
     direct, m_direct = _augmented_pbh(aug, cm, tol)
     report = ConditionReport(
         clauses=tuple(clauses),
@@ -262,36 +264,3 @@ def synthesize_lqr(aug: AugmentedPlant, q_cost, r_cost, tol: float = PBH_TOL) ->
     kmu = k[:, aug.n: aug.n + aug.n_mu]
     keta = k[:, aug.n + aug.n_mu:]
     return Stabilizer(kx=kx, kmu=kmu, keta=keta)
-
-
-def closed_loop_matrix(aug: AugmentedPlant, stab: Stabilizer) -> dict:
-    """Closed-loop dynamics matrix and spectrum for a static-gain stabilizer.
-
-    Solves the proxy-error feedthrough loop exactly when Keps is nonzero.
-    Returns the state matrix, the disturbance input matrix, the affine input
-    maps u = -(ku_z z + ku_w w), and the spectrum.
-    """
-    m = aug.b.shape[1]
-    k = np.hstack([
-        stab.block("kx", m, aug.n),
-        stab.block("kmu", m, aug.n_mu),
-        stab.block("keta", m, aug.n_eta),
-    ])
-    c_eps, d_eps, q_eps = aug.eps_output()
-    keps = stab.block("keps", m, aug.n_eta)
-    loop = np.eye(m) + keps @ d_eps
-    try:
-        loop_inv = np.linalg.inv(loop)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("proxy-error feedthrough loop is singular") from exc
-    ku_z = loop_inv @ (k + keps @ c_eps)
-    ku_w = loop_inv @ (keps @ q_eps)
-    a_cl = aug.a - aug.b @ ku_z
-    b_w = aug.bw - aug.b @ ku_w
-    return {
-        "a_cl": a_cl,
-        "b_w": b_w,
-        "ku_z": ku_z,
-        "ku_w": ku_w,
-        "spectrum": eigenvalues(a_cl),
-    }

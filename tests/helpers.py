@@ -1,15 +1,18 @@
-"""Shared random-instance generators for property and acceptance tests.
+"""Shared random-instance generators and reference formulas for tests.
 
 Everything is driven by an explicit numpy Generator so test runs are
-reproducible; "generate until valid" loops are bounded.
+reproducible; "generate until valid" loops are bounded.  The reference
+formulas (DC gain, KKT residual, the hand-written augmented plant of each
+optimality-model variant) are independent routes that tests compare the
+package against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from osscontrol.matlib import numerical_rank, range_basis
-from osscontrol.optprob import ConvexProgram
+from osscontrol.matlib import as_matrix, numerical_rank, range_basis
+from osscontrol.optprob import ConvexProgram, KKTPoint
 from osscontrol.plant import PlantMatrices, UncertainPlant, fixed_plant
 from osscontrol.stabilize import pbh_stabilizable
 from osscontrol.subspaces import equilibrium_geometry
@@ -83,3 +86,69 @@ def uncertain_wrapper(pm: PlantMatrices) -> UncertainPlant:
 def output_subspace_matrix(geom) -> np.ndarray:
     """Full-column-rank matrix spanning the equilibrium-output subspace."""
     return range_basis(geom.g).basis
+
+
+def dc_gain(pm: PlantMatrices) -> np.ndarray:
+    """-C A^-1 B + D, defined when A is invertible."""
+    return -pm.c @ np.linalg.solve(pm.a, pm.b) + pm.d
+
+
+def kkt_residual(prog: ConvexProgram, plant_eq: dict, pt: KKTPoint, w) -> dict:
+    """Residual blocks of the first-order optimality system at a candidate point.
+
+    ``plant_eq`` supplies the equilibrium-constraint data: ``gperp`` (full row
+    rank, annihilating the equilibrium-output subspace) and offset ``b``.
+    """
+    w = np.asarray(w, dtype=float).ravel()
+    gperp = as_matrix(plant_eq["gperp"]).reshape(-1, prog.p)
+    b = np.asarray(plant_eq["b"], dtype=float).ravel()
+    y = pt.y
+    stationarity = prog.lagrangian_grad(y, w, pt.nu) + gperp.T @ pt.lam + prog.h_eq.T @ pt.mu
+    fvals = prog.ineq_values(y, w)
+    primal = np.concatenate([
+        gperp @ y - b,
+        prog.h_eq @ y - prog.l_eq @ w,
+        np.maximum(fvals, 0.0),
+    ])
+    complementarity = pt.nu * fvals
+    return {"stationarity": stationarity, "primal": primal, "complementarity": complementarity}
+
+
+def augmented_by_hand(pm: PlantMatrices, prog: ConvexProgram, variant: str,
+                      basis) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, b)`` of the augmented plant, written out per optimality-model
+    variant for an equality-constrained QP:
+
+    - "rfs":   eta_dot = [H; T0' M] y - ...
+    - "ros":   mu_dot = H y - ..., eta_dot = G0' (M y + H' mu) - ...
+    - "rerfs": eta_dot = (H + T0' M) y - ...
+    """
+    mc, h, t, n = prog.qp.m_cost, prog.h_eq, as_matrix(basis), pm.n
+    if variant == "ros":
+        n_mu, n_eta = h.shape[0], t.shape[1]
+        a = np.block([
+            [pm.a, np.zeros((n, n_mu + n_eta))],
+            [h @ pm.c, np.zeros((n_mu, n_mu + n_eta))],
+            [t.T @ mc @ pm.c, t.T @ h.T, np.zeros((n_eta, n_eta))],
+        ])
+        return a, np.vstack([pm.b, h @ pm.d, t.T @ mc @ pm.d])
+    if variant == "rfs":
+        ce, de = np.vstack([h @ pm.c, t.T @ mc @ pm.c]), np.vstack([h @ pm.d, t.T @ mc @ pm.d])
+    else:
+        ce, de = (h + t.T @ mc) @ pm.c, (h + t.T @ mc) @ pm.d
+    n_eta = ce.shape[0]
+    a = np.block([[pm.a, np.zeros((n, n_eta))], [ce, np.zeros((n_eta, n_eta))]])
+    return a, np.vstack([pm.b, de])
+
+
+def bundled_qp_variants():
+    """(scenario, variant plan) for every bundled variant whose optimality
+    model is one of an equality-constrained QP."""
+    from osscontrol import scenarios
+
+    for name in scenarios.BUNDLED_NAMES:
+        sc = scenarios.load_scenario(name)
+        for plan in sc.variants:
+            om = plan.om
+            if om is not None and om.program.is_qp and not om.program.n_ic:
+                yield sc, plan

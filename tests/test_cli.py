@@ -83,3 +83,15 @@ def test_scenario_checks_run_in_the_first_variant_with_another_selected(capsys):
     report = json.loads(capsys.readouterr().out)
     assert [(c["kind"], c["variant"]) for c in report["checks"]] == [
         ("oracle_y", "oss"), ("stabilizable", "kkt-controller")]
+
+
+def test_variant_null_clears_an_inherited_block(capsys):
+    # kkt-controller sets keta to null: it inherits no one-column integrator
+    # gain, so no spectrum line reports a shape mismatch
+    plan = scenarios.load_scenario("equilibrium-necessity").variant("kkt-controller")
+    assert plan.stabilizer.keta is None and plan.sim is None
+    assert cli.main(["check", "equilibrium-necessity"]) == 0
+    out = capsys.readouterr().out
+    assert "spectrum unavailable" not in out
+    assert "[oss] delta=[]: max Re(closed-loop spectrum)" in out
+

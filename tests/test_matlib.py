@@ -3,7 +3,6 @@ import pytest
 
 from osscontrol.matlib import (
     SubspaceBasis,
-    complement_basis,
     eigenvalues,
     left_null_basis,
     null_basis,
@@ -153,12 +152,6 @@ class TestSubspaceIntersection:
         v = basis_of([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         inter = subspace_intersection(u, v)
         assert subspace_equal(inter, basis_of([[1.0], [0.0], [0.0]]))
-
-    def test_complement(self):
-        u = basis_of([[1.0], [1.0], [0.0]])
-        comp = complement_basis(u)
-        assert comp.dim == 2
-        assert np.abs(comp.basis.T @ u.basis).max() < 1e-12
 
 
 class TestEigenvalues:

@@ -7,7 +7,6 @@ from osscontrol.optprob import (
     KKTPoint,
     QPData,
     check_gradients,
-    kkt_residual,
     nonredundant_check,
     oracle_optimal_output,
     smooth_norm,
@@ -15,7 +14,7 @@ from osscontrol.optprob import (
 )
 from osscontrol.plant import PlantMatrices
 
-from helpers import random_plant, random_qp_instance
+from helpers import kkt_residual, random_plant, random_qp_instance
 
 
 def residual_max(res: dict) -> float:

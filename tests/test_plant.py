@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from osscontrol.matlib import range_basis, subspace_equal
+from osscontrol.omodels import OptimalityModel
+from osscontrol.optprob import ConvexProgram
 from osscontrol.plant import (
-    AugmentedPlant,
     PlantMatrices,
     UncertainPlant,
     build_augmented_qp,
@@ -13,7 +14,15 @@ from osscontrol.plant import (
 from osscontrol.power import build_swing_plant, default_network
 from osscontrol.subspaces import equilibrium_geometry
 
-from helpers import random_plant
+from helpers import (
+    augmented_by_hand,
+    bundled_qp_variants,
+    dc_gain,
+    feasible_direction_matrix,
+    output_subspace_matrix,
+    random_plant,
+    random_qp_instance,
+)
 
 
 class TestPlantMatrices:
@@ -71,21 +80,25 @@ class TestEvalPlant:
             UncertainPlant(evaluate=evaluate, delta_dim=1, delta_samples=[[0.0], [1.0]])
 
 
+def _om(variant, basis, m_cost, h=None, l=None):
+    p = np.shape(m_cost)[0]
+    prog = ConvexProgram.from_qp(m_cost, np.zeros((p, 1)), n_w=1, h_eq=h, l_eq=l)
+    return OptimalityModel(variant=variant, basis=basis, program=prog)
+
+
 class TestBuildAugmentedQP:
     def test_zero_plant_direct_substitution(self):
         n = 2
         pm = PlantMatrices(a=np.zeros((n, n)), b=np.eye(n), bw=np.zeros((n, 1)),
                            c=np.eye(n), d=np.zeros((n, n)), q=np.zeros((n, 1)))
-        aug = build_augmented_qp(pm, np.eye(n), np.zeros((n, 1)), np.zeros((0, n)),
-                                 np.zeros((0, 1)), "rfs", np.eye(n))
+        aug = build_augmented_qp(pm, _om("rfs", np.eye(n), np.eye(n)))
         assert np.allclose(aug.a, np.block([[np.zeros((n, n)), np.zeros((n, n))],
                                             [np.eye(n), np.zeros((n, n))]]))
         assert np.allclose(aug.b, np.vstack([np.eye(n), np.zeros((n, n))]))
 
     def test_two_state_output_subspace_rows(self, two_state_plant):
         g0 = np.array([[1.0], [1.0]])
-        aug = build_augmented_qp(two_state_plant, np.eye(2), np.zeros((2, 1)),
-                                 np.zeros((0, 2)), np.zeros((0, 1)), "ros", g0)
+        aug = build_augmented_qp(two_state_plant, _om("ros", g0, np.eye(2)))
         assert aug.n_mu == 0 and aug.n_eta == 1
         # integrator row is g0' M [C D] = [1 0 | 1]
         assert np.allclose(aug.a[2], [1.0, 0.0, 0.0])
@@ -97,25 +110,22 @@ class TestBuildAugmentedQP:
         h = rng.standard_normal((1, 3))
         g0 = rng.standard_normal((3, 2))
         m_cost = np.eye(3)
-        aug = build_augmented_qp(pm, m_cost, np.zeros((3, 1)), h, np.zeros((1, 1)),
-                                 "ros", g0)
+        aug = build_augmented_qp(pm, _om("ros", g0, m_cost, h, np.zeros((1, 1))))
         assert aug.n_mu == 1
         mu_cols = slice(3, 4)
         assert np.allclose(aug.a[4:, mu_cols], g0.T @ h.T)
 
     def test_reduced_variant_column_count_enforced(self, two_state_plant):
         with pytest.raises(ValueError):
-            build_augmented_qp(two_state_plant, np.eye(2), np.zeros((2, 1)),
-                               np.zeros((1, 2)), np.zeros((1, 1)), "rerfs",
-                               np.ones((2, 2)))
+            build_augmented_qp(two_state_plant,
+                               _om("rerfs", np.ones((2, 2)), np.eye(2), np.zeros((1, 2)),
+                                   np.zeros((1, 1))))
 
     def test_commutes_with_eval(self, two_state_family):
         # building from evaluated matrices equals evaluating then building
         for delta in two_state_family.delta_samples:
             pm = eval_plant(two_state_family, delta)
-            aug = build_augmented_qp(pm, np.eye(2), np.zeros((2, 1)),
-                                     np.zeros((0, 2)), np.zeros((0, 1)), "ros",
-                                     np.array([[1.0], [1.0]]))
+            aug = build_augmented_qp(pm, _om("ros", np.array([[1.0], [1.0]]), np.eye(2)))
             assert aug.n_state == pm.n + 1
 
     def test_state_dimension_accounting(self):
@@ -126,14 +136,47 @@ class TestBuildAugmentedQP:
         for variant, extra in (("rfs", 1 + 2), ("ros", 1 + 2), ("rerfs", 1)):
             basis = t0 if variant != "rerfs" else rng.standard_normal((3, 1))
             g = rng.standard_normal((3, 2)) if variant == "ros" else basis
-            aug = build_augmented_qp(pm, np.eye(3), np.zeros((3, 1)), h,
-                                     np.zeros((1, 1)), variant, g)
+            aug = build_augmented_qp(pm, _om(variant, g, np.eye(3), h, np.zeros((1, 1))))
             n_mu = 1 if variant == "ros" else 0
             assert aug.n_state == pm.n + n_mu + aug.n_eta
             if variant == "rfs":
                 assert aug.n_eta == 1 + g.shape[1]
             elif variant == "rerfs":
                 assert aug.n_eta == 1
+
+    def test_probe_matches_hand_formulas_on_random_qps(self):
+        # the model's maps probed through om_dynamics against the per-variant
+        # formulas; half the draws carry a linear cost c, which the probe
+        # subtracts back out (exact in real arithmetic, not in floating point)
+        rng = np.random.default_rng(14)
+        for draw in range(60):
+            n_ec = int(rng.integers(0, 3))
+            p = int(rng.integers(max(n_ec, 1), 5))
+            pm, prog, geom = random_qp_instance(rng, n_ec=n_ec, p=p)
+            if draw % 2:
+                prog = ConvexProgram.from_qp(prog.qp.m_cost, prog.qp.n_cost, n_w=prog.n_w,
+                                             h_eq=prog.h_eq, l_eq=prog.l_eq,
+                                             c=rng.standard_normal(prog.p))
+            bases = {"rfs": feasible_direction_matrix(geom),
+                     "ros": output_subspace_matrix(geom),
+                     "rerfs": rng.standard_normal((prog.p, n_ec))}
+            for variant, basis in bases.items():
+                aug = build_augmented_qp(pm, OptimalityModel(variant, basis, prog))
+                for got, want in zip((aug.a, aug.b), augmented_by_hand(pm, prog, variant, basis)):
+                    assert got.shape == want.shape
+                    scale = max(1.0, np.abs(want).max())
+                    assert np.abs(got - want).max() <= 1e-12 * scale, (draw, variant)
+
+    def test_probe_matches_hand_formulas_bitwise_on_bundled_variants(self):
+        cases = 0
+        for sc, plan in bundled_qp_variants():
+            for delta in sc.plant.delta_samples:
+                pm = eval_plant(sc.plant, delta)
+                aug = build_augmented_qp(pm, plan.om)
+                a, b = augmented_by_hand(pm, plan.om.program, plan.om.variant, plan.om.basis)
+                assert np.array_equal(aug.a, a) and np.array_equal(aug.b, b), (sc.name, plan.name)
+                cases += 1
+        assert cases == 14
 
 
 class TestDcGain:
@@ -142,5 +185,5 @@ class TestDcGain:
         for _ in range(10):
             pm = random_plant(rng, 4, 2, 3, stable=True)
             geom = equilibrium_geometry(pm)
-            assert np.allclose(geom.g, pm.dc_gain(), atol=1e-8)
-            assert subspace_equal(range_basis(geom.g), range_basis(pm.dc_gain()))
+            assert np.allclose(geom.g, dc_gain(pm), atol=1e-8)
+            assert subspace_equal(range_basis(geom.g), range_basis(dc_gain(pm)))

@@ -277,16 +277,24 @@ def test_sweep_reuses_the_variant_trajectory():
 
 def test_check_builds_one_closed_loop_matrix_per_delta(monkeypatch):
     calls = []
-    original = scenarios.closed_loop_matrix
+    original = scenarios.assemble
 
-    def counting(aug, stab):
-        calls.append(aug)
-        return original(aug, stab)
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
 
-    monkeypatch.setattr(scenarios, "closed_loop_matrix", counting)
+    monkeypatch.setattr(scenarios, "assemble", counting)
     sc = load("rfs-violation")
     assert scenarios.check_scenario(sc).exit_code == 0
-    assert len(calls) == len(sc.plant.delta_samples)
+    # one loop per delta sample for the spectra (the spectrum info lines and
+    # hurwitz_at_samples share them) plus the equilibrium_mismatch loop
+    assert len(calls) == len(sc.plant.delta_samples) + 1
+    ctx = scenarios._Context(sc, sc.variants[0])
+    d = sc.plant.delta_samples[1]
+    first = ctx.spectrum(d)
+    built = len(calls)
+    assert ctx.spectrum(d) is first
+    assert len(calls) == built
 
 
 def test_sweep_threads_share_one_trajectory_per_delta():

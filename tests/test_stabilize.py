@@ -1,19 +1,24 @@
 """Proposition and theorem-1 clause verdicts against direct PBH tests, and
 the rank decision they all rest on."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from helpers import (
+    augmented_by_hand,
+    bundled_qp_variants,
     feasible_direction_matrix,
     output_subspace_matrix,
     random_plant,
     random_qp_instance,
     uncertain_wrapper,
 )
-from osscontrol.matlib import rank_decision
+from osscontrol.matlib import eigenvalues, rank_decision
 from osscontrol.optprob import ConvexProgram
-from osscontrol.plant import PlantMatrices
+from osscontrol.plant import PlantMatrices, eval_plant
+from osscontrol.simulate import assemble
 from osscontrol.stabilize import (
     PBH_TOL,
     pbh_detectable,
@@ -144,3 +149,37 @@ class TestTheorem1:
             stab, det, full = (c.passed for c in theorem1_check(pm).clauses)
             assert (stab and full) == pbh_stabilizable(a, b)
             assert not det or pbh_detectable(cm, a)
+
+
+def closed_form_loop_matrix(pm: PlantMatrices, om, stab) -> np.ndarray:
+    """A_cl = a - b Ku of the hand-written augmented plant, with the input
+    solving u = -(K z) - Keps eps and eps = a_eps z + b_eps u."""
+    a, b = augmented_by_hand(pm, om.program, om.variant, om.basis)
+    m, n_eta = pm.m, om.eps_dim
+    k = np.hstack([stab.block("kx", m, pm.n), stab.block("kmu", m, om.n_mu),
+                   stab.block("keta", m, n_eta)])
+    keps = stab.block("keps", m, n_eta)
+    eps = slice(a.shape[0] - n_eta, None)
+    return a - b @ np.linalg.solve(np.eye(m) + keps @ b[eps], k + keps @ a[eps])
+
+
+def test_loop_spectrum_matches_the_augmented_closed_form():
+    # the spectrum the checks read comes from the simulated loop; the closed
+    # form is the augmented plant under static feedback, including the Keps
+    # feedthrough solve (pd-vs-oss)
+    with_keps = 0
+    for sc, plan in bundled_qp_variants():
+        up, om, stab = sc.plant, plan.om, plan.stabilizer
+        deltas = list(up.delta_samples)
+        if up.delta_box is not None:
+            deltas += [np.array(d) for d in itertools.product(
+                *(np.linspace(lo, hi, 9) for lo, hi in up.delta_box))]
+        with_keps += bool(np.any(stab.block("keps", up.evaluate(deltas[0]).m, om.eps_dim)))
+        for d in deltas:
+            pm = eval_plant(up, d)
+            a_cl = assemble(up, d, np.zeros(pm.n_w), om, stab).affine[0]
+            want = closed_form_loop_matrix(pm, om, stab)
+            assert np.abs(a_cl - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+            top, top_want = eigenvalues(a_cl).real.max(), eigenvalues(want).real.max()
+            assert (top < 0) == (top_want < 0) and abs(top - top_want) <= 1e-9, (sc.name, plan.name)
+    assert with_keps == 1
