@@ -23,7 +23,7 @@ static dispatch map of the gather-and-broadcast power controller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,53 +35,48 @@ from .optprob import ConvexProgram
 class OptimalityModel:
     """One of the three filter variants with its constant matrices and state layout.
 
-    State is the flat vector [nu; mu]; mu is present only for "ros".
+    State is the flat vector [nu; mu]; mu is present only for "ros".  The
+    layout (``n_ic``, ``n_ec``, ``n_mu``, ``state_dim``, ``eps_dim``) and the
+    transposed views ``basis_t`` and ``h_eq_t`` that ``om_dynamics`` reads
+    are fixed at construction.
     """
 
     variant: str
     basis: np.ndarray
     program: ConvexProgram
+    n_ic: int = field(init=False, repr=False, compare=False)
+    n_ec: int = field(init=False, repr=False, compare=False)
+    n_mu: int = field(init=False, repr=False, compare=False)
+    state_dim: int = field(init=False, repr=False, compare=False)
+    eps_dim: int = field(init=False, repr=False, compare=False)
+    basis_t: np.ndarray = field(init=False, repr=False, compare=False)
+    h_eq_t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in ("rfs", "ros", "rerfs"):
             raise ValueError(f"unknown optimality-model variant {self.variant!r}")
         b = as_matrix(self.basis)
-        if b.shape[0] != self.program.p:
+        prog = self.program
+        if b.shape[0] != prog.p:
             raise ValueError(
-                f"subspace matrix must have {self.program.p} rows, got {b.shape[0]}"
+                f"subspace matrix must have {prog.p} rows, got {b.shape[0]}"
             )
-        if self.program.has_uncertain_equalities:
+        if prog.has_uncertain_equalities:
             raise ValueError("resolve delta-dependent equality constraints before building")
-        if self.variant == "rerfs" and b.shape[1] != self.program.n_ec:
+        n_ic, n_ec = prog.n_ic, prog.n_ec
+        if self.variant == "rerfs" and b.shape[1] != n_ec:
             raise ValueError(
                 "reduced-error models need the subspace matrix to have exactly one "
-                f"column per equality constraint ({self.program.n_ec}), got {b.shape[1]}"
+                f"column per equality constraint ({n_ec}), got {b.shape[1]}"
             )
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def n_ic(self) -> int:
-        return self.program.n_ic
-
-    @property
-    def n_ec(self) -> int:
-        return self.program.n_ec
-
-    @property
-    def n_mu(self) -> int:
-        return self.n_ec if self.variant == "ros" else 0
-
-    @property
-    def state_dim(self) -> int:
-        return self.n_ic + self.n_mu
-
-    @property
-    def eps_dim(self) -> int:
-        if self.variant == "rfs":
-            return self.n_ec + self.basis.shape[1]
-        if self.variant == "ros":
-            return self.basis.shape[1]
-        return self.n_ec
+        n_mu = n_ec if self.variant == "ros" else 0
+        eps_dim = {"rfs": n_ec + b.shape[1], "ros": b.shape[1], "rerfs": n_ec}[self.variant]
+        # transposed views, not copies: a copy would change the BLAS call and
+        # with it the rounding of every product
+        for name, value in (("basis", b), ("n_ic", n_ic), ("n_ec", n_ec), ("n_mu", n_mu),
+                            ("state_dim", n_ic + n_mu), ("eps_dim", eps_dim),
+                            ("basis_t", b.T), ("h_eq_t", prog.h_eq.T)):
+            object.__setattr__(self, name, value)
 
     def linear_maps(self, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(m_y, m_s, m_0)`` with ``[state_dot; eps] = m_y y + m_s state + m_0``.
@@ -110,29 +105,39 @@ def om_dynamics(om: OptimalityModel, y, w, state) -> tuple[np.ndarray, np.ndarra
     Takes one point, y (p,) and state (state_dim,), or row stacks (k, p) and
     (k, state_dim).  Returns ``(state_dot, eps)`` with the same leading
     shape, ``state_dot`` in the flat [nu; mu] layout of the model.
+
+    Reads the layout fixed when ``om`` was built and skips empty dimensions
+    exactly: without equality rows the violation is an empty slice and
+    ``H' mu`` is ``+ 0.0``, which keeps the -0.0 -> +0.0 normalization of the
+    empty product; without inequality or multiplier state nothing is
+    concatenated.
     """
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float).ravel()
     state = np.asarray(state, dtype=float)
-    prog = om.program
-    n_ic = prog.n_ic
     if state.shape[-1:] != (om.state_dim,):
         raise ValueError(f"state must have {om.state_dim} entries, got shape {state.shape}")
+    prog = om.program
+    n_ic, n_ec = om.n_ic, om.n_ec
     # nu is empty without inequalities, and mu except for "ros"
-    nu, mu = state[..., :n_ic], state[..., n_ic:]
-    grad = prog.lagrangian_grad(y, w, nu)
-    nu_dot = np.maximum(nu + prog.ineq_values(y, w), 0.0) - nu if n_ic else nu
-    mu_dot = mu
-    eq_violation = _mv(prog.h_eq, y) - _mv(prog.l_eq, w)
-
-    if om.variant == "rfs":
-        eps = np.concatenate([eq_violation, _mv(om.basis.T, grad)], axis=-1)
-    elif om.variant == "ros":
-        eps = _mv(om.basis.T, grad + _mv(prog.h_eq.T, mu))
-        mu_dot = eq_violation
+    nu = state[..., :n_ic]
+    if n_ic:
+        grad = prog.lagrangian_grad(y, w, nu)
+        nu_dot = np.maximum(nu + prog.ineq_values(y, w), 0.0) - nu
     else:
-        eps = eq_violation + _mv(om.basis.T, grad)
-    return np.concatenate([nu_dot, mu_dot], axis=-1), eps
+        grad, nu_dot = prog.objective_grad(y, w), nu
+    eq_violation = _mv(prog.h_eq, y) - _mv(prog.l_eq, w) if n_ec else y[..., :0]
+
+    if om.variant == "ros":
+        eps = _mv(om.basis_t, grad + (_mv(om.h_eq_t, state[..., n_ic:]) if n_ec else 0.0))
+        mu_dot = eq_violation
+        return (np.concatenate([nu_dot, mu_dot], axis=-1) if n_ic else mu_dot), eps
+    eps = _mv(om.basis_t, grad)
+    if om.variant == "rfs":
+        eps = np.concatenate([eq_violation, eps], axis=-1) if n_ec else eps
+    else:
+        eps = eq_violation + eps
+    return nu_dot, eps
 
 
 def gather_broadcast_input(a_coeffs, b_coeffs, eta) -> np.ndarray:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import shutil
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -65,6 +67,16 @@ def _decode_vector(obj, what: str) -> np.ndarray:
     if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{what}: entries must be finite")
     return arr
+
+
+def _field(block, key: str, where: str):
+    """``block[key]`` of the JSON object at dotted path ``where``; a missing
+    field or a block that is not an object is a ValueError naming the path."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be an object, got {type(block).__name__}")
+    if key not in block:
+        raise ValueError(f"{where}.{key} is missing")
+    return block[key]
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -130,10 +142,11 @@ def _build_plant(spec: dict, network: power.PowerNetwork | None) -> UncertainPla
 
 
 def _tracking_objective(params: dict):
-    p_m = int(params["p_m"])
-    theta = float(params["theta"])
+    where = "program.objective.params"
+    p_m = int(_field(params, "p_m", where))
+    theta = float(_field(params, "theta", where))
     beta = float(params.get("beta", 20.0))
-    r_idx = [int(i) for i in params["r_indices"]]
+    r_idx = np.asarray([int(i) for i in _field(params, "r_indices", where)], dtype=np.intp)
 
     def f0(y, w):
         y = np.asarray(y, dtype=float).ravel()
@@ -145,7 +158,7 @@ def _tracking_objective(params: dict):
     def grad_f0(y, w):
         y = np.asarray(y, dtype=float).ravel()
         v = y[:p_m] - np.asarray(w, dtype=float).ravel()[r_idx]
-        nv = np.linalg.norm(v)
+        nv = math.sqrt(v @ v)  # what np.linalg.norm computes for a real vector
         g = np.empty_like(y)
         g[:p_m] = v / nv if nv > 0 else 0.0
         g[p_m:] = theta * np.tanh(beta * y[p_m:])
@@ -164,11 +177,13 @@ def _build_program(spec: dict, network: power.PowerNetwork | None, p_hint: int,
     h = _decode_matrix(spec["h"], "program.h") if "h" in spec else None
     l = _decode_matrix(spec["l"], "program.l") if "l" in spec else None
     ineqs = []
-    for item in spec.get("inequalities", []):
-        if item.get("name") != "affine":
-            raise ValueError(f"unknown inequality kind {item.get('name')!r}")
-        g = _decode_vector(item["params"]["g"], "inequality.g")
-        offset = float(item["params"].get("offset", 0.0))
+    for i, item in enumerate(spec.get("inequalities", [])):
+        where = f"program.inequalities[{i}]"
+        if _field(item, "name", where) != "affine":
+            raise ValueError(f"{where}.name: unknown inequality kind {item['name']!r}")
+        params = _field(item, "params", where)
+        g = _decode_vector(_field(params, "g", f"{where}.params"), f"{where}.params.g")
+        offset = float(params.get("offset", 0.0))
 
         def f(y, w, g=g, offset=offset):
             return float(g @ np.asarray(y, dtype=float).ravel() - offset)
@@ -180,17 +195,18 @@ def _build_program(spec: dict, network: power.PowerNetwork | None, p_hint: int,
     if "qp" in spec:
         qp = spec["qp"]
         return ConvexProgram.from_qp(
-            _decode_matrix(qp["m"], "program.qp.m"),
-            _decode_matrix(qp["n"], "program.qp.n"),
+            _decode_matrix(_field(qp, "m", "program.qp"), "program.qp.m"),
+            _decode_matrix(_field(qp, "n", "program.qp"), "program.qp.n"),
             n_w=n_w, h_eq=h, l_eq=l,
             c=_decode_vector(qp["c"], "program.qp.c") if "c" in qp else None,
             inequalities=ineqs,
         )
-    obj = spec["objective"]
-    if obj["name"] == "l2_tracking_plus_smooth_l1":
-        f0, grad_f0 = _tracking_objective(obj["params"])
+    obj = _field(spec, "objective", "program")
+    name = _field(obj, "name", "program.objective")
+    if name == "l2_tracking_plus_smooth_l1":
+        f0, grad_f0 = _tracking_objective(_field(obj, "params", "program.objective"))
     else:
-        raise ValueError(f"unknown objective {obj['name']!r}")
+        raise ValueError(f"program.objective.name: unknown objective {name!r}")
     prog = ConvexProgram.from_callables(p_hint, n_w, f0, grad_f0, h_eq=h, l_eq=l,
                                         inequalities=ineqs)
     check_gradients(prog, np.zeros(n_w), np.random.default_rng(0))
@@ -266,7 +282,7 @@ def _build_controller(doc: dict, up: UncertainPlant, prog: ConvexProgram,
     """Resolve (om, stabilizer, controller_kind, gb_weights, program) for one variant."""
     if "controller" in doc:
         ctrl = doc["controller"]
-        name = ctrl["name"]
+        name = _field(ctrl, "name", "controller")
         if network is None:
             raise ValueError("named controllers need a network block")
         if name == "dapi":
@@ -275,6 +291,9 @@ def _build_controller(doc: dict, up: UncertainPlant, prog: ConvexProgram,
         if name == "novel":
             weights = ctrl.get("c", [1.0 / network.n] * network.n)
             gains = ctrl.get("gains")
+            if gains is not None:
+                for key in ("k1", "k2", "k3"):
+                    _field(gains, key, "controller.gains")
             om, stab = power.build_novel_freq_controller(network, weights, gains)
             if stab is None:
                 stab = _lqr(up, om, ctrl.get("lqr", {}))
@@ -288,7 +307,7 @@ def _build_controller(doc: dict, up: UncertainPlant, prog: ConvexProgram,
     om_spec = doc.get("om")
     if om_spec is None:
         raise ValueError("scenario needs an om block or a controller block")
-    variant = om_spec["variant"]
+    variant = _field(om_spec, "variant", "om")
     basis = _resolve_basis(om_spec.get("basis", "auto"), up, prog, variant)
     om = OptimalityModel(variant=variant, basis=basis, program=prog)
 
@@ -358,6 +377,9 @@ def load_scenario(source) -> Scenario:
     network = None
     if "network" in doc:
         net = doc["network"]
+        for key in ("n", "edges", "inertia", "damping", "susceptance", "p_star", "cost_a",
+                    "cost_b", "laplacian"):
+            _field(net, key, "network")
         network = power.PowerNetwork(
             n=int(net["n"]),
             edges=tuple(tuple(e) for e in net["edges"]),
@@ -388,6 +410,9 @@ def load_scenario(source) -> Scenario:
             vprog = _build_program(merged["program"], network, pm0.p, pm0.n_w)
         om, stab, kind, gb_w, vprog = _build_controller(merged, up, vprog, network)
         sim = merged.get("sim")
+        if sim is not None:
+            for key in ("h", "t_end"):
+                _field(sim, key, "sim")
         plans.append(VariantPlan(
             name=vdoc.get("name", "main"),
             om=om, stabilizer=stab, controller_kind=kind, gb_weights=gb_w,
@@ -797,9 +822,16 @@ def run_scenario(sc: Scenario, variant: str | None = None, out_dir=None,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         multi = len(trajectories) > 1
+        # a sweep sample at the variant's own delta is the variant's trajectory:
+        # format it once, copy the file for the alias
+        written: dict[int, Path] = {}
         for vname, traj in trajectories.items():
             fname = f"{sc.name}--{vname}.csv" if multi or vname != "main" else f"{sc.name}.csv"
-            traj.to_csv(out / fname)
+            if id(traj) in written:
+                shutil.copyfile(written[id(traj)], out / fname)
+            else:
+                traj.to_csv(out / fname)
+                written[id(traj)] = out / fname
             report.info.append(f"wrote {fname}")
     return report, trajectories
 

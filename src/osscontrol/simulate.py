@@ -12,14 +12,15 @@ reads the eps rows of the model's linear maps (``OptimalityModel.linear_maps``).
 Integration is classical fixed-step RK4: deterministic, bit-stable for fixed
 inputs, so golden traces are byte-reproducible.  For fully affine loops the
 four stages collapse to a precomputed linear step map, which is the same
-update in exact arithmetic, and divergence is checked once per block of
-ROW_BLOCK steps; a block that may hold a diverged state is rescanned step by
-step, so the truncation step is the one a per-step check would find.
+update in exact arithmetic.  Both the step map and the four-stage step run in
+one loop that checks divergence once per block of ROW_BLOCK steps; a block
+that may hold a diverged state is rescanned step by step, so the truncation
+step is the one a per-step check would find.
 
 ``assemble`` writes the loop's input and output map once, as ``evaluate``:
-one state (n_state,) or a row stack (k, n_state) to (u, y, state_dot, eps),
-through ``om_dynamics``.  ``rhs`` adds the plant derivative, at one state
-or a row stack; ``outputs`` maps a (k, n_state) array to row-stacked
+one state (n_state,) or a row stack (k, n_state) to (x, u, y, state_dot,
+eps), through ``om_dynamics``.  ``rhs`` adds the plant derivative, at one
+state or a row stack; ``outputs`` maps a (k, n_state) array to row-stacked
 (y, u, eps, cost), ROW_BLOCK rows at a time, affine or not.  Row-stacked
 matrix-vector products make the same BLAS call per row as for one state, so
 row i of a stacked result is bit-identical to evaluating state i alone.  An
@@ -158,23 +159,25 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer
         u_offset = np.zeros(m)
 
     def evaluate(z: np.ndarray):
-        """(u, y, state_dot, eps) at one state (n_state,) or a row stack (k, n_state)."""
+        """(x, u, y, state_dot, eps) at one state (n_state,) or a row stack
+        (k, n_state); x is the plant block of z."""
+        x = z[..., :n]
         # + 0.0 normalizes negative zero so traces of resting loops read cleanly
         u = -_mv(u_gain, z) - u_offset + 0.0
-        y = _mv(pm.c, z[..., :n]) + _mv(pm.d, u) + qw
+        y = _mv(pm.c, x) + _mv(pm.d, u) + qw
         state_dot, eps = om_dynamics(om, y, w, z[..., n: n + n_om])
-        return u, y, state_dot, eps
+        return x, u, y, state_dot, eps
 
     def rhs(_t: float, z: np.ndarray) -> np.ndarray:
-        u, _, state_dot, eps = evaluate(z)
-        x_dot = _mv(pm.a, z[..., :n]) + _mv(pm.b, u) + bw_w
+        x, u, _, state_dot, eps = evaluate(z)
+        x_dot = _mv(pm.a, x) + _mv(pm.b, u) + bw_w
         return np.concatenate([x_dot, state_dot, eps], axis=-1)
 
     def outputs(zs: np.ndarray):
         k = zs.shape[0]
         out = (np.empty((k, pm.p)), np.empty((k, m)), np.empty((k, n_eta)), np.empty(k))
         for lo in range(0, k, ROW_BLOCK):
-            u, y, _, eps = evaluate(zs[lo: lo + ROW_BLOCK])
+            _, u, y, _, eps = evaluate(zs[lo: lo + ROW_BLOCK])
             for arr, part in zip(out, (y, u, eps, prog.objective_value(y, w))):
                 arr[lo: lo + ROW_BLOCK] = part
         return out
@@ -228,38 +231,39 @@ def integrate_rk4(sys: ClosedLoopSystem, z0, t_end: float, h: float) -> Trajecto
     z = np.asarray(z0, dtype=float).reshape(sys.n_state).copy()
     states = np.empty((steps + 1, sys.n_state))
     states[0] = z
-    diverged = False
-    last = steps
     if sys.affine is not None:
         phi, psi = _rk4_step_map(*sys.affine, h)
-        # A block may run past the divergence step into overflow; those
-        # states are discarded, so their floating-point warnings are too.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, steps, ROW_BLOCK):
-                hi = min(lo + ROW_BLOCK, steps)
-                for k in range(lo, hi):
-                    z = phi @ z + psi
-                    states[k + 1] = z
-                block = states[lo + 1: hi + 1]
-                # A state _diverged flags has a nan or inf sum of squares, or
-                # one above LIMIT**2, four times this bound; a block passing
-                # the bound therefore holds none and needs no exact scan.
-                if (np.einsum("ij,ij->i", block, block) <= (0.5 * DIVERGENCE_LIMIT) ** 2).all():
-                    continue
-                hit = next((k for k in range(lo + 1, hi + 1) if _diverged(states[k])), None)
-                if hit is not None:
-                    diverged, last = True, hit
-                    break
+
+        def step(z):
+            return phi @ z + psi
     else:
-        for k in range(steps):
-            k1 = sys.rhs(0.0, z)
-            k2 = sys.rhs(0.0, z + 0.5 * h * k1)
-            k3 = sys.rhs(0.0, z + 0.5 * h * k2)
-            k4 = sys.rhs(0.0, z + h * k3)
-            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            states[k + 1] = z
-            if _diverged(z):
-                diverged, last = True, k + 1
+        rhs, half, sixth = sys.rhs, 0.5 * h, h / 6.0
+
+        def step(z):
+            k1 = rhs(0.0, z)
+            k2 = rhs(0.0, z + half * k1)
+            k3 = rhs(0.0, z + half * k2)
+            k4 = rhs(0.0, z + h * k3)
+            return z + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    diverged, last = False, steps
+    # A block may run past the divergence step into overflow; those states
+    # are discarded, so their floating-point warnings are too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, steps, ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, steps)
+            for k in range(lo, hi):
+                z = step(z)
+                states[k + 1] = z
+            block = states[lo + 1: hi + 1]
+            # A state _diverged flags has a nan or inf sum of squares, or one
+            # above LIMIT**2, four times this bound; a block passing the bound
+            # therefore holds none and needs no exact scan.
+            if (np.einsum("ij,ij->i", block, block) <= (0.5 * DIVERGENCE_LIMIT) ** 2).all():
+                continue
+            hit = next((k for k in range(lo + 1, hi + 1) if _diverged(states[k])), None)
+            if hit is not None:
+                diverged, last = True, hit
                 break
     states = states[: last + 1]
     times = np.arange(last + 1) * h

@@ -3,8 +3,8 @@
 Everything is driven by an explicit numpy Generator so test runs are
 reproducible; "generate until valid" loops are bounded.  The reference
 formulas (DC gain, KKT residual, the hand-written augmented plant of each
-optimality-model variant) are independent routes that tests compare the
-package against.
+optimality-model variant, the optimality model with its empty products) are
+independent routes that tests compare the package against.
 """
 
 from __future__ import annotations
@@ -152,3 +152,28 @@ def bundled_qp_variants():
             om = plan.om
             if om is not None and om.program.is_qp and not om.program.n_ic:
                 yield sc, plan
+
+
+def om_dynamics_by_hand(om, y, w, state) -> tuple[np.ndarray, np.ndarray]:
+    """``(state_dot, eps)`` of an optimality model at one point, every product
+    written out, the empty ones included: without equality rows ``H y - L w``
+    and ``H' mu`` are products over an empty dimension (an empty vector and
+    +0.0 entries), and ``[nu; mu]`` is always concatenated."""
+    prog, basis = om.program, om.basis
+    y, w, state = (np.asarray(a, dtype=float).ravel() for a in (y, w, state))
+    nu, mu = state[:prog.n_ic], state[prog.n_ic:]
+    grad = prog.lagrangian_grad(y, w, nu)
+    nu_dot = np.maximum(nu + prog.ineq_values(y, w), 0.0) - nu if prog.n_ic else nu
+    violation = prog.h_eq @ y - prog.l_eq @ w
+    if om.variant == "rfs":
+        return np.concatenate([nu_dot, mu]), np.concatenate([violation, basis.T @ grad])
+    if om.variant == "ros":
+        return np.concatenate([nu_dot, violation]), basis.T @ (grad + prog.h_eq.T @ mu)
+    return np.concatenate([nu_dot, mu]), violation + basis.T @ grad
+
+
+def assert_bits_equal(got, want, what):
+    """Same shape, same values and same signs of zero."""
+    assert got.shape == want.shape, what
+    assert np.array_equal(got, want), what
+    assert np.array_equal(np.signbit(got), np.signbit(want)), f"{what}: signed zeros"

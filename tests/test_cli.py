@@ -58,6 +58,32 @@ def edit(doc, path, value):
                  "variants[0].expect[0].tol", id="missing-tol"),
     pytest.param("tracking-sparse", ("variants", 0, "expect", 1, "index"), DELETE,
                  "variants[0].expect[1].index", id="missing-index"),
+    # each field a block builder reads unconditionally, missing
+    pytest.param("tracking-sparse", ("sim", "h"), DELETE, "sim.h is missing", id="missing-sim-h"),
+    pytest.param("no-hurwitz", ("sim", "t_end"), DELETE, "sim.t_end is missing",
+                 id="missing-sim-t_end"),
+    pytest.param("tracking-sparse", ("program", "objective", "params", "theta"), DELETE,
+                 "program.objective.params.theta is missing", id="missing-theta"),
+    pytest.param("tracking-sparse", ("program", "objective", "name"), DELETE,
+                 "program.objective.name is missing", id="missing-objective-name"),
+    pytest.param("tracking-sparse", ("program", "objective"), DELETE,
+                 "program.objective is missing", id="missing-objective"),
+    pytest.param("no-hurwitz", ("program", "qp", "m"), DELETE, "program.qp.m is missing",
+                 id="missing-qp-m"),
+    pytest.param("no-hurwitz", ("program", "inequalities"), [{"name": "affine"}],
+                 "program.inequalities[0].params is missing", id="missing-inequality-params"),
+    pytest.param("tracking-sparse", ("om", "variant"), DELETE, "om.variant is missing",
+                 id="missing-om-variant"),
+    pytest.param("no-hurwitz", ("stabilizer", "gains"), DELETE, "stabilizer block needs",
+                 id="missing-stabilizer-gains"),
+    pytest.param("power-dapi", ("controller", "name"), DELETE, "controller.name is missing",
+                 id="missing-controller-name"),
+    pytest.param("power-novel", ("controller", "gains"), {"k1": [1.0]},
+                 "controller.gains.k2 is missing", id="missing-controller-gain"),
+    pytest.param("power-dapi", ("network", "p_star"), DELETE, "network.p_star is missing",
+                 id="missing-network-field"),
+    pytest.param("no-hurwitz", ("plant", "matrices"), DELETE, "plant needs a builder",
+                 id="missing-plant-matrices"),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
     doc = json.loads(scenarios.bundled_path(name).read_text())

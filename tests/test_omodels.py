@@ -10,6 +10,8 @@ import pytest
 from osscontrol.omodels import OptimalityModel, om_dynamics
 from osscontrol.optprob import ConvexProgram
 
+from helpers import assert_bits_equal, om_dynamics_by_hand
+
 M_COST = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])
 N_COST = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, -1.0]])
 C_LIN = np.array([0.5, -1.0, 0.25])
@@ -96,6 +98,29 @@ def test_stacked_objective_equals_per_row_values():
     np.testing.assert_array_equal(prog.objective_grad(ys, W),
                                   [prog.objective_grad(y, W) for y in ys])
     assert isinstance(prog.objective_value(ys[0], W), float)
+
+
+def empty_dimension_model(variant):
+    """A model with no equality rows and no inequalities (n_ec = n_ic = 0),
+    whose objective gradient is y itself, negative zeros included."""
+    prog = ConvexProgram.from_callables(3, 2, lambda y, w: 0.5 * float(y @ y),
+                                        lambda y, w: np.array(y, dtype=float))
+    basis = np.zeros((3, 0)) if variant == "rerfs" else BASES[variant]
+    return OptimalityModel(variant=variant, basis=basis, program=prog)
+
+
+@pytest.mark.parametrize("variant", sorted(BASES))
+def test_empty_dimensions_match_the_explicit_empty_products(variant):
+    om = empty_dimension_model(variant)
+    assert (om.n_ec, om.n_ic, om.state_dim) == (0, 0, 0)
+    ys = np.array([[-0.0, 1.5, -0.0], [0.0, -0.0, -2.0], [-0.0, -0.0, -0.0], [0.25, 0.0, 3.0]])
+    states = np.zeros((len(ys), 0))
+    want = [om_dynamics_by_hand(om, y, W, s) for y, s in zip(ys, states)]
+    for i, (y, s) in enumerate(zip(ys, states)):
+        for got, ref, what in zip(om_dynamics(om, y, W, s), want[i], ("state_dot", "eps")):
+            assert_bits_equal(got, ref, f"{variant} point {i} {what}")
+    for got, ref, what in zip(om_dynamics(om, ys, W, states), zip(*want), ("state_dot", "eps")):
+        assert_bits_equal(got, np.array(ref), f"{variant} stack {what}")
 
 
 def test_state_of_the_wrong_size_is_rejected():

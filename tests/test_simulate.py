@@ -18,9 +18,12 @@ from osscontrol.simulate import (
     DIVERGENCE_LIMIT,
     ROW_BLOCK,
     ClosedLoopSystem,
+    Trajectory,
     _rk4_step_map,
     integrate_rk4,
 )
+
+from helpers import assert_bits_equal
 
 # SHA-256 of every CSV trace `oss run` writes for the affine scenarios (with
 # --sweep for the multi-sample ones), recorded before the row-stacked outputs.
@@ -94,12 +97,6 @@ def gather_broadcast_reference(net, weights, zs):
     return tuple(np.array(col) for col in zip(*rows))
 
 
-def assert_bits_equal(got, want, what):
-    assert got.shape == want.shape, what
-    assert np.array_equal(got, want), what
-    assert np.array_equal(np.signbit(got), np.signbit(want)), f"{what}: signed zeros"
-
-
 @pytest.mark.parametrize("name", scenarios.bundled_scenarios())
 def test_stacked_outputs_match_per_row_reference(name):
     sc = load(name)
@@ -160,14 +157,27 @@ def diagonal_loop(rates, offset=None):
 
 
 def per_step_reference(sys, z0, steps, h):
-    """Iterate the RK4 step map, checking every state as integrate_rk4 did
-    before divergence was checked per block.  Returns (last, diverged, states)."""
-    phi, psi = _rk4_step_map(*sys.affine, h)
+    """Take one RK4 step at a time, checking every state as integrate_rk4 did
+    before divergence was checked per block: the step map of an affine loop,
+    the four stages of ``rhs`` otherwise.  Returns (last, diverged, states)."""
+    if sys.affine is not None:
+        phi, psi = _rk4_step_map(*sys.affine, h)
+
+        def step(z):
+            return phi @ z + psi
+    else:
+        def step(z):
+            k1 = sys.rhs(0.0, z)
+            k2 = sys.rhs(0.0, z + 0.5 * h * k1)
+            k3 = sys.rhs(0.0, z + 0.5 * h * k2)
+            k4 = sys.rhs(0.0, z + h * k3)
+            return z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
     z = np.asarray(z0, dtype=float)
     states = [z]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            z = phi @ z + psi
+            z = step(z)
             states.append(z)
             if not np.isfinite(z).all() or np.linalg.norm(z) > DIVERGENCE_LIMIT:
                 return k + 1, True, np.array(states)
@@ -203,18 +213,21 @@ DIVERGENCE_CASES = {
 
 @pytest.mark.parametrize("case", list(DIVERGENCE_CASES))
 def test_block_divergence_check_truncates_at_the_per_step_state(case):
-    sys, z0, expect_last = DIVERGENCE_CASES[case]
-    want_last, want_diverged, want_states = per_step_reference(sys, z0, STEPS, H)
-    # the hand-built case really diverges where its name says
-    assert want_last == (STEPS if expect_last is None else expect_last)
-    assert want_diverged == (expect_last is not None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        traj = integrate_rk4(sys, z0, STEPS * H, H)
-    assert len(traj.times) - 1 == want_last
-    assert traj.diverged == want_diverged
-    np.testing.assert_array_equal(traj.states, want_states)
-    np.testing.assert_array_equal(traj.y, want_states)
+    loop, z0, expect_last = DIVERGENCE_CASES[case]
+    # the step map, and the four-stage step integrate_rk4 takes on nonlinear loops
+    for route, sys in (("step map", loop),
+                       ("four stages", dataclasses.replace(loop, affine=None))):
+        want_last, want_diverged, want_states = per_step_reference(sys, z0, STEPS, H)
+        # the hand-built case really diverges where its name says
+        assert want_last == (STEPS if expect_last is None else expect_last), route
+        assert want_diverged == (expect_last is not None), route
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = integrate_rk4(sys, z0, STEPS * H, H)
+        assert len(traj.times) - 1 == want_last, route
+        assert traj.diverged == want_diverged, route
+        np.testing.assert_array_equal(traj.states, want_states, err_msg=route)
+        np.testing.assert_array_equal(traj.y, want_states, err_msg=route)
 
 
 # -- bundled scenario claims ------------------------------------------------------
@@ -239,8 +252,6 @@ def test_affine_scenario_run_passes_with_golden_traces(name, tmp_path):
 
 
 def test_tracking_sparse_check_passes():
-    # `run` integrates 40k nonlinear RK4 steps (several seconds); only the
-    # analysis checks run here until its right-hand side is made cheap.
     sc = load("tracking-sparse")
     report = scenarios.check_scenario(sc)
     assert report.exit_code == 0, report.render()
@@ -260,6 +271,27 @@ TRACKING_SPARSE_SHORT = {
 }
 
 
+# SHA-256 of tracking-sparse's traces over its full 40 s horizon (20 000
+# nonlinear RK4 steps per variant), as in perfbench/reference.json.
+TRACKING_SPARSE_FULL = {
+    "tracking-sparse--theta-sparse.csv":
+        "d7974bc72270e84319b7d1a19cda2ab947183a222250ad2b85a7622db37e63a4",
+    "tracking-sparse--theta-tiny.csv":
+        "5b016163e309320edb7081db186873b5e425df13a7f963e8d7d664bd46d187c8",
+}
+
+
+def test_tracking_sparse_run_passes_with_full_horizon_traces(tmp_path):
+    sc = load("tracking-sparse")
+    report, _ = scenarios.run_scenario(sc, out_dir=tmp_path)
+    assert report.exit_code == 0, report.render()
+    # ros, then final_err and final_input_abs in each variant
+    assert [(r.kind, r.variant) for r in report.results] == expected_checks(sc, sc.variants)
+    traces = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in sorted(tmp_path.glob("*.csv"))}
+    assert traces == TRACKING_SPARSE_FULL
+
+
 def test_tracking_sparse_short_run_traces(tmp_path):
     # the claims need the full 40 s horizon; at 2 s only the traces are pinned
     scenarios.run_scenario(load("tracking-sparse"), out_dir=tmp_path, t_end=2.0)
@@ -268,11 +300,25 @@ def test_tracking_sparse_short_run_traces(tmp_path):
     assert traces == TRACKING_SPARSE_SHORT
 
 
-def test_sweep_reuses_the_variant_trajectory():
+def test_sweep_reuses_the_variant_trajectory(tmp_path, monkeypatch):
+    written = []
+    to_csv = Trajectory.to_csv
+
+    def counting(traj, path):
+        written.append(Path(path).name)
+        return to_csv(traj, path)
+
+    monkeypatch.setattr(Trajectory, "to_csv", counting)
     sc = load("power-dapi")
-    _, trajectories = scenarios.run_scenario(sc, t_end=1.0, sweep=True)
+    _, trajectories = scenarios.run_scenario(sc, out_dir=tmp_path, t_end=1.0, sweep=True)
     assert trajectories["main--delta0"] is trajectories["main"]
     assert trajectories["main--delta1"] is not trajectories["main"]
+    # the reused trajectory is formatted once; its second file is a copy
+    files = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert len(files) == len(trajectories) == len(written) + 1
+    assert "power-dapi--main--delta0.csv" not in written
+    assert ((tmp_path / "power-dapi--main--delta0.csv").read_bytes()
+            == (tmp_path / "power-dapi--main.csv").read_bytes())
 
 
 def test_check_builds_one_closed_loop_matrix_per_delta(monkeypatch):
