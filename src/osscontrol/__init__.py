@@ -26,12 +26,10 @@ from .optprob import (
     QPData,
     nonredundant_check,
     oracle_optimal_output,
-    smooth_norm,
     unique_optimizer_check,
 )
 from .subspaces import (
     EquilibriumGeometry,
-    check_prop6_detectability_condition,
     check_rerfs_range_condition,
     check_rfs,
     check_robust_full_rank,
@@ -46,13 +44,11 @@ from .omodels import (
 from .stabilize import (
     ConditionReport,
     Stabilizer,
-    pbh_detectable,
     pbh_stabilizable,
     prop4_check,
     prop5_check,
     prop6_check,
     synthesize_lqr,
-    theorem1_check,
 )
 from .simulate import (
     ClosedLoopSystem,

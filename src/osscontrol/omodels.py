@@ -108,8 +108,7 @@ def om_dynamics(om: OptimalityModel, y, w, state) -> tuple[np.ndarray, np.ndarra
 
     Reads the layout fixed when ``om`` was built and skips empty dimensions
     exactly: without equality rows the violation is an empty slice and
-    ``H' mu`` is ``+ 0.0``, which keeps the -0.0 -> +0.0 normalization of the
-    empty product; without inequality or multiplier state nothing is
+    ``H' mu`` is left out; without inequality or multiplier state nothing is
     concatenated.
     """
     y = np.asarray(y, dtype=float)
@@ -129,7 +128,7 @@ def om_dynamics(om: OptimalityModel, y, w, state) -> tuple[np.ndarray, np.ndarra
     eq_violation = _mv(prog.h_eq, y) - _mv(prog.l_eq, w) if n_ec else y[..., :0]
 
     if om.variant == "ros":
-        eps = _mv(om.basis_t, grad + (_mv(om.h_eq_t, state[..., n_ic:]) if n_ec else 0.0))
+        eps = _mv(om.basis_t, (grad + _mv(om.h_eq_t, state[..., n_ic:])) if n_ec else grad)
         mu_dot = eq_violation
         return (np.concatenate([nu_dot, mu_dot], axis=-1) if n_ic else mu_dot), eps
     eps = _mv(om.basis_t, grad)

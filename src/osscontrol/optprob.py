@@ -263,42 +263,6 @@ def nonredundant_check(gperp, h_eq, tol: float = 1e-10) -> tuple[bool, float]:
     return rank_decision(stack, stack.shape[0], tol)
 
 
-# -- smooth norms ----------------------------------------------------------------
-
-
-def smooth_norm(kind: str, y, beta: float = 20.0) -> tuple[float, np.ndarray]:
-    """Differentiable norms and norm surrogates: value and gradient at y.
-
-    - "l2": Euclidean norm, gradient guarded to 0 at the origin.
-    - "l1_logcosh": (1/beta) sum log cosh(beta y_i), a smooth |.|_1 surrogate.
-    - "linf_logsumexp": (1/beta) log sum_i (e^{beta y_i} + e^{-beta y_i})
-      - (1/beta) log(2p), a smooth max-abs surrogate (zero at the origin).
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    if kind == "l2":
-        nrm = float(np.linalg.norm(y))
-        grad = y / nrm if nrm > 0 else np.zeros_like(y)
-        return nrm, grad
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if kind == "l1_logcosh":
-        s = beta * y
-        # log cosh(s) = |s| + log1p(exp(-2|s|)) - log 2, overflow-safe
-        val = float(np.sum(np.abs(s) + np.log1p(np.exp(-2.0 * np.abs(s))) - np.log(2.0)) / beta)
-        return val, np.tanh(s)
-    if kind == "linf_logsumexp":
-        from scipy.special import logsumexp
-
-        s = beta * y
-        z = np.concatenate([s, -s])
-        lse = float(logsumexp(z))
-        val = (lse - np.log(2.0 * y.size)) / beta
-        soft = np.exp(z - lse)
-        grad = soft[: y.size] - soft[y.size:]
-        return val, grad
-    raise ValueError(f"unknown smooth norm kind {kind!r}")
-
-
 # -- optimizer oracle --------------------------------------------------------------
 
 
@@ -352,26 +316,6 @@ def _newton_kkt(residual, x0, max_iter: int = 60, tol: float = 1e-12):
         else:
             return None
     return x if np.linalg.norm(residual(x)) <= 1e-9 * scale else None
-
-
-def _reduced_solve_scipy(prog, w, y_p, gm, hg, r_h):
-    """Robust fallback: minimize over the equality-feasible slice with scipy."""
-    from scipy.optimize import minimize
-
-    z_basis = null_basis(hg).basis if hg.shape[0] else np.eye(gm.shape[1])
-    v0 = solve_linear(hg, r_h) if hg.shape[0] else np.zeros(gm.shape[1])
-
-    def fun(t):
-        v = v0 + z_basis @ t
-        return prog.objective_value(y_p + gm @ v, w)
-
-    def jac(t):
-        v = v0 + z_basis @ t
-        return z_basis.T @ (gm.T @ prog.objective_grad(y_p + gm @ v, w))
-
-    res = minimize(fun, np.zeros(z_basis.shape[1]), jac=jac, method="BFGS",
-                   options={"gtol": 1e-12, "maxiter": 2000})
-    return v0 + z_basis @ res.x
 
 
 def oracle_optimal_output(prog: ConvexProgram, pm: PlantMatrices, w,
@@ -473,12 +417,7 @@ def oracle_optimal_output(prog: ConvexProgram, pm: PlantMatrices, w,
                 parts.append(np.array([float(prog.inequalities[i][0](y, w)) for i in active]))
             return np.concatenate(parts)
 
-        x0 = np.zeros(k + n_ec + na)
-        sol = _newton_kkt(residual, x0)
-        if sol is None and not prog.is_qp and na == 0:
-            v_guess = _reduced_solve_scipy(prog, w, y_p, gm, hg, r_h)
-            x0 = np.concatenate([v_guess, np.zeros(n_ec)])
-            sol = _newton_kkt(residual, x0)
+        sol = _newton_kkt(residual, np.zeros(k + n_ec + na))
         if sol is None:
             return None
         v = sol[:k]

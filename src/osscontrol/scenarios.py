@@ -29,10 +29,10 @@ from . import power
 from .errors import OssError
 from .matlib import eigenvalues, numerical_rank, range_basis, subspace_equal
 from .omodels import OptimalityModel
-from .optprob import ConvexProgram, check_gradients, oracle_optimal_output, smooth_norm
+from .optprob import ConvexProgram, check_gradients, oracle_optimal_output
 from .plant import PlantMatrices, UncertainPlant, build_augmented_qp, eval_plant
 from .simulate import ClosedLoopSystem, Trajectory, assemble, convergence_metrics, equilibrium_solve, integrate_rk4
-from .stabilize import Stabilizer, pbh_detectable, pbh_stabilizable, prop4_check, prop5_check, prop6_check, synthesize_lqr
+from .stabilize import Stabilizer, augmented_pbh, prop4_check, prop5_check, prop6_check, synthesize_lqr
 from .subspaces import check_rfs, check_robust_full_rank, check_ros, equilibrium_geometry
 
 BUNDLED_NAMES = (
@@ -77,6 +77,16 @@ def _field(block, key: str, where: str):
     if key not in block:
         raise ValueError(f"{where}.{key} is missing")
     return block[key]
+
+
+def _number(value, where: str, positive: bool = False) -> float:
+    """``value`` as a float; anything but a finite number (or, with
+    ``positive``, a positive one) is a ValueError naming ``where``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (positive and value <= 0)):
+        raise ValueError(f"{where} must be a {'positive' if positive else 'finite'} "
+                         f"number, got {value!r}")
+    return float(value)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -142,18 +152,23 @@ def _build_plant(spec: dict, network: power.PowerNetwork | None) -> UncertainPla
 
 
 def _tracking_objective(params: dict):
+    """``(f0, grad_f0)`` of ``|y_m - r| + theta (1/beta) sum_i log cosh(beta y_i)``:
+    the Euclidean tracking error of the first ``p_m`` outputs plus a smooth
+    l1 surrogate on the rest."""
     where = "program.objective.params"
     p_m = int(_field(params, "p_m", where))
     theta = float(_field(params, "theta", where))
-    beta = float(params.get("beta", 20.0))
+    beta = _number(params.get("beta", 20.0), f"{where}.beta", positive=True)
     r_idx = np.asarray([int(i) for i in _field(params, "r_indices", where)], dtype=np.intp)
+    log2 = np.log(2.0)
 
     def f0(y, w):
         y = np.asarray(y, dtype=float).ravel()
-        rm = np.asarray(w, dtype=float).ravel()[r_idx]
-        val_l2, _ = smooth_norm("l2", y[:p_m] - rm)
-        val_l1, _ = smooth_norm("l1_logcosh", y[p_m:], beta)
-        return val_l2 + theta * val_l1
+        l2 = float(np.linalg.norm(y[:p_m] - np.asarray(w, dtype=float).ravel()[r_idx]))
+        s = np.abs(beta * y[p_m:])
+        # log cosh(s) = |s| + log1p(exp(-2|s|)) - log 2, overflow-safe
+        l1 = float(np.sum(s + np.log1p(np.exp(-2.0 * s)) - log2) / beta)
+        return l2 + theta * l1
 
     def grad_f0(y, w):
         y = np.asarray(y, dtype=float).ravel()
@@ -268,12 +283,15 @@ class Scenario:
         raise KeyError(f"scenario {self.name} has no variant {name!r}")
 
 
-def _lqr(up: UncertainPlant, om: OptimalityModel, spec: dict) -> Stabilizer:
-    """LQR gains for the augmented plant at the nominal delta, weights q I and r I."""
+def _lqr(up: UncertainPlant, om: OptimalityModel, spec, where: str) -> Stabilizer:
+    """LQR gains for the augmented plant at the nominal delta, weights q I and
+    r I from the ``lqr`` block ``spec`` at dotted path ``where``."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be an object, got {type(spec).__name__}")
     pm = eval_plant(up, up.nominal)
     aug = build_augmented_qp(pm, om)
-    q = float(spec.get("q", 1.0)) * np.eye(aug.n_state)
-    r = float(spec.get("r", 1.0)) * np.eye(pm.m)
+    q = _number(spec.get("q", 1.0), f"{where}.q") * np.eye(aug.n_state)
+    r = _number(spec.get("r", 1.0), f"{where}.r") * np.eye(pm.m)
     return synthesize_lqr(aug, q, r)
 
 
@@ -296,7 +314,7 @@ def _build_controller(doc: dict, up: UncertainPlant, prog: ConvexProgram,
                     _field(gains, key, "controller.gains")
             om, stab = power.build_novel_freq_controller(network, weights, gains)
             if stab is None:
-                stab = _lqr(up, om, ctrl.get("lqr", {}))
+                stab = _lqr(up, om, ctrl.get("lqr", {}), "controller.lqr")
             return om, stab, "standard", None, om.program
         if name == "gather_broadcast":
             weights = np.asarray(ctrl.get("c", [1.0 / network.n] * network.n), dtype=float)
@@ -318,7 +336,7 @@ def _build_controller(doc: dict, up: UncertainPlant, prog: ConvexProgram,
                   ("kx", "knu", "kmu", "keta", "keps") if k in g}
         stab = Stabilizer(**blocks)
     elif "lqr" in stab_spec:
-        stab = _lqr(up, om, stab_spec["lqr"])
+        stab = _lqr(up, om, stab_spec["lqr"], "stabilizer.lqr")
     else:
         raise ValueError("stabilizer block needs 'gains' or 'lqr'")
     return om, stab, "standard", None, prog
@@ -412,7 +430,7 @@ def load_scenario(source) -> Scenario:
         sim = merged.get("sim")
         if sim is not None:
             for key in ("h", "t_end"):
-                _field(sim, key, "sim")
+                _number(_field(sim, key, "sim"), f"sim.{key}", positive=True)
         plans.append(VariantPlan(
             name=vdoc.get("name", "main"),
             om=om, stabilizer=stab, controller_kind=kind, gb_weights=gb_w,
@@ -636,10 +654,7 @@ def _check_prop(ctx, spec):
 
 
 def _check_stabilizable(ctx, spec):
-    pm = ctx.pm()
-    aug = build_augmented_qp(pm, ctx.om)
-    got = (pbh_stabilizable(aug.a, aug.b)
-           and pbh_detectable(aug.measurement_matrix(pm.cm), aug.a))
+    got = augmented_pbh(ctx.pm(), ctx.om)[0]
     return got == bool(spec["value"]), f"augmented plant stabilizable+detectable={got}"
 
 

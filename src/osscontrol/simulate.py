@@ -325,12 +325,10 @@ def convergence_metrics(traj: Trajectory, y_star, settle_tol: float = 1e-3) -> d
     ys = np.asarray(y_star, dtype=float).ravel()
     err = np.linalg.norm(traj.y - ys, axis=1)
     final_err = float(err[-1])
-    below = err < settle_tol
-    settling = np.inf
-    for i in range(len(below)):
-        if below[i:].all():
-            settling = float(traj.times[i])
-            break
+    # settled from one past the last sample that is not below tolerance
+    above = np.flatnonzero(~(err < settle_tol))
+    first = above[-1] + 1 if above.size else 0
+    settling = float(traj.times[first]) if first < len(err) else np.inf
     t_end = traj.times[-1] if len(traj.times) else 0.0
     guard = traj.times > 0.05 * t_end
     c = traj.cost[guard]

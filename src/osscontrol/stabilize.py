@@ -1,13 +1,19 @@
 """Stabilizability/detectability tests and stabilizer synthesis.
 
-PBH tests decide stabilizability and detectability eigenvalue by eigenvalue.
-The proposition checkers evaluate clause lists for the three optimality-model
-variants and cross-validate each verdict by running the PBH tests directly on
-the augmented plant (``plant.build_augmented_qp``, probed from the model's
-``om_dynamics``); disagreement beyond tolerance raises, because the two
-routes are provably equivalent and a mismatch means a numerics bug.  The
-closed-loop spectrum of a stabilizer is not computed here: it is read from
-the loop ``simulate.assemble`` builds, the one the simulation integrates.
+PBH tests decide stabilizability and detectability eigenvalue by eigenvalue;
+``_pbh_margin`` is the one PBH primitive.  ``augmented_pbh`` runs both tests
+on the augmented plant (``plant.build_augmented_qp``, probed from the model's
+``om_dynamics``) measured through ``(Cm x, mu, eta)``; it is the one
+augmented-plant verdict, read by the proposition checks and by the
+scenario engine's ``stabilizable`` check.
+
+The proposition checkers evaluate the clause lists of Props. 4-6 for the
+three optimality-model variants.  Each clause set is exact: when the premises
+hold (the supplied matrix spans the required subspace and, for Prop. 6, the
+optimizer is unique), its verdict equals ``augmented_pbh``.  A disagreement
+beyond tolerance raises, because it means a numerics bug.  The closed-loop
+spectrum of a stabilizer is not computed here: it is read from the loop
+``simulate.assemble`` builds, the one the simulation integrates.
 
 Every rank-style decision carries a margin (decision value over threshold, or
 its reciprocal when the decision is negative), so borderline instances can be
@@ -16,7 +22,7 @@ excluded from equivalence checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,13 +61,6 @@ def pbh_stabilizable(a, b, tol: float = PBH_TOL) -> bool:
     return _pbh_margin(a, b, tol)[0]
 
 
-def pbh_detectable(c, a, tol: float = PBH_TOL) -> bool:
-    """Dual PBH test on (A', C')."""
-    a = as_matrix(a)
-    c = as_matrix(c).reshape(-1, a.shape[0])
-    return _pbh_margin(a.T, c.T, tol)[0]
-
-
 @dataclass(frozen=True)
 class ClauseResult:
     name: str
@@ -74,8 +73,9 @@ class ClauseResult:
 class ConditionReport:
     """Clause-by-clause verdicts with the overall conjunction.
 
-    ``premise_ok`` records whether the supplied subspace matrix actually
-    spans the required subspace (the propositions assume it does).
+    ``premise_ok`` records whether the premises of the proposition hold: the
+    supplied subspace matrix spans the required subspace and, for Prop. 6,
+    the cost is positive definite on the feasible directions.
     ``direct_pbh`` is the independent verdict from PBH tests on the
     assembled augmented plant, when computed.
     """
@@ -93,46 +93,35 @@ class ConditionReport:
         return min((c.margin for c in self.clauses), default=np.inf)
 
 
-def theorem1_check(pm: PlantMatrices, tol: float = PBH_TOL) -> ConditionReport:
-    """Conditions for plant-plus-integrator stabilizability and detectability:
-    (i) (Cm, A, B) stabilizable and detectable, (ii) [A B; C D] full row rank."""
-    stab, m1 = _pbh_margin(pm.a, pm.b, tol)
-    det, m2 = _pbh_margin(pm.a.T, pm.cm.T, tol)
-    block = np.block([[pm.a, pm.b], [pm.c, pm.d]])
-    full, m3 = rank_decision(block, pm.n + pm.p, tol)
-    clauses = (
-        ClauseResult("(A, B) stabilizable", stab, margin=m1),
-        ClauseResult("(Cm, A) detectable", det, margin=m2),
-        ClauseResult(
-            "[A B; C D] full row rank", full,
-            detail=f"need rank {pm.n + pm.p}, matrix is {block.shape[0]}x{block.shape[1]}",
-            margin=m3,
-        ),
-    )
-    return ConditionReport(clauses=clauses)
-
-
-def _augmented_pbh(aug: AugmentedPlant, cm: np.ndarray, tol: float) -> tuple[bool, float]:
+def augmented_pbh(pm: PlantMatrices, om: OptimalityModel,
+                  tol: float = PBH_TOL) -> tuple[bool, float]:
+    """PBH stabilizability and detectability of the augmented plant of ``pm``
+    and ``om``, measured through ``(Cm x, mu, eta)`` with ``Cm = pm.cm``.
+    Returns the decision and the worse of the two margins."""
+    aug = build_augmented_qp(pm, om)
     stab, m1 = _pbh_margin(aug.a, aug.b, tol)
-    caug = aug.measurement_matrix(cm)
-    det, m2 = _pbh_margin(aug.a.T, caug.T, tol)
+    det, m2 = _pbh_margin(aug.a.T, aug.measurement_matrix(pm.cm).T, tol)
     return stab and det, min(m1, m2)
 
 
 def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis, cm,
                 variant: str, tol: float) -> ConditionReport:
     pm = eval_plant(up, delta)
+    if cm is not None:
+        pm = replace(pm, cm=cm)
     prog = prog.at_delta(delta)
     # builds only for an equality-constrained QP, which the clauses assume
-    aug = build_augmented_qp(pm, OptimalityModel(variant, basis, prog))
-    basis = as_matrix(basis)
-    cm = np.eye(pm.n) if cm is None else as_matrix(cm).reshape(-1, pm.n)
+    om = OptimalityModel(variant, basis, prog)
+    basis = om.basis
     geom = equilibrium_geometry(pm, prog.h_eq)
 
+    # the model reads y = C x + D u through its y-map E, so a plant mode
+    # hidden from Cm is still seen through E C
+    e_y = om.linear_maps(np.zeros(pm.n_w))[0]
     stab, m1 = _pbh_margin(pm.a, pm.b, tol)
-    det, m2 = _pbh_margin(pm.a.T, cm.T, tol)
+    det, m2 = _pbh_margin(pm.a.T, np.vstack([pm.cm, e_y @ pm.c]).T, tol)
     clauses = [
-        ClauseResult("(Cm, A, B) stabilizable and detectable", stab and det,
+        ClauseResult("(A, B) stabilizable and ([Cm; E C], A) detectable", stab and det,
                      margin=min(m1, m2)),
     ]
 
@@ -144,23 +133,26 @@ def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis, cm,
             margin=m3))
 
     unique, m4 = unique_optimizer_check(prog.qp.m_cost, geom.t_basis.basis, tol)
-    clauses.append(ClauseResult(
-        "unique optimizer (cost positive definite on feasible directions)",
-        unique, margin=m4))
-
+    premise = subspace_equal(range_basis(basis),
+                             geom.g_range if variant == "ros" else geom.t_basis)
     if variant == "rerfs":
+        # a premise of Prop. 6, not a clause: with the cost flat along a
+        # feasible direction the H rows still keep (H + t0' M) G full rank,
+        # and the augmented plant can stay stabilizable
+        premise = premise and unique
         cond_ok, m5 = reduced_error_complement_condition(prog.h_eq, geom.g, basis, tol)
         clauses.append(ClauseResult(
             "complements of range(H G) and range(t0') meet only at zero",
             cond_ok, margin=m5))
     else:
+        clauses.append(ClauseResult(
+            "unique optimizer (cost positive definite on feasible directions)",
+            unique, margin=m4))
         fcr, m5 = rank_decision(basis, basis.shape[1], tol)
         clauses.append(ClauseResult(
             f"{'g0' if variant == 'ros' else 't0'} full column rank", fcr, margin=m5))
-    premise = subspace_equal(range_basis(basis),
-                             geom.g_range if variant == "ros" else geom.t_basis)
 
-    direct, m_direct = _augmented_pbh(aug, cm, tol)
+    direct, m_direct = augmented_pbh(pm, om, tol)
     report = ConditionReport(
         clauses=tuple(clauses),
         premise_ok=bool(premise),

@@ -9,6 +9,10 @@ knowing delta.
 
 All "for every delta" verdicts are decided over the plant's finite
 ``delta_samples``; reports carry per-sample results so coverage is visible.
+The reduced-error model's complement condition is decided at one
+realization (``reduced_error_complement_condition``), as a clause of
+``stabilize.prop6_check``; its range condition is checked at every sample
+(``check_rerfs_range_condition``).
 """
 
 from __future__ import annotations
@@ -167,51 +171,32 @@ def reduced_error_complement_condition(h, g, t0, tol: float = DEFAULT_RANK_TOL) 
     return rank_decision(np.hstack([hg.basis, t0t.basis]), h.shape[0], tol)
 
 
-def _reduced_error_samples(up: UncertainPlant, h_eq, t0, clause):
-    """Yield (delta, clause(H, G, t0)) at every sample, resolving callable H.
+def check_rerfs_range_condition(up: UncertainPlant, h_eq, t0, tol: float = DEFAULT_RANK_TOL) -> dict:
+    """Range condition for the reduced-error model:
+    range(H G(delta)) and range(t0') intersect only at zero, at every sample.
 
-    A sample without equality constraints holds vacuously.
+    ``h_eq`` may be a callable of delta; a sample without equality
+    constraints holds vacuously.
     """
     t0 = as_matrix(t0)
+    per_sample = []
+    witness = None
     for delta in up.delta_samples:
         h = h_eq(delta) if callable(h_eq) else h_eq
         pm = eval_plant(up, delta)
         h = as_matrix(h).reshape(-1, pm.p) if h is not None and np.size(h) else np.zeros((0, pm.p))
         if t0.shape[0] != pm.p:
             raise ValueError(f"t0 must have {pm.p} rows, got {t0.shape[0]}")
-        if h.shape[0] == 0:
-            yield delta, True
-            continue
-        if t0.shape[1] != h.shape[0]:
-            raise ValueError(
-                "the reduced-error conditions compare subspaces of the "
-                f"equality-constraint space: t0 needs {h.shape[0]} columns, got {t0.shape[1]}"
-            )
-        yield delta, clause(h, equilibrium_geometry(pm, h).g, t0)
-
-
-def check_rerfs_range_condition(up: UncertainPlant, h_eq, t0, tol: float = DEFAULT_RANK_TOL) -> dict:
-    """Range condition for the reduced-error model:
-    range(H G(delta)) and range(t0') intersect only at zero, at every sample."""
-
-    def clause(h, g, t0):
-        return subspace_intersection(*_reduced_error_ranges(h, g, t0), tol).is_empty
-
-    per_sample = []
-    witness = None
-    for delta, ok in _reduced_error_samples(up, h_eq, t0, clause):
+        ok = True
+        if h.shape[0]:
+            if t0.shape[1] != h.shape[0]:
+                raise ValueError(
+                    "the reduced-error range condition compares subspaces of the "
+                    f"equality-constraint space: t0 needs {h.shape[0]} columns, got {t0.shape[1]}"
+                )
+            g = equilibrium_geometry(pm, h).g
+            ok = subspace_intersection(*_reduced_error_ranges(h, g, t0), tol).is_empty
         per_sample.append({"delta": delta, "holds": ok})
         if not ok and witness is None:
             witness = delta
     return {"holds": witness is None, "witness": witness, "per_sample": per_sample}
-
-
-def check_prop6_detectability_condition(up: UncertainPlant, h_eq, t0,
-                                        tol: float = DEFAULT_RANK_TOL) -> bool:
-    """Complement condition for the reduced-error model at every sample
-    (see :func:`reduced_error_complement_condition`)."""
-
-    def clause(h, g, t0):
-        return reduced_error_complement_condition(h, g, t0, tol)[0]
-
-    return all(ok for _, ok in _reduced_error_samples(up, h_eq, t0, clause))

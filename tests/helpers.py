@@ -3,8 +3,9 @@
 Everything is driven by an explicit numpy Generator so test runs are
 reproducible; "generate until valid" loops are bounded.  The reference
 formulas (DC gain, KKT residual, the hand-written augmented plant of each
-optimality-model variant, the optimality model with its empty products) are
-independent routes that tests compare the package against.
+optimality-model variant, the optimality model with its empty products, the
+settling-time scan) are independent routes that tests compare the package
+against.
 """
 
 from __future__ import annotations
@@ -177,3 +178,13 @@ def assert_bits_equal(got, want, what):
     assert got.shape == want.shape, what
     assert np.array_equal(got, want), what
     assert np.array_equal(np.signbit(got), np.signbit(want)), f"{what}: signed zeros"
+
+
+def settling_time_by_scan(times, err, tol) -> float:
+    """First time from which every later error is below ``tol``, by checking
+    each suffix in turn; ``inf`` when the error never settles."""
+    below = err < tol
+    for i in range(len(below)):
+        if below[i:].all():
+            return float(times[i])
+    return np.inf

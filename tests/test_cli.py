@@ -84,6 +84,23 @@ def edit(doc, path, value):
                  id="missing-network-field"),
     pytest.param("no-hurwitz", ("plant", "matrices"), DELETE, "plant needs a builder",
                  id="missing-plant-matrices"),
+    # each block field of the wrong type
+    pytest.param("no-hurwitz", ("stabilizer",), {"lqr": 5}, "stabilizer.lqr must be an object",
+                 id="lqr-not-object"),
+    pytest.param("no-hurwitz", ("stabilizer",), {"lqr": {"q": "big"}},
+                 "stabilizer.lqr.q must be a finite number", id="lqr-q-string"),
+    pytest.param("no-hurwitz", ("stabilizer",), {"lqr": {"r": None}},
+                 "stabilizer.lqr.r must be a finite number", id="lqr-r-null"),
+    pytest.param("power-novel", ("controller", "lqr", "q"), [1.0],
+                 "controller.lqr.q must be a finite number", id="controller-lqr-q-list"),
+    pytest.param("no-hurwitz", ("sim", "h"), None, "sim.h must be a positive number",
+                 id="sim-h-null"),
+    pytest.param("no-hurwitz", ("sim", "h"), 0.0, "sim.h must be a positive number",
+                 id="sim-h-zero"),
+    pytest.param("no-hurwitz", ("sim", "t_end"), "10", "sim.t_end must be a positive number",
+                 id="sim-t_end-string"),
+    pytest.param("tracking-sparse", ("program", "objective", "params", "beta"), -1.0,
+                 "program.objective.params.beta must be a positive number", id="beta-negative"),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
     doc = json.loads(scenarios.bundled_path(name).read_text())

@@ -9,10 +9,10 @@ from osscontrol.optprob import (
     check_gradients,
     nonredundant_check,
     oracle_optimal_output,
-    smooth_norm,
     unique_optimizer_check,
 )
 from osscontrol.plant import PlantMatrices
+from osscontrol.scenarios import _tracking_objective
 
 from helpers import kkt_residual, random_plant, random_qp_instance
 
@@ -214,53 +214,57 @@ class TestNonredundantCheck:
         assert not nonredundant_check(geom.gperp, h)[0]
 
 
+def tracking_objective(p_m: int, theta: float = 1.0, beta: float = 20.0):
+    """``(f0, grad_f0)`` of the tracking objective with reference ``w = r``:
+    ``p_m = 0`` leaves only the l1 surrogate, ``theta = 0`` only the l2 part."""
+    return _tracking_objective({"p_m": p_m, "theta": theta, "beta": beta,
+                                "r_indices": list(range(p_m))})
+
+
 class TestSmoothNorm:
+    """The tracking objective's two parts: the Euclidean norm and the
+    log-cosh surrogate of the l1 norm."""
+
     def test_l1_surrogate_at_origin(self):
-        val, grad = smooth_norm("l1_logcosh", np.zeros(3), 20.0)
-        assert val == 0.0
-        assert np.allclose(grad, 0.0)
+        f0, grad_f0 = tracking_objective(0)
+        assert f0(np.zeros(3), np.zeros(0)) == 0.0
+        assert np.allclose(grad_f0(np.zeros(3), np.zeros(0)), 0.0)
 
     def test_l1_surrogate_near_unit(self):
-        val, _ = smooth_norm("l1_logcosh", [1.0], 20.0)
+        f0, _ = tracking_objective(0)
+        val = f0(np.array([1.0]), np.zeros(0))
         assert val == pytest.approx(1.0 - np.log(2.0) / 20.0, abs=1e-12)
         assert abs(val - 1.0) < 0.05
 
     def test_l2_guarded_at_origin(self):
-        val, grad = smooth_norm("l2", np.zeros(4))
-        assert val == 0.0 and np.allclose(grad, 0.0)
+        f0, grad_f0 = tracking_objective(4, theta=0.0)
+        assert f0(np.zeros(4), np.zeros(4)) == 0.0
+        assert np.allclose(grad_f0(np.zeros(4), np.zeros(4)), 0.0)
 
     def test_l2_gradient_is_unit(self):
-        _, grad = smooth_norm("l2", [3.0, 4.0])
-        assert np.allclose(grad, [0.6, 0.8])
-
-    def test_maxabs_surrogate_zero_at_origin(self):
-        val, grad = smooth_norm("linf_logsumexp", np.zeros(5), 20.0)
-        assert abs(val) < 1e-14
-        assert np.allclose(grad, 0.0)
-
-    def test_maxabs_surrogate_tracks_max(self):
-        val, _ = smooth_norm("linf_logsumexp", [0.1, -2.0, 0.5], 20.0)
-        assert abs(val - 2.0) < 0.1
+        _, grad_f0 = tracking_objective(2, theta=0.0)
+        assert np.allclose(grad_f0(np.array([3.0, 4.0]), np.zeros(2)), [0.6, 0.8])
 
     def test_no_overflow_for_large_arguments(self):
-        val, grad = smooth_norm("l1_logcosh", [500.0], 20.0)
-        assert np.isfinite(val) and np.isfinite(grad).all()
-        val, grad = smooth_norm("linf_logsumexp", [500.0, -1.0], 20.0)
-        assert np.isfinite(val) and np.isfinite(grad).all()
+        f0, grad_f0 = tracking_objective(0)
+        y = np.array([500.0])
+        assert f0(y, np.zeros(0)) == pytest.approx(500.0 - np.log(2.0) / 20.0)
+        assert np.isfinite(grad_f0(y, np.zeros(0))).all()
 
-    @pytest.mark.parametrize("kind", ["l1_logcosh", "linf_logsumexp"])
+    @pytest.mark.parametrize("kind", ["l2", "l1_logcosh"])
     def test_gradients_match_finite_differences(self, kind):
+        f0, grad_f0 = tracking_objective(**{"l2": {"p_m": 4, "theta": 0.0},
+                                            "l1_logcosh": {"p_m": 0, "beta": 7.0}}[kind])
         rng = np.random.default_rng(25)
         for _ in range(20):
-            y = rng.standard_normal(4)
-            _, grad = smooth_norm(kind, y, 7.0)
+            y, w = rng.standard_normal(4), rng.standard_normal(4)
+            grad = grad_f0(y, w)
             fd = np.zeros(4)
             step = 1e-6 * (1 + np.linalg.norm(y))
             for j in range(4):
                 e = np.zeros(4)
                 e[j] = step
-                fd[j] = (smooth_norm(kind, y + e, 7.0)[0]
-                         - smooth_norm(kind, y - e, 7.0)[0]) / (2 * step)
+                fd[j] = (f0(y + e, w) - f0(y - e, w)) / (2 * step)
             assert np.linalg.norm(grad - fd) <= 1e-5 * max(1.0, np.linalg.norm(grad))
 
 

@@ -20,10 +20,11 @@ from osscontrol.simulate import (
     ClosedLoopSystem,
     Trajectory,
     _rk4_step_map,
+    convergence_metrics,
     integrate_rk4,
 )
 
-from helpers import assert_bits_equal
+from helpers import assert_bits_equal, settling_time_by_scan
 
 # SHA-256 of every CSV trace `oss run` writes for the affine scenarios (with
 # --sweep for the multi-sample ones), recorded before the row-stacked outputs.
@@ -359,3 +360,35 @@ def test_sweep_threads_share_one_trajectory_per_delta():
     for i, d in enumerate(sc.plant.delta_samples):
         traj = trajectories[f"main--delta{i}"]
         assert first.setdefault(d.tobytes(), traj) is traj
+
+
+@pytest.mark.parametrize("shape", ["settles-mid-run", "never-settles", "settled-from-start"])
+def test_settling_time_matches_the_suffix_scan(shape):
+    # errors decay with seeded noise; the tolerance puts the last excursion
+    # mid-run, after the final sample, or before the first
+    rng = np.random.default_rng(41)
+    tol = 1e-3
+    for _ in range(20):
+        k = int(rng.integers(2, 300))
+        times = np.linspace(0.0, 1.0, k)
+        err = np.exp(-8.0 * times) * rng.uniform(0.5, 1.5, k)
+        if shape == "never-settles":
+            err[-1] = 2.0 * tol
+        elif shape == "settled-from-start":
+            err *= 0.5 * tol
+        else:
+            err[int(rng.integers(0, k - 1))] = 2.0 * tol
+            err[-1] = 0.5 * tol
+        y = np.zeros((k, 2))
+        y[:, 0] = err
+        traj = Trajectory(times=times, states=np.zeros((k, 0)), y=y, u=np.zeros((k, 0)),
+                          eps=np.zeros((k, 0)), cost=np.zeros(k))
+        got = convergence_metrics(traj, np.zeros(2), tol)["settling_time"]
+        want = settling_time_by_scan(times, err, tol)
+        assert got == want
+        if shape == "never-settles":
+            assert got == np.inf
+        elif shape == "settled-from-start":
+            assert got == 0.0
+        else:
+            assert 0.0 < got <= 1.0

@@ -1,5 +1,5 @@
-"""Proposition and theorem-1 clause verdicts against direct PBH tests, and
-the rank decision they all rest on."""
+"""Proposition clause verdicts against direct PBH tests on the augmented
+plant, and the rank decision they all rest on."""
 
 import itertools
 
@@ -11,7 +11,6 @@ from helpers import (
     bundled_qp_variants,
     feasible_direction_matrix,
     output_subspace_matrix,
-    random_plant,
     random_qp_instance,
     uncertain_wrapper,
 )
@@ -19,15 +18,7 @@ from osscontrol.matlib import eigenvalues, rank_decision
 from osscontrol.optprob import ConvexProgram
 from osscontrol.plant import PlantMatrices, eval_plant
 from osscontrol.simulate import assemble
-from osscontrol.stabilize import (
-    PBH_TOL,
-    pbh_detectable,
-    pbh_stabilizable,
-    prop4_check,
-    prop5_check,
-    prop6_check,
-    theorem1_check,
-)
+from osscontrol.stabilize import PBH_TOL, prop4_check, prop5_check, prop6_check
 
 
 class TestRankDecision:
@@ -72,9 +63,45 @@ def flat_cost(prog: ConvexProgram, geom) -> ConvexProgram:
                                  h_eq=prog.h_eq, l_eq=prog.l_eq)
 
 
+def with_hidden_mode(pm: PlantMatrices, rng) -> PlantMatrices:
+    """``pm`` with one more state, an unstable mode at 1 that neither Cm = 0
+    nor C sees.  It is driven by u, so (A, B) stays stabilizable on generic
+    draws, and it leaves the equilibrium-output geometry unchanged."""
+    n = pm.n
+    return PlantMatrices(
+        a=np.block([[pm.a, np.zeros((n, 1))], [rng.standard_normal((1, n)), np.ones((1, 1))]]),
+        b=np.vstack([pm.b, rng.standard_normal((1, pm.m))]),
+        bw=np.vstack([pm.bw, np.zeros((1, pm.n_w))]),
+        c=np.hstack([pm.c, np.zeros((pm.p, 1))]), d=pm.d, q=pm.q, cm=np.zeros((1, n + 1)))
+
+
+def draws(rng, reduced_error=False, count=60):
+    """``count`` seeded ``(pm, prog, geom, cm, kind)`` draws in three kinds:
+    Cm = 0 on the plant with a hidden unstable mode, Cm = 0 passed as the
+    ``cm`` override, and a cost that is flat along a feasible direction.
+    With ``reduced_error`` the feasible directions have one dimension per
+    equality constraint."""
+    i = 0
+    while i < count:
+        n_ec = int(rng.integers(1, 3))
+        pm, prog, geom = random_qp_instance(rng, n_ec=n_ec)
+        if not geom.t_basis.dim or (reduced_error and geom.t_basis.dim != n_ec):
+            continue
+        kind = ("hidden", "blind", "flat")[i % 3]
+        cm = None
+        if kind == "hidden":
+            pm = with_hidden_mode(pm, rng)
+        elif kind == "blind":
+            cm = np.zeros((1, pm.n))
+        else:
+            prog = flat_cost(prog, geom)
+        yield pm, prog, geom, cm, kind
+        i += 1
+
+
 class TestPropositionsAgreeWithDirectPbh:
-    """On instances where the supplied matrix spans the required subspace, the
-    clause verdict equals PBH run on the assembled augmented plant."""
+    """Where the premises hold, the clause verdict equals PBH run on the
+    augmented plant; nothing raises on any draw."""
 
     @pytest.mark.parametrize("check, basis_of", [
         (prop4_check, feasible_direction_matrix),
@@ -82,73 +109,30 @@ class TestPropositionsAgreeWithDirectPbh:
     ])
     def test_feasible_and_output_subspace_models(self, check, basis_of):
         rng = np.random.default_rng(31)
-        verdicts = set()
-        for i in range(60):
-            pm, prog, geom = random_qp_instance(rng, n_ec=int(rng.integers(1, 3)))
-            if i % 2 and geom.t_basis.dim:
-                prog = flat_cost(prog, geom)
-            rep = check(uncertain_wrapper(pm), np.zeros(0), prog, basis_of(geom))
+        verdicts = {"hidden": set(), "blind": set(), "flat": set()}
+        for pm, prog, geom, cm, kind in draws(rng):
+            rep = check(uncertain_wrapper(pm), np.zeros(0), prog, basis_of(geom), cm=cm)
             assert rep.premise_ok
             assert rep.overall == rep.direct_pbh
-            verdicts.add(rep.overall)
-        assert verdicts == {True, False}
+            verdicts[kind].add(rep.overall)
+        # a mode hidden from Cm and C fails the detectability clause; the
+        # model's y-map sees every other mode, and a flat cost fails the
+        # unique-optimizer clause, which is necessary here
+        assert verdicts == {"hidden": {False}, "blind": {True}, "flat": {False}}
 
     def test_reduced_error_model(self):
         # t0 spans the feasible directions with one column per equality
-        # constraint; the complement clause once tested the intersection of the
-        # ranges instead and disagreed with direct PBH on every such draw
+        # constraint; a flat cost breaks the premise of a unique optimizer but
+        # not the stabilizability of the augmented plant
         rng = np.random.default_rng(32)
-        checked = 0
-        while checked < 60:
-            n_ec = int(rng.integers(1, 3))
-            pm, prog, geom = random_qp_instance(rng, n_ec=n_ec)
-            if geom.t_basis.dim != n_ec:
-                continue
+        verdicts = {"hidden": set(), "blind": set(), "flat": set()}
+        for pm, prog, geom, cm, kind in draws(rng, reduced_error=True):
             rep = prop6_check(uncertain_wrapper(pm), np.zeros(0), prog,
-                              feasible_direction_matrix(geom))
-            assert rep.premise_ok
+                              feasible_direction_matrix(geom), cm=cm)
+            assert rep.premise_ok == (kind != "flat")
             assert rep.overall == rep.direct_pbh
-            checked += 1
-
-
-def integrator_pair(pm: PlantMatrices):
-    """Plant in series with integrators on its output, eta_dot = C x + D u,
-    measured through (Cm x, eta)."""
-    n, p = pm.n, pm.p
-    a = np.block([[pm.a, np.zeros((n, p))], [pm.c, np.zeros((p, p))]])
-    b = np.vstack([pm.b, pm.d])
-    cm = np.block([[pm.cm, np.zeros((pm.p_m, p))], [np.zeros((p, n)), np.eye(p)]])
-    return a, b, cm
-
-
-class TestTheorem1:
-    def test_matches_pbh_on_the_integrator_pair(self):
-        # p up to 3 against n + m: the rank clause fails on part of the draws
-        rng = np.random.default_rng(33)
-        verdicts = set()
-        for _ in range(80):
-            pm = random_plant(rng, int(rng.integers(1, 5)), int(rng.integers(1, 3)),
-                              int(rng.integers(1, 4)))
-            a, b, cm = integrator_pair(pm)
-            rep = theorem1_check(pm)
-            assert rep.overall == (pbh_stabilizable(a, b) and pbh_detectable(cm, a))
-            verdicts.add(rep.overall)
-        assert verdicts == {True, False}
-
-    def test_stabilizability_clauses_with_blind_measurements(self):
-        # Cm = 0 leaves every unstable plant mode undetected by Cm alone; the
-        # stabilizability clauses still decide the pair's stabilizability, and
-        # a passing detectability clause implies detectability of the pair
-        rng = np.random.default_rng(34)
-        for _ in range(80):
-            base = random_plant(rng, int(rng.integers(1, 5)), int(rng.integers(1, 3)),
-                                int(rng.integers(1, 4)))
-            pm = PlantMatrices(a=base.a, b=base.b, bw=base.bw, c=base.c, d=base.d,
-                               q=base.q, cm=np.zeros((1, base.n)))
-            a, b, cm = integrator_pair(pm)
-            stab, det, full = (c.passed for c in theorem1_check(pm).clauses)
-            assert (stab and full) == pbh_stabilizable(a, b)
-            assert not det or pbh_detectable(cm, a)
+            verdicts[kind].add(rep.overall)
+        assert verdicts["hidden"] == {False} and verdicts["flat"] == {True}
 
 
 def closed_form_loop_matrix(pm: PlantMatrices, om, stab) -> np.ndarray:

@@ -9,15 +9,17 @@ from osscontrol.matlib import (
     solve_linear,
     subspace_equal,
 )
+from osscontrol.optprob import ConvexProgram
 from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant, fixed_plant
 from osscontrol.power import build_swing_plant, default_network
+from osscontrol.stabilize import prop6_check
 from osscontrol.subspaces import (
-    check_prop6_detectability_condition,
     check_rerfs_range_condition,
     check_rfs,
     check_robust_full_rank,
     check_ros,
     equilibrium_geometry,
+    reduced_error_complement_condition,
 )
 
 from helpers import random_plant
@@ -258,35 +260,45 @@ class TestReducedErrorRangeCondition:
         assert not rep["holds"]
 
 
+def complement_condition(pm, h, t0) -> bool:
+    """The reduced-error complement condition at one realization."""
+    return reduced_error_complement_condition(h, equilibrium_geometry(pm, h).g, t0)[0]
+
+
 class TestProp6DetectabilityCondition:
-    def test_full_rank_projection_holds(self, nominal_two_state):
+    def test_full_rank_projection_holds(self, two_state_plant):
         h = np.array([[1.0, 0.0]])
         t0 = np.array([[1.0], [0.0]])
-        assert check_prop6_detectability_condition(nominal_two_state, h, t0)
+        assert complement_condition(two_state_plant, h, t0)
 
     def test_annihilated_output_with_deficient_projection_fails(self):
         # H G = 0 and t0 = 0: both complements are everything
         pm = PlantMatrices(a=[[-1.0]], b=[[1.0]], bw=[[1.0]],
                            c=[[1.0], [0.0]], d=[[0.0], [1.0]], q=np.zeros((2, 1)))
-        up = fixed_plant(pm)
-        geom = equilibrium_geometry(pm)
-        h = geom.gperp[:1, :]
-        t0 = np.zeros((2, 1))
-        assert not check_prop6_detectability_condition(up, h, t0)
+        h = equilibrium_geometry(pm).gperp[:1, :]
+        assert not complement_condition(pm, h, np.zeros((2, 1)))
 
     def test_callable_h_is_evaluated_per_sample(self):
+        # G spans (1, 1) and t0 = 0: H(delta) = [1, delta - 1] annihilates G
+        # only at delta = 0, so the prop6 clause fails there and holds at 1
         pm = PlantMatrices(a=[[-1.0]], b=[[1.0]], bw=[[1.0]],
                            c=[[1.0], [0.0]], d=[[0.0], [1.0]], q=np.zeros((2, 1)))
-        up = fixed_plant(pm)
-        h = equilibrium_geometry(pm).gperp[:1, :]
+        up = UncertainPlant(evaluate=lambda _delta: pm, delta_dim=1,
+                            delta_samples=[[0.0], [1.0]])
+
+        def h_of(delta):
+            return np.array([[1.0, float(delta[0]) - 1.0]])
+
+        prog = ConvexProgram.from_qp(np.eye(2), np.zeros((2, 1)), n_w=1, h_eq=h_of,
+                                     l_eq=lambda _delta: np.zeros((1, 1)))
         t0 = np.zeros((2, 1))
-        assert not check_prop6_detectability_condition(up, lambda _delta: h, t0)
-        # a sample where the callable yields no equality constraints is skipped,
-        # as in check_rerfs_range_condition
-        assert check_prop6_detectability_condition(up, lambda _delta: None, t0)
+        for delta, holds in zip(up.delta_samples, (False, True)):
+            clause = prop6_check(up, delta, prog, t0).clauses[-1]
+            assert clause.passed is holds
+            assert complement_condition(pm, h_of(delta), t0) is holds
 
     def test_swing_dapi_case(self):
         net, up, _ = swing_pieces()
         h = np.hstack([np.zeros((net.n, net.n)), np.eye(net.n)])
         t0 = np.vstack([net.laplacian.T, np.zeros((net.n, net.n))])
-        assert check_prop6_detectability_condition(up, h, t0)
+        assert all(complement_condition(eval_plant(up, d), h, t0) for d in up.delta_samples)
