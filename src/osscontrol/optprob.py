@@ -76,10 +76,12 @@ class KKTPoint:
 class ConvexProgram:
     """Objective + engineering constraints of the steady-state program.
 
-    ``objective`` is either QPData or a pair of callables
-    ``(f0(y, w) -> float, grad_f0(y, w) -> vector)``.  ``h_eq``/``l_eq`` may
-    be callables of delta for uncertain equality constraints; resolve them
-    with :meth:`at_delta` before numeric use.
+    ``objective`` is either QPData or a pair of callables ``f0(y, w)`` and
+    ``grad_f0(y, w) -> vector``.  ``f0`` takes one output y (p,) and returns
+    a float, or a row stack (k, p) and returns a (k,) array whose row i is
+    bit-identical to ``f0(y[i], w)``; ``grad_f0`` takes one output.
+    ``h_eq``/``l_eq`` may be callables of delta for uncertain equality
+    constraints; resolve them with :meth:`at_delta` before numeric use.
     """
 
     p: int
@@ -120,6 +122,8 @@ class ConvexProgram:
     @staticmethod
     def from_callables(p: int, n_w: int, f0, grad_f0, *, h_eq=None, l_eq=None,
                        inequalities=()) -> "ConvexProgram":
+        """A program with a smooth objective: ``f0`` evaluates one output or a
+        row stack of outputs, ``grad_f0`` one output (see the class)."""
         h = np.zeros((0, p)) if h_eq is None else h_eq
         l = np.zeros((0, n_w)) if l_eq is None else l_eq
         return ConvexProgram(p=p, n_w=n_w, f0=f0, grad_f0=grad_f0, h_eq=h, l_eq=l,
@@ -157,8 +161,8 @@ class ConvexProgram:
 
     # -- evaluation -------------------------------------------------------------
     # Each takes one output y (p,) or a row stack (k, p); row i of a stacked
-    # result is bit-identical to evaluating row i alone.  Callables are
-    # applied row by row.
+    # result is bit-identical to evaluating row i alone.  A callable f0 gets
+    # the stack in one call; the other callables are applied row by row.
 
     def objective_value(self, y, w):
         """f0(y; w): a float for one output, a (k,) array for a stack."""
@@ -169,7 +173,7 @@ class ConvexProgram:
             val = (_vdot(_mv(qp.m_cost.T, 0.5 * y), y) - _vdot(_mv(qp.n_cost.T, y), w)
                    + _vdot(qp.c, y))
         else:
-            val = _each_row(self.f0, y, w, ())
+            val = np.asarray(self.f0(y, w), dtype=float)
         return float(val) if y.ndim == 1 else val
 
     def objective_grad(self, y, w) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import power
 from .errors import OssError
-from .matlib import eigenvalues, numerical_rank, range_basis, subspace_equal
+from .matlib import _vdot, eigenvalues, numerical_rank, range_basis, subspace_equal
 from .omodels import OptimalityModel
 from .optprob import ConvexProgram, check_gradients, oracle_optimal_output
 from .plant import PlantMatrices, UncertainPlant, build_augmented_qp, eval_plant
@@ -79,14 +79,16 @@ def _field(block, key: str, where: str):
     return block[key]
 
 
-def _number(value, where: str, positive: bool = False) -> float:
-    """``value`` as a float; anything but a finite number (or, with
-    ``positive``, a positive one) is a ValueError naming ``where``."""
+def _number(value, where: str, positive: bool = False, integer: bool = False):
+    """``value`` as a float, or with ``integer`` as an int; anything but a
+    finite number (with ``positive`` a positive one, with ``integer`` an
+    integral one) is a ValueError naming ``where``."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or (positive and value <= 0)):
-        raise ValueError(f"{where} must be a {'positive' if positive else 'finite'} "
-                         f"number, got {value!r}")
-    return float(value)
+            or not math.isfinite(value) or (positive and value <= 0)
+            or (integer and value != int(value))):
+        what = "an integer" if integer else f"a {'positive' if positive else 'finite'} number"
+        raise ValueError(f"{where} must be {what}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -127,7 +129,8 @@ def _build_plant(spec: dict, network: power.PowerNetwork | None) -> UncertainPla
         k: [_decode_matrix(mm, f"plant.{k}_delta") for mm in mats[f"{k}_delta"]]
         for k in names if f"{k}_delta" in mats
     }
-    delta_dim = int(spec.get("delta_dim", max((len(v) for v in addends.values()), default=0)))
+    delta_dim = _number(spec.get("delta_dim", max((len(v) for v in addends.values()), default=0)),
+                        "plant.delta_dim", integer=True)
     for k, v in addends.items():
         if len(v) != delta_dim:
             raise ValueError(f"plant.{k}_delta must list one matrix per delta coordinate")
@@ -156,19 +159,25 @@ def _tracking_objective(params: dict):
     the Euclidean tracking error of the first ``p_m`` outputs plus a smooth
     l1 surrogate on the rest."""
     where = "program.objective.params"
-    p_m = int(_field(params, "p_m", where))
-    theta = float(_field(params, "theta", where))
+    p_m = _number(_field(params, "p_m", where), f"{where}.p_m", integer=True)
+    theta = _number(_field(params, "theta", where), f"{where}.theta")
     beta = _number(params.get("beta", 20.0), f"{where}.beta", positive=True)
-    r_idx = np.asarray([int(i) for i in _field(params, "r_indices", where)], dtype=np.intp)
+    r_indices = _field(params, "r_indices", where)
+    if not isinstance(r_indices, list):
+        raise ValueError(f"{where}.r_indices must be a list, got {r_indices!r}")
+    r_idx = np.asarray([_number(i, f"{where}.r_indices[{j}]", integer=True)
+                        for j, i in enumerate(r_indices)], dtype=np.intp)
     log2 = np.log(2.0)
 
     def f0(y, w):
-        y = np.asarray(y, dtype=float).ravel()
-        l2 = float(np.linalg.norm(y[:p_m] - np.asarray(w, dtype=float).ravel()[r_idx]))
-        s = np.abs(beta * y[p_m:])
+        """At one output (p,) a float, at a row stack (k, p) a (k,) array."""
+        y = np.asarray(y, dtype=float)
+        v = y[..., :p_m] - np.asarray(w, dtype=float).ravel()[r_idx]
+        s = np.abs(beta * y[..., p_m:])
         # log cosh(s) = |s| + log1p(exp(-2|s|)) - log 2, overflow-safe
-        l1 = float(np.sum(s + np.log1p(np.exp(-2.0 * s)) - log2) / beta)
-        return l2 + theta * l1
+        l1 = np.sum(s + np.log1p(np.exp(-2.0 * s)) - log2, axis=-1) / beta
+        # sqrt(v @ v) per row is what np.linalg.norm computes for a real vector
+        return np.sqrt(_vdot(v, v)) + theta * l1
 
     def grad_f0(y, w):
         y = np.asarray(y, dtype=float).ravel()
@@ -198,7 +207,7 @@ def _build_program(spec: dict, network: power.PowerNetwork | None, p_hint: int,
             raise ValueError(f"{where}.name: unknown inequality kind {item['name']!r}")
         params = _field(item, "params", where)
         g = _decode_vector(_field(params, "g", f"{where}.params"), f"{where}.params.g")
-        offset = float(params.get("offset", 0.0))
+        offset = _number(params.get("offset", 0.0), f"{where}.params.offset")
 
         def f(y, w, g=g, offset=offset):
             return float(g @ np.asarray(y, dtype=float).ravel() - offset)
@@ -304,7 +313,7 @@ def _build_controller(doc: dict, up: UncertainPlant, prog: ConvexProgram,
         if network is None:
             raise ValueError("named controllers need a network block")
         if name == "dapi":
-            om, stab = power.build_dapi(network, float(ctrl.get("k", 1.0)))
+            om, stab = power.build_dapi(network, _number(ctrl.get("k", 1.0), "controller.k"))
             return om, stab, "standard", None, om.program
         if name == "novel":
             weights = ctrl.get("c", [1.0 / network.n] * network.n)
@@ -399,7 +408,7 @@ def load_scenario(source) -> Scenario:
                     "cost_b", "laplacian"):
             _field(net, key, "network")
         network = power.PowerNetwork(
-            n=int(net["n"]),
+            n=_number(net["n"], "network.n", integer=True),
             edges=tuple(tuple(e) for e in net["edges"]),
             inertia=net["inertia"], damping=net["damping"],
             susceptance=net["susceptance"], p_star=net["p_star"],
@@ -642,13 +651,12 @@ def _check_robust_full_rank(ctx, spec):
     return got == bool(spec["holds"]), f"holds={got}"
 
 
-_PROP_CHECKS = {4: prop4_check, 5: prop5_check, 6: prop6_check}
-
-
 def _check_prop(ctx, spec):
     which = int(spec["which"])
     om = ctx.om
-    rep = _PROP_CHECKS[which](ctx.sc.plant, ctx.delta, om.program, om.basis)
+    # resolved per call, so a wrapper put on the module name is the one called
+    check = {4: prop4_check, 5: prop5_check, 6: prop6_check}[which]
+    rep = check(ctx.sc.plant, ctx.delta, om.program, om.basis)
     return (rep.overall == bool(spec["overall"]),
             f"prop{which} overall={rep.overall}, direct PBH={rep.direct_pbh}")
 

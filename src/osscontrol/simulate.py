@@ -27,10 +27,32 @@ row i of a stacked result is bit-identical to evaluating state i alone.  An
 affine loop's (A_cl, b_cl) is probed from one ``rhs`` call on the rows
 [0; I]; it is the one closed-loop matrix of the package: the RK4 step map,
 the equilibrium Newton solve and the spectrum checks all read it.
+
+``Trajectory.to_csv`` writes each value as ``"%.15g" % value``, the bytes of
+``np.savetxt(fmt="%.15g")``, formatting a chunk of values at once.  For a
+finite value with 1e-22 <= |v| < 1e15, E = floor(log10 |v|) and k = 14 - E
+(0 <= k <= 36), the scaled s = |v| 10^k is formed as p + err + |v| lo:
+p + err is Dekker's two-product of |v| and hi, exact, and 10^k = hi + lo with
+lo = 0 for k <= 22, where 10^k is a double, and otherwise the remainder of
+the Python int 10^k, rounded, so hi + lo is within 2^-106 of 10^k.  Then p
+is within 1/16 + 1/9 < 1/4 of s (half an ulp of p below 2^50, and |v lo| <=
+2^-53 s), and the computed fraction f = (p - n) + (err + |v| lo), with
+n = floor(p), is within 1e-15 of s - n.  When 1e14 + 1/4 < p < 1e15 - 1/4,
+s lies in (1e14, 1e15), so E is the exponent of the 15-digit significand,
+and s - n in (-1/4, 5/4); so when f is more than 1e-6 from 1/2,
+n + (f > 1/2) is s correctly rounded to an integer, the 15 significant
+digits, exact in int64 (below 2^53); a carry to 10^15 raises the exponent by
+one.  Sign, "0.000" prefix, digits, point, exponent and separator go to fixed
+byte slots, and dropping the zero bytes leaves the text.  Zeros are written
+"0" and "-0".  Every other value goes through ``%``: non-finite values,
+magnitudes outside the range, p within 1/4 of 1e14 or 1e15 (a log10 exponent
+off by one among them), and fractions within 1e-6 of a rounding tie, exact
+ties included.  No value is approximated.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,6 +69,11 @@ DIVERGENCE_LIMIT = 1e12
 # whole trajectory at once need temporaries several times its size (peak
 # memory of the bundled runs grew by a sixth); blocks keep them small.
 ROW_BLOCK = 256
+# Values per formatting chunk of ``Trajectory.to_csv``; its temporaries stay
+# below a megabyte.
+_CSV_CHUNK = 4096
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for float64
+_X_MIN, _X_MAX = -22, 15  # decimal exponents that _format_g15 lays out itself
 
 
 @dataclass(frozen=True)
@@ -81,14 +108,15 @@ class Trajectory:
     cost: np.ndarray
     diverged: bool = False
 
-    def to_csv(self, path_or_file) -> None:
+    def to_csv(self, path) -> None:
         """Write the trace as CSV: t, state, input, output, proxy error, cost.
 
-        15 significant digits, comma separated, LF line endings.
+        A header line of column names, then one line per time: every value as
+        ``"%.15g" % value`` (15 significant digits), comma separated, LF line
+        endings.
         """
-        cols = [self.times.reshape(-1, 1), self.states, self.u, self.y, self.eps,
-                self.cost.reshape(-1, 1)]
-        data = np.hstack([c for c in cols if c.shape[1] > 0])
+        cols = [c for c in (self.times.reshape(-1, 1), self.states, self.u, self.y,
+                            self.eps, self.cost.reshape(-1, 1)) if c.shape[1] > 0]
         names = (
             ["t"]
             + [f"x{i+1}" for i in range(self.states.shape[1])]
@@ -97,14 +125,151 @@ class Trajectory:
             + [f"eps{i+1}" for i in range(self.eps.shape[1])]
             + ["cost"]
         )
-        header = ",".join(names)
-        if hasattr(path_or_file, "write"):
-            np.savetxt(path_or_file, data, fmt="%.15g", delimiter=",",
-                       header=header, comments="", newline="\n")
-        else:
-            with open(path_or_file, "w", newline="\n") as f:
-                np.savetxt(f, data, fmt="%.15g", delimiter=",",
-                           header=header, comments="", newline="\n")
+        rows = max(1, _CSV_CHUNK // len(names))
+        # the separator of each value, in byte 4 of its last slot word
+        seps = np.full(len(names), ord(","), np.uint64)
+        seps[-1] = ord("\n")
+        seps = np.tile(seps << np.uint64(32), rows)
+        with open(path, "wb") as f:
+            f.write((",".join(names) + "\n").encode())
+            for lo in range(0, len(self.times), rows):
+                block = np.hstack([c[lo: lo + rows] for c in cols]).ravel()
+                f.write(_format_g15(block, seps[: block.size]))
+
+
+@functools.cache
+def _powers_of_ten():
+    """``(hi, lo, hi_h, hi_l)`` for k = 0..36: 10^k = hi + lo, and Dekker's
+    split hi_h + hi_l of hi; built on first use."""
+    p10 = [10 ** k for k in range(37)]
+    hi = np.array([float(t) for t in p10])
+    lo = np.array([float(t - int(float(t))) for t in p10])
+    t = _SPLIT * hi
+    hi_h = t - (t - hi)
+    return hi, lo, hi_h, hi - hi_h
+
+
+@functools.cache
+def _layout_tables():
+    """Lookup tables of ``_format_g15``, built on first use.
+
+    - ``quad``: the four ASCII digits of 0..9999, first digit in the low byte;
+    - ``zeros``: the trailing decimal zeros of 0..9999 (4 for 0);
+    - per (exponent x, significant digits): the masks of the 16-byte mantissa
+      slot taking the digits in place, the digits one byte up (after the
+      point) and the point, as (low, high) words;
+    - per exponent x: the "0.000" prefix word and the "e+XX" exponent word.
+    """
+    n = np.arange(10000, dtype=np.uint64)
+    quad = sum((n // 10 ** (3 - i) % 10 + ord("0")) << np.uint64(8 * i) for i in range(4))
+    zeros = sum((n % 10 ** j == 0).astype(np.intp) for j in range(1, 5))
+    # %g writes x = -4..14 as fixed point, the others with an exponent; in the
+    # mantissa field the point goes after the integer digits of a fixed-point
+    # value >= 1, after the first digit with an exponent, and not at all
+    # below 1 (16); fixed point keeps its integer digits, then the field
+    # ends after the last significant digit
+    x = np.arange(_X_MIN, _X_MAX + 1)[:, None]
+    fixed = (x >= -4) & (x < 15)
+    point = np.where(fixed & (x >= 0), x + 1, np.where(fixed, 16, 1))
+    digits = np.where(fixed & (x >= 0), np.maximum(np.arange(16), x + 1), np.arange(16))
+    end = (digits + (digits > point))[..., None]
+    j = np.arange(16)
+    point = point[..., None]
+
+    def words(mask, byte):
+        return np.where(mask, byte, 0).astype(np.uint8).view("<u8").reshape(-1, 2).T.copy()
+
+    in_place = words((j < end) & (j < point), 255)
+    shifted = words((j < end) & (j > point), 255)
+    dot = words((j < end) & (j == point), ord("."))
+    prefix, exponent = [], []
+    for xv in range(_X_MIN, _X_MAX + 1):
+        small = -4 <= xv < 0
+        prefix.append(int.from_bytes(b"\0" + (b"0." + b"0" * (-xv - 1) if small else b""), "little"))
+        exponent.append(0 if -4 <= xv < 15 else int.from_bytes(b"e%+03d" % xv, "little"))
+    return (quad, zeros, in_place, shifted, dot,
+            np.array(prefix, np.uint64), np.array(exponent, np.uint64))
+
+
+def _significands(a: np.ndarray):
+    """``(n, x, exact)`` for magnitudes ``a``: the 15-digit significand n
+    (int64, 10^14 <= n < 10^15) and decimal exponent x of ``"%.15g" % a``,
+    and where they are certain (see the module docstring)."""
+    hi_t, lo_t, hi_h, hi_l = _powers_of_ten()
+    exact = (a >= 1e-22) & (a < 1e15)
+    e = np.floor(np.log10(np.where(exact, a, 1.0))).astype(np.intp)
+    np.clip(e, _X_MIN, 14, out=e)
+    k = 14 - e
+    hi = hi_t[k]
+    p = a * hi
+    t = _SPLIT * a
+    a_h = t - (t - a)
+    a_l = a - a_h
+    bh, bl = hi_h[k], hi_l[k]
+    err = a_l * bl - (((p - a_h * bh) - a_l * bh) - a_h * bl)
+    n = np.floor(p)
+    f = (p - n) + (err + a * lo_t[k])
+    exact &= (p > 1e14 + 0.25) & (p < 1e15 - 0.25) & (np.abs(f - 0.5) >= 1e-6)
+    n += f > 0.5
+    carry = n == 1e15
+    n[carry] = 1e14
+    n = n.astype(np.int64)
+    n[~exact] = 10 ** 14
+    return n, e + carry, exact
+
+
+def _format_g15(v: np.ndarray, seps: np.ndarray) -> bytes:
+    """``"%.15g" % v[i]`` followed by its separator byte (``seps[i] >> 32``),
+    for every i, concatenated.
+
+    Each value is laid out in a 32-byte slot of four little-endian words:
+    the sign and the "0.000" prefix (bytes 0-5), the mantissa field of up to
+    15 digits and the point (bytes 8-23), the exponent "e+XX" (bytes 24-27)
+    and the separator (byte 28); unused bytes are zero.
+    """
+    quad, zeros, in_place, shifted, dot, prefix, exponent = _layout_tables()
+    a = np.abs(v)
+    with np.errstate(invalid="ignore", over="ignore"):
+        n, x, exact = _significands(a)
+    # the significand in groups of 3, 4, 4 and 4 digits
+    g0 = n // 10 ** 12
+    n -= g0 * 10 ** 12
+    g1 = n // 10 ** 8
+    n -= g1 * 10 ** 8
+    g2 = n // 10 ** 4
+    g3 = n - g2 * 10 ** 4
+    # the 15 digits as bytes 0-14 of the words (da, db)
+    q2 = quad[g2]
+    da = quad[g0] >> np.uint64(8) | quad[g1] << np.uint64(24) | q2 << np.uint64(56)
+    db = q2 >> np.uint64(8) | quad[g3] << np.uint64(24)
+    # significant digits: 15 less the trailing zeros
+    digits = 15 - zeros[g3]
+    few = np.flatnonzero(g3 == 0)
+    digits[few] = np.where(g2[few] > 0, 11 - zeros[g2[few]],
+                           np.where(g1[few] > 0, 7 - zeros[g1[few]], 3 - zeros[g0[few]]))
+    xi = x - _X_MIN
+    code = xi * 16 + digits
+    # slot words: sign and prefix, mantissa low and high, exponent and separator
+    slots = np.empty((v.size, 4), np.dtype("<u8"))
+    slots[:, 0] = prefix[xi] | np.signbit(v) * np.uint64(ord("-"))
+    slots[:, 1] = ((da & in_place[0][code]) | ((da << np.uint64(8)) & shifted[0][code])
+                   | dot[0][code])
+    slots[:, 2] = ((db & in_place[1][code])
+                   | ((db << np.uint64(8) | da >> np.uint64(56)) & shifted[1][code])
+                   | dot[1][code])
+    slots[:, 3] = exponent[xi] | seps
+    zero = np.flatnonzero(a == 0)
+    slots[zero, 0] = np.signbit(v[zero]) * np.uint64(ord("-"))
+    slots[zero, 1] = ord("0")
+    slots[zero, 2] = 0
+    slots[zero, 3] = seps[zero]
+    text = slots.view(np.uint8)
+    for i in np.flatnonzero(~exact & (a != 0)):
+        s = ("%.15g" % v[i]).encode()
+        text[i, :28] = 0
+        text[i, :len(s)] = np.frombuffer(s, np.uint8)
+    text = text.ravel()
+    return np.compress(text != 0, text).tobytes()
 
 
 def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer) -> ClosedLoopSystem:

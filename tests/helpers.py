@@ -4,8 +4,8 @@ Everything is driven by an explicit numpy Generator so test runs are
 reproducible; "generate until valid" loops are bounded.  The reference
 formulas (DC gain, KKT residual, the hand-written augmented plant of each
 optimality-model variant, the optimality model with its empty products, the
-settling-time scan) are independent routes that tests compare the package
-against.
+settling-time scan, the CSV trace by ``np.savetxt``) are independent routes
+that tests compare the package against.
 """
 
 from __future__ import annotations
@@ -188,3 +188,22 @@ def settling_time_by_scan(times, err, tol) -> float:
         if below[i:].all():
             return float(times[i])
     return np.inf
+
+
+def csv_by_savetxt(traj, path) -> None:
+    """``traj.to_csv(path)`` as ``np.savetxt(fmt="%.15g")`` writes it: the
+    reference of the chunked writer."""
+    cols = [traj.times.reshape(-1, 1), traj.states, traj.u, traj.y, traj.eps,
+            traj.cost.reshape(-1, 1)]
+    data = np.hstack([c for c in cols if c.shape[1] > 0])
+    names = (
+        ["t"]
+        + [f"x{i+1}" for i in range(traj.states.shape[1])]
+        + [f"u{i+1}" for i in range(traj.u.shape[1])]
+        + [f"y{i+1}" for i in range(traj.y.shape[1])]
+        + [f"eps{i+1}" for i in range(traj.eps.shape[1])]
+        + ["cost"]
+    )
+    with open(path, "w", newline="\n") as f:
+        np.savetxt(f, data, fmt="%.15g", delimiter=",", header=",".join(names),
+                   comments="", newline="\n")

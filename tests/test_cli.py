@@ -101,6 +101,22 @@ def edit(doc, path, value):
                  id="sim-t_end-string"),
     pytest.param("tracking-sparse", ("program", "objective", "params", "beta"), -1.0,
                  "program.objective.params.beta must be a positive number", id="beta-negative"),
+    # numeric fields read deeper inside a block
+    pytest.param("tracking-sparse", ("program", "objective", "params", "theta"), None,
+                 "program.objective.params.theta must be a finite number", id="theta-null"),
+    pytest.param("tracking-sparse", ("program", "objective", "params", "p_m"), 1.5,
+                 "program.objective.params.p_m must be an integer", id="p_m-fraction"),
+    pytest.param("tracking-sparse", ("program", "objective", "params", "r_indices"), [1, None, 3],
+                 "program.objective.params.r_indices[1] must be an integer",
+                 id="r_indices-entry-null"),
+    pytest.param("no-hurwitz", ("program", "inequalities"),
+                 [{"name": "affine", "params": {"g": [1.0, 0.0], "offset": None}}],
+                 "program.inequalities[0].params.offset must be a finite number",
+                 id="inequality-offset-null"),
+    pytest.param("power-dapi", ("controller", "k"), None, "controller.k must be a finite number",
+                 id="controller-k-null"),
+    pytest.param("power-dapi", ("network", "n"), None, "network.n must be an integer",
+                 id="network-n-null"),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
     doc = json.loads(scenarios.bundled_path(name).read_text())

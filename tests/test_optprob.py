@@ -14,7 +14,7 @@ from osscontrol.optprob import (
 from osscontrol.plant import PlantMatrices
 from osscontrol.scenarios import _tracking_objective
 
-from helpers import kkt_residual, random_plant, random_qp_instance
+from helpers import assert_bits_equal, kkt_residual, random_plant, random_qp_instance
 
 
 def residual_max(res: dict) -> float:
@@ -250,6 +250,24 @@ class TestSmoothNorm:
         y = np.array([500.0])
         assert f0(y, np.zeros(0)) == pytest.approx(500.0 - np.log(2.0) / 20.0)
         assert np.isfinite(grad_f0(y, np.zeros(0))).all()
+
+    def test_stacked_value_equals_per_row_values(self):
+        p_m, theta, beta = 3, 0.05, 20.0
+        f0, _ = tracking_objective(p_m, theta=theta, beta=beta)
+        rng = np.random.default_rng(31)
+        w = rng.standard_normal(p_m)
+        ys = rng.standard_normal((50, 8)) * rng.uniform(0.01, 10.0, (50, 1))
+        ys[0, :p_m] = w  # v = 0
+        ys[1, p_m:] = [500.0, -500.0, 500.0, 0.0, -500.0]  # exp(|beta y|) overflows
+        rows = np.array([f0(y, w) for y in ys])
+        assert_bits_equal(f0(ys, w), rows, "stacked f0")
+        prog = ConvexProgram.from_callables(8, p_m, f0, lambda y, w: np.zeros(8))
+        assert_bits_equal(prog.objective_value(ys, w), rows, "objective_value")
+        # the per-row form: np.linalg.norm and a sum over one row
+        for y, got in zip(ys, rows):
+            s = np.abs(beta * y[p_m:])
+            l1 = float(np.sum(s + np.log1p(np.exp(-2.0 * s)) - np.log(2.0)) / beta)
+            assert got == float(np.linalg.norm(y[:p_m] - w)) + theta * l1
 
     @pytest.mark.parametrize("kind", ["l2", "l1_logcosh"])
     def test_gradients_match_finite_differences(self, kind):

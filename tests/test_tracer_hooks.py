@@ -42,3 +42,21 @@ def test_install_hooks_and_uninstall_restores(monkeypatch, two_state_plant):
     for name in tracer.SUBSPACE_CHECKS:
         assert calls[f"subspaces.{name}"] == 1
     assert tr.counts["subspaces.samples"] == len(tracer.SUBSPACE_CHECKS)
+
+
+def test_traced_check_records_the_proposition_checks(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    tracer = importlib.import_module("tracer")
+    from osscontrol import scenarios
+
+    sc = scenarios.load_scenario("power-dapi")
+    props = [spec["which"] for spec in sc.expect if spec["kind"] == "prop"]
+    assert props
+    tr = tracer.Tracer()
+    with tr.installed():
+        scenarios.check_scenario(sc)
+    calls = {name: stat["calls"] for name, stat in tr.by_name().items()}
+    for which in set(props):
+        assert calls.get(f"stabilize.prop{which}_check", 0) >= props.count(which)
