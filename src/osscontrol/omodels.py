@@ -102,8 +102,8 @@ class OptimalityModel:
 def om_dynamics(om: OptimalityModel, y, w, state) -> tuple[np.ndarray, np.ndarray]:
     """Filter state derivative and proxy error at (y, w, state).
 
-    Takes one point, y (p,) and state (state_dim,), or row stacks (k, p) and
-    (k, state_dim).  Returns ``(state_dot, eps)`` with the same leading
+    Takes one point, y (p,) and state (state_dim,), or row stacks (..., p)
+    and (..., state_dim).  Returns ``(state_dot, eps)`` with the same leading
     shape, ``state_dot`` in the flat [nu; mu] layout of the model.
 
     Reads the layout fixed when ``om`` was built and skips empty dimensions

@@ -77,9 +77,11 @@ class ConvexProgram:
     """Objective + engineering constraints of the steady-state program.
 
     ``objective`` is either QPData or a pair of callables ``f0(y, w)`` and
-    ``grad_f0(y, w) -> vector``.  ``f0`` takes one output y (p,) and returns
-    a float, or a row stack (k, p) and returns a (k,) array whose row i is
-    bit-identical to ``f0(y[i], w)``; ``grad_f0`` takes one output.
+    ``grad_f0(y, w)``.  Both take one output y (p,) or a row stack (..., p)
+    in one call, and every row of a stacked result is bit-identical to the
+    call on that row alone: ``f0`` returns a float or an array of shape
+    ``y.shape[:-1]``, ``grad_f0`` a float array of the gradients in the shape
+    of y.
     ``h_eq``/``l_eq`` may be callables of delta for uncertain equality
     constraints; resolve them with :meth:`at_delta` before numeric use.
     """
@@ -122,8 +124,8 @@ class ConvexProgram:
     @staticmethod
     def from_callables(p: int, n_w: int, f0, grad_f0, *, h_eq=None, l_eq=None,
                        inequalities=()) -> "ConvexProgram":
-        """A program with a smooth objective: ``f0`` evaluates one output or a
-        row stack of outputs, ``grad_f0`` one output (see the class)."""
+        """A program with a smooth objective: ``f0`` and ``grad_f0`` each
+        evaluate one output or a row stack of outputs (see the class)."""
         h = np.zeros((0, p)) if h_eq is None else h_eq
         l = np.zeros((0, n_w)) if l_eq is None else l_eq
         return ConvexProgram(p=p, n_w=n_w, f0=f0, grad_f0=grad_f0, h_eq=h, l_eq=l,
@@ -160,12 +162,13 @@ class ConvexProgram:
                              inequalities=self.inequalities)
 
     # -- evaluation -------------------------------------------------------------
-    # Each takes one output y (p,) or a row stack (k, p); row i of a stacked
-    # result is bit-identical to evaluating row i alone.  A callable f0 gets
-    # the stack in one call; the other callables are applied row by row.
+    # Each takes one output y (p,) or a row stack (..., p); row i of a stacked
+    # result is bit-identical to evaluating row i alone.  The objective
+    # callables get the stack in one call; the inequalities are applied row
+    # by row.
 
     def objective_value(self, y, w):
-        """f0(y; w): a float for one output, a (k,) array for a stack."""
+        """f0(y; w): a float for one output, an array of ``y.shape[:-1]`` for a stack."""
         y = np.asarray(y, dtype=float)
         w = np.asarray(w, dtype=float).ravel()
         if self.qp is not None:
@@ -177,11 +180,11 @@ class ConvexProgram:
         return float(val) if y.ndim == 1 else val
 
     def objective_grad(self, y, w) -> np.ndarray:
+        if self.qp is None:
+            return self.grad_f0(y, w)
         y = np.asarray(y, dtype=float)
         w = np.asarray(w, dtype=float).ravel()
-        if self.qp is not None:
-            return _mv(self.qp.m_cost, y) - _mv(self.qp.n_cost, w) + self.qp.c
-        return _each_row(self.grad_f0, y, w, (self.p,))
+        return _mv(self.qp.m_cost, y) - _mv(self.qp.n_cost, w) + self.qp.c
 
     def ineq_values(self, y, w) -> np.ndarray:
         return _each_row(lambda r, w: [float(f(r, w)) for f, _ in self.inequalities],
@@ -201,15 +204,51 @@ class ConvexProgram:
         return g
 
 
+def tracking_objective(p_m: int, r_idx: np.ndarray, theta, beta):
+    """``(f0, grad_f0)`` of ``|y_m - r| + theta (1/beta) sum_i log cosh(beta y_i)``:
+    the Euclidean tracking error of the first ``p_m`` outputs plus a smooth
+    l1 surrogate on the rest.
+
+    ``theta`` and ``beta`` are numbers, or (S, 1) columns of per-row values
+    for outputs stacked (..., S, p); every operation is elementwise or per
+    row, so row i equals the objective with row i's numbers.
+    """
+    log2 = np.log(2.0)
+
+    def f0(y, w):
+        """At one output (p,) a float, at a row stack (..., p) an array."""
+        y = np.asarray(y, dtype=float)
+        v = y[..., :p_m] - np.asarray(w, dtype=float).ravel()[r_idx]
+        s = np.abs(beta * y[..., p_m:])
+        # log cosh(s) = |s| + log1p(exp(-2|s|)) - log 2, overflow-safe
+        l1 = np.sum(s + np.log1p(np.exp(-2.0 * s)) - log2, axis=-1, keepdims=True) / beta
+        # sqrt(v @ v) per row is what np.linalg.norm computes for a real vector
+        return np.sqrt(_vdot(v, v)) + (theta * l1)[..., 0]
+
+    def grad_f0(y, w):
+        """At one output (p,) or a row stack (..., p), gradients of y's shape;
+        the tracking part is 0 where y_m = r."""
+        y = np.asarray(y, dtype=float)
+        v = y[..., :p_m] - np.asarray(w, dtype=float).ravel()[r_idx]
+        nv = np.sqrt(_vdot(v, v))[..., None]
+        g = np.zeros(y.shape)
+        np.divide(v, nv, out=g[..., :p_m], where=nv > 0)
+        np.multiply(theta, np.tanh(beta * y[..., p_m:]), out=g[..., p_m:])
+        return g
+
+    return f0, grad_f0
+
+
 def _each_row(fn, y: np.ndarray, w, shape: tuple) -> np.ndarray:
     """``fn(y, w)`` as a float array of ``shape`` for one output y (p,), or
-    stacked to (k, *shape) over the rows of y (k, p)."""
+    stacked to (..., *shape) over the rows of y (..., p)."""
     if y.ndim == 1:
         return np.asarray(fn(y, w), dtype=float).reshape(shape)
-    out = np.empty((len(y),) + shape)
-    for i, row in enumerate(y):
+    rows = y.reshape(-1, y.shape[-1])
+    out = np.empty((len(rows),) + shape)
+    for i, row in enumerate(rows):
         out[i] = np.asarray(fn(row, w), dtype=float).reshape(shape)
-    return out
+    return out.reshape(y.shape[:-1] + shape)
 
 
 def check_gradients(prog: ConvexProgram, w, rng: np.random.Generator,

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import power
 from .errors import OssError
-from .matlib import _vdot, eigenvalues, numerical_rank, range_basis, subspace_equal
+from .matlib import eigenvalues, numerical_rank, range_basis, subspace_equal
 from .omodels import OptimalityModel
-from .optprob import ConvexProgram, check_gradients, oracle_optimal_output
+from .optprob import ConvexProgram, check_gradients, oracle_optimal_output, tracking_objective
 from .plant import PlantMatrices, UncertainPlant, build_augmented_qp, eval_plant
 from .simulate import ClosedLoopSystem, Trajectory, assemble, convergence_metrics, equilibrium_solve, integrate_rk4
 from .stabilize import Stabilizer, augmented_pbh, prop4_check, prop5_check, prop6_check, synthesize_lqr
@@ -154,10 +154,9 @@ def _build_plant(spec: dict, network: power.PowerNetwork | None) -> UncertainPla
                           delta_box=box)
 
 
-def _tracking_objective(params: dict):
-    """``(f0, grad_f0)`` of ``|y_m - r| + theta (1/beta) sum_i log cosh(beta y_i)``:
-    the Euclidean tracking error of the first ``p_m`` outputs plus a smooth
-    l1 surrogate on the rest."""
+def _tracking_numbers(params: dict) -> dict:
+    """``p_m``, ``r_idx``, ``theta`` and ``beta`` of a tracking objective's
+    ``params`` block, each checked."""
     where = "program.objective.params"
     p_m = _number(_field(params, "p_m", where), f"{where}.p_m", integer=True)
     theta = _number(_field(params, "theta", where), f"{where}.theta")
@@ -167,37 +166,18 @@ def _tracking_objective(params: dict):
         raise ValueError(f"{where}.r_indices must be a list, got {r_indices!r}")
     r_idx = np.asarray([_number(i, f"{where}.r_indices[{j}]", integer=True)
                         for j, i in enumerate(r_indices)], dtype=np.intp)
-    log2 = np.log(2.0)
-
-    def f0(y, w):
-        """At one output (p,) a float, at a row stack (k, p) a (k,) array."""
-        y = np.asarray(y, dtype=float)
-        v = y[..., :p_m] - np.asarray(w, dtype=float).ravel()[r_idx]
-        s = np.abs(beta * y[..., p_m:])
-        # log cosh(s) = |s| + log1p(exp(-2|s|)) - log 2, overflow-safe
-        l1 = np.sum(s + np.log1p(np.exp(-2.0 * s)) - log2, axis=-1) / beta
-        # sqrt(v @ v) per row is what np.linalg.norm computes for a real vector
-        return np.sqrt(_vdot(v, v)) + theta * l1
-
-    def grad_f0(y, w):
-        y = np.asarray(y, dtype=float).ravel()
-        v = y[:p_m] - np.asarray(w, dtype=float).ravel()[r_idx]
-        nv = math.sqrt(v @ v)  # what np.linalg.norm computes for a real vector
-        g = np.empty_like(y)
-        g[:p_m] = v / nv if nv > 0 else 0.0
-        g[p_m:] = theta * np.tanh(beta * y[p_m:])
-        return g
-
-    return f0, grad_f0
+    return {"p_m": p_m, "r_idx": r_idx, "theta": theta, "beta": beta}
 
 
 def _build_program(spec: dict, network: power.PowerNetwork | None, p_hint: int,
-                   n_w: int) -> ConvexProgram:
+                   n_w: int) -> tuple[ConvexProgram, dict | None]:
+    """The program of a ``program`` block, with the numbers of its tracking
+    objective (``_tracking_numbers``), or None for other objectives."""
     if spec.get("builder") == "frequency":
         if network is None:
             raise ValueError("frequency program builder needs a network block")
         f = _decode_matrix(spec["f"], "program.f") if "f" in spec else None
-        return power.frequency_program(network, f)
+        return power.frequency_program(network, f), None
     h = _decode_matrix(spec["h"], "program.h") if "h" in spec else None
     l = _decode_matrix(spec["l"], "program.l") if "l" in spec else None
     ineqs = []
@@ -224,17 +204,16 @@ def _build_program(spec: dict, network: power.PowerNetwork | None, p_hint: int,
             n_w=n_w, h_eq=h, l_eq=l,
             c=_decode_vector(qp["c"], "program.qp.c") if "c" in qp else None,
             inequalities=ineqs,
-        )
+        ), None
     obj = _field(spec, "objective", "program")
     name = _field(obj, "name", "program.objective")
-    if name == "l2_tracking_plus_smooth_l1":
-        f0, grad_f0 = _tracking_objective(_field(obj, "params", "program.objective"))
-    else:
+    if name != "l2_tracking_plus_smooth_l1":
         raise ValueError(f"program.objective.name: unknown objective {name!r}")
-    prog = ConvexProgram.from_callables(p_hint, n_w, f0, grad_f0, h_eq=h, l_eq=l,
-                                        inequalities=ineqs)
+    numbers = _tracking_numbers(_field(obj, "params", "program.objective"))
+    prog = ConvexProgram.from_callables(p_hint, n_w, *tracking_objective(**numbers),
+                                        h_eq=h, l_eq=l, inequalities=ineqs)
     check_gradients(prog, np.zeros(n_w), np.random.default_rng(0))
-    return prog
+    return prog, numbers
 
 
 def _resolve_basis(spec, up: UncertainPlant, prog: ConvexProgram, variant: str) -> np.ndarray:
@@ -272,6 +251,8 @@ class VariantPlan:
     sim: dict | None
     program: ConvexProgram | None = None
     expect: list[dict] = field(default_factory=list)
+    # the numbers of a tracking objective (``_tracking_numbers``), else None
+    objective: dict | None = None
 
 
 @dataclass
@@ -351,9 +332,16 @@ def _build_controller(doc: dict, up: UncertainPlant, prog: ConvexProgram,
     return om, stab, "standard", None, prog
 
 
+# Numeric fields an expectation may carry, whatever its kind: numbers (the
+# input ``index`` an integer), and lists of numbers.
+_NUMBER_FIELDS = ("tol", "by", "equals", "equals_tol", "at_least", "newton_tol", "u_tol",
+                  "omega_tol", "marginal_spread_tol", "min", "max", "index")
+_VECTOR_FIELDS = ("values", "delta")
+
+
 def _expectations(specs, where: str) -> list[dict]:
-    """The ``expect`` list at ``where``, each entry checked for a known kind
-    and the fields its check requires."""
+    """The ``expect`` list at ``where``, each entry checked for a known kind,
+    the fields its check requires and the type of its numeric fields."""
     if not isinstance(specs, list):
         raise ValueError(f"{where} must be a list of expectation objects")
     for i, spec in enumerate(specs):
@@ -368,6 +356,16 @@ def _expectations(specs, where: str) -> list[dict]:
             raise ValueError(f"{where}[{i}].{missing[0]} is missing: a {kind} check needs it")
         if kind == "prop" and spec.get("which") not in (4, 5, 6):
             raise ValueError(f"{where}[{i}].which must be 4, 5 or 6, got {spec.get('which')!r}")
+        for key in _NUMBER_FIELDS:
+            if key in spec:
+                _number(spec[key], f"{where}[{i}].{key}", integer=key == "index")
+        for key in _VECTOR_FIELDS:
+            if key in spec:
+                if not isinstance(spec[key], list):
+                    raise ValueError(f"{where}[{i}].{key} must be a list of numbers, "
+                                     f"got {spec[key]!r}")
+                for j, value in enumerate(spec[key]):
+                    _number(value, f"{where}[{i}].{key}[{j}]")
     return list(specs)
 
 
@@ -418,7 +416,7 @@ def load_scenario(source) -> Scenario:
 
     up = _build_plant(doc["plant"], network)
     pm0 = eval_plant(up, up.nominal)
-    program = _build_program(doc["program"], network, pm0.p, pm0.n_w)
+    program, objective = _build_program(doc["program"], network, pm0.p, pm0.n_w)
 
     variant_docs = doc.get("variants") or [{}]
     if not isinstance(variant_docs, list):
@@ -432,9 +430,9 @@ def load_scenario(source) -> Scenario:
             {k: doc[k] for k in ("om", "stabilizer", "controller", "sim", "program") if k in doc},
             {k: vdoc[k] for k in ("om", "stabilizer", "controller", "sim", "program") if k in vdoc},
         )
-        vprog = program
+        vprog, vobjective = program, objective
         if "program" in vdoc:
-            vprog = _build_program(merged["program"], network, pm0.p, pm0.n_w)
+            vprog, vobjective = _build_program(merged["program"], network, pm0.p, pm0.n_w)
         om, stab, kind, gb_w, vprog = _build_controller(merged, up, vprog, network)
         sim = merged.get("sim")
         if sim is not None:
@@ -445,6 +443,7 @@ def load_scenario(source) -> Scenario:
             om=om, stabilizer=stab, controller_kind=kind, gb_weights=gb_w,
             sim=sim, program=vprog,
             expect=_expectations(vdoc.get("expect", []), f"variants[{i}].expect"),
+            objective=vobjective,
         ))
     return Scenario(
         name=doc["name"], description=doc.get("description", ""),
@@ -584,12 +583,15 @@ class _Context:
     def loop(self, delta=None) -> ClosedLoopSystem:
         return self._per_delta("loop", delta, self._build_loop)
 
+    def z0(self, n_state: int) -> np.ndarray:
+        return (_decode_vector(self.sim["z0"], "sim.z0") if "z0" in self.sim
+                else np.zeros(n_state))
+
     def trajectory(self, delta=None) -> Trajectory:
         def integrate(d):
             sys = self.loop(d)
-            z0 = (_decode_vector(self.sim["z0"], "sim.z0") if "z0" in self.sim
-                  else np.zeros(sys.n_state))
-            return integrate_rk4(sys, z0, float(self.sim["t_end"]), float(self.sim["h"]))
+            return integrate_rk4(sys, self.z0(sys.n_state), float(self.sim["t_end"]),
+                                 float(self.sim["h"]))
 
         return self._per_delta("trajectory", delta, integrate)
 
@@ -740,7 +742,10 @@ def _check_dispatch(ctx, spec):
 
 def _check_final_input_abs(ctx, spec):
     index = int(spec["index"])
-    val = abs(float(ctx.trajectory().u[-1, index]))
+    u_end = ctx.trajectory().u[-1]
+    if not 0 <= index < u_end.size:
+        raise ValueError(f"final_input_abs index {index} is not one of the {u_end.size} inputs")
+    val = abs(float(u_end[index]))
     return _within(val, spec, "min", "max"), f"|u_{index + 1}(t_end)| = {val:.4g}"
 
 
@@ -764,6 +769,62 @@ CHECKS = {
     "final_input_abs": (_check_final_input_abs, True, ("index",)),
 }
 SIM_CHECK_KINDS = frozenset(kind for kind, (_, simulated, _) in CHECKS.items() if simulated)
+
+
+def _row_program(plans: list[VariantPlan]) -> ConvexProgram | None:
+    """One program for a row stack of the plans' outputs, row i with plan i's
+    objective: their shared program, or their tracking objectives with theta
+    and beta as (S, 1) columns; None when they differ in anything else."""
+    progs = [plan.om.program for plan in plans]
+    first, nums = progs[0], [plan.objective for plan in plans]
+    if all(prog is first for prog in progs):
+        return first
+    if any(n is None for n in nums):
+        return None
+    p_m, r_idx = nums[0]["p_m"], nums[0]["r_idx"]
+    if any(n["p_m"] != p_m or not np.array_equal(n["r_idx"], r_idx) for n in nums):
+        return None
+    if any(prog.inequalities or not np.array_equal(prog.h_eq, first.h_eq)
+           or not np.array_equal(prog.l_eq, first.l_eq) for prog in progs):
+        return None
+    theta, beta = (np.array([[n[key]] for n in nums]) for key in ("theta", "beta"))
+    return ConvexProgram.from_callables(first.p, first.n_w,
+                                        *tracking_objective(p_m, r_idx, theta, beta),
+                                        h_eq=first.h_eq, l_eq=first.l_eq)
+
+
+def _integrate_groups(contexts: list[_Context]) -> None:
+    """Integrate the simulated variants of a group as one row stack, and
+    store each variant's row as its trajectory.
+
+    A group shares delta, w, h, t_end and the optimality model's variant and
+    basis; its variants differ only in stabilizer gains and the numbers of a
+    tracking objective.  A variant in no group of two or more is integrated
+    on its own, by ``_Context.trajectory``.
+    """
+    groups: dict = {}
+    for ctx in contexts:
+        plan = ctx.plan
+        if plan.sim is None or plan.controller_kind != "standard":
+            continue
+        key = (ctx.delta.tobytes(), ctx.w.tobytes(), float(ctx.sim["h"]),
+               float(ctx.sim["t_end"]), plan.om.variant, plan.om.basis.shape,
+               plan.om.basis.tobytes())
+        groups.setdefault(key, []).append(ctx)
+    for group in groups.values():
+        prog = _row_program([ctx.plan for ctx in group]) if len(group) > 1 else None
+        if prog is None:
+            continue
+        first = group[0]
+        om = first.plan.om
+        if prog is not om.program:
+            om = OptimalityModel(variant=om.variant, basis=om.basis, program=prog)
+        sys = assemble(first.sc.plant, first.delta, first.w, om,
+                       [ctx.plan.stabilizer for ctx in group])
+        traj = integrate_rk4(sys, np.stack([ctx.z0(sys.n_state) for ctx in group]),
+                             float(first.sim["t_end"]), float(first.sim["h"]))
+        for ctx, row in zip(group, traj.rows()):
+            ctx._per_delta("trajectory", None, lambda _d, row=row: row)
 
 
 def _run_check(ctx: _Context, spec: dict) -> CheckResult:
@@ -809,6 +870,8 @@ def _evaluate(sc: Scenario, variant: str | None, simulate: bool, h=None, t_end=N
         report.results.extend(_run_check(ctx, spec) for spec in specs
                               if simulate or spec["kind"] not in SIM_CHECK_KINDS)
 
+    if simulate:
+        _integrate_groups(contexts)
     run_checks(first, sc.expect)
     for ctx in contexts:
         plan = ctx.plan
@@ -835,9 +898,13 @@ def run_scenario(sc: Scenario, variant: str | None = None, out_dir=None,
                  sweep: bool = False) -> tuple[RunReport, dict]:
     """Run all expectations, integrating each variant's closed loop.
 
-    Returns the report plus the trajectories, keyed by variant name.  With
-    ``sweep`` the variant loops are also integrated at every delta sample
-    (thread pool, deterministic merge order) and written as extra traces.
+    Variants that share delta, w, h, t_end and the optimality model, and
+    differ only in stabilizer gains and the numbers of a tracking objective,
+    are integrated together as one row stack, each row bit-identical to
+    integrating its variant alone (``_integrate_groups``).  Returns the
+    report plus the trajectories, keyed by variant name.  With ``sweep`` the
+    variant loops are also integrated at every delta sample (thread pool,
+    deterministic merge order) and written as extra traces.
     """
     report, trajectories = _evaluate(sc, variant, simulate=True, h=h, t_end=t_end,
                                      sweep=sweep)

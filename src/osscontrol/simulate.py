@@ -18,15 +18,29 @@ that may hold a diverged state is rescanned step by step, so the truncation
 step is the one a per-step check would find.
 
 ``assemble`` writes the loop's input and output map once, as ``evaluate``:
-one state (n_state,) or a row stack (k, n_state) to (x, u, y, state_dot,
+one state (n_state,) or a row stack (..., n_state) to (x, u, y, state_dot,
 eps), through ``om_dynamics``.  ``rhs`` adds the plant derivative, at one
-state or a row stack; ``outputs`` maps a (k, n_state) array to row-stacked
-(y, u, eps, cost), ROW_BLOCK rows at a time, affine or not.  Row-stacked
-matrix-vector products make the same BLAS call per row as for one state, so
-row i of a stacked result is bit-identical to evaluating state i alone.  An
-affine loop's (A_cl, b_cl) is probed from one ``rhs`` call on the rows
-[0; I]; it is the one closed-loop matrix of the package: the RK4 step map,
-the equilibrium Newton solve and the spectrum checks all read it.
+state or a row stack; ``outputs`` maps a (k, ..., n_state) array of states to
+(y, u, eps, cost), about ROW_BLOCK states at a time, affine or not.  Matrix-vector
+products over a row stack (``matlib._mv``) make the same BLAS call per row as
+for one state, and every other operation is elementwise or per row, so row i
+of a stacked result is bit-identical to evaluating state i alone.  An affine
+loop's (A_cl, b_cl) is probed from one ``rhs`` call on the rows [0; I]; it is
+the one closed-loop matrix of the package: the RK4 step map, the equilibrium
+Newton solve and the spectrum checks all read it.
+
+Given S stabilizers, ``assemble`` builds one loop of S rows: the variants of
+a scenario that differ only in their gains and in the numbers of their
+objective, the numbers as (S, 1) columns of the model's program.  Its gains
+are (S, m, .) stacks, so a row stack (S, n_state) of states, one per row,
+takes each row's own products; an affine loop of S rows has one (A_cl, b_cl)
+per row and steps with each row's own step map.  ``integrate_rk4`` advances
+such a stack (or S states of a one-row loop) with the same block loop as one
+state.  Each row is truncated at its own first diverged step, found as for
+one state; the stack steps on until every row has diverged or the horizon
+ends, and a row past its end repeats its last state, so the discarded steps
+of a diverged row never reach ``outputs``.  Row i of the stacked trajectory
+is bit-identical to integrating row i alone.
 
 ``Trajectory.to_csv`` writes each value as ``"%.15g" % value``, the bytes of
 ``np.savetxt(fmt="%.15g")``, formatting a chunk of values at once.  For a
@@ -53,6 +67,7 @@ ties included.  No value is approximated.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,11 +95,15 @@ _X_MIN, _X_MAX = -22, 15  # decimal exponents that _format_g15 lays out itself
 class ClosedLoopSystem:
     """Assembled autonomous closed loop z_dot = rhs(t, z) with output maps.
 
-    ``rhs`` takes one state.  ``outputs`` takes a (k, n_state) array of states
-    and returns row-stacked ``(y, u, eps, cost)`` of shapes (k, p), (k, m),
-    (k, eps_dim) and (k,); row i is bit-identical to evaluating the output
-    formulas at state i alone.  ``affine`` holds (A_cl, b_cl) with
-    rhs(z) = A_cl z + b_cl when the loop is affine.
+    ``rhs`` takes one state (n_state,) or a row stack (..., n_state).
+    ``outputs`` takes an array (k, ..., n_state) of states and returns
+    ``(y, u, eps, cost)`` of shapes (k, ..., p), (k, ..., m), (k, ..., eps_dim)
+    and (k, ...); every entry is bit-identical to evaluating the output
+    formulas at its state alone.  ``affine`` holds (A_cl, b_cl) with
+    rhs(z) = A_cl z + b_cl when the loop is affine.  A loop of S rows (see
+    ``assemble``) takes states with a row axis of length S before the state
+    axis, and its ``affine`` holds one (A_cl, b_cl) per row, (S, n_state,
+    n_state) and (S, n_state).
     """
 
     n_state: int
@@ -98,7 +117,14 @@ class ClosedLoopSystem:
 
 @dataclass
 class Trajectory:
-    """Uniform-grid closed-loop trace with per-time outputs."""
+    """Uniform-grid closed-loop trace with per-time outputs.
+
+    One row: ``states`` (k, n_state), ``y``, ``u``, ``eps`` (k, .) and
+    ``cost`` (k,).  A row stack of S rows puts a row axis after the time
+    axis, (k, S, .), and holds each row's ``diverged`` flag and its number of
+    samples, ``ends``, as (S,) arrays; past its end a row repeats its last
+    state and outputs.  ``rows`` splits a stack into one-row trajectories.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -106,7 +132,15 @@ class Trajectory:
     u: np.ndarray
     eps: np.ndarray
     cost: np.ndarray
-    diverged: bool = False
+    diverged: bool | np.ndarray = False
+    ends: np.ndarray | None = None
+
+    def rows(self) -> list[Trajectory]:
+        """The one-row trajectories of a row stack, each up to its own end."""
+        return [Trajectory(times=self.times[:e], states=self.states[:e, i], y=self.y[:e, i],
+                           u=self.u[:e, i], eps=self.eps[:e, i], cost=self.cost[:e, i],
+                           diverged=bool(d))
+                for i, (e, d) in enumerate(zip(self.ends, self.diverged))]
 
     def to_csv(self, path) -> None:
         """Write the trace as CSV: t, state, input, output, proxy error, cost.
@@ -272,8 +306,15 @@ def _format_g15(v: np.ndarray, seps: np.ndarray) -> bytes:
     return np.compress(text != 0, text).tobytes()
 
 
-def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer) -> ClosedLoopSystem:
-    """Wire plant, optimality model, proxy-error integrators, and stabilizer."""
+def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab) -> ClosedLoopSystem:
+    """Wire plant, optimality model, proxy-error integrators, and stabilizer.
+
+    ``stab`` is one Stabilizer, or a sequence of S stabilizers for a loop of
+    S rows: row i feeds back with stabilizer i, its gains stacked (S, m, .),
+    and the loop's states carry a row axis of length S.  The objective of
+    ``om.program`` then sees row stacks of outputs, (..., S, p), and may hold
+    per-row parameters as (S, 1) columns.
+    """
     pm = eval_plant(up, delta)
     prog = om.program
     if prog.p != pm.p:
@@ -289,17 +330,20 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer
     n_nu, n_mu, n_eta = om.n_ic, om.n_mu, om.eps_dim
     n_om = n_nu + n_mu
     n_state = n + n_om + n_eta
-    k_full = np.hstack([
-        stab.block("kx", m, n),
-        stab.block("knu", m, n_nu),
-        stab.block("kmu", m, n_mu),
-        stab.block("keta", m, n_eta),
-    ])
-    keps = stab.block("keps", m, n_eta)
     affine_loop = prog.is_qp and n_nu == 0
     qw, bw_w = pm.q @ w, pm.bw @ w
 
-    if np.any(keps):
+    def input_map(stab: Stabilizer) -> tuple[np.ndarray, np.ndarray]:
+        """``(u_gain, u_offset)`` with u = -u_gain z - u_offset."""
+        k_full = np.hstack([
+            stab.block("kx", m, n),
+            stab.block("knu", m, n_nu),
+            stab.block("kmu", m, n_mu),
+            stab.block("keta", m, n_eta),
+        ])
+        keps = stab.block("keps", m, n_eta)
+        if not np.any(keps):
+            return k_full, np.zeros(m)
         if not affine_loop:
             raise ValueError(
                 "proportional proxy-error feedback (Keps != 0) needs a quadratic "
@@ -317,51 +361,76 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab: Stabilizer
         c_z[:, :n] = pm.c
         s_z = np.zeros((n_om, n_state))
         s_z[:, n: n + n_om] = np.eye(n_om)
-        u_gain = loop_inv @ (k_full + keps @ (e_y @ c_z + e_s @ s_z))
-        u_offset = loop_inv @ (keps @ (e_y @ qw + e_w))
+        return (loop_inv @ (k_full + keps @ (e_y @ c_z + e_s @ s_z)),
+                loop_inv @ (keps @ (e_y @ qw + e_w)))
+
+    rows = None if isinstance(stab, Stabilizer) else len(stab)
+    if rows is None:
+        u_gain, u_offset = input_map(stab)
     else:
-        u_gain = k_full
-        u_offset = np.zeros(m)
+        u_gain, u_offset = (np.stack(parts) for parts in zip(*map(input_map, stab)))
+    # (-K) z is -(K z) up to the sign of a zero, which the + 0.0 below
+    # normalizes; subtracting a zero offset would leave every value as it is
+    neg_gain, offset = -u_gain, u_offset.any()
 
     def evaluate(z: np.ndarray):
         """(x, u, y, state_dot, eps) at one state (n_state,) or a row stack
-        (k, n_state); x is the plant block of z."""
+        (..., n_state); x is the plant block of z."""
         x = z[..., :n]
+        u = _mv(neg_gain, z)
+        if offset:
+            u -= u_offset
         # + 0.0 normalizes negative zero so traces of resting loops read cleanly
-        u = -_mv(u_gain, z) - u_offset + 0.0
-        y = _mv(pm.c, x) + _mv(pm.d, u) + qw
+        u += 0.0
+        y = _mv(pm.c, x)
+        y += _mv(pm.d, u)
+        y += qw
         state_dot, eps = om_dynamics(om, y, w, z[..., n: n + n_om])
         return x, u, y, state_dot, eps
 
     def rhs(_t: float, z: np.ndarray) -> np.ndarray:
         x, u, _, state_dot, eps = evaluate(z)
-        x_dot = _mv(pm.a, x) + _mv(pm.b, u) + bw_w
-        return np.concatenate([x_dot, state_dot, eps], axis=-1)
+        x_dot = _mv(pm.a, x)
+        x_dot += _mv(pm.b, u)
+        x_dot += bw_w
+        # an empty piece costs a third of the concatenation
+        return np.concatenate((x_dot, state_dot, eps) if n_om else (x_dot, eps), axis=-1)
 
     def outputs(zs: np.ndarray):
-        k = zs.shape[0]
-        out = (np.empty((k, pm.p)), np.empty((k, m)), np.empty((k, n_eta)), np.empty(k))
-        for lo in range(0, k, ROW_BLOCK):
-            _, u, y, _, eps = evaluate(zs[lo: lo + ROW_BLOCK])
+        lead = zs.shape[:-1]
+        out = (np.empty(lead + (pm.p,)), np.empty(lead + (m,)), np.empty(lead + (n_eta,)),
+               np.empty(lead))
+        block = max(1, ROW_BLOCK // math.prod(lead[1:]))  # about ROW_BLOCK states
+        for lo in range(0, lead[0], block):
+            _, u, y, _, eps = evaluate(zs[lo: lo + block])
             for arr, part in zip(out, (y, u, eps, prog.objective_value(y, w))):
-                arr[lo: lo + ROW_BLOCK] = part
+                arr[lo: lo + block] = part
         return out
 
     return ClosedLoopSystem(
         n_state=n_state, rhs=rhs, outputs=outputs, m=m, p=pm.p, eps_dim=n_eta,
-        affine=_affine_maps(rhs, n_state) if affine_loop else None,
+        affine=_affine_maps(rhs, n_state, rows) if affine_loop else None,
     )
 
 
-def _affine_maps(rhs, n_state: int) -> tuple[np.ndarray, np.ndarray]:
+def _affine_maps(rhs, n_state: int, rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(A_cl, b_cl)`` of an affine ``rhs(z) = A_cl z + b_cl``, from one call
-    on the row stack [0; I]; A_cl is C-ordered."""
-    out = rhs(0.0, np.vstack([np.zeros(n_state), np.eye(n_state)]))
-    return (out[1:] - out[0]).T.copy(), out[0]
+    on the row stack [0; I], given to each row of a loop of ``rows`` rows;
+    A_cl is C-ordered."""
+    probe = np.vstack([np.zeros(n_state), np.eye(n_state)])
+    if rows is not None:
+        probe = np.repeat(probe[:, None], rows, axis=1)
+    out = rhs(0.0, probe)
+    d = out[1:] - out[0]  # d[j, ..., i] = A_cl[..., i, j]
+    return (d.T if rows is None else d.transpose(1, 2, 0)).copy(), out[0]
 
 
 def _rk4_step_map(a_cl: np.ndarray, b_cl: np.ndarray, h: float):
-    """Exact RK4 update matrices for an affine system: z+ = phi z + psi."""
+    """Exact RK4 update matrices for an affine system: z+ = phi z + psi; for
+    stacks (S, n, n) and (S, n), one map per row, stacked."""
+    if a_cl.ndim == 3:
+        maps = [_rk4_step_map(a, b, h) for a, b in zip(a_cl, b_cl)]
+        return np.stack([phi for phi, _ in maps]), np.stack([psi for _, psi in maps])
     n = a_cl.shape[0]
     phi = np.eye(n)
     psi_mat = np.zeros((n, n))
@@ -385,22 +454,27 @@ def _diverged(z: np.ndarray) -> bool:
 def integrate_rk4(sys: ClosedLoopSystem, z0, t_end: float, h: float) -> Trajectory:
     """Classical 4th-order fixed-step integration from z0 to t_end.
 
-    Truncates with ``diverged=True`` at the first state that is not finite or
-    whose norm passes 1e12.
+    ``z0`` is one state (n_state,), or a row stack (S, n_state) of initial
+    states: one per row of a loop of S rows, or S states of one loop.  A row
+    stack gives a stacked Trajectory.  Each row truncates with
+    ``diverged=True`` at its first state that is not finite or whose norm
+    passes 1e12; integration stops once every row has.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
     if t_end < h:
         raise ValueError("t_end must be at least one step")
     steps = int(round(t_end / h))
-    z = np.asarray(z0, dtype=float).reshape(sys.n_state).copy()
-    states = np.empty((steps + 1, sys.n_state))
+    z = np.array(z0, dtype=float)
+    z = z.reshape((-1, sys.n_state) if z.ndim == 2 else sys.n_state)
+    states = np.empty((steps + 1,) + z.shape)
     states[0] = z
+    by_row = states.reshape(steps + 1, -1, sys.n_state)  # a view; one row for one state
     if sys.affine is not None:
         phi, psi = _rk4_step_map(*sys.affine, h)
 
         def step(z):
-            return phi @ z + psi
+            return _mv(phi, z) + psi
     else:
         rhs, half, sixth = sys.rhs, 0.5 * h, h / 6.0
 
@@ -411,7 +485,8 @@ def integrate_rk4(sys: ClosedLoopSystem, z0, t_end: float, h: float) -> Trajecto
             k4 = rhs(0.0, z + h * k3)
             return z + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    diverged, last = False, steps
+    diverged = np.zeros(by_row.shape[1], dtype=bool)
+    ends = np.full(by_row.shape[1], steps + 1)
     # A block may run past the divergence step into overflow; those states
     # are discarded, so their floating-point warnings are too.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -420,21 +495,26 @@ def integrate_rk4(sys: ClosedLoopSystem, z0, t_end: float, h: float) -> Trajecto
             for k in range(lo, hi):
                 z = step(z)
                 states[k + 1] = z
-            block = states[lo + 1: hi + 1]
+            block = by_row[lo + 1: hi + 1]
             # A state _diverged flags has a nan or inf sum of squares, or one
-            # above LIMIT**2, four times this bound; a block passing the bound
-            # therefore holds none and needs no exact scan.
-            if (np.einsum("ij,ij->i", block, block) <= (0.5 * DIVERGENCE_LIMIT) ** 2).all():
-                continue
-            hit = next((k for k in range(lo + 1, hi + 1) if _diverged(states[k])), None)
-            if hit is not None:
-                diverged, last = True, hit
+            # above LIMIT**2, four times this bound; a row passing the bound
+            # over the block therefore holds none and needs no exact scan.
+            calm = (np.einsum("kij,kij->ki", block, block) <= (0.5 * DIVERGENCE_LIMIT) ** 2)
+            for r in np.flatnonzero(~calm.all(axis=0) & ~diverged):
+                hit = next((k for k in range(lo + 1, hi + 1) if _diverged(by_row[k, r])), None)
+                if hit is not None:
+                    diverged[r], ends[r] = True, hit + 1
+            if diverged.all():
                 break
-    states = states[: last + 1]
-    times = np.arange(last + 1) * h
+    end = ends.max()
+    for r in np.flatnonzero(ends < end):
+        by_row[ends[r]: end, r] = by_row[ends[r] - 1, r]
+    states = states[:end]
     ys, us, epss, costs = sys.outputs(states)
-    return Trajectory(times=times, states=states, y=ys, u=us, eps=epss,
-                      cost=costs, diverged=diverged)
+    if z.ndim == 1:
+        diverged, ends = bool(diverged[0]), None
+    return Trajectory(times=np.arange(end) * h, states=states, y=ys, u=us, eps=epss,
+                      cost=costs, diverged=diverged, ends=ends)
 
 
 def equilibrium_solve(sys: ClosedLoopSystem, z_guess, tol: float = 1e-10,

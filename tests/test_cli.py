@@ -117,6 +117,19 @@ def edit(doc, path, value):
                  id="controller-k-null"),
     pytest.param("power-dapi", ("network", "n"), None, "network.n must be an integer",
                  id="network-n-null"),
+    # numeric fields of an expectation, read only when its check runs
+    pytest.param("no-hurwitz", ("expect", 2, "tol"), None,
+                 "expect[2].tol must be a finite number", id="expect-tol-null"),
+    pytest.param("equilibrium-necessity", ("variants", 0, "expect", 2, "by"), "soon",
+                 "variants[0].expect[2].by must be a finite number", id="expect-by-string"),
+    pytest.param("rfs-violation", ("expect", 3, "at_least"), None,
+                 "expect[3].at_least must be a finite number", id="expect-at_least-null"),
+    pytest.param("tracking-sparse", ("variants", 0, "expect", 1, "index"), 0.5,
+                 "variants[0].expect[1].index must be an integer", id="expect-index-fraction"),
+    pytest.param("no-hurwitz", ("expect", 2, "values", 1), None,
+                 "expect[2].values[1] must be a finite number", id="expect-values-entry-null"),
+    pytest.param("rfs-violation", ("expect", 3, "delta"), 0.5,
+                 "expect[3].delta must be a list of numbers", id="expect-delta-number"),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
     doc = json.loads(scenarios.bundled_path(name).read_text())
@@ -125,6 +138,16 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
     bad.write_text(json.dumps(doc))
     assert cli.main(["check", str(bad)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_input_index_out_of_range_exits_2(tmp_path, capsys):
+    # the index is checked against the inputs when the run has them
+    doc = json.loads(scenarios.bundled_path("tracking-sparse").read_text())
+    edit(doc, ("variants", 0, "expect", 1, "index"), 7)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["run", str(bad), "--t-end", "0.01"]) == 2
+    assert "index 7 is not one of the 2 inputs" in capsys.readouterr().err
 
 
 def test_check_json_report_is_json(capsys):

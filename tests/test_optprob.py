@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from osscontrol import optprob
 from osscontrol.errors import InfeasibleProblem, NonuniqueOptimizer
 from osscontrol.optprob import (
     ConvexProgram,
@@ -12,7 +15,7 @@ from osscontrol.optprob import (
     unique_optimizer_check,
 )
 from osscontrol.plant import PlantMatrices
-from osscontrol.scenarios import _tracking_objective
+from osscontrol.scenarios import _tracking_numbers
 
 from helpers import assert_bits_equal, kkt_residual, random_plant, random_qp_instance
 
@@ -217,8 +220,9 @@ class TestNonredundantCheck:
 def tracking_objective(p_m: int, theta: float = 1.0, beta: float = 20.0):
     """``(f0, grad_f0)`` of the tracking objective with reference ``w = r``:
     ``p_m = 0`` leaves only the l1 surrogate, ``theta = 0`` only the l2 part."""
-    return _tracking_objective({"p_m": p_m, "theta": theta, "beta": beta,
-                                "r_indices": list(range(p_m))})
+    numbers = _tracking_numbers({"p_m": p_m, "theta": theta, "beta": beta,
+                                 "r_indices": list(range(p_m))})
+    return optprob.tracking_objective(**numbers)
 
 
 class TestSmoothNorm:
@@ -268,6 +272,44 @@ class TestSmoothNorm:
             s = np.abs(beta * y[p_m:])
             l1 = float(np.sum(s + np.log1p(np.exp(-2.0 * s)) - np.log(2.0)) / beta)
             assert got == float(np.linalg.norm(y[:p_m] - w)) + theta * l1
+
+    def test_stacked_gradient_equals_per_row_gradients(self):
+        p_m, theta, beta = 3, 0.05, 20.0
+        _, grad_f0 = tracking_objective(p_m, theta=theta, beta=beta)
+        rng = np.random.default_rng(32)
+        w = np.array([0.0, rng.standard_normal(), 0.0])
+        ys = rng.standard_normal((50, 8)) * rng.uniform(0.01, 10.0, (50, 1))
+        ys[0, :p_m] = w  # v = 0: the tracking entries are 0
+        ys[1, p_m:] = [500.0, -500.0, 500.0, 0.0, -500.0]  # tanh saturates
+        ys[2, :p_m] = [1e-300, w[1], -1e-300]  # v != 0, but |v|^2 underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.array([grad_f0(y, w) for y in ys])
+            assert_bits_equal(grad_f0(ys, w), rows, "stacked grad_f0")
+            assert_bits_equal(grad_f0(ys.reshape(5, 10, 8), w), rows.reshape(5, 10, 8),
+                              "grad_f0 on a stack of stacks")
+        for i in (0, 2):
+            assert_bits_equal(rows[i, :p_m], np.zeros(p_m), f"row {i} tracking part")
+        # the per-row form: v / np.linalg.norm(v) and theta tanh(beta y)
+        for y, got in zip(ys[3:], rows[3:]):
+            v = y[:p_m] - w
+            assert_bits_equal(got, np.concatenate([v / float(np.linalg.norm(v)),
+                                                   theta * np.tanh(beta * y[p_m:])]), "row")
+
+    def test_parameter_columns_equal_per_row_parameters(self):
+        # theta and beta as (S, 1) columns give row i the objective of row i's numbers
+        theta, beta = np.array([[0.05], [2.0], [1e-9]]), np.array([[20.0], [3.0], [7.0]])
+        r_idx = np.array([2, 0])
+        f0, grad_f0 = optprob.tracking_objective(2, r_idx, theta, beta)
+        rng = np.random.default_rng(33)
+        w = rng.standard_normal(3)
+        ys = rng.standard_normal((40, 3, 6))
+        ys[0, 1, :2] = w[r_idx]
+        for i in range(3):
+            f_i, g_i = optprob.tracking_objective(2, r_idx, theta[i, 0], beta[i, 0])
+            assert_bits_equal(f0(ys, w)[:, i], f_i(ys[:, i], w), f"row {i} f0")
+            assert_bits_equal(grad_f0(ys, w)[:, i], g_i(ys[:, i], w), f"row {i} grad_f0")
+            assert_bits_equal(grad_f0(ys[0], w)[i], g_i(ys[0, i], w), f"row {i} one point")
 
     @pytest.mark.parametrize("kind", ["l2", "l1_logcosh"])
     def test_gradients_match_finite_differences(self, kind):

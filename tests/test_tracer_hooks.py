@@ -60,3 +60,29 @@ def test_traced_check_records_the_proposition_checks(monkeypatch):
     calls = {name: stat["calls"] for name, stat in tr.by_name().items()}
     for which in set(props):
         assert calls.get(f"stabilize.prop{which}_check", 0) >= props.count(which)
+
+
+def test_traced_runs_record_the_stacked_loops(monkeypatch):
+    # both scenarios integrate their two variants as one row stack: one
+    # integrate_rk4 call each, counted once per stacked step, and four rhs
+    # spans per step of tracking-sparse's nonlinear loop
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    tracer = importlib.import_module("tracer")
+    from osscontrol import scenarios
+
+    steps = {"tracking-sparse": 100, "pd-vs-oss": 200}
+    tr = tracer.Tracer()
+    with tr.installed():
+        for name, n in steps.items():
+            sc = scenarios.load_scenario(name)
+            h = float(sc.variants[0].sim["h"])
+            report, trajectories = scenarios.run_scenario(sc, t_end=n * h)
+            assert not report.diverged, name
+            assert [len(t.times) for t in trajectories.values()] == [n + 1, n + 1], name
+    calls = {name: stat["calls"] for name, stat in tr.by_name().items()}
+    assert calls["simulate.integrate_rk4"] == 2
+    assert tr.counts["simulate.rk4_steps"] == sum(steps.values())
+    assert calls["simulate.rhs"] == 4 * steps["tracking-sparse"]
+    assert calls["simulate.outputs"] == 2
