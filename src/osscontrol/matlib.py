@@ -18,6 +18,16 @@ import numpy as np
 
 DEFAULT_RANK_TOL = 1e-10
 _ORTHONORMALITY_TOL = 1e-10
+# Rows per block of a stacked computation: states per output block and steps
+# per divergence check of the integrator.  Outputs built over a whole
+# trajectory at once need temporaries several times its size (peak memory of
+# the bundled runs grew by a sixth); blocks keep them small.
+ROW_BLOCK = 256
+# Delta samples per block of the subspace and spectrum checks.  A sample's
+# temporaries (its plant matrices, SVD factors, closed-loop probe) take about
+# ten kilobytes: blocks of ROW_BLOCK samples raised the peak memory of a dense
+# check by 2 MB, blocks of this size hold a few hundred kilobytes.
+DELTA_BLOCK = ROW_BLOCK // 8
 
 
 def as_matrix(m) -> np.ndarray:
@@ -77,15 +87,38 @@ def _svd(m: np.ndarray):
     return np.linalg.svd(m, full_matrices=True)
 
 
-def _rank_threshold(s: np.ndarray, shape, tol: float, floor: float = 0.0) -> float:
-    """Singular values above this count toward the rank (``s`` nonempty, descending)."""
-    return max(tol * s[0] * max(shape), floor)
+def _rank_threshold(s: np.ndarray, shape, tol: float, floor: float = 0.0):
+    """Singular values above this count toward the rank (``s`` nonempty,
+    descending; (..., k) for a stack of matrices of ``shape``, one threshold
+    per matrix)."""
+    return np.maximum(tol * s[..., 0] * max(shape), floor)
 
 
-def _rank_from_singular_values(s: np.ndarray, shape, tol: float, floor: float = 0.0) -> int:
-    if s.size == 0 or s[0] <= floor:
-        return 0
-    return int(np.count_nonzero(s > _rank_threshold(s, shape, tol, floor)))
+def _rank_from_singular_values(s: np.ndarray, shape, tol: float, floor: float = 0.0):
+    """Numerical rank from descending singular values; for a stack (..., k),
+    one rank per matrix."""
+    if s.shape[-1] == 0:
+        return np.zeros(s.shape[:-1], dtype=np.intp)
+    thresh = _rank_threshold(s, shape, tol, floor)
+    rank = np.count_nonzero(s > np.expand_dims(thresh, -1), axis=-1)
+    return np.where(s[..., 0] <= floor, 0, rank)
+
+
+def rank_groups(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list:
+    """Full SVDs of a stack of matrices (S, r, c), grouped by numerical rank.
+
+    One ``(rows, u, vt, rank)`` for each rank that occurs, ``rows`` the
+    indices into the stack.  ``np.linalg.svd`` runs the same LAPACK routine on
+    each matrix of a stack as on one matrix, so every factor is bit-identical
+    to the SVD of its matrix alone.
+    """
+    u, s, vt = np.linalg.svd(stack, full_matrices=True)
+    ranks = _rank_from_singular_values(s, stack.shape[-2:], tol)
+    groups = []
+    for rank in np.unique(ranks):
+        rows = np.flatnonzero(ranks == rank)
+        groups.append((rows, u[rows], vt[rows], int(rank)))
+    return groups
 
 
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> int:
@@ -96,7 +129,7 @@ def numerical_rank(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> int:
     """
     a = as_matrix(m)
     _, s, _ = _svd(a)
-    return _rank_from_singular_values(s, a.shape, tol, floor)
+    return int(_rank_from_singular_values(s, a.shape, tol, floor))
 
 
 def rank_decision(m, want_rank: int, tol: float = DEFAULT_RANK_TOL) -> tuple[bool, float]:
@@ -161,13 +194,20 @@ def subspace_equal(u: SubspaceBasis, v: SubspaceBasis, tol: float = 1e-8) -> boo
         )
     if u.dim != v.dim:
         return False
-    if u.dim == 0:
-        return True
-    # sines via the complement projection: resolves small angles far better
-    # than sqrt(1 - cos^2) of the principal cosines
-    resid = v.basis - u.basis @ (u.basis.T @ v.basis)
-    max_sine = float(np.linalg.svd(resid, compute_uv=False)[0])
-    return max_sine <= tol
+    return float(max_sine(u.basis, v.basis)) <= tol
+
+
+def max_sine(u: np.ndarray, v: np.ndarray):
+    """Largest principal-angle sine between range(u) and range(v), for
+    orthonormal bases with equal column counts (0 when both are empty); for a
+    stack of bases v (..., n, k), one sine per basis.
+
+    The sines come from the complement projection, which resolves small
+    angles far better than sqrt(1 - cos^2) of the principal cosines.
+    """
+    if u.shape[-1] == 0:
+        return np.zeros(v.shape[:-2])
+    return np.linalg.svd(v - u @ (u.T @ v), compute_uv=False)[..., 0]
 
 
 def subspace_intersection(u: SubspaceBasis, v: SubspaceBasis, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
@@ -198,12 +238,21 @@ _vdot = np.vecdot
 
 
 def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues of a square matrix, unordered, as a complex array."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
+    """All eigenvalues of a square matrix, unordered; for a stack (..., n, n),
+    those of each matrix, (..., n).
+
+    ``np.linalg.eigvals`` runs the same LAPACK routine on each matrix of a
+    stack as on one matrix, so each row is bit-identical to the eigenvalues
+    of its matrix alone.  The result is complex unless every eigenvalue is
+    real, so a row of a stack may be complex where its matrix alone gives a
+    real array of the same values.
+    """
+    m = np.asarray(a, dtype=float)
+    m = m if m.ndim > 2 else as_matrix(m)
+    if m.shape[-1] != m.shape[-2]:
         raise ValueError(f"eigenvalues need a square matrix, got {m.shape}")
-    if m.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
+    if m.shape[-1] == 0:
+        return np.zeros(m.shape[:-1], dtype=complex)
     return np.linalg.eigvals(m)
 
 

@@ -8,7 +8,10 @@ A plant is
 
 with every matrix a function of an uncertainty vector delta.  Uncertainty is
 represented by an evaluation callable plus a finite sample set of delta
-values; all "for every delta" checks run over the samples.
+values; all "for every delta" checks run over the samples.  The checks take
+the realizations at a block of deltas as one ``PlantStack``, each matrix
+stacked along a leading axis, built by ``stack_plants`` from realizations
+evaluated one delta at a time.
 
 ``build_augmented_qp`` puts a plant in series with an optimality model and
 the proxy-error integrators.  It writes none of the model's formulas: the
@@ -18,7 +21,7 @@ model's linear maps are probed from ``omodels.om_dynamics``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -71,28 +74,59 @@ class PlantMatrices:
 
     @property
     def n(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
     @property
     def m(self) -> int:
-        return self.b.shape[1]
+        return self.b.shape[-1]
 
     @property
     def p(self) -> int:
-        return self.c.shape[0]
+        return self.c.shape[-2]
 
     @property
     def n_w(self) -> int:
-        return self.bw.shape[1]
+        return self.bw.shape[-1]
 
     @property
     def p_m(self) -> int:
-        return self.cm.shape[0]
+        return self.cm.shape[-2]
+
+
+@dataclass(frozen=True)
+class PlantStack(PlantMatrices):
+    """Realizations of a plant family at S deltas: each matrix stacked along a
+    leading axis, (S, rows, cols).  Built by ``stack_plants`` from validated
+    realizations, so not validated again."""
+
+    def __post_init__(self):
+        pass
+
+
+_PLANT_FIELDS = ("a", "b", "bw", "c", "d", "q", "cm")
+
+
+def stack_plants(pms: Iterable[PlantMatrices], count: int) -> PlantStack:
+    """The ``count`` realizations ``pms`` as one PlantStack.  Each is copied
+    in as the iterable yields it, so a generator of realizations is never
+    held whole."""
+    stacks = None
+    for i, pm in enumerate(pms):
+        if stacks is None:
+            stacks = {k: np.empty((count,) + getattr(pm, k).shape) for k in _PLANT_FIELDS}
+        for k in _PLANT_FIELDS:
+            stacks[k][i] = getattr(pm, k)
+    return PlantStack(**stacks)
 
 
 @dataclass(frozen=True)
 class UncertainPlant:
-    """Plant family delta -> PlantMatrices with a finite sample set of deltas."""
+    """Plant family delta -> PlantMatrices with a finite sample set of deltas.
+
+    Construction evaluates the family once at every sample, keeping none of
+    the realizations, and rejects a family whose dimensions vary across
+    the samples.
+    """
 
     evaluate: Callable[[np.ndarray], PlantMatrices]
     delta_dim: int
@@ -104,9 +138,7 @@ class UncertainPlant:
         if not samples:
             raise ValueError("delta_samples must contain at least one sample")
         object.__setattr__(self, "delta_samples", samples)
-        shapes = {self.evaluate(s).a.shape for s in samples}
-        dims = {(pm.n, pm.m, pm.p, pm.n_w) for pm in (self.evaluate(s) for s in samples)}
-        if len(shapes) != 1 or len(dims) != 1:
+        if len({(pm.n, pm.m, pm.p, pm.n_w) for pm in map(self.evaluate, samples)}) != 1:
             raise ValueError("plant family yields inconsistent dimensions across delta samples")
 
     @property

@@ -119,23 +119,29 @@ def build_swing_plant(net: PowerNetwork, delta_samples=((0.0,), (0.3,), (-0.3,))
     """Swing dynamics as an uncertain LTI plant; delta scales the damping.
 
     State (omega, p), disturbance w = p_star, optimization output (u, omega).
+    Every block but the damping block of A is the same at every delta: it is
+    built once, read-only, and shared by all realizations.
     """
     n, nt = net.n, net.n_lines
     inc = net.incidence()
-    m_inv = np.diag(1.0 / net.inertia)
-    bsus = np.diag(net.susceptance)
+    neg_m_inv = -np.diag(1.0 / net.inertia)
+    # A with its damping block left zero
+    a_fixed = np.block([[np.zeros((n, n)), neg_m_inv @ inc],
+                        [np.diag(net.susceptance) @ inc.T, np.zeros((nt, nt))]])
+    b = np.vstack([-neg_m_inv, np.zeros((nt, n))])
+    c = np.vstack([np.zeros((n, n + nt)), np.hstack([np.eye(n), np.zeros((n, nt))])])
+    d = np.vstack([np.eye(n), np.zeros((n, n))])
+    fixed = {"b": b, "bw": b.copy(), "c": c, "d": d, "q": np.zeros((2 * n, n))}
+    for mat in (a_fixed, *fixed.values()):
+        mat.flags.writeable = False
 
     def evaluate(delta: np.ndarray) -> PlantMatrices:
         scale = 1.0 + float(delta[0]) if delta.size else 1.0
         if scale <= 0:
             raise ValueError("damping scale must remain positive")
-        damp = np.diag(scale * net.damping)
-        a = np.block([[-m_inv @ damp, -m_inv @ inc], [bsus @ inc.T, np.zeros((nt, nt))]])
-        b = np.vstack([m_inv, np.zeros((nt, n))])
-        c = np.vstack([np.zeros((n, n + nt)),
-                       np.hstack([np.eye(n), np.zeros((n, nt))])])
-        d = np.vstack([np.eye(n), np.zeros((n, n))])
-        return PlantMatrices(a=a, b=b, bw=b.copy(), c=c, d=d, q=np.zeros((2 * n, n)))
+        a = a_fixed.copy()
+        a[:n, :n] = neg_m_inv @ np.diag(scale * net.damping)
+        return PlantMatrices(a=a, **fixed)
 
     return UncertainPlant(evaluate=evaluate, delta_dim=1,
                           delta_samples=[np.asarray(s, dtype=float) for s in delta_samples],

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import power
 from .errors import OssError
-from .matlib import eigenvalues, numerical_rank, range_basis, subspace_equal
+from .matlib import DELTA_BLOCK, eigenvalues, numerical_rank, range_basis, subspace_equal
 from .omodels import OptimalityModel
 from .optprob import ConvexProgram, check_gradients, oracle_optimal_output, tracking_objective
 from .plant import PlantMatrices, UncertainPlant, build_augmented_qp, eval_plant
@@ -523,6 +523,7 @@ class _Context:
 
     Every per-delta artifact (oracle, loop, trajectory, spectrum) is computed
     once per delta; ``delta=None`` means the variant's simulation delta.
+    Spectra are computed DELTA_BLOCK deltas at a time (``fill_spectra``).
     """
 
     def __init__(self, sc: Scenario, plan: VariantPlan, h=None, t_end=None):
@@ -574,9 +575,10 @@ class _Context:
                                lambda d: oracle_optimal_output(prog, self.pm(d), self.w))
 
     def _build_loop(self, d) -> ClosedLoopSystem:
+        """The variant's loop at one delta, or at a stack of deltas."""
         if self.plan.controller_kind != "gather_broadcast":
             return assemble(self.sc.plant, d, self.w, self.plan.om, self.plan.stabilizer)
-        if not np.allclose(d, self.sc.plant.nominal):
+        if d.ndim > 1 or not np.allclose(d, self.sc.plant.nominal):
             raise ValueError("gather-broadcast loop is built at nominal delta only")
         return power.build_gather_broadcast(self.sc.network, self.plan.gb_weights, self.w)
 
@@ -596,15 +598,42 @@ class _Context:
         return self._per_delta("trajectory", delta, integrate)
 
     def spectrum(self, delta=None) -> np.ndarray:
-        """Eigenvalues of the affine loop's A_cl.  Only they are kept: a loop
-        per delta of a dense sample set would hold its closures and matrices."""
-        def eigs(d):
-            sys = self._build_loop(d)
-            if sys.affine is None:
-                raise ValueError("the closed-loop spectrum needs an affine loop")
-            return eigenvalues(sys.affine[0])
+        """Eigenvalues of the affine loop's A_cl at one delta; raises what
+        building the loop at that delta raised."""
+        d = self.delta if delta is None else np.asarray(delta, dtype=float)
+        self.fill_spectra([d])
+        eigs = self._cache[("spectrum", d.tobytes())]
+        if isinstance(eigs, Exception):
+            raise eigs
+        return eigs
 
-        return self._per_delta("spectrum", delta, eigs)
+    def fill_spectra(self, deltas) -> None:
+        """Cache the spectrum at each delta not cached yet.
+
+        Only eigenvalues are kept: a loop per delta of a dense sample set
+        would hold its closures and matrices.  Each block of DELTA_BLOCK deltas
+        is one loop of a delta stack (``assemble``) and one stacked
+        eigenvalue call; a block of one delta is the loop at that delta.  A
+        block that cannot be built is built again one delta at a time, and a
+        delta whose loop cannot be built keeps the error in place of its
+        spectrum.
+        """
+        todo = [d for d in deltas if ("spectrum", d.tobytes()) not in self._cache]
+        for lo in range(0, len(todo), DELTA_BLOCK):
+            block = todo[lo: lo + DELTA_BLOCK]
+            try:
+                sys = self._build_loop(np.stack(block) if len(block) > 1 else block[0])
+                if sys.affine is None:
+                    raise ValueError("the closed-loop spectrum needs an affine loop")
+                eigs = eigenvalues(sys.affine[0]).reshape(len(block), sys.n_state)
+            except (ValueError, OssError) as exc:
+                if len(block) > 1:
+                    for d in block:
+                        self.fill_spectra([d])
+                    continue
+                eigs = [exc]
+            for d, e in zip(block, eigs):
+                self._cache[("spectrum", d.tobytes())] = e
 
     def metrics(self, settle_tol: float = 1e-3) -> dict:
         return convergence_metrics(self.trajectory(), self.oracle()["y_star"], settle_tol)
@@ -623,7 +652,7 @@ def _witness_detail(rep: dict) -> str:
     detail = f"holds={rep['holds']}"
     if rep["witness"] is not None:
         detail += f", witness deltas {rep['witness'][0].tolist()} vs {rep['witness'][1].tolist()}"
-    return detail
+    return detail + f", max sine {rep['max_sine']:.3g} over {rep['deltas']} deltas"
 
 
 def _check_ros(ctx, spec):
@@ -676,8 +705,11 @@ def _check_spectrum(ctx, spec):
 
 
 def _check_hurwitz_at_samples(ctx, spec):
-    worst = max(float(ctx.spectrum(d).real.max()) for d in ctx.sc.plant.delta_samples)
-    return (worst < 0) == bool(spec["value"]), f"max Re over samples = {worst:.3g}"
+    samples = ctx.sc.plant.delta_samples
+    ctx.fill_spectra(samples)
+    worst = max(float(ctx.spectrum(d).real.max()) for d in samples)
+    return ((worst < 0) == bool(spec["value"]),
+            f"max Re over samples = {worst:.3g} ({len(samples)} deltas)")
 
 
 def _check_oracle_y(ctx, spec):
@@ -839,6 +871,7 @@ def _spectrum_info(ctx: _Context) -> list[str]:
             or plan.om.program.n_ic):
         return []
     out = []
+    ctx.fill_spectra(ctx.sc.plant.delta_samples)
     for d in ctx.sc.plant.delta_samples:
         where = f"[{plan.name}] delta={np.atleast_1d(d).tolist()}"
         try:

@@ -34,7 +34,10 @@ a scenario that differ only in their gains and in the numbers of their
 objective, the numbers as (S, 1) columns of the model's program.  Its gains
 are (S, m, .) stacks, so a row stack (S, n_state) of states, one per row,
 takes each row's own products; an affine loop of S rows has one (A_cl, b_cl)
-per row and steps with each row's own step map.  ``integrate_rk4`` advances
+per row and steps with each row's own step map.  Given S deltas, it builds
+the loop of S rows whose row i is the plant at delta i, its matrices
+(S, ., .) stacks taken per row the same way; the spectrum checks probe the
+A_cl of a block of delta samples this way.  ``integrate_rk4`` advances
 such a stack (or S states of a one-row loop) with the same block loop as one
 state.  Each row is truncated at its own first diverged step, found as for
 one state; the stack steps on until every row has diverged or the horizon
@@ -74,16 +77,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import OssError
-from .matlib import _mv
+from .matlib import ROW_BLOCK, _mv
 from .omodels import OptimalityModel, om_dynamics
-from .plant import UncertainPlant, eval_plant
+from .plant import UncertainPlant, eval_plant, stack_plants
 from .stabilize import Stabilizer
 
 DIVERGENCE_LIMIT = 1e12
-# Rows per output block and steps per divergence check.  Outputs built over a
-# whole trajectory at once need temporaries several times its size (peak
-# memory of the bundled runs grew by a sixth); blocks keep them small.
-ROW_BLOCK = 256
 # Values per formatting chunk of ``Trajectory.to_csv``; its temporaries stay
 # below a megabyte.
 _CSV_CHUNK = 4096
@@ -314,8 +313,18 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab) -> ClosedL
     and the loop's states carry a row axis of length S.  The objective of
     ``om.program`` then sees row stacks of outputs, (..., S, p), and may hold
     per-row parameters as (S, 1) columns.
+
+    ``delta`` is one delta, or a stack (S, delta_dim) of S deltas for a loop
+    of S rows with one stabilizer: row i is the loop at delta i, its plant
+    matrices stacked (``plant.stack_plants``), so an affine loop probes its
+    S matrices A_cl with one ``rhs`` call.  The plant is evaluated one delta
+    at a time, and an error at any delta is raised for the whole stack.
     """
-    pm = eval_plant(up, delta)
+    delta = np.asarray(delta, dtype=float)
+    if delta.ndim == 2:
+        pm = stack_plants((eval_plant(up, d) for d in delta), len(delta))
+    else:
+        pm = eval_plant(up, delta)
     prog = om.program
     if prog.p != pm.p:
         raise ValueError(
@@ -331,7 +340,7 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab) -> ClosedL
     n_om = n_nu + n_mu
     n_state = n + n_om + n_eta
     affine_loop = prog.is_qp and n_nu == 0
-    qw, bw_w = pm.q @ w, pm.bw @ w
+    qw, bw_w = _mv(pm.q, w), _mv(pm.bw, w)
 
     def input_map(stab: Stabilizer) -> tuple[np.ndarray, np.ndarray]:
         """``(u_gain, u_offset)`` with u = -u_gain z - u_offset."""
@@ -357,17 +366,18 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab) -> ClosedL
             loop_inv = np.linalg.inv(loop)
         except np.linalg.LinAlgError as exc:
             raise ValueError("proxy-error feedthrough loop is singular") from exc
-        c_z = np.zeros((pm.p, n_state))
-        c_z[:, :n] = pm.c
+        c_z = np.zeros(pm.c.shape[:-1] + (n_state,))
+        c_z[..., :n] = pm.c
         s_z = np.zeros((n_om, n_state))
         s_z[:, n: n + n_om] = np.eye(n_om)
         return (loop_inv @ (k_full + keps @ (e_y @ c_z + e_s @ s_z)),
-                loop_inv @ (keps @ (e_y @ qw + e_w)))
+                _mv(loop_inv, _mv(keps, _mv(e_y, qw) + e_w)))
 
-    rows = None if isinstance(stab, Stabilizer) else len(stab)
-    if rows is None:
+    if isinstance(stab, Stabilizer):
+        rows = len(delta) if delta.ndim == 2 else None
         u_gain, u_offset = input_map(stab)
     else:
+        rows = len(stab)
         u_gain, u_offset = (np.stack(parts) for parts in zip(*map(input_map, stab)))
     # (-K) z is -(K z) up to the sign of a zero, which the + 0.0 below
     # normalizes; subtracting a zero offset would leave every value as it is

@@ -8,7 +8,24 @@ uncertainty samples, which is what lets a controller be built without
 knowing delta.
 
 All "for every delta" verdicts are decided over the plant's finite
-``delta_samples``; reports carry per-sample results so coverage is visible.
+``delta_samples``; reports carry per-sample results, the number of samples
+covered and the worst principal-angle sine, so coverage is visible.  The
+samples are taken in blocks: the nominal sample alone, whose geometry is the
+reference, then the others ``DELTA_BLOCK`` at a time.  The plant is evaluated
+one delta at a time and its realizations stacked along a leading axis
+(``plant.stack_plants``); every matrix function then runs once per block.
+numpy's ``linalg`` gufuncs (``cond``, ``solve``, ``svd``) and ``matmul`` run
+the same LAPACK or BLAS call on each matrix of a stack as on one matrix, so
+every basis, sine and verdict is bit-identical to computing the sample
+alone; ``equilibrium_geometry`` of one realization is the block of one.
+
+Ranks can differ across a block: A may be singular at some deltas, and the
+dimension of range G or of the feasible slice may change.  Each SVD's rows
+are therefore grouped by numerical rank (``matlib.rank_groups``), and each
+group carries on with bases of one shape.  A sample whose subspace has
+another dimension than the nominal one does not match it; that is how the
+bundled RFS violation shows up.
+
 The reduced-error model's complement condition is decided at one
 realization (``reduced_error_complement_condition``), as a clause of
 ``stabilize.prop6_check``; its range condition is checked at every sample
@@ -18,21 +35,23 @@ realization (``reduced_error_complement_condition``), as a clause of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .matlib import (
     DEFAULT_RANK_TOL,
+    DELTA_BLOCK,
     SubspaceBasis,
+    _rank_from_singular_values,
     as_matrix,
-    left_null_basis,
-    null_basis,
+    max_sine,
     range_basis,
+    rank_groups,
     rank_decision,
-    subspace_equal,
     subspace_intersection,
 )
-from .plant import PlantMatrices, UncertainPlant, eval_plant
+from .plant import PlantMatrices, PlantStack, UncertainPlant, eval_plant, stack_plants
 
 _INVERTIBILITY_RCOND = 1e-8
 
@@ -42,85 +61,162 @@ class EquilibriumGeometry:
     """Geometry of the equilibrium-output set for one plant realization.
 
     ndelta spans null [A B]; g = [C D] ndelta spans the output direction
-    subspace; gperp has orthonormal rows annihilating it; t_basis spans the
-    feasible directions null [gperp; H].
+    subspace, with orthonormal basis g_range; gperp has orthonormal rows
+    annihilating it; t_basis spans the feasible directions null [gperp; H].
     """
 
     ndelta: np.ndarray
     g: np.ndarray
     gperp: np.ndarray
+    g_range: SubspaceBasis
     t_basis: SubspaceBasis
 
-    @property
-    def g_range(self) -> SubspaceBasis:
-        return range_basis(self.g)
+
+def _swap(mats: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack, C-ordered like ``m.T.copy()``."""
+    return np.ascontiguousarray(np.swapaxes(mats, -1, -2))
 
 
-def _null_ab(pm: PlantMatrices) -> np.ndarray:
-    """Basis of null [A B].
+def _null_ab(ps: PlantStack) -> list:
+    """Bases of null [A B] of a stack, as (rows, basis stack) groups.
 
-    When A is invertible (well conditioned) the basis [-A^-1 B; I] is used,
+    Where A is invertible (well conditioned) the basis [-A^-1 B; I] is used,
     which makes g literally the DC gain -C A^-1 B + D; otherwise an
-    orthonormal SVD basis is used.
+    orthonormal SVD basis, grouped by rank.
     """
-    if pm.n == 0:
-        return np.eye(pm.m)
+    count = len(ps.a)
+    if ps.n == 0:
+        return [(np.arange(count), np.broadcast_to(np.eye(ps.m), (count, ps.m, ps.m)))]
+    cond = _cond(ps.a)
+    invertible = np.isfinite(cond) & (cond < 1.0 / _INVERTIBILITY_RCOND)
+    groups = []
+    rows = np.flatnonzero(invertible)
+    if rows.size:
+        x = np.linalg.solve(ps.a[rows], ps.b[rows])
+        groups.append((rows, np.concatenate(
+            [-x, np.broadcast_to(np.eye(ps.m), (rows.size, ps.m, ps.m))], axis=-2)))
+    rows = np.flatnonzero(~invertible)
+    if rows.size:
+        ab = np.concatenate([ps.a[rows], ps.b[rows]], axis=-1)
+        groups += [(rows[sub], _swap(vt[:, rank:])) for sub, _, vt, rank in rank_groups(ab)]
+    return groups
+
+
+def _cond(a: np.ndarray):
+    """2-norm condition number of a matrix, or of each matrix of a stack;
+    inf where its SVD fails."""
     try:
-        cond = np.linalg.cond(pm.a)
+        return np.linalg.cond(a)
     except np.linalg.LinAlgError:
-        cond = np.inf
-    if np.isfinite(cond) and cond < 1.0 / _INVERTIBILITY_RCOND:
-        return np.vstack([-np.linalg.solve(pm.a, pm.b), np.eye(pm.m)])
-    return null_basis(np.hstack([pm.a, pm.b])).basis
+        return np.array([_cond(m) for m in a]) if a.ndim > 2 else np.inf
 
 
-def equilibrium_geometry(pm: PlantMatrices, h_eq=None) -> EquilibriumGeometry:
-    """Build the equilibrium-output geometry for a plant realization.
+class _GeometryGroup(NamedTuple):
+    """The geometry of the realizations ``rows`` of a stack, whose bases share
+    their shapes: each field of ``EquilibriumGeometry`` as a stack over the
+    rows, orthonormal bases as plain arrays."""
+
+    rows: np.ndarray
+    ndelta: np.ndarray
+    g: np.ndarray
+    gperp: np.ndarray
+    g_range: np.ndarray
+    t_basis: np.ndarray | None
+
+
+def _geometry_groups(ps: PlantStack, h: np.ndarray, feasible: bool = True) -> list:
+    """Equilibrium geometry of every realization of a stack, as
+    ``_GeometryGroup``s.  ``h`` holds the equality rows of each realization,
+    (S, k, p).  Without ``feasible`` the feasible directions are not computed
+    (t_basis is None).
 
     An empty null space yields an empty g and gperp equal to the identity
     row basis of the output space.
     """
-    h = as_matrix(h_eq).reshape(-1, pm.p) if h_eq is not None and np.size(h_eq) else np.zeros((0, pm.p))
-    nd = _null_ab(pm)
-    g = np.hstack([pm.c, pm.d]) @ nd
-    gperp = left_null_basis(g).basis.T if g.shape[1] else np.eye(pm.p)
-    t_basis = null_basis(np.vstack([gperp, h]))
-    return EquilibriumGeometry(ndelta=nd, g=g, gperp=gperp, t_basis=t_basis)
-
-
-def _per_sample_geometry(up: UncertainPlant, h_eq):
-    """Evaluate geometry at every delta sample, resolving callable H/L."""
+    cd = np.concatenate([ps.c, ps.d], axis=-1)
     out = []
-    for delta in up.delta_samples:
-        h = h_eq(delta) if callable(h_eq) else h_eq
-        pm = eval_plant(up, delta)
-        out.append((delta, equilibrium_geometry(pm, h)))
+    for rows, nd in _null_ab(ps):
+        g = cd[rows] @ nd
+        if g.shape[-1]:
+            split = [(sub, u[..., :rank].copy(), np.swapaxes(u[..., rank:].copy(), -1, -2))
+                     for sub, u, _, rank in rank_groups(g)]
+        else:
+            split = [(np.arange(rows.size), np.zeros((rows.size, ps.p, 0)),
+                      np.broadcast_to(np.eye(ps.p), (rows.size, ps.p, ps.p)))]
+        for sub, g_range, gperp in split:
+            if not feasible:
+                out.append(_GeometryGroup(rows[sub], nd[sub], g[sub], gperp, g_range, None))
+                continue
+            stacked = np.concatenate([gperp, h[rows[sub]]], axis=-2)
+            for part, _, vt, rank in rank_groups(stacked):
+                out.append(_GeometryGroup(rows[sub][part], nd[sub][part], g[sub][part],
+                                          gperp[part], g_range[part], _swap(vt[:, rank:])))
     return out
 
 
-def _robust_subspace(up: UncertainPlant, h_eq, tol: float, key: str, subspace) -> dict:
-    """Compare ``subspace(geometry)`` at every sample with its nominal value.
+def _equality_rows(h_eq, deltas, p: int) -> np.ndarray:
+    """H at each delta of a block, (S, k, p); ``h_eq`` may be a callable of delta."""
+    def rows(h):
+        return as_matrix(h).reshape(-1, p) if h is not None and np.size(h) else np.zeros((0, p))
+
+    if callable(h_eq):
+        return np.stack([rows(h_eq(d)) for d in deltas])
+    h = rows(h_eq)
+    return np.broadcast_to(h, (len(deltas),) + h.shape)
+
+
+def equilibrium_geometry(pm: PlantMatrices, h_eq=None) -> EquilibriumGeometry:
+    """Build the equilibrium-output geometry for a plant realization: the
+    block of one realization."""
+    (geom,) = _geometry_groups(stack_plants([pm], 1), _equality_rows(h_eq, [None], pm.p))
+    return EquilibriumGeometry(ndelta=geom.ndelta[0], g=geom.g[0], gperp=geom.gperp[0],
+                               g_range=SubspaceBasis(geom.g_range[0], pm.p),
+                               t_basis=SubspaceBasis(geom.t_basis[0], pm.p))
+
+
+def _sample_blocks(up: UncertainPlant):
+    """``(first index, deltas, PlantStack)``: the nominal sample alone, then
+    the others DELTA_BLOCK at a time."""
+    samples = up.delta_samples
+    for lo, hi in [(0, 1)] + [(i, i + DELTA_BLOCK) for i in range(1, len(samples), DELTA_BLOCK)]:
+        deltas = samples[lo:hi]
+        yield lo, deltas, stack_plants((eval_plant(up, d) for d in deltas), len(deltas))
+
+
+def _robust_subspace(up: UncertainPlant, h_eq, tol: float, key: str, feasible: bool) -> dict:
+    """Compare the output subspace range G (or, with ``feasible``, the
+    feasible directions) at every sample with its nominal value.
 
     Returns holds, the nominal orthonormal basis under ``key`` when it holds,
-    the first violating (reference, delta) pair otherwise, and per-sample
-    verdicts.
+    the first violating (reference, delta) pair otherwise, per-sample
+    verdicts with their principal-angle sines, the largest sine and the
+    number of samples covered.
     """
-    geoms = _per_sample_geometry(up, h_eq)
-    ref_delta, ref_geom = geoms[0]
-    ref = subspace(ref_geom)
-    per_sample = []
-    witness = None
-    for delta, geom in geoms[1:]:
-        same = subspace_equal(ref, subspace(geom), tol)
-        per_sample.append({"delta": delta, "matches_nominal": same})
-        if not same and witness is None:
-            witness = (ref_delta, delta)
-    holds = witness is None
+    samples = up.delta_samples
+    matches = np.ones(len(samples), dtype=bool)
+    sines = np.zeros(len(samples))
+    ref = None
+    for lo, deltas, ps in _sample_blocks(up):
+        for geom in _geometry_groups(ps, _equality_rows(h_eq, deltas, ps.p), feasible):
+            bases = geom.t_basis if feasible else geom.g_range
+            if ref is None:
+                ref = bases[0]
+                continue
+            # a subspace of another dimension is at a right angle to the nominal
+            same = bases.shape[-1] == ref.shape[-1]
+            sine = max_sine(ref, bases) if same else 1.0
+            matches[lo + geom.rows] = same & (sine <= tol)
+            sines[lo + geom.rows] = sine
+    bad = np.flatnonzero(~matches)
+    holds = bad.size == 0
     return {
         "holds": holds,
-        key: ref.basis if holds else None,
-        "witness": witness,
-        "per_sample": per_sample,
+        key: ref if holds else None,
+        "witness": None if holds else (samples[0], samples[bad[0]]),
+        "per_sample": [{"delta": d, "matches_nominal": bool(ok), "sine": float(sine)}
+                       for d, ok, sine in zip(samples[1:], matches[1:], sines[1:])],
+        "max_sine": float(sines.max()),
+        "deltas": len(samples),
     }
 
 
@@ -129,7 +225,7 @@ def check_ros(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
 
     The nominal basis, when it holds, is returned as ``g0``.
     """
-    return _robust_subspace(up, h_eq, tol, "g0", lambda geom: geom.g_range)
+    return _robust_subspace(up, h_eq, tol, "g0", feasible=False)
 
 
 def check_rfs(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
@@ -139,15 +235,17 @@ def check_rfs(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
     the same comparison runs with H evaluated per sample.  The nominal basis,
     when it holds, is returned as ``t0``.
     """
-    return _robust_subspace(up, h_eq, tol, "t0", lambda geom: geom.t_basis)
+    return _robust_subspace(up, h_eq, tol, "t0", feasible=True)
 
 
 def check_robust_full_rank(up: UncertainPlant, tol: float = 1e-10) -> bool:
-    """True iff [A B; C D] has rank n + p at every delta sample."""
-    for delta in up.delta_samples:
-        pm = eval_plant(up, delta)
-        block = np.block([[pm.a, pm.b], [pm.c, pm.d]])
-        if not rank_decision(block, pm.n + pm.p, tol)[0]:
+    """True iff [A B; C D] has rank n + p at every delta sample; decided block
+    by block, stopping at the first block with a sample that fails."""
+    for _, _, ps in _sample_blocks(up):
+        block = np.concatenate([np.concatenate([ps.a, ps.b], axis=-1),
+                                np.concatenate([ps.c, ps.d], axis=-1)], axis=-2)
+        s = np.linalg.svd(block, compute_uv=False)
+        if (_rank_from_singular_values(s, block.shape[-2:], tol) < ps.n + ps.p).any():
             return False
     return True
 

@@ -4,17 +4,19 @@ Everything is driven by an explicit numpy Generator so test runs are
 reproducible; "generate until valid" loops are bounded.  The reference
 formulas (DC gain, KKT residual, the hand-written augmented plant of each
 optimality-model variant, the optimality model with its empty products, the
-settling-time scan, the CSV trace by ``np.savetxt``) are independent routes
-that tests compare the package against.
+settling-time scan, the CSV trace by ``np.savetxt``, the equilibrium
+geometry, subspace checks and spectra one delta at a time, the swing plant
+rebuilt block by block) are independent routes that tests compare the
+package against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from osscontrol.matlib import as_matrix, numerical_rank, range_basis
+from osscontrol.matlib import as_matrix, left_null_basis, null_basis, numerical_rank, range_basis
 from osscontrol.optprob import ConvexProgram, KKTPoint
-from osscontrol.plant import PlantMatrices, UncertainPlant, fixed_plant
+from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant, fixed_plant
 from osscontrol.stabilize import pbh_stabilizable
 from osscontrol.subspaces import equilibrium_geometry
 
@@ -207,3 +209,84 @@ def csv_by_savetxt(traj, path) -> None:
     with open(path, "w", newline="\n") as f:
         np.savetxt(f, data, fmt="%.15g", delimiter=",", header=",".join(names),
                    comments="", newline="\n")
+
+
+def geometry_by_sample(pm: PlantMatrices, h_eq=None) -> dict:
+    """The equilibrium geometry of one realization, one matrix function call
+    at a time: the reference of the delta-block computation.  Returns
+    ``ndelta``, ``g``, ``gperp`` and the orthonormal bases ``g_range`` and
+    ``t_basis``."""
+    h = as_matrix(h_eq).reshape(-1, pm.p) if h_eq is not None and np.size(h_eq) else np.zeros((0, pm.p))
+    if pm.n == 0:
+        nd = np.eye(pm.m)
+    else:
+        try:
+            cond = np.linalg.cond(pm.a)
+        except np.linalg.LinAlgError:
+            cond = np.inf
+        if np.isfinite(cond) and cond < 1e8:
+            nd = np.vstack([-np.linalg.solve(pm.a, pm.b), np.eye(pm.m)])
+        else:
+            nd = null_basis(np.hstack([pm.a, pm.b])).basis
+    g = np.hstack([pm.c, pm.d]) @ nd
+    gperp = left_null_basis(g).basis.T if g.shape[1] else np.eye(pm.p)
+    return {"ndelta": nd, "g": g, "gperp": gperp, "g_range": range_basis(g).basis,
+            "t_basis": null_basis(np.vstack([gperp, h])).basis}
+
+
+def principal_sine(ref: np.ndarray, basis: np.ndarray) -> float:
+    """Largest principal-angle sine between the ranges of two orthonormal
+    bases, as ``matlib.subspace_equal`` computes it; 1 when their dimensions
+    differ, 0 when both are empty."""
+    if ref.shape[1] != basis.shape[1]:
+        return 1.0
+    if ref.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.svd(basis - ref @ (ref.T @ basis), compute_uv=False)[0])
+
+
+def robust_subspace_by_sample(up: UncertainPlant, h_eq, key: str, tol: float = 1e-8) -> dict:
+    """``check_ros`` (key ``g_range``) or ``check_rfs`` (key ``t_basis``)
+    decided one delta sample at a time: ``holds``, ``witness`` and the
+    per-sample ``sines`` and ``matches`` against the nominal basis ``ref``."""
+    bases = [geometry_by_sample(eval_plant(up, d), h_eq(d) if callable(h_eq) else h_eq)[key]
+             for d in up.delta_samples]
+    ref = bases[0]
+    sines = [principal_sine(ref, b) for b in bases[1:]]
+    matches = [b.shape[1] == ref.shape[1] and sine <= tol for b, sine in zip(bases[1:], sines)]
+    bad = [d for d, ok in zip(up.delta_samples[1:], matches) if not ok]
+    return {"holds": not bad, "witness": (up.delta_samples[0], bad[0]) if bad else None,
+            "sines": sines, "matches": matches, "ref": ref}
+
+
+def spectrum_lines_by_sample(sc, plan) -> list:
+    """``(delta, eigenvalues or the error message)`` for each delta sample of a
+    scenario variant, each loop assembled at its delta alone."""
+    from osscontrol.errors import OssError
+    from osscontrol.scenarios import _Context
+    from osscontrol.simulate import assemble
+
+    w = _Context(sc, plan).w
+    out = []
+    for d in sc.plant.delta_samples:
+        try:
+            out.append((d, np.linalg.eigvals(assemble(sc.plant, d, w, plan.om,
+                                                      plan.stabilizer).affine[0])))
+        except (ValueError, OssError) as exc:
+            out.append((d, str(exc)))
+    return out
+
+
+def swing_matrices_by_formula(net, delta) -> dict:
+    """The swing plant's matrices at ``delta``, every block rebuilt with
+    ``np.block``: the reference of ``power.build_swing_plant``."""
+    n, nt = net.n, net.n_lines
+    inc = net.incidence()
+    m_inv = np.diag(1.0 / net.inertia)
+    bsus = np.diag(net.susceptance)
+    damp = np.diag((1.0 + float(delta[0])) * net.damping)
+    a = np.block([[-m_inv @ damp, -m_inv @ inc], [bsus @ inc.T, np.zeros((nt, nt))]])
+    b = np.vstack([m_inv, np.zeros((nt, n))])
+    c = np.vstack([np.zeros((n, n + nt)), np.hstack([np.eye(n), np.zeros((n, nt))])])
+    d = np.vstack([np.eye(n), np.zeros((n, n))])
+    return {"a": a, "b": b, "bw": b.copy(), "c": c, "d": d, "q": np.zeros((2 * n, n))}

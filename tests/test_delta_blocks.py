@@ -1,0 +1,256 @@
+"""The per-delta checks decided on delta-sample stacks against the same checks
+one delta at a time (``tests/helpers.py``): every basis, sine, verdict and
+eigenvalue bit for bit, on seeded families whose A turns singular, whose
+ranks change inside a block, whose null space is empty, with a callable H
+and with a Keps loop that cannot be built at some deltas."""
+
+import json
+
+import numpy as np
+import pytest
+
+from osscontrol import scenarios
+from osscontrol.matlib import DELTA_BLOCK, rank_decision
+from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant, stack_plants
+from osscontrol.subspaces import (
+    _equality_rows,
+    _geometry_groups,
+    check_rfs,
+    check_robust_full_rank,
+    check_ros,
+    equilibrium_geometry,
+)
+
+from helpers import (
+    assert_bits_equal,
+    geometry_by_sample,
+    random_plant,
+    robust_subspace_by_sample,
+    spectrum_lines_by_sample,
+)
+
+GEOMETRY_KEYS = ("ndelta", "g", "gperp", "g_range", "t_basis")
+
+
+def affine_family(rng, base: PlantMatrices, shifts: dict, special) -> UncertainPlant:
+    """``base`` plus delta_i times ``shifts[key][i]`` for each matrix key; the
+    samples are the nominal zero, the ``special`` deltas and seeded draws,
+    shuffled so the special ones land inside the blocks."""
+    dim = len(next(iter(shifts.values())))
+
+    def evaluate(delta):
+        mats = {k: getattr(base, k) for k in ("a", "b", "bw", "c", "d", "q")}
+        for key, terms in shifts.items():
+            mats[key] = mats[key] + sum(float(delta[i]) * t for i, t in enumerate(terms))
+        return PlantMatrices(**mats)
+
+    drawn = list(rng.uniform(-0.8, 0.8, (2 * DELTA_BLOCK, dim)))
+    others = [np.asarray(s, dtype=float) for s in special] + drawn
+    order = rng.permutation(len(others))
+    return UncertainPlant(evaluate=evaluate, delta_dim=dim,
+                          delta_samples=[np.zeros(dim)] + [others[i] for i in order])
+
+
+def singular_family(rng) -> UncertainPlant:
+    """A(delta) = A0 (I - delta_1 x x'/x'x) is singular at delta_1 = 1 and ill
+    conditioned (cond >= 1e8) just below it; the last columns of B and D
+    vanish at delta_2 = 1, where G loses rank."""
+    base = random_plant(rng, 4, 2, 3)
+    x = rng.standard_normal(4)
+    proj = np.outer(x, x) / (x @ x)
+    last = np.zeros((2, 2))
+    last[1, 1] = 1.0
+    shifts = {"a": [-base.a @ proj, np.zeros((4, 4))],
+              "b": [np.zeros((4, 2)), -base.b @ last],
+              "d": [np.zeros((3, 2)), -base.d @ last],
+              "c": [0.3 * rng.standard_normal((3, 4)), np.zeros((3, 4))]}
+    special = [(1.0, 0.0), (1.0 - 1e-10, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0 - 1e-10, 1.0)]
+    return affine_family(rng, base, shifts, special)
+
+
+def empty_null_family(rng) -> UncertainPlant:
+    """No inputs: null [A B] is empty where A is invertible, and one-dimensional
+    at delta = 1, where A is singular."""
+    base = random_plant(rng, 3, 2, 2)
+    base = PlantMatrices(a=base.a, b=np.zeros((3, 0)), bw=base.bw, c=base.c,
+                         d=np.zeros((2, 0)), q=base.q)
+    x = rng.standard_normal(3)
+    return affine_family(rng, base, {"a": [-base.a @ np.outer(x, x) / (x @ x)]},
+                         [(1.0,), (1.0 - 1e-10,)])
+
+
+def scaled_family(rng, m: int = 2, p: int = 4) -> UncertainPlant:
+    """(s A, s B) keeps range G fixed: ROS and RFS hold, with roundoff sines."""
+    base = random_plant(rng, 4, m, p)
+    return affine_family(rng, base, {"a": [0.5 * base.a], "b": [0.5 * base.b]}, [])
+
+
+def square_family(rng) -> UncertainPlant:
+    """As many inputs as outputs: [A B; C D] has full row rank, G full rank,
+    except at delta = 1, where the last columns of B and D vanish."""
+    base = random_plant(rng, 3, 2, 2)
+    last = np.zeros((2, 2))
+    last[1, 1] = 1.0
+    return affine_family(rng, base, {"b": [-base.b @ last], "d": [-base.d @ last]}, [(1.0,)])
+
+
+FAMILIES = {"singular": singular_family, "empty-null": empty_null_family,
+            "scaled": scaled_family, "square": square_family}
+
+
+def equalities(rng, up: UncertainPlant, kind: str):
+    """No H, a fixed H, or a callable H(delta) = H0 + delta_1 H1."""
+    p = eval_plant(up, up.nominal).p
+    if kind == "none":
+        return None
+    h0 = rng.standard_normal((1, p))
+    if kind == "fixed":
+        return h0
+    h1 = rng.standard_normal((1, p))
+    return lambda delta: h0 + float(delta[0]) * h1
+
+
+CASES = [(family, kind) for family in FAMILIES for kind in ("none", "fixed", "callable")]
+
+
+@pytest.mark.parametrize("family,kind", CASES)
+def test_block_geometry_equals_each_sample_alone(family, kind):
+    rng = np.random.default_rng(sorted(FAMILIES).index(family))
+    up = FAMILIES[family](rng)
+    h_eq = equalities(rng, up, kind)
+    samples = up.delta_samples
+    ps = stack_plants((eval_plant(up, d) for d in samples), len(samples))
+    groups = _geometry_groups(ps, _equality_rows(h_eq, samples, ps.p))
+    seen = np.concatenate([geom.rows for geom in groups])
+    assert np.array_equal(np.sort(seen), np.arange(len(samples)))
+    if family != "scaled":
+        assert len(groups) > 1, "the family should change rank inside the stack"
+    for geom in groups:
+        for i, row in enumerate(geom.rows):
+            d = samples[row]
+            want = geometry_by_sample(eval_plant(up, d), h_eq(d) if callable(h_eq) else h_eq)
+            for key in GEOMETRY_KEYS:
+                assert_bits_equal(getattr(geom, key)[i], want[key], f"{key} at {d}")
+    # one realization is the block of one
+    d = samples[1]
+    h = h_eq(d) if callable(h_eq) else h_eq
+    alone = equilibrium_geometry(eval_plant(up, d), h)
+    want = geometry_by_sample(eval_plant(up, d), h)
+    for key in GEOMETRY_KEYS:
+        got = getattr(alone, key)
+        assert_bits_equal(getattr(got, "basis", got), want[key], key)
+
+
+@pytest.mark.parametrize("family,kind", CASES)
+def test_block_subspace_checks_equal_each_sample_alone(family, kind):
+    rng = np.random.default_rng(10 + sorted(FAMILIES).index(family))
+    up = FAMILIES[family](rng)
+    h_eq = equalities(rng, up, kind)
+    for check, key, out in ((check_ros, "g_range", "g0"), (check_rfs, "t_basis", "t0")):
+        rep = check(up, h_eq)
+        want = robust_subspace_by_sample(up, h_eq, key)
+        assert rep["holds"] is want["holds"]
+        assert rep["deltas"] == len(up.delta_samples)
+        assert [s["matches_nominal"] for s in rep["per_sample"]] == want["matches"]
+        assert_bits_equal(np.array([s["sine"] for s in rep["per_sample"]]),
+                          np.array(want["sines"]), f"{check.__name__} sines")
+        assert rep["max_sine"] == max(want["sines"])
+        if want["holds"]:
+            assert_bits_equal(rep[out], want["ref"], out)
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(rep["witness"], want["witness"]))
+    if family == "scaled" and kind != "callable":
+        assert check_ros(up, h_eq)["holds"] and check_rfs(up, h_eq)["holds"]
+
+
+RANK_FAMILIES = dict(FAMILIES, wide=lambda rng: scaled_family(rng, m=3, p=2))
+
+
+@pytest.mark.parametrize("family", sorted(RANK_FAMILIES))
+def test_block_full_rank_equals_each_sample_alone(family):
+    rng = np.random.default_rng(20 + sorted(RANK_FAMILIES).index(family))
+    up = RANK_FAMILIES[family](rng)
+    full = [rank_decision(np.block([[pm.a, pm.b], [pm.c, pm.d]]), pm.n + pm.p)[0]
+            for pm in (eval_plant(up, d) for d in up.delta_samples)]
+    assert check_robust_full_rank(up) is all(full)
+    # the square family fails past its nominal block, the wide one nowhere
+    if family in ("square", "wide"):
+        assert full[0] and all(full) is (family == "wide")
+
+
+def keps_document(rng) -> dict:
+    """A two-state plant with D(delta) = [delta; 0.5] under proportional
+    proxy-error feedback: the feedthrough loop 1 + delta is singular at
+    delta = -1, and delta = 1.5 lies outside the delta box."""
+    def matrix(m):
+        m = np.atleast_2d(m)
+        return {"rows": m.shape[0], "cols": m.shape[1], "data": m.ravel().tolist()}
+
+    drawn = rng.uniform(-0.9, 0.9, DELTA_BLOCK + 8).tolist()
+    drawn[5], drawn[DELTA_BLOCK + 3] = -1.0, 1.5
+    return {
+        "name": "keps-blocks",
+        "plant": {"matrices": {
+            "a": matrix([[-1.0, 0.3], [0.2, -2.0]]),
+            "a_delta": [matrix(0.2 * rng.standard_normal((2, 2)))],
+            "b": matrix([[1.0], [0.5]]), "bw": matrix([[1.0], [0.0]]),
+            "c": matrix([[1.0, 0.0], [0.0, 1.0]]),
+            "d": matrix([[0.0], [0.5]]), "d_delta": [matrix([[1.0], [0.0]])],
+            "q": matrix([[0.0], [0.0]])},
+            "delta_dim": 1, "delta_samples": [[0.0]] + [[v] for v in drawn],
+            "delta_box": [[-1.0, 1.0]]},
+        "program": {"qp": {"m": matrix(np.eye(2)), "n": matrix([[0.0], [1.0]])}},
+        "om": {"variant": "rfs", "basis": matrix([[1.0], [0.0]])},
+        "stabilizer": {"gains": {"keta": matrix([[0.5]]), "keps": matrix([[1.0]])}},
+        "sim": {"h": 0.01, "t_end": 1.0, "w": [1.0]},
+    }
+
+
+def test_block_spectra_equal_each_loop_alone():
+    sc = scenarios.load_scenario(keps_document(np.random.default_rng(30)))
+    plan = sc.variants[0]
+    ctx = scenarios._Context(sc, plan)
+    lines = scenarios._spectrum_info(ctx)
+    want = spectrum_lines_by_sample(sc, plan)
+    assert len(lines) == len(want) == len(sc.plant.delta_samples)
+    failed = 0
+    for line, (d, eigs) in zip(lines, want):
+        where = f"[{plan.name}] delta={d.tolist()}"
+        if isinstance(eigs, str):
+            failed += 1
+            assert line == f"{where}: spectrum unavailable ({eigs})"
+            with pytest.raises(ValueError, match="singular|outside box"):
+                ctx.spectrum(d)
+            continue
+        got = ctx.spectrum(d).astype(complex)
+        for part in ("real", "imag"):
+            assert_bits_equal(getattr(got, part), getattr(eigs.astype(complex), part), where)
+        top = eigs.real.max()
+        assert line == (f"{where}: max Re(closed-loop spectrum) = {top:.4g}"
+                        + ("  ** unstable **" if top >= 0 else ""))
+    assert failed == 2
+
+
+DENSE_DRAWS = 100
+
+
+@pytest.mark.parametrize("name", ["power-dapi", "rfs-violation"])
+def test_dense_samples_keep_the_bundled_verdicts(name):
+    # 100 seeded draws from the delta box after the bundled samples: every
+    # expectation still passes, and the RFS witness is the bundled pair
+    doc = json.loads(scenarios.bundled_path(name).read_text())
+    bundled = scenarios.load_scenario(name)
+    rng = np.random.default_rng(40)
+    lo, hi = np.array(bundled.plant.delta_box, dtype=float).T
+    doc["plant"]["delta_samples"] = ([d.tolist() for d in bundled.plant.delta_samples]
+                                     + rng.uniform(lo, hi, (DENSE_DRAWS, len(lo))).tolist())
+    sc = scenarios.load_scenario(doc)
+    report = scenarios.check_scenario(sc)
+    want = scenarios.check_scenario(bundled)
+    assert report.exit_code == want.exit_code == 0
+    assert ([(r.kind, r.variant, r.passed) for r in report.results]
+            == [(r.kind, r.variant, r.passed) for r in want.results])
+    if name == "rfs-violation":
+        rfs = next(r for r in report.results if r.kind == "rfs")
+        assert "witness deltas [0.0] vs [0.5]" in rfs.detail
+    assert f"over {DENSE_DRAWS + 3} deltas" in report.results[0].detail

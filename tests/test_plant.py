@@ -79,6 +79,17 @@ class TestEvalPlant:
         with pytest.raises(ValueError):
             UncertainPlant(evaluate=evaluate, delta_dim=1, delta_samples=[[0.0], [1.0]])
 
+    def test_construction_evaluates_each_sample_once(self, two_state_family):
+        calls = []
+
+        def evaluate(delta):
+            calls.append(delta)
+            return two_state_family.evaluate(delta)
+
+        samples = [[0.0], [0.5], [-0.5], [0.25]]
+        UncertainPlant(evaluate=evaluate, delta_dim=1, delta_samples=samples)
+        assert [float(d[0]) for d in calls] == [s[0] for s in samples]
+
 
 def _om(variant, basis, m_cost, h=None, l=None):
     p = np.shape(m_cost)[0]

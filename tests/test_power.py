@@ -17,6 +17,8 @@ from osscontrol.power import (
     frequency_program,
 )
 
+from helpers import assert_bits_equal, swing_matrices_by_formula
+
 
 def random_tree_network(rng, n: int) -> PowerNetwork:
     """Random tree on n buses (bus i joins an earlier bus), with the tree's
@@ -74,3 +76,17 @@ def test_dispatch_map_on_a_row_stack_of_levels():
     for level, row in zip(levels, rows):
         assert np.array_equal(row, gather_broadcast_input(net.cost_a, net.cost_b, level))
         assert np.allclose(net.marginal_cost(row), level)
+
+
+def test_swing_plant_matrices_equal_the_block_formula():
+    # the delta-independent blocks are built once and shared read-only; every
+    # matrix keeps the bits of rebuilding all blocks at each delta
+    rng = np.random.default_rng(52)
+    for net in (default_network(), *(random_tree_network(rng, n) for n in (2, 3, 6))):
+        up = build_swing_plant(net)
+        for delta in rng.uniform(-0.5, 0.5, (5, 1)):
+            pm = eval_plant(up, delta)
+            for key, want in swing_matrices_by_formula(net, delta).items():
+                assert_bits_equal(getattr(pm, key), want, key)
+            assert not any(getattr(pm, k).flags.writeable for k in ("b", "bw", "c", "d", "q"))
+            assert pm.a.flags.writeable

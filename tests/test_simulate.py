@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from osscontrol import scenarios
+from osscontrol.matlib import DELTA_BLOCK
 from osscontrol.omodels import gather_broadcast_input, om_dynamics
 from osscontrol.plant import eval_plant
 from osscontrol.simulate import (
@@ -322,20 +323,30 @@ def test_sweep_reuses_the_variant_trajectory(tmp_path, monkeypatch):
             == (tmp_path / "power-dapi--main.csv").read_bytes())
 
 
-def test_check_builds_one_closed_loop_matrix_per_delta(monkeypatch):
+def test_check_builds_one_closed_loop_stack_per_delta_block(monkeypatch):
     calls = []
     original = scenarios.assemble
 
     def counting(*args):
-        calls.append(args[1])
+        calls.append(np.asarray(args[1]))
         return original(*args)
 
     monkeypatch.setattr(scenarios, "assemble", counting)
     sc = load("rfs-violation")
     assert scenarios.check_scenario(sc).exit_code == 0
-    # one loop per delta sample for the spectra (the spectrum info lines and
-    # hurwitz_at_samples share them) plus the equilibrium_mismatch loop
-    assert len(calls) == len(sc.plant.delta_samples) + 1
+    # the equilibrium_mismatch loop, then one loop of the stacked delta samples
+    # for the spectra (the spectrum info lines and hurwitz_at_samples share it)
+    samples = np.stack(sc.plant.delta_samples)
+    assert [c.shape for c in calls] == [(1,), samples.shape]
+    assert np.array_equal(calls[1], samples)
+    # a sample set past one block takes one loop per DELTA_BLOCK samples
+    doc = json.loads(scenarios.bundled_path("rfs-violation").read_text())
+    drawn = np.linspace(-0.5, 0.5, DELTA_BLOCK + 5)
+    doc["plant"]["delta_samples"] += [[float(v)] for v in drawn]
+    dense = scenarios.load_scenario(doc)
+    calls.clear()
+    assert scenarios.check_scenario(dense).exit_code == 0
+    assert [len(c) for c in calls if c.ndim == 2] == [DELTA_BLOCK, 8]
     ctx = scenarios._Context(sc, sc.variants[0])
     d = sc.plant.delta_samples[1]
     first = ctx.spectrum(d)

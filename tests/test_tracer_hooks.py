@@ -2,6 +2,8 @@
 name; a renamed hook target must fail here, not only in a traced benchmark run."""
 
 import importlib
+import math
+import random
 import sys
 from pathlib import Path
 
@@ -86,3 +88,32 @@ def test_traced_runs_record_the_stacked_loops(monkeypatch):
     assert tr.counts["simulate.rk4_steps"] == sum(steps.values())
     assert calls["simulate.rhs"] == 4 * steps["tracking-sparse"]
     assert calls["simulate.outputs"] == 2
+
+
+def test_traced_dense_check_counts_blocks_and_samples(monkeypatch):
+    # the per-layer metrics of a dense check stay meaningful: the subspace
+    # checks count every sample they cover, loops are assembled once per
+    # block of delta samples, and the plant is evaluated per delta, at most
+    # three times a sample (the ROS, RFS and spectrum passes) besides the
+    # nominal-only evaluations of the full-rank, proposition and oracle checks
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for name in ("tracer", "harness", "bootstrap"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    tracer = importlib.import_module("tracer")
+    harness = importlib.import_module("harness")
+    from osscontrol import scenarios
+    from osscontrol.matlib import DELTA_BLOCK
+
+    sc = scenarios.load_scenario(harness.dense_doc("power-dapi", random.Random(0), 100))
+    samples = len(sc.plant.delta_samples)
+    tr = tracer.Tracer()
+    with tr.installed():
+        report = scenarios.check_scenario(sc)
+    assert report.exit_code == 0
+    metrics = tracer.layer_metrics(tr, samples, 0.0)
+    assert metrics["subspaces.samples"] == 3 * samples
+    assert metrics["simulate.assemble.calls"] == math.ceil(samples / DELTA_BLOCK)
+    assert 3 * samples <= metrics["plant.eval_plant.calls"] <= 3 * samples + 3
+    for key in ("subspaces.check_ros.s", "subspaces.check_rfs.s", "matlib.calls"):
+        assert metrics[key] > 0, key
