@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--h", type=float, default=None, help="override integration step")
     p_run.add_argument("--t-end", type=float, default=None, help="override horizon")
     p_run.add_argument("--sweep", action="store_true",
-                       help="also integrate at every uncertainty sample (threaded)")
+                       help="also integrate each variant at every uncertainty sample")
     return parser
 
 

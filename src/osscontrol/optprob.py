@@ -397,6 +397,22 @@ def oracle_optimal_output(prog: ConvexProgram, pm: PlantMatrices, w,
     n_ec = prog.n_ec
     hg_floor = 1e-12 * (1.0 + np.linalg.norm(prog.h_eq)) * (1.0 + np.linalg.norm(gm))
 
+    def optimum(v, mu, nu) -> dict:
+        """The result at the optimal equilibrium coordinates v and multipliers mu, nu."""
+        y_star = y_p + gm @ v
+        z = z_p + nbasis @ v
+        gperp = left_null_basis(gm).basis.T
+        lam = solve_linear(gperp.T, -(prog.lagrangian_grad(y_star, w, nu) + prog.h_eq.T @ mu))
+        return {
+            "y_star": y_star,
+            "multipliers": KKTPoint(y=y_star, lam=lam, mu=mu, nu=nu),
+            "x_bar": z[: pm.n],
+            "u_bar": z[pm.n:],
+            "gperp": gperp,
+            "b": gperp @ y_star,
+            "cost": prog.objective_value(y_star, w),
+        }
+
     # feasibility of the equality constraints over the equilibrium set
     if n_ec:
         v_feas = _lstsq_floor(hg, r_h, hg_floor)
@@ -426,22 +442,7 @@ def oracle_optimal_output(prog: ConvexProgram, pm: PlantMatrices, w,
             moves = gm @ null[:k, :]
             if np.abs(moves).max() > 1e-8 * (1.0 + np.linalg.norm(sol)):
                 raise NonuniqueOptimizer("optimizer set is a nontrivial affine set")
-        v, mu = sol[:k], sol[k:]
-        y_star = y_p + gm @ v
-        z = z_p + nbasis @ v
-        gperp = left_null_basis(gm).basis.T
-        lam = solve_linear(gperp.T, -(prog.lagrangian_grad(y_star, w, np.zeros(0))
-                                      + prog.h_eq.T @ mu))
-        pt = KKTPoint(y=y_star, lam=lam, mu=mu, nu=np.zeros(0))
-        return {
-            "y_star": y_star,
-            "multipliers": pt,
-            "x_bar": z[: pm.n],
-            "u_bar": z[pm.n:],
-            "gperp": gperp,
-            "b": gperp @ y_star,
-            "cost": prog.objective_value(y_star, w),
-        }
+        return optimum(sol[:k], sol[k:], np.zeros(0))
 
     def solve_active_set(active: tuple[int, ...]):
         na = len(active)
@@ -496,17 +497,4 @@ def oracle_optimal_output(prog: ConvexProgram, pm: PlantMatrices, w,
             f"{len(distinct)} KKT-consistent optima differ by more than {y_tol}"
         )
 
-    v, mu, nu, y_star = distinct[0]
-    z = z_p + nbasis @ v
-    gperp = left_null_basis(gm).basis.T
-    lam = solve_linear(gperp.T, -(prog.lagrangian_grad(y_star, w, nu) + prog.h_eq.T @ mu))
-    pt = KKTPoint(y=y_star, lam=lam, mu=mu, nu=nu)
-    return {
-        "y_star": y_star,
-        "multipliers": pt,
-        "x_bar": z[: pm.n],
-        "u_bar": z[pm.n:],
-        "gperp": gperp,
-        "b": gperp @ y_star,
-        "cost": prog.objective_value(y_star, w),
-    }
+    return optimum(*distinct[0][:3])

@@ -123,9 +123,10 @@ def stack_plants(pms: Iterable[PlantMatrices], count: int) -> PlantStack:
 class UncertainPlant:
     """Plant family delta -> PlantMatrices with a finite sample set of deltas.
 
-    Construction evaluates the family once at every sample, keeping none of
-    the realizations, and rejects a family whose dimensions vary across
-    the samples.
+    Construction rejects a sample of another length than ``delta_dim`` or
+    outside ``delta_box`` (``checked_delta``), evaluates the family once at
+    every sample, keeping none of the realizations, and rejects a family
+    whose dimensions vary across the samples.
     """
 
     evaluate: Callable[[np.ndarray], PlantMatrices]
@@ -134,7 +135,8 @@ class UncertainPlant:
     delta_box: Sequence[tuple[float, float]] | None = None
 
     def __post_init__(self):
-        samples = [np.asarray(s, dtype=float).reshape(self.delta_dim) for s in self.delta_samples]
+        samples = [checked_delta(s, self.delta_dim, self.delta_box, f"plant.delta_samples[{i}]")
+                   for i, s in enumerate(self.delta_samples)]
         if not samples:
             raise ValueError("delta_samples must contain at least one sample")
         object.__setattr__(self, "delta_samples", samples)
@@ -151,14 +153,22 @@ def fixed_plant(pm: PlantMatrices) -> UncertainPlant:
     return UncertainPlant(evaluate=lambda _d: pm, delta_dim=0, delta_samples=[np.zeros(0)])
 
 
+def checked_delta(delta, dim: int, box, where: str = "delta") -> np.ndarray:
+    """``delta`` as a (dim,) vector; another length, or a coordinate more than
+    1e-12 outside ``box`` (if not None), is a ValueError naming ``where``."""
+    d = np.asarray(delta, dtype=float).ravel()
+    if d.size != dim:
+        raise ValueError(f"{where} has {d.size} entries, the plant has delta_dim {dim}")
+    if box is not None:
+        for i, (lo, hi) in enumerate(box):
+            if not (lo - 1e-12 <= d[i] <= hi + 1e-12):
+                raise ValueError(f"{where}[{i}]={d[i]} outside box [{lo}, {hi}]")
+    return d
+
+
 def eval_plant(up: UncertainPlant, delta) -> PlantMatrices:
     """Evaluate the family at a delta, enforcing the delta box when present."""
-    d = np.asarray(delta, dtype=float).reshape(up.delta_dim)
-    if up.delta_box is not None:
-        for i, (lo, hi) in enumerate(up.delta_box):
-            if not (lo - 1e-12 <= d[i] <= hi + 1e-12):
-                raise ValueError(f"delta[{i}]={d[i]} outside box [{lo}, {hi}]")
-    return up.evaluate(d)
+    return up.evaluate(checked_delta(delta, up.delta_dim, up.delta_box))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import copy
 import json
 import math
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from .errors import OssError
 from .matlib import DELTA_BLOCK, eigenvalues, numerical_rank, range_basis, subspace_equal
 from .omodels import OptimalityModel
 from .optprob import ConvexProgram, check_gradients, oracle_optimal_output, tracking_objective
-from .plant import PlantMatrices, UncertainPlant, build_augmented_qp, eval_plant
+from .plant import PlantMatrices, UncertainPlant, build_augmented_qp, checked_delta, eval_plant
 from .simulate import ClosedLoopSystem, Trajectory, assemble, convergence_metrics, equilibrium_solve, integrate_rk4
 from .stabilize import Stabilizer, augmented_pbh, prop4_check, prop5_check, prop6_check, synthesize_lqr
 from .subspaces import check_rfs, check_robust_full_rank, check_ros, equilibrium_geometry
@@ -110,8 +110,9 @@ def _build_plant(spec: dict, network: power.PowerNetwork | None) -> UncertainPla
         if name == "swing":
             if network is None:
                 raise ValueError("swing plant builder needs a network block")
-            samples = spec.get("delta_samples", [[0.0], [0.3], [-0.3]])
-            return power.build_swing_plant(network, tuple(tuple(s) for s in samples))
+            # the swing plant's delta box rejects a non-finite sample
+            return power.build_swing_plant(network, spec.get("delta_samples",
+                                                             [[0.0], [0.3], [-0.3]]))
         raise ValueError(f"unknown plant builder {name!r}")
     mats = spec.get("matrices")
     if not isinstance(mats, dict):
@@ -144,10 +145,8 @@ def _build_plant(spec: dict, network: power.PowerNetwork | None) -> UncertainPla
             vals[k] = m
         return PlantMatrices(**vals)
 
-    samples = [
-        _decode_vector(s, "plant.delta_samples").reshape(delta_dim)
-        for s in spec.get("delta_samples", [[0.0] * delta_dim if delta_dim else []])
-    ]
+    samples = [_decode_vector(s, "plant.delta_samples")
+               for s in spec.get("delta_samples", [[0.0] * delta_dim])]
     box = spec.get("delta_box")
     box = [tuple(b) for b in box] if box else None
     return UncertainPlant(evaluate=evaluate, delta_dim=delta_dim, delta_samples=samples,
@@ -401,18 +400,10 @@ def load_scenario(source) -> Scenario:
 
     network = None
     if "network" in doc:
-        net = doc["network"]
-        for key in ("n", "edges", "inertia", "damping", "susceptance", "p_star", "cost_a",
-                    "cost_b", "laplacian"):
-            _field(net, key, "network")
-        network = power.PowerNetwork(
-            n=_number(net["n"], "network.n", integer=True),
-            edges=tuple(tuple(e) for e in net["edges"]),
-            inertia=net["inertia"], damping=net["damping"],
-            susceptance=net["susceptance"], p_star=net["p_star"],
-            cost_a=net["cost_a"], cost_b=net["cost_b"],
-            laplacian=np.asarray(net["laplacian"], dtype=float),
-        )
+        net = {f.name: _field(doc["network"], f.name, "network")
+               for f in fields(power.PowerNetwork)}
+        net["n"] = _number(net["n"], "network.n", integer=True)
+        network = power.PowerNetwork(**net)
 
     up = _build_plant(doc["plant"], network)
     pm0 = eval_plant(up, up.nominal)
@@ -438,6 +429,11 @@ def load_scenario(source) -> Scenario:
         if sim is not None:
             for key in ("h", "t_end"):
                 _number(_field(sim, key, "sim"), f"sim.{key}", positive=True)
+            if sim.get("delta") is not None:
+                where = ("sim.delta" if "delta" not in (vdoc.get("sim") or {})
+                         else f"variants[{i}].sim.delta")
+                checked_delta(_decode_vector(sim["delta"], where), up.delta_dim, up.delta_box,
+                              where)
         plans.append(VariantPlan(
             name=vdoc.get("name", "main"),
             om=om, stabilizer=stab, controller_kind=kind, gb_weights=gb_w,
@@ -521,9 +517,10 @@ class RunReport:
 class _Context:
     """Lazy artifact cache shared by the expectation checks of one variant.
 
-    Every per-delta artifact (oracle, loop, trajectory, spectrum) is computed
-    once per delta; ``delta=None`` means the variant's simulation delta.
-    Spectra are computed DELTA_BLOCK deltas at a time (``fill_spectra``).
+    Every per-delta artifact (oracle, trajectory, spectrum) is computed once
+    per delta; ``delta=None`` means the variant's simulation delta.  Spectra
+    are computed DELTA_BLOCK deltas at a time (``fill_spectra``), and
+    trajectories before any check runs (``_integrate``).
     """
 
     def __init__(self, sc: Scenario, plan: VariantPlan, h=None, t_end=None):
@@ -551,13 +548,11 @@ class _Context:
         raise ValueError("sim block needs a disturbance vector w")
 
     def _per_delta(self, what: str, delta, make):
-        # Keyed by the exact bits of delta.  Sweep threads share the cache:
-        # setdefault is atomic, so threads racing on one delta all get the
-        # first result stored.
+        # keyed by the exact bits of delta
         d = self.delta if delta is None else np.asarray(delta, dtype=float)
         key = (what, d.tobytes())
         if key not in self._cache:
-            self._cache.setdefault(key, make(d))
+            self._cache[key] = make(d)
         return self._cache[key]
 
     @property
@@ -574,28 +569,26 @@ class _Context:
         return self._per_delta("oracle", delta,
                                lambda d: oracle_optimal_output(prog, self.pm(d), self.w))
 
-    def _build_loop(self, d) -> ClosedLoopSystem:
+    def loop(self, delta=None) -> ClosedLoopSystem:
         """The variant's loop at one delta, or at a stack of deltas."""
-        if self.plan.controller_kind != "gather_broadcast":
+        d = self.delta if delta is None else np.asarray(delta, dtype=float)
+        if self.plan.om is not None:
             return assemble(self.sc.plant, d, self.w, self.plan.om, self.plan.stabilizer)
         if d.ndim > 1 or not np.allclose(d, self.sc.plant.nominal):
             raise ValueError("gather-broadcast loop is built at nominal delta only")
         return power.build_gather_broadcast(self.sc.network, self.plan.gb_weights, self.w)
-
-    def loop(self, delta=None) -> ClosedLoopSystem:
-        return self._per_delta("loop", delta, self._build_loop)
 
     def z0(self, n_state: int) -> np.ndarray:
         return (_decode_vector(self.sim["z0"], "sim.z0") if "z0" in self.sim
                 else np.zeros(n_state))
 
     def trajectory(self, delta=None) -> Trajectory:
-        def integrate(d):
-            sys = self.loop(d)
-            return integrate_rk4(sys, self.z0(sys.n_state), float(self.sim["t_end"]),
-                                 float(self.sim["h"]))
-
-        return self._per_delta("trajectory", delta, integrate)
+        """The trajectory at one delta, integrated by ``_integrate``."""
+        d = self.delta if delta is None else np.asarray(delta, dtype=float)
+        traj = self._cache.get(("trajectory", d.tobytes()))
+        if traj is None:
+            raise ValueError(f"variant {self.plan.name!r} has no sim block to integrate")
+        return traj
 
     def spectrum(self, delta=None) -> np.ndarray:
         """Eigenvalues of the affine loop's A_cl at one delta; raises what
@@ -622,7 +615,7 @@ class _Context:
         for lo in range(0, len(todo), DELTA_BLOCK):
             block = todo[lo: lo + DELTA_BLOCK]
             try:
-                sys = self._build_loop(np.stack(block) if len(block) > 1 else block[0])
+                sys = self.loop(np.stack(block) if len(block) > 1 else block[0])
                 if sys.affine is None:
                     raise ValueError("the closed-loop spectrum needs an affine loop")
                 eigs = eigenvalues(sys.affine[0]).reshape(len(block), sys.n_state)
@@ -825,38 +818,45 @@ def _row_program(plans: list[VariantPlan]) -> ConvexProgram | None:
                                         h_eq=first.h_eq, l_eq=first.l_eq)
 
 
-def _integrate_groups(contexts: list[_Context]) -> None:
-    """Integrate the simulated variants of a group as one row stack, and
-    store each variant's row as its trajectory.
+def _integrate(requests: list[tuple[_Context, np.ndarray]]) -> None:
+    """Integrate the trajectory of every (context, delta) request and cache it.
 
-    A group shares delta, w, h, t_end and the optimality model's variant and
-    basis; its variants differ only in stabilizer gains and the numbers of a
-    tracking objective.  A variant in no group of two or more is integrated
-    on its own, by ``_Context.trajectory``.
+    A request asked twice is integrated once.  Requests that share w, h,
+    t_end and the optimality model's variant and basis are one row stack:
+    row i is request i's delta with its variant's stabilizer, and
+    ``_row_program`` joins the rows' objectives; rows whose objectives do
+    not join are stacked per variant.  A gather-and-broadcast request (no
+    optimality model) is integrated alone, on ``ctx.loop``.  Each row is
+    bit-identical to integrating its request alone.
     """
     groups: dict = {}
-    for ctx in contexts:
-        plan = ctx.plan
-        if plan.sim is None or plan.controller_kind != "standard":
-            continue
-        key = (ctx.delta.tobytes(), ctx.w.tobytes(), float(ctx.sim["h"]),
-               float(ctx.sim["t_end"]), plan.om.variant, plan.om.basis.shape,
-               plan.om.basis.tobytes())
-        groups.setdefault(key, []).append(ctx)
-    for group in groups.values():
-        prog = _row_program([ctx.plan for ctx in group]) if len(group) > 1 else None
-        if prog is None:
-            continue
-        first = group[0]
-        om = first.plan.om
-        if prog is not om.program:
-            om = OptimalityModel(variant=om.variant, basis=om.basis, program=prog)
-        sys = assemble(first.sc.plant, first.delta, first.w, om,
-                       [ctx.plan.stabilizer for ctx in group])
-        traj = integrate_rk4(sys, np.stack([ctx.z0(sys.n_state) for ctx in group]),
-                             float(first.sim["t_end"]), float(first.sim["h"]))
-        for ctx, row in zip(group, traj.rows()):
-            ctx._per_delta("trajectory", None, lambda _d, row=row: row)
+    for ctx, d in requests:
+        om = ctx.plan.om
+        group = ((id(ctx),) if om is None else
+                 (ctx.w.tobytes(), float(ctx.sim["h"]), float(ctx.sim["t_end"]), om.variant,
+                  om.basis.shape, om.basis.tobytes()))
+        groups.setdefault(group, {})[id(ctx), d.tobytes()] = ctx, d
+    stacks = [list(group.values()) for group in groups.values()]
+    for rows in stacks:  # grows by the per-variant stacks of a split group
+        ctx, d = rows[0]
+        om = ctx.plan.om
+        if om is None:
+            sys = ctx.loop(d)
+            z0 = ctx.z0(sys.n_state)
+        else:
+            prog = _row_program([c.plan for c, _ in rows])
+            if prog is None:
+                variants = dict.fromkeys(c for c, _ in rows)
+                stacks += [[row for row in rows if row[0] is c] for c in variants]
+                continue
+            if prog is not om.program:
+                om = OptimalityModel(variant=om.variant, basis=om.basis, program=prog)
+            sys = assemble(ctx.sc.plant, np.stack([d for _, d in rows]), ctx.w, om,
+                           [c.plan.stabilizer for c, _ in rows])
+            z0 = np.stack([c.z0(sys.n_state) for c, _ in rows])
+        traj = integrate_rk4(sys, z0, float(ctx.sim["t_end"]), float(ctx.sim["h"]))
+        for (c, d), row in zip(rows, traj.rows() if z0.ndim == 2 else [traj]):
+            c._cache["trajectory", d.tobytes()] = row
 
 
 def _run_check(ctx: _Context, spec: dict) -> CheckResult:
@@ -904,7 +904,16 @@ def _evaluate(sc: Scenario, variant: str | None, simulate: bool, h=None, t_end=N
                               if simulate or spec["kind"] not in SIM_CHECK_KINDS)
 
     if simulate:
-        _integrate_groups(contexts)
+        requests = []
+        for ctx in contexts:
+            if ctx.plan.sim is not None:
+                requests.append((ctx, ctx.delta))
+                if sweep and ctx.plan.controller_kind == "standard":
+                    requests += [(ctx, d) for d in sc.plant.delta_samples]
+        # scenario-level checks read the first variant, selected or not
+        if first.plan.sim is not None and any(s["kind"] in SIM_CHECK_KINDS for s in sc.expect):
+            requests.append((first, first.delta))
+        _integrate(requests)
     run_checks(first, sc.expect)
     for ctx in contexts:
         plan = ctx.plan
@@ -931,13 +940,12 @@ def run_scenario(sc: Scenario, variant: str | None = None, out_dir=None,
                  sweep: bool = False) -> tuple[RunReport, dict]:
     """Run all expectations, integrating each variant's closed loop.
 
-    Variants that share delta, w, h, t_end and the optimality model, and
-    differ only in stabilizer gains and the numbers of a tracking objective,
-    are integrated together as one row stack, each row bit-identical to
-    integrating its variant alone (``_integrate_groups``).  Returns the
-    report plus the trajectories, keyed by variant name.  With ``sweep`` the
-    variant loops are also integrated at every delta sample (thread pool,
-    deterministic merge order) and written as extra traces.
+    Every trajectory is integrated before the checks run (``_integrate``):
+    the variants, and with ``sweep`` each variant at every delta sample,
+    stacked as rows wherever they share w, h, t_end and the optimality
+    model, each row bit-identical to integrating it alone.  Returns the
+    report plus the trajectories, keyed by variant name; the sweep's are
+    keyed ``<variant>--delta<i>`` and written as extra traces.
     """
     report, trajectories = _evaluate(sc, variant, simulate=True, h=h, t_end=t_end,
                                      sweep=sweep)
@@ -960,17 +968,11 @@ def run_scenario(sc: Scenario, variant: str | None = None, out_dir=None,
 
 
 def _sweep(ctx: _Context, report: RunReport) -> dict:
-    """Integrate the variant at every delta sample in worker threads.
-
-    A sample equal to the variant's own delta reuses its trajectory.
-    """
-    from concurrent.futures import ThreadPoolExecutor  # check-only runs never load it
-
-    samples = ctx.sc.plant.delta_samples
-    with ThreadPoolExecutor() as pool:
-        trajs = list(pool.map(ctx.trajectory, samples))
+    """The variant's trajectories at every delta sample (``_integrate``), one
+    info line each; a sample at the variant's own delta is its trajectory."""
     out = {}
-    for idx, (d, traj) in enumerate(zip(samples, trajs)):
+    for idx, d in enumerate(ctx.sc.plant.delta_samples):
+        traj = ctx.trajectory(d)
         out[f"{ctx.plan.name}--delta{idx}"] = traj
         tail = float(np.linalg.norm(traj.eps[-1])) if traj.eps.size else 0.0
         report.info.append(

@@ -29,21 +29,17 @@ loop's (A_cl, b_cl) is probed from one ``rhs`` call on the rows [0; I]; it is
 the one closed-loop matrix of the package: the RK4 step map, the equilibrium
 Newton solve and the spectrum checks all read it.
 
-Given S stabilizers, ``assemble`` builds one loop of S rows: the variants of
-a scenario that differ only in their gains and in the numbers of their
-objective, the numbers as (S, 1) columns of the model's program.  Its gains
-are (S, m, .) stacks, so a row stack (S, n_state) of states, one per row,
-takes each row's own products; an affine loop of S rows has one (A_cl, b_cl)
-per row and steps with each row's own step map.  Given S deltas, it builds
-the loop of S rows whose row i is the plant at delta i, its matrices
-(S, ., .) stacks taken per row the same way; the spectrum checks probe the
-A_cl of a block of delta samples this way.  ``integrate_rk4`` advances
-such a stack (or S states of a one-row loop) with the same block loop as one
-state.  Each row is truncated at its own first diverged step, found as for
-one state; the stack steps on until every row has diverged or the horizon
-ends, and a row past its end repeats its last state, so the discarded steps
-of a diverged row never reach ``outputs``.  Row i of the stacked trajectory
-is bit-identical to integrating row i alone.
+``assemble`` builds a loop of S rows, row i the loop at delta_i with
+stabilizer i; a scenario integrates its variants and sweep samples this way,
+and the spectrum checks probe the A_cl of a block of delta samples.  Each
+row takes its own products, and an affine loop of S rows steps with each
+row's own step map.  ``integrate_rk4`` advances such a stack (or S states of
+a one-row loop) with the same block loop as one state.  Each row is
+truncated at its own first diverged step, found as for one state; the stack
+steps on until every row has diverged or the horizon ends, and a row past
+its end repeats its last state, so the discarded steps of a diverged row
+never reach ``outputs``.  Row i of the stacked trajectory is bit-identical
+to integrating row i alone.
 
 ``Trajectory.to_csv`` writes each value as ``"%.15g" % value``, the bytes of
 ``np.savetxt(fmt="%.15g")``, formatting a chunk of values at once.  For a
@@ -308,23 +304,27 @@ def _format_g15(v: np.ndarray, seps: np.ndarray) -> bytes:
 def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab) -> ClosedLoopSystem:
     """Wire plant, optimality model, proxy-error integrators, and stabilizer.
 
-    ``stab`` is one Stabilizer, or a sequence of S stabilizers for a loop of
-    S rows: row i feeds back with stabilizer i, its gains stacked (S, m, .),
-    and the loop's states carry a row axis of length S.  The objective of
-    ``om.program`` then sees row stacks of outputs, (..., S, p), and may hold
-    per-row parameters as (S, 1) columns.
-
-    ``delta`` is one delta, or a stack (S, delta_dim) of S deltas for a loop
-    of S rows with one stabilizer: row i is the loop at delta i, its plant
-    matrices stacked (``plant.stack_plants``), so an affine loop probes its
-    S matrices A_cl with one ``rhs`` call.  The plant is evaluated one delta
-    at a time, and an error at any delta is raised for the whole stack.
+    One delta and one Stabilizer give one loop.  A stack (S, delta_dim) of
+    deltas, a sequence of S stabilizers, or both give a loop of S rows, row
+    i the loop at delta_i with stabilizer i; a single delta or stabilizer is
+    shared by every row.  The rows' plant matrices (``plant.stack_plants``)
+    and gains are stacked (S, ., .), and the loop's states carry a row axis
+    of length S.  The objective of ``om.program`` then sees row stacks of
+    outputs, (..., S, p), and may hold per-row parameters as (S, 1) columns.
+    The plant is evaluated one delta at a time, and an error at any delta is
+    raised for the whole stack.  A delta stack and a stabilizer sequence of
+    different lengths are a ValueError.
     """
     delta = np.asarray(delta, dtype=float)
-    if delta.ndim == 2:
-        pm = stack_plants((eval_plant(up, d) for d in delta), len(delta))
-    else:
-        pm = eval_plant(up, delta)
+    per_delta = delta.ndim == 2
+    rows = len(delta) if per_delta else None
+    if not isinstance(stab, Stabilizer):
+        if per_delta and len(stab) != rows:
+            raise ValueError(f"a row stack needs one stabilizer per delta, got {len(stab)} "
+                             f"stabilizers for {rows} deltas")
+        rows = len(stab)
+    pm = (stack_plants((eval_plant(up, d) for d in delta), rows) if per_delta
+          else eval_plant(up, delta))
     prog = om.program
     if prog.p != pm.p:
         raise ValueError(
@@ -342,8 +342,9 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab) -> ClosedL
     affine_loop = prog.is_qp and n_nu == 0
     qw, bw_w = _mv(pm.q, w), _mv(pm.bw, w)
 
-    def input_map(stab: Stabilizer) -> tuple[np.ndarray, np.ndarray]:
-        """``(u_gain, u_offset)`` with u = -u_gain z - u_offset."""
+    def input_map(stab: Stabilizer, i=...) -> tuple[np.ndarray, np.ndarray]:
+        """``(u_gain, u_offset)`` with u = -u_gain z - u_offset, on the plant
+        of row ``i`` of a delta stack, or on the whole plant (``...``)."""
         k_full = np.hstack([
             stab.block("kx", m, n),
             stab.block("knu", m, n_nu),
@@ -361,24 +362,23 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab) -> ClosedL
         # eps = e_y y + e_s (nu, mu) + e_w: the eps rows of the model's linear maps
         m_y, m_s, m_0 = om.linear_maps(w)
         e_y, e_s, e_w = m_y[n_om:], m_s[n_om:], m_0[n_om:]
-        loop = np.eye(m) + keps @ e_y @ pm.d
+        loop = np.eye(m) + keps @ e_y @ pm.d[i]
         try:
             loop_inv = np.linalg.inv(loop)
         except np.linalg.LinAlgError as exc:
             raise ValueError("proxy-error feedthrough loop is singular") from exc
-        c_z = np.zeros(pm.c.shape[:-1] + (n_state,))
-        c_z[..., :n] = pm.c
+        c_z = np.zeros(pm.c[i].shape[:-1] + (n_state,))
+        c_z[..., :n] = pm.c[i]
         s_z = np.zeros((n_om, n_state))
         s_z[:, n: n + n_om] = np.eye(n_om)
         return (loop_inv @ (k_full + keps @ (e_y @ c_z + e_s @ s_z)),
-                _mv(loop_inv, _mv(keps, _mv(e_y, qw) + e_w)))
+                _mv(loop_inv, _mv(keps, _mv(e_y, qw[i]) + e_w)))
 
     if isinstance(stab, Stabilizer):
-        rows = len(delta) if delta.ndim == 2 else None
         u_gain, u_offset = input_map(stab)
     else:
-        rows = len(stab)
-        u_gain, u_offset = (np.stack(parts) for parts in zip(*map(input_map, stab)))
+        u_gain, u_offset = (np.stack(parts) for parts in zip(*(
+            input_map(s, i if per_delta else ...) for i, s in enumerate(stab))))
     # (-K) z is -(K z) up to the sign of a zero, which the + 0.0 below
     # normalizes; subtracting a zero offset would leave every value as it is
     neg_gain, offset = -u_gain, u_offset.any()
@@ -443,7 +443,6 @@ def _rk4_step_map(a_cl: np.ndarray, b_cl: np.ndarray, h: float):
         return np.stack([phi for phi, _ in maps]), np.stack([psi for _, psi in maps])
     n = a_cl.shape[0]
     phi = np.eye(n)
-    psi_mat = np.zeros((n, n))
     term = np.eye(n)
     for k in range(1, 5):
         term = term @ (h * a_cl) / k

@@ -130,6 +130,22 @@ def edit(doc, path, value):
                  "expect[2].values[1] must be a finite number", id="expect-values-entry-null"),
     pytest.param("rfs-violation", ("expect", 3, "delta"), 0.5,
                  "expect[3].delta must be a list of numbers", id="expect-delta-number"),
+    # delta samples and the simulation delta: length and box, at load
+    pytest.param("rfs-violation", ("plant", "delta_samples", 2), [0.75],
+                 "plant.delta_samples[2][0]=0.75 outside box [-0.5, 0.5]",
+                 id="sample-outside-box"),
+    pytest.param("rfs-violation", ("plant", "delta_samples", 1), [0.1, 0.2],
+                 "plant.delta_samples[1] has 2 entries", id="sample-length"),
+    pytest.param("power-dapi", ("plant", "delta_samples", 2), [-0.75],
+                 "plant.delta_samples[2][0]=-0.75 outside box [-0.5, 0.5]",
+                 id="swing-sample-outside-box"),
+    pytest.param("power-dapi", ("plant", "delta_samples", 1), [0.1, 0.2],
+                 "plant.delta_samples[1] has 2 entries", id="swing-sample-length"),
+    pytest.param("rfs-violation", ("sim", "delta"), [0.1, 0.2], "sim.delta has 2 entries",
+                 id="sim-delta-length"),
+    pytest.param("rfs-violation", ("variants", 0, "sim"), {"delta": [0.75]},
+                 "variants[0].sim.delta[0]=0.75 outside box [-0.5, 0.5]",
+                 id="variant-sim-delta-outside-box"),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
     doc = json.loads(scenarios.bundled_path(name).read_text())

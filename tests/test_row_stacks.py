@@ -1,14 +1,18 @@
 """Row stacks: a loop of S rows integrated at once against each row alone.
 
-``assemble`` given S stabilizers builds one loop whose rows carry their own
-gains, and ``integrate_rk4`` advances a row stack of states.  Every row of
-the stacked trajectory must be bit-identical to integrating that row's own
-one-row loop, up to the row's own divergence step.
+``assemble`` given S deltas, S stabilizers or both builds one loop whose row
+i is delta_i with stabilizer i, and ``integrate_rk4`` advances a row stack of
+states.  Every row of the stacked trajectory must be bit-identical to
+integrating that row's own one-row loop, up to the row's own divergence
+step; a scenario run integrates its variants and sweep samples this way.
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from osscontrol import scenarios
 from osscontrol.omodels import OptimalityModel
 from osscontrol.optprob import ConvexProgram, tracking_objective
 from osscontrol.plant import fixed_plant
@@ -139,3 +143,82 @@ def test_stacked_loop_holds_each_rows_closed_loop_matrix():
         assert_bits_equal(a_stack[i], a_cl, f"row {i} A_cl")
         assert_bits_equal(b_stack[i], b_cl, f"row {i} b_cl")
         assert a_stack[i].flags.c_contiguous
+
+
+def test_delta_and_stabilizer_stacks_must_match():
+    rng = np.random.default_rng(66)
+    pm, om, stabs, _ = affine_case(rng)
+    up, w = fixed_plant(pm), rng.standard_normal(pm.n_w)
+    with pytest.raises(ValueError, match="one stabilizer per delta, got 3 stabilizers for 2"):
+        assemble(up, np.zeros((2, 0)), w, om, stabs)
+    # matching lengths: row i is delta i with stabilizer i
+    a_stack, _ = assemble(up, np.zeros((3, 0)), w, om, stabs).affine
+    for i, stab in enumerate(stabs):
+        assert_bits_equal(a_stack[i], assemble(up, up.nominal, w, om, stab).affine[0],
+                          f"row {i} A_cl")
+
+
+def assert_requests_match_alone(sc, trajectories, t_end):
+    """Every trajectory of a run (each variant at its delta and, when swept,
+    at every delta sample) against integrating that variant and delta alone."""
+    checked = 0
+    for plan in sc.variants:
+        if plan.sim is None:
+            continue
+        ctx = scenarios._Context(sc, plan, t_end=t_end)
+        wanted = {plan.name: ctx.delta}
+        if f"{plan.name}--delta0" in trajectories:
+            wanted.update({f"{plan.name}--delta{i}": d
+                           for i, d in enumerate(sc.plant.delta_samples)})
+        for key, d in wanted.items():
+            loop = ctx.loop(d)
+            alone = integrate_rk4(loop, ctx.z0(loop.n_state), t_end, float(ctx.sim["h"]))
+            got = trajectories[key]
+            assert len(got.times) == len(alone.times), key
+            assert got.diverged == alone.diverged, key
+            for what in ("times",) + FIELDS:
+                assert_bits_equal(getattr(got, what), getattr(alone, what), f"{key} {what}")
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name", [name for name in scenarios.BUNDLED_NAMES
+                                  if len(scenarios.load_scenario(name).plant.delta_samples) > 1])
+def test_planned_rows_match_each_request_alone(name):
+    # power-gb's gather-and-broadcast loop is not swept; it is integrated alone
+    sc = scenarios.load_scenario(name)
+    h = float(sc.variants[0].sim["h"])
+    t_end = (2 * ROW_BLOCK + 5) * h
+    report, trajectories = scenarios.run_scenario(sc, t_end=t_end, sweep=True)
+    assert not report.diverged
+    swept = sc.variants[0].controller_kind == "standard"
+    assert len(trajectories) == 1 + swept * len(sc.plant.delta_samples)
+    assert assert_requests_match_alone(sc, trajectories, t_end) == len(trajectories)
+
+
+def diverging_sweep_document() -> dict:
+    """rfs-violation at its nominal delta, with A(delta) = A + 8 delta I: the
+    loop at the sample delta = 0.5 is unstable, the other two are not."""
+    doc = json.loads(scenarios.bundled_path("rfs-violation").read_text())
+    doc["plant"]["matrices"]["a_delta"] = [{"rows": 2, "cols": 2, "data": [8.0, 0.0, 0.0, 8.0]}]
+    doc["sim"]["delta"] = [0.0]
+    doc["expect"] = []
+    doc["variants"][0]["expect"] = []
+    return doc
+
+
+def test_a_diverging_sample_row_truncates_alone():
+    sc = scenarios.load_scenario(diverging_sweep_document())
+    t_end = 12.0
+    report, trajectories = scenarios.run_scenario(sc, t_end=t_end, sweep=True)
+    steps = int(round(t_end / float(sc.variants[0].sim["h"])))
+    ends = [len(trajectories[f"main--delta{i}"].times) for i in range(3)]
+    assert [trajectories[f"main--delta{i}"].diverged for i in range(3)] == [False, True, False]
+    assert ends[0] == ends[2] == steps + 1 > ends[1]
+    # the variant's own trajectory is the sample at its delta
+    assert trajectories["main"] is trajectories["main--delta0"]
+    assert assert_requests_match_alone(sc, trajectories, t_end) == 4
+    sweep_lines = [line for line in report.info if "sweep" in line]
+    assert [line.endswith("(diverged)") for line in sweep_lines] == [False, True, False]
+    assert "[main] trajectory diverged and was truncated" not in report.info
+    assert report.exit_code == 3

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import json
-import sys
 import warnings
 from functools import cache
 from pathlib import Path
@@ -355,22 +354,30 @@ def test_check_builds_one_closed_loop_stack_per_delta_block(monkeypatch):
     assert len(calls) == built
 
 
-def test_sweep_threads_share_one_trajectory_per_delta():
-    # more samples than worker threads, four distinct values, frequent thread
-    # switches: workers racing on one delta must all return the first result
+def test_duplicate_sweep_samples_share_one_trajectory(tmp_path, monkeypatch):
+    # forty samples of four distinct values: each value is one row of the
+    # sweep's stack, one Trajectory object shared by its samples, and its
+    # CSV is formatted once and copied for the others
+    written = []
+    to_csv = Trajectory.to_csv
+
+    def counting(traj, path):
+        written.append(Path(path).name)
+        return to_csv(traj, path)
+
+    monkeypatch.setattr(Trajectory, "to_csv", counting)
     doc = json.loads(scenarios.bundled_path("rfs-violation").read_text())
     doc["plant"]["delta_samples"] = [[0.0], [0.5], [-0.5], [0.25]] * 10
     sc = scenarios.load_scenario(doc)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        _, trajectories = scenarios.run_scenario(sc, t_end=0.05, sweep=True)
-    finally:
-        sys.setswitchinterval(interval)
+    _, trajectories = scenarios.run_scenario(sc, out_dir=tmp_path, t_end=0.05, sweep=True)
     first = {}
     for i, d in enumerate(sc.plant.delta_samples):
         traj = trajectories[f"main--delta{i}"]
         assert first.setdefault(d.tobytes(), traj) is traj
+    # the variant's own delta, 0.5, is one of the four
+    assert trajectories["main"] is first[np.array([0.5]).tobytes()]
+    assert len(written) == len(first) == 4
+    assert len(list(tmp_path.glob("*.csv"))) == len(trajectories) == 41
 
 
 @pytest.mark.parametrize("shape", ["settles-mid-run", "never-settles", "settled-from-start"])

@@ -67,7 +67,8 @@ def test_traced_check_records_the_proposition_checks(monkeypatch):
 def test_traced_runs_record_the_stacked_loops(monkeypatch):
     # both scenarios integrate their two variants as one row stack: one
     # integrate_rk4 call each, counted once per stacked step, and four rhs
-    # spans per step of tracking-sparse's nonlinear loop
+    # spans per step of tracking-sparse's nonlinear loop; power-dapi --sweep
+    # integrates its three delta samples, its own delta among them, as one
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.delitem(sys.modules, "tracer", raising=False)
@@ -83,11 +84,17 @@ def test_traced_runs_record_the_stacked_loops(monkeypatch):
             report, trajectories = scenarios.run_scenario(sc, t_end=n * h)
             assert not report.diverged, name
             assert [len(t.times) for t in trajectories.values()] == [n + 1, n + 1], name
+        sc = scenarios.load_scenario("power-dapi")
+        h = float(sc.variants[0].sim["h"])
+        report, trajectories = scenarios.run_scenario(sc, t_end=50 * h, sweep=True)
+        assert not report.diverged
+        assert len(trajectories) == 1 + len(sc.plant.delta_samples) == 4
     calls = {name: stat["calls"] for name, stat in tr.by_name().items()}
-    assert calls["simulate.integrate_rk4"] == 2
-    assert tr.counts["simulate.rk4_steps"] == sum(steps.values())
+    assert calls["simulate.integrate_rk4"] == 3
+    assert calls["scenarios._sweep"] == 1
+    assert tr.counts["simulate.rk4_steps"] == sum(steps.values()) + 50
     assert calls["simulate.rhs"] == 4 * steps["tracking-sparse"]
-    assert calls["simulate.outputs"] == 2
+    assert calls["simulate.outputs"] == 3
 
 
 def test_traced_dense_check_counts_blocks_and_samples(monkeypatch):
