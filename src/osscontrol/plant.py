@@ -8,10 +8,11 @@ A plant is
 
 with every matrix a function of an uncertainty vector delta.  Uncertainty is
 represented by an evaluation callable plus a finite sample set of delta
-values; all "for every delta" checks run over the samples.  The checks take
-the realizations at a block of deltas as one ``PlantStack``, each matrix
-stacked along a leading axis, built by ``stack_plants`` from realizations
-evaluated one delta at a time.
+values; all "for every delta" checks run over the samples.  A family is
+evaluated on a whole block of deltas at once: its callable writes its
+formula over the block and returns the realizations as one ``PlantStack``,
+each matrix stacked along a leading axis, and ``eval_plant`` takes one delta
+or a block.  ``per_delta`` adapts a callable written for one delta.
 
 ``build_augmented_qp`` puts a plant in series with an optimality model and
 the proxy-error integrators.  It writes none of the model's formulas: the
@@ -21,11 +22,12 @@ model's linear maps are probed from ``omodels.om_dynamics``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .matlib import as_matrix
+from .matlib import DELTA_BLOCK, as_matrix
 
 
 @dataclass(frozen=True)
@@ -92,83 +94,137 @@ class PlantMatrices:
     def p_m(self) -> int:
         return self.cm.shape[-2]
 
+    def broadcast(self, count: int) -> PlantStack:
+        """This realization at ``count`` deltas: each matrix a read-only
+        broadcast view, (count, rows, cols)."""
+        return PlantStack(*(np.broadcast_to(m, (count,) + m.shape)
+                            for m in (getattr(self, k) for k in _PLANT_FIELDS)))
+
 
 @dataclass(frozen=True)
 class PlantStack(PlantMatrices):
-    """Realizations of a plant family at S deltas: each matrix stacked along a
-    leading axis, (S, rows, cols).  Built by ``stack_plants`` from validated
-    realizations, so not validated again."""
+    """Realizations of a plant family at a block of S deltas: each matrix
+    stacked along a leading axis, (S, rows, cols), where a matrix that does
+    not depend on delta may be a read-only broadcast view.  Not validated
+    matrix by matrix: ``eval_plant`` checks the entries finite, and
+    ``UncertainPlant`` checks the shapes against its validated nominal
+    realization."""
 
     def __post_init__(self):
         pass
 
 
 _PLANT_FIELDS = ("a", "b", "bw", "c", "d", "q", "cm")
+_INCONSISTENT = "plant family yields inconsistent dimensions across delta samples"
 
 
-def stack_plants(pms: Iterable[PlantMatrices], count: int) -> PlantStack:
-    """The ``count`` realizations ``pms`` as one PlantStack.  Each is copied
-    in as the iterable yields it, so a generator of realizations is never
-    held whole."""
-    stacks = None
-    for i, pm in enumerate(pms):
-        if stacks is None:
-            stacks = {k: np.empty((count,) + getattr(pm, k).shape) for k in _PLANT_FIELDS}
-        for k in _PLANT_FIELDS:
-            stacks[k][i] = getattr(pm, k)
-    return PlantStack(**stacks)
+def per_delta(fn: Callable[[np.ndarray], PlantMatrices]) -> Callable[[np.ndarray], PlantStack]:
+    """The block evaluator of a family written for one delta: ``fn`` runs at
+    each delta of the block in turn, and each realization is copied into the
+    stacks as it is returned, so a block's realizations are never held
+    whole.  Realizations of different shapes are a ValueError."""
+
+    def evaluate(block: np.ndarray) -> PlantStack:
+        stacks = None
+        for i, pm in enumerate(map(fn, block)):
+            mats = [getattr(pm, k) for k in _PLANT_FIELDS]
+            if stacks is None:
+                stacks = [np.empty((len(block),) + m.shape) for m in mats]
+            if any(st.shape[1:] != m.shape for st, m in zip(stacks, mats)):
+                raise ValueError(_INCONSISTENT)
+            for st, m in zip(stacks, mats):
+                st[i] = m
+        return PlantStack(*stacks)
+
+    return evaluate
 
 
 @dataclass(frozen=True)
 class UncertainPlant:
     """Plant family delta -> PlantMatrices with a finite sample set of deltas.
 
-    Construction rejects a sample of another length than ``delta_dim`` or
-    outside ``delta_box`` (``checked_delta``), evaluates the family once at
-    every sample, keeping none of the realizations, and rejects a family
-    whose dimensions vary across the samples.
+    ``evaluate`` maps a block of deltas (S, delta_dim) to the PlantStack of
+    their realizations (``per_delta`` makes one from a callable of one
+    delta); ``eval_plant`` is the checked way to call it.  Construction
+    rejects a sample of another length than ``delta_dim`` or outside
+    ``delta_box`` (``checked_delta``), evaluates the family once per block of
+    samples (``sample_blocks``), keeping none of the realizations, and
+    rejects a family whose nominal realization is not a valid PlantMatrices
+    or whose matrix shapes vary across the samples.
     """
 
-    evaluate: Callable[[np.ndarray], PlantMatrices]
+    evaluate: Callable[[np.ndarray], PlantStack]
     delta_dim: int
     delta_samples: Sequence[np.ndarray] = field(default_factory=lambda: [np.zeros(0)])
     delta_box: Sequence[tuple[float, float]] | None = None
 
     def __post_init__(self):
-        samples = [checked_delta(s, self.delta_dim, self.delta_box, f"plant.delta_samples[{i}]")
+        samples = [checked_delta(s, self.delta_dim, None, f"plant.delta_samples[{i}]")
                    for i, s in enumerate(self.delta_samples)]
         if not samples:
             raise ValueError("delta_samples must contain at least one sample")
+        checked_delta(np.stack(samples), self.delta_dim, self.delta_box, "plant.delta_samples[{}]")
         object.__setattr__(self, "delta_samples", samples)
-        if len({(pm.n, pm.m, pm.p, pm.n_w) for pm in map(self.evaluate, samples)}) != 1:
-            raise ValueError("plant family yields inconsistent dimensions across delta samples")
+        nominal = eval_plant(self, self.nominal)
+        for _, block in islice(sample_blocks(self), 1, None):
+            ps = eval_plant(self, block)
+            if any(getattr(ps, k).shape != (len(block),) + getattr(nominal, k).shape
+                   for k in _PLANT_FIELDS):
+                raise ValueError(_INCONSISTENT)
 
     @property
     def nominal(self) -> np.ndarray:
         return self.delta_samples[0]
 
 
+def sample_blocks(up: UncertainPlant) -> Iterator[tuple[int, np.ndarray]]:
+    """``(first index, deltas (S, delta_dim))`` over the samples: the nominal
+    sample alone, then the others DELTA_BLOCK at a time."""
+    samples = up.delta_samples
+    for lo, hi in [(0, 1)] + [(i, i + DELTA_BLOCK) for i in range(1, len(samples), DELTA_BLOCK)]:
+        yield lo, np.stack(samples[lo:hi])
+
+
 def fixed_plant(pm: PlantMatrices) -> UncertainPlant:
     """Wrap a single known plant as the nominal-only family (delta = {0})."""
-    return UncertainPlant(evaluate=lambda _d: pm, delta_dim=0, delta_samples=[np.zeros(0)])
+    return UncertainPlant(evaluate=lambda block: pm.broadcast(len(block)), delta_dim=0,
+                          delta_samples=[np.zeros(0)])
 
 
 def checked_delta(delta, dim: int, box, where: str = "delta") -> np.ndarray:
-    """``delta`` as a (dim,) vector; another length, or a coordinate more than
-    1e-12 outside ``box`` (if not None), is a ValueError naming ``where``."""
-    d = np.asarray(delta, dtype=float).ravel()
-    if d.size != dim:
-        raise ValueError(f"{where} has {d.size} entries, the plant has delta_dim {dim}")
+    """``delta`` as a (dim,) vector, or a block (S, dim) of deltas as it is;
+    another length, or a coordinate more than 1e-12 outside ``box`` (if not
+    None), is a ValueError naming ``where``.  A block is checked with one
+    comparison and raises the error of its first offending sample, whose
+    index fills a ``{}`` in ``where``."""
+    d = np.asarray(delta, dtype=float)
+    if d.ndim != 2:
+        d = d.ravel()
+    if d.shape[-1] != dim:
+        raise ValueError(f"{where.format(0)} has {d.shape[-1]} entries, the plant has delta_dim {dim}")
     if box is not None:
-        for i, (lo, hi) in enumerate(box):
-            if not (lo - 1e-12 <= d[i] <= hi + 1e-12):
-                raise ValueError(f"{where}[{i}]={d[i]} outside box [{lo}, {hi}]")
+        lo, hi = np.asarray(box, dtype=float).reshape(dim, 2).T
+        outside = ~((lo - 1e-12 <= d) & (d <= hi + 1e-12))
+        if outside.any():
+            s, i = divmod(int(np.argmax(outside)), dim)
+            raise ValueError(f"{where.format(s)}[{i}]={d.reshape(-1, dim)[s, i]} "
+                             f"outside box [{box[i][0]}, {box[i][1]}]")
     return d
 
 
 def eval_plant(up: UncertainPlant, delta) -> PlantMatrices:
-    """Evaluate the family at a delta, enforcing the delta box when present."""
-    return up.evaluate(checked_delta(delta, up.delta_dim, up.delta_box))
+    """The family at one delta (delta_dim,), as a validated PlantMatrices, or
+    at a block of deltas (S, delta_dim), as a PlantStack whose matrices are
+    checked finite; one call of ``up.evaluate`` either way, the delta box
+    enforced when present."""
+    d = checked_delta(delta, up.delta_dim, up.delta_box)
+    if d.ndim == 1:
+        ps = up.evaluate(d[None])
+        return PlantMatrices(*(getattr(ps, k)[0] for k in _PLANT_FIELDS))
+    ps = up.evaluate(d)
+    if not all(np.isfinite(getattr(ps, k)).all() for k in _PLANT_FIELDS):
+        raise ValueError("matrix entries must be finite")
+    return ps
 
 
 @dataclass(frozen=True)

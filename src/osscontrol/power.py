@@ -26,7 +26,7 @@ import numpy as np
 from .matlib import _mv, _vdot, as_matrix, numerical_rank
 from .omodels import OptimalityModel, gather_broadcast_input
 from .optprob import ConvexProgram
-from .plant import PlantMatrices, UncertainPlant
+from .plant import PlantStack, UncertainPlant, eval_plant
 from .simulate import ClosedLoopSystem, _affine_maps
 from .stabilize import Stabilizer
 
@@ -119,8 +119,9 @@ def build_swing_plant(net: PowerNetwork, delta_samples=((0.0,), (0.3,), (-0.3,))
     """Swing dynamics as an uncertain LTI plant; delta scales the damping.
 
     State (omega, p), disturbance w = p_star, optimization output (u, omega).
-    Every block but the damping block of A is the same at every delta: it is
-    built once, read-only, and shared by all realizations.
+    Every matrix but the damping block of A is the same at every delta: it
+    is built once, read-only, and a block's realizations share it as
+    broadcast views.  The damping block is computed over the whole block.
     """
     n, nt = net.n, net.n_lines
     inc = net.incidence()
@@ -131,17 +132,22 @@ def build_swing_plant(net: PowerNetwork, delta_samples=((0.0,), (0.3,), (-0.3,))
     b = np.vstack([-neg_m_inv, np.zeros((nt, n))])
     c = np.vstack([np.zeros((n, n + nt)), np.hstack([np.eye(n), np.zeros((n, nt))])])
     d = np.vstack([np.eye(n), np.zeros((n, n))])
-    fixed = {"b": b, "bw": b.copy(), "c": c, "d": d, "q": np.zeros((2 * n, n))}
+    fixed = {"b": b, "bw": b.copy(), "c": c, "d": d, "q": np.zeros((2 * n, n)),
+             "cm": np.eye(n + nt)}
     for mat in (a_fixed, *fixed.values()):
         mat.flags.writeable = False
+    diag = np.arange(n)
 
-    def evaluate(delta: np.ndarray) -> PlantMatrices:
-        scale = 1.0 + float(delta[0]) if delta.size else 1.0
-        if scale <= 0:
+    def evaluate(block: np.ndarray) -> PlantStack:
+        scale = 1.0 + block[:, 0]
+        if (scale <= 0).any():
             raise ValueError("damping scale must remain positive")
-        a = a_fixed.copy()
-        a[:n, :n] = neg_m_inv @ np.diag(scale * net.damping)
-        return PlantMatrices(a=a, **fixed)
+        damping = np.zeros((len(block), n, n))
+        damping[:, diag, diag] = scale[:, None] * net.damping
+        a = np.repeat(a_fixed[None], len(block), axis=0)
+        a[:, :n, :n] = neg_m_inv @ damping
+        return PlantStack(a=a, **{k: np.broadcast_to(m, (len(block),) + m.shape)
+                                  for k, m in fixed.items()})
 
     return UncertainPlant(evaluate=evaluate, delta_dim=1,
                           delta_samples=[np.asarray(s, dtype=float) for s in delta_samples],
@@ -235,7 +241,7 @@ def build_gather_broadcast(net: PowerNetwork, c_weights, w=None) -> ClosedLoopSy
     """
     c = _validate_weights(net, c_weights)
     n, nt = net.n, net.n_lines
-    swing = build_swing_plant(net).evaluate(np.zeros(1))
+    swing = eval_plant(build_swing_plant(net), np.zeros(1))
     a_mat, b_mat = swing.a, swing.b
     w = net.p_star if w is None else np.asarray(w, dtype=float).reshape(n)
     n_state = n + nt + 1

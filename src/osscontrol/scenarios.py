@@ -19,7 +19,7 @@ import copy
 import json
 import math
 import shutil
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from .errors import OssError
 from .matlib import DELTA_BLOCK, eigenvalues, numerical_rank, range_basis, subspace_equal
 from .omodels import OptimalityModel
 from .optprob import ConvexProgram, check_gradients, oracle_optimal_output, tracking_objective
-from .plant import PlantMatrices, UncertainPlant, build_augmented_qp, checked_delta, eval_plant
+from .plant import PlantMatrices, PlantStack, UncertainPlant, build_augmented_qp, checked_delta, eval_plant
 from .simulate import ClosedLoopSystem, Trajectory, assemble, convergence_metrics, equilibrium_solve, integrate_rk4
 from .stabilize import Stabilizer, augmented_pbh, prop4_check, prop5_check, prop6_check, synthesize_lqr
 from .subspaces import check_rfs, check_robust_full_rank, check_ros, equilibrium_geometry
@@ -125,32 +125,60 @@ def _build_plant(spec: dict, network: power.PowerNetwork | None) -> UncertainPla
     if unknown:
         raise ValueError(f"plant.matrices.{unknown[0]}: unknown matrix; the plant takes "
                          f"{', '.join(names)} and their _delta lists")
-    base = {k: _decode_matrix(mats[k], f"plant.{k}") for k in names if k in mats}
-    addends = {
-        k: [_decode_matrix(mm, f"plant.{k}_delta") for mm in mats[f"{k}_delta"]]
-        for k in names if f"{k}_delta" in mats
-    }
+    raw = {k: _decode_matrix(mats[k], f"plant.{k}") for k in names if k in mats}
+    base = PlantMatrices(**raw)
+    addends = {}
+    for k in names:
+        if f"{k}_delta" not in mats:
+            continue
+        if k not in raw:
+            raise ValueError(f"plant.{k}_delta needs plant.{k}")
+        terms = [_decode_matrix(mm, f"plant.{k}_delta[{i}]")
+                 for i, mm in enumerate(mats[f"{k}_delta"])]
+        for i, t in enumerate(terms):
+            if t.shape != raw[k].shape:
+                raise ValueError(f"plant.{k}_delta[{i}] is {t.shape[0]}x{t.shape[1]}, "
+                                 f"plant.{k} is {raw[k].shape[0]}x{raw[k].shape[1]}")
+        addends[k] = [t.reshape(getattr(base, k).shape) for t in terms]
     delta_dim = _number(spec.get("delta_dim", max((len(v) for v in addends.values()), default=0)),
                         "plant.delta_dim", integer=True)
     for k, v in addends.items():
         if len(v) != delta_dim:
             raise ValueError(f"plant.{k}_delta must list one matrix per delta coordinate")
 
-    def evaluate(delta: np.ndarray) -> PlantMatrices:
+    def evaluate(block: np.ndarray) -> PlantStack:
+        # base + (0 + delta_1 M_1 + delta_2 M_2 ...), summed in that order
+        stack = base.broadcast(len(block))
         vals = {}
-        for k, m0 in base.items():
-            m = m0
-            if k in addends:
-                m = m0 + sum(float(delta[i]) * addends[k][i] for i in range(delta_dim))
-            vals[k] = m
-        return PlantMatrices(**vals)
+        for k, terms in addends.items():
+            acc = np.zeros((len(block), 1, 1))
+            for i, t in enumerate(terms):
+                acc = acc + block[:, i, None, None] * t
+            vals[k] = getattr(base, k) + acc
+        return replace(stack, **vals)
 
     samples = [_decode_vector(s, "plant.delta_samples")
                for s in spec.get("delta_samples", [[0.0] * delta_dim])]
-    box = spec.get("delta_box")
-    box = [tuple(b) for b in box] if box else None
     return UncertainPlant(evaluate=evaluate, delta_dim=delta_dim, delta_samples=samples,
-                          delta_box=box)
+                          delta_box=_delta_box(spec.get("delta_box"), delta_dim))
+
+
+def _delta_box(box, delta_dim: int):
+    """The ``plant.delta_box`` entry, checked: exactly ``delta_dim`` pairs
+    [lo, hi] of finite numbers with lo <= hi; None when absent or empty."""
+    if box is None:
+        return None
+    if not isinstance(box, list) or len(box) != delta_dim:
+        raise ValueError(f"plant.delta_box must list one [lo, hi] pair per delta coordinate "
+                         f"({delta_dim}), got {box!r}")
+    for i, pair in enumerate(box):
+        where = f"plant.delta_box[{i}]"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"{where} must be a pair [lo, hi], got {pair!r}")
+        lo, hi = (_number(v, f"{where}[{j}]") for j, v in enumerate(pair))
+        if lo > hi:
+            raise ValueError(f"{where} is empty: lo {pair[0]} exceeds hi {pair[1]}")
+    return [tuple(pair) for pair in box] or None
 
 
 def _tracking_numbers(params: dict) -> dict:

@@ -75,7 +75,7 @@ import numpy as np
 from .errors import OssError
 from .matlib import ROW_BLOCK, _mv
 from .omodels import OptimalityModel, om_dynamics
-from .plant import UncertainPlant, eval_plant, stack_plants
+from .plant import UncertainPlant, eval_plant
 from .stabilize import Stabilizer
 
 DIVERGENCE_LIMIT = 1e12
@@ -307,13 +307,13 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab) -> ClosedL
     One delta and one Stabilizer give one loop.  A stack (S, delta_dim) of
     deltas, a sequence of S stabilizers, or both give a loop of S rows, row
     i the loop at delta_i with stabilizer i; a single delta or stabilizer is
-    shared by every row.  The rows' plant matrices (``plant.stack_plants``)
-    and gains are stacked (S, ., .), and the loop's states carry a row axis
-    of length S.  The objective of ``om.program`` then sees row stacks of
-    outputs, (..., S, p), and may hold per-row parameters as (S, 1) columns.
-    The plant is evaluated one delta at a time, and an error at any delta is
-    raised for the whole stack.  A delta stack and a stabilizer sequence of
-    different lengths are a ValueError.
+    shared by every row.  The rows' plant matrices (one ``plant.eval_plant``
+    call on the delta stack) and gains are stacked (S, ., .), and the loop's
+    states carry a row axis of length S.  The objective of ``om.program``
+    then sees row stacks of outputs, (..., S, p), and may hold per-row
+    parameters as (S, 1) columns.  An error at any delta is raised for the
+    whole stack.  A delta stack and a stabilizer sequence of different
+    lengths are a ValueError.
     """
     delta = np.asarray(delta, dtype=float)
     per_delta = delta.ndim == 2
@@ -323,8 +323,7 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab) -> ClosedL
             raise ValueError(f"a row stack needs one stabilizer per delta, got {len(stab)} "
                              f"stabilizers for {rows} deltas")
         rows = len(stab)
-    pm = (stack_plants((eval_plant(up, d) for d in delta), rows) if per_delta
-          else eval_plant(up, delta))
+    pm = eval_plant(up, delta)
     prog = om.program
     if prog.p != pm.p:
         raise ValueError(

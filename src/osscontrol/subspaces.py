@@ -11,9 +11,10 @@ All "for every delta" verdicts are decided over the plant's finite
 ``delta_samples``; reports carry per-sample results, the number of samples
 covered and the worst principal-angle sine, so coverage is visible.  The
 samples are taken in blocks: the nominal sample alone, whose geometry is the
-reference, then the others ``DELTA_BLOCK`` at a time.  The plant is evaluated
-one delta at a time and its realizations stacked along a leading axis
-(``plant.stack_plants``); every matrix function then runs once per block.
+reference, then the others ``DELTA_BLOCK`` at a time (``plant.sample_blocks``).
+The plant family is evaluated once per block, its realizations stacked along
+a leading axis (``plant.eval_plant``); every matrix function then runs once
+per block.
 numpy's ``linalg`` gufuncs (``cond``, ``solve``, ``svd``) and ``matmul`` run
 the same LAPACK or BLAS call on each matrix of a stack as on one matrix, so
 every basis, sine and verdict is bit-identical to computing the sample
@@ -41,7 +42,6 @@ import numpy as np
 
 from .matlib import (
     DEFAULT_RANK_TOL,
-    DELTA_BLOCK,
     SubspaceBasis,
     _rank_from_singular_values,
     as_matrix,
@@ -51,7 +51,7 @@ from .matlib import (
     rank_decision,
     subspace_intersection,
 )
-from .plant import PlantMatrices, PlantStack, UncertainPlant, eval_plant, stack_plants
+from .plant import PlantMatrices, PlantStack, UncertainPlant, eval_plant, sample_blocks
 
 _INVERTIBILITY_RCOND = 1e-8
 
@@ -168,19 +168,10 @@ def _equality_rows(h_eq, deltas, p: int) -> np.ndarray:
 def equilibrium_geometry(pm: PlantMatrices, h_eq=None) -> EquilibriumGeometry:
     """Build the equilibrium-output geometry for a plant realization: the
     block of one realization."""
-    (geom,) = _geometry_groups(stack_plants([pm], 1), _equality_rows(h_eq, [None], pm.p))
+    (geom,) = _geometry_groups(pm.broadcast(1), _equality_rows(h_eq, [None], pm.p))
     return EquilibriumGeometry(ndelta=geom.ndelta[0], g=geom.g[0], gperp=geom.gperp[0],
                                g_range=SubspaceBasis(geom.g_range[0], pm.p),
                                t_basis=SubspaceBasis(geom.t_basis[0], pm.p))
-
-
-def _sample_blocks(up: UncertainPlant):
-    """``(first index, deltas, PlantStack)``: the nominal sample alone, then
-    the others DELTA_BLOCK at a time."""
-    samples = up.delta_samples
-    for lo, hi in [(0, 1)] + [(i, i + DELTA_BLOCK) for i in range(1, len(samples), DELTA_BLOCK)]:
-        deltas = samples[lo:hi]
-        yield lo, deltas, stack_plants((eval_plant(up, d) for d in deltas), len(deltas))
 
 
 def _robust_subspace(up: UncertainPlant, h_eq, tol: float, key: str, feasible: bool) -> dict:
@@ -196,7 +187,8 @@ def _robust_subspace(up: UncertainPlant, h_eq, tol: float, key: str, feasible: b
     matches = np.ones(len(samples), dtype=bool)
     sines = np.zeros(len(samples))
     ref = None
-    for lo, deltas, ps in _sample_blocks(up):
+    for lo, deltas in sample_blocks(up):
+        ps = eval_plant(up, deltas)
         for geom in _geometry_groups(ps, _equality_rows(h_eq, deltas, ps.p), feasible):
             bases = geom.t_basis if feasible else geom.g_range
             if ref is None:
@@ -241,7 +233,8 @@ def check_rfs(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
 def check_robust_full_rank(up: UncertainPlant, tol: float = 1e-10) -> bool:
     """True iff [A B; C D] has rank n + p at every delta sample; decided block
     by block, stopping at the first block with a sample that fails."""
-    for _, _, ps in _sample_blocks(up):
+    for _, deltas in sample_blocks(up):
+        ps = eval_plant(up, deltas)
         block = np.concatenate([np.concatenate([ps.a, ps.b], axis=-1),
                                 np.concatenate([ps.c, ps.d], axis=-1)], axis=-2)
         s = np.linalg.svd(block, compute_uv=False)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from osscontrol.plant import PlantMatrices, UncertainPlant, fixed_plant
+from osscontrol.plant import PlantMatrices, UncertainPlant, fixed_plant, per_delta
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def two_state_family() -> UncertainPlant:
             c=[[1.0, 0.0], [0.0, 0.0]], d=[[0.0], [1.0]], q=np.zeros((2, 1)),
         )
 
-    return UncertainPlant(evaluate=evaluate, delta_dim=1,
+    return UncertainPlant(evaluate=per_delta(evaluate), delta_dim=1,
                           delta_samples=[[0.0], [0.5], [-0.5]],
                           delta_box=[(-0.5, 0.5)])
 

@@ -1,6 +1,10 @@
 """The ``oss`` command line: exit codes on malformed scenario files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,28 @@ def edit(doc, path, value):
     pytest.param("rfs-violation", ("variants", 0, "sim"), {"delta": [0.75]},
                  "variants[0].sim.delta[0]=0.75 outside box [-0.5, 0.5]",
                  id="variant-sim-delta-outside-box"),
+    # a delta term of another shape than its matrix, or without the matrix
+    pytest.param("rfs-violation", ("plant", "matrices", "a_delta", 0),
+                 {"rows": 1, "cols": 1, "data": [-1.0]}, "plant.a_delta[0] is 1x1, plant.a is 2x2",
+                 id="a_delta-1x1"),
+    pytest.param("rfs-violation", ("plant", "matrices", "a_delta", 0),
+                 {"rows": 3, "cols": 3, "data": [0.0] * 9}, "plant.a_delta[0] is 3x3",
+                 id="a_delta-3x3"),
+    pytest.param("rfs-violation", ("plant", "matrices", "cm_delta"),
+                 [{"rows": 2, "cols": 2, "data": [0.0] * 4}], "plant.cm_delta needs plant.cm",
+                 id="cm_delta-without-cm"),
+    # the delta box: one finite [lo, hi] pair per coordinate, lo <= hi
+    pytest.param("rfs-violation", ("plant", "delta_box"), [[-0.5, 0.5], [-0.5, 0.5]],
+                 "plant.delta_box must list one [lo, hi] pair per delta coordinate (1)",
+                 id="box-two-pairs"),
+    pytest.param("rfs-violation", ("plant", "delta_box", 0), [0.5],
+                 "plant.delta_box[0] must be a pair [lo, hi]", id="box-one-number"),
+    pytest.param("rfs-violation", ("plant", "delta_box", 0), [0.5, -0.5],
+                 "plant.delta_box[0] is empty: lo 0.5 exceeds hi -0.5", id="box-inverted"),
+    pytest.param("rfs-violation", ("plant", "delta_box", 0), [-0.5, None],
+                 "plant.delta_box[0][1] must be a finite number", id="box-hi-null"),
+    pytest.param("rfs-violation", ("plant", "delta_box"), 0.5,
+                 "plant.delta_box must list one [lo, hi] pair", id="box-number"),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
     doc = json.loads(scenarios.bundled_path(name).read_text())
@@ -193,3 +219,19 @@ def test_variant_null_clears_an_inherited_block(capsys):
     assert "spectrum unavailable" not in out
     assert "[oss] delta=[]: max Re(closed-loop spectrum)" in out
 
+
+
+def test_module_entry_point_exit_codes():
+    # ``python -m osscontrol`` from a checkout, with the sources on the path
+    env = dict(os.environ, PYTHONPATH=str(Path(scenarios.__file__).parents[1]))
+
+    def oss(*args):
+        return subprocess.run([sys.executable, "-m", "osscontrol", *args], env=env,
+                              capture_output=True, text=True)
+
+    listed = oss("list")
+    assert listed.returncode == 0
+    assert listed.stdout.split() == list(scenarios.BUNDLED_NAMES)
+    unknown = oss("check", "no-such-scenario")
+    assert unknown.returncode == 2
+    assert unknown.stderr.startswith("error: ")

@@ -11,7 +11,7 @@ import pytest
 
 from osscontrol import scenarios
 from osscontrol.matlib import DELTA_BLOCK, rank_decision
-from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant, stack_plants
+from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant, per_delta
 from osscontrol.subspaces import (
     _equality_rows,
     _geometry_groups,
@@ -47,7 +47,7 @@ def affine_family(rng, base: PlantMatrices, shifts: dict, special) -> UncertainP
     drawn = list(rng.uniform(-0.8, 0.8, (2 * DELTA_BLOCK, dim)))
     others = [np.asarray(s, dtype=float) for s in special] + drawn
     order = rng.permutation(len(others))
-    return UncertainPlant(evaluate=evaluate, delta_dim=dim,
+    return UncertainPlant(evaluate=per_delta(evaluate), delta_dim=dim,
                           delta_samples=[np.zeros(dim)] + [others[i] for i in order])
 
 
@@ -119,7 +119,7 @@ def test_block_geometry_equals_each_sample_alone(family, kind):
     up = FAMILIES[family](rng)
     h_eq = equalities(rng, up, kind)
     samples = up.delta_samples
-    ps = stack_plants((eval_plant(up, d) for d in samples), len(samples))
+    ps = eval_plant(up, np.stack(samples))
     groups = _geometry_groups(ps, _equality_rows(h_eq, samples, ps.p))
     seen = np.concatenate([geom.rows for geom in groups])
     assert np.array_equal(np.sort(seen), np.arange(len(samples)))

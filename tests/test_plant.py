@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from osscontrol import scenarios
 from osscontrol.matlib import range_basis, subspace_equal
 from osscontrol.omodels import OptimalityModel
 from osscontrol.optprob import ConvexProgram
@@ -10,11 +13,13 @@ from osscontrol.plant import (
     build_augmented_qp,
     eval_plant,
     fixed_plant,
+    per_delta,
 )
 from osscontrol.power import build_swing_plant, default_network
 from osscontrol.subspaces import equilibrium_geometry
 
 from helpers import (
+    assert_bits_equal,
     augmented_by_hand,
     bundled_qp_variants,
     dc_gain,
@@ -22,7 +27,10 @@ from helpers import (
     output_subspace_matrix,
     random_plant,
     random_qp_instance,
+    swing_matrices_by_formula,
 )
+
+FIELDS = ("a", "b", "bw", "c", "d", "q", "cm")
 
 
 class TestPlantMatrices:
@@ -77,18 +85,107 @@ class TestEvalPlant:
                                  c=np.eye(n), d=np.zeros((n, 1)), q=np.zeros((n, 1)))
 
         with pytest.raises(ValueError):
-            UncertainPlant(evaluate=evaluate, delta_dim=1, delta_samples=[[0.0], [1.0]])
+            UncertainPlant(evaluate=per_delta(evaluate), delta_dim=1, delta_samples=[[0.0], [1.0]])
 
     def test_construction_evaluates_each_sample_once(self, two_state_family):
         calls = []
 
         def evaluate(delta):
             calls.append(delta)
-            return two_state_family.evaluate(delta)
+            return eval_plant(two_state_family, delta)
 
         samples = [[0.0], [0.5], [-0.5], [0.25]]
-        UncertainPlant(evaluate=evaluate, delta_dim=1, delta_samples=samples)
+        UncertainPlant(evaluate=per_delta(evaluate), delta_dim=1, delta_samples=samples)
         assert [float(d[0]) for d in calls] == [s[0] for s in samples]
+
+
+def matrices_by_formula(spec: dict, delta) -> dict:
+    """A ``matrices`` plant block at one delta, summed the way the loader
+    sums it: ``base + sum(delta_i M_i)``, Python's ``sum`` starting at 0."""
+    def decode(m):
+        return np.asarray(m["data"], dtype=float).reshape(m["rows"], m["cols"])
+
+    mats = spec["matrices"]
+    out = {}
+    for k in FIELDS:
+        if k in mats:
+            out[k] = decode(mats[k])
+            if f"{k}_delta" in mats:
+                out[k] = out[k] + sum(float(delta[i]) * decode(t)
+                                      for i, t in enumerate(mats[f"{k}_delta"]))
+    out.setdefault("cm", np.eye(out["a"].shape[0]))
+    return out
+
+
+def random_affine_spec(rng, dim: int = 2) -> dict:
+    """A seeded ``matrices`` plant block whose A, B, C and Cm move with each
+    of ``dim`` delta coordinates; its delta samples are (S, dim) draws."""
+    shapes = {"a": (3, 3), "b": (3, 2), "bw": (3, 1), "c": (2, 3), "d": (2, 2), "q": (2, 1),
+              "cm": (2, 3)}
+
+    def matrix(shape):
+        return {"rows": shape[0], "cols": shape[1], "data": rng.standard_normal(shape).ravel().tolist()}
+
+    mats = {k: matrix(shape) for k, shape in shapes.items()}
+    for k in ("a", "b", "c", "cm"):
+        mats[f"{k}_delta"] = [matrix(shapes[k]) for _ in range(dim)]
+    return {"matrices": mats, "delta_samples": rng.uniform(-1, 1, (5, dim)).tolist()}
+
+
+def block_families():
+    """(name, family, formula of one delta, box to draw from) for every
+    bundled plant and a seeded random affine family."""
+    out = []
+    for name in scenarios.BUNDLED_NAMES:
+        sc = scenarios.load_scenario(name)
+        spec = json.loads(scenarios.bundled_path(name).read_text())["plant"]
+        if "builder" in spec:
+            formula = lambda d, net=sc.network: dict(swing_matrices_by_formula(net, d),
+                                                      cm=np.eye(net.n + net.n_lines))
+        else:
+            formula = lambda d, spec=spec: matrices_by_formula(spec, d)
+        out.append((name, sc.plant, formula, sc.plant.delta_box))
+    spec = random_affine_spec(np.random.default_rng(70))
+    out.append(("random-affine", scenarios._build_plant(spec, None),
+                lambda d: matrices_by_formula(spec, d), None))
+    return out
+
+
+class TestBlockEvaluation:
+    @pytest.mark.parametrize("size", [1, 2, 33])
+    def test_block_equals_each_delta_alone(self, size):
+        rng = np.random.default_rng(71 + size)
+        for name, up, formula, box in block_families():
+            lo, hi = (np.array(box, dtype=float).T if box is not None
+                      else (-np.ones(up.delta_dim), np.ones(up.delta_dim)))
+            block = rng.uniform(lo, hi, (size, up.delta_dim))
+            ps = eval_plant(up, block)
+            for i, delta in enumerate(block):
+                alone, want = eval_plant(up, delta), formula(delta)
+                for k in FIELDS:
+                    assert_bits_equal(getattr(ps, k)[i], want[k], f"{name} {k} at {delta}")
+                    assert_bits_equal(getattr(alone, k), want[k], f"{name} {k} alone at {delta}")
+
+    @pytest.mark.parametrize("bad", [0.75, -0.5000001, np.nan, np.inf])
+    def test_block_raises_the_error_of_its_first_bad_delta(self, bad):
+        for name, up, _, box in block_families():
+            if not up.delta_dim:
+                continue
+            block = np.zeros((33, up.delta_dim))
+            block[[7, 20], -1] = bad, -bad
+            if box is None and np.isfinite(bad):
+                assert eval_plant(up, block).a.shape[0] == 33, name
+                continue
+            with pytest.raises(ValueError) as alone:
+                eval_plant(up, block[7])
+            with pytest.raises(ValueError) as stacked:
+                eval_plant(up, block)
+            assert str(stacked.value) == str(alone.value), name
+
+    def test_block_box_error_names_the_sample(self):
+        up = scenarios.load_scenario("rfs-violation").plant
+        with pytest.raises(ValueError, match=r"plant\.delta_samples\[3\]\[0\]=0\.75 outside box"):
+            UncertainPlant(up.evaluate, 1, [[0.0], [0.5], [-0.5], [0.75], [0.9]], up.delta_box)
 
 
 def _om(variant, basis, m_cost, h=None, l=None):

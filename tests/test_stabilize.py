@@ -158,7 +158,7 @@ def test_loop_spectrum_matches_the_augmented_closed_form():
         if up.delta_box is not None:
             deltas += [np.array(d) for d in itertools.product(
                 *(np.linspace(lo, hi, 9) for lo, hi in up.delta_box))]
-        with_keps += bool(np.any(stab.block("keps", up.evaluate(deltas[0]).m, om.eps_dim)))
+        with_keps += bool(np.any(stab.block("keps", eval_plant(up, deltas[0]).m, om.eps_dim)))
         for d in deltas:
             pm = eval_plant(up, d)
             a_cl = assemble(up, d, np.zeros(pm.n_w), om, stab).affine[0]

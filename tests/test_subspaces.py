@@ -10,7 +10,7 @@ from osscontrol.matlib import (
     subspace_equal,
 )
 from osscontrol.optprob import ConvexProgram
-from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant, fixed_plant
+from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant, fixed_plant, per_delta
 from osscontrol.power import build_swing_plant, default_network
 from osscontrol.stabilize import prop6_check
 from osscontrol.subspaces import (
@@ -137,7 +137,7 @@ class TestCheckRos:
                 q=np.zeros((2, 1)),
             )
 
-        up = UncertainPlant(evaluate=evaluate, delta_dim=1,
+        up = UncertainPlant(evaluate=per_delta(evaluate), delta_dim=1,
                             delta_samples=[[0.0], [0.5], [-0.5]])
         rep = check_ros(up)
         assert not rep["holds"]
@@ -176,7 +176,7 @@ class TestCheckRfs:
             return PlantMatrices(a=s * base.a, b=s * base.b, bw=base.bw,
                                  c=base.c, d=base.d, q=base.q)
 
-        scenarios.append(UncertainPlant(evaluate=scaled, delta_dim=1,
+        scenarios.append(UncertainPlant(evaluate=per_delta(scaled), delta_dim=1,
                                         delta_samples=[[0.0], [1.0]]))
         h = rng.standard_normal((1, 3))
         for up in scenarios:
@@ -194,7 +194,7 @@ class TestCheckRfs:
             return PlantMatrices(a=s * base.a, b=s * base.b, bw=base.bw,
                                  c=base.c, d=base.d, q=base.q)
 
-        up = UncertainPlant(evaluate=evaluate, delta_dim=1,
+        up = UncertainPlant(evaluate=per_delta(evaluate), delta_dim=1,
                             delta_samples=[[0.0], [1.0], [-1.0]])
 
         def h_of(delta):
@@ -283,7 +283,7 @@ class TestProp6DetectabilityCondition:
         # only at delta = 0, so the prop6 clause fails there and holds at 1
         pm = PlantMatrices(a=[[-1.0]], b=[[1.0]], bw=[[1.0]],
                            c=[[1.0], [0.0]], d=[[0.0], [1.0]], q=np.zeros((2, 1)))
-        up = UncertainPlant(evaluate=lambda _delta: pm, delta_dim=1,
+        up = UncertainPlant(evaluate=per_delta(lambda _delta: pm), delta_dim=1,
                             delta_samples=[[0.0], [1.0]])
 
         def h_of(delta):

@@ -100,8 +100,9 @@ def test_traced_runs_record_the_stacked_loops(monkeypatch):
 def test_traced_dense_check_counts_blocks_and_samples(monkeypatch):
     # the per-layer metrics of a dense check stay meaningful: the subspace
     # checks count every sample they cover, loops are assembled once per
-    # block of delta samples, and the plant is evaluated per delta, at most
-    # three times a sample (the ROS, RFS and spectrum passes) besides the
+    # block of delta samples, and the plant is evaluated once per block: the
+    # nominal alone and then DELTA_BLOCK samples at a time in the ROS and RFS
+    # passes, DELTA_BLOCK at a time in the spectrum pass, besides the
     # nominal-only evaluations of the full-rank, proposition and oracle checks
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -121,6 +122,7 @@ def test_traced_dense_check_counts_blocks_and_samples(monkeypatch):
     metrics = tracer.layer_metrics(tr, samples, 0.0)
     assert metrics["subspaces.samples"] == 3 * samples
     assert metrics["simulate.assemble.calls"] == math.ceil(samples / DELTA_BLOCK)
-    assert 3 * samples <= metrics["plant.eval_plant.calls"] <= 3 * samples + 3
+    blocks = 2 * (1 + math.ceil((samples - 1) / DELTA_BLOCK)) + math.ceil(samples / DELTA_BLOCK)
+    assert blocks <= metrics["plant.eval_plant.calls"] <= blocks + 3
     for key in ("subspaces.check_ros.s", "subspaces.check_rfs.s", "matlib.calls"):
         assert metrics[key] > 0, key
