@@ -44,32 +44,33 @@ class PlantMatrices:
 
     def __post_init__(self):
         def rows(mat, r, what):
+            # a matrix must have r rows; a vector or a scalar is read as r rows
             m = as_matrix(mat)
-            if m.shape[0] != r:
-                if m.size == 0 and r == 0:
-                    return m.reshape(0, m.shape[1] if m.ndim == 2 else 0)
-                m = m.reshape(r, -1)
-            return m
+            if m.shape[0] == r:
+                return m
+            if np.ndim(mat) == 2:
+                raise ValueError(f"plant.{what} has {m.shape[0]} rows, expected {r}")
+            return m.reshape(r, -1) if m.size or r else m.reshape(0, 0)
 
         a = as_matrix(self.a)
         n = a.shape[0]
         if a.shape != (n, n):
-            raise ValueError(f"A must be square, got {a.shape}")
-        b = rows(self.b, n, "B")
-        bw = rows(self.bw, n, "Bw")
+            raise ValueError(f"plant.a must be square, got {a.shape}")
+        b = rows(self.b, n, "b")
+        bw = rows(self.bw, n, "bw")
         c = as_matrix(self.c)
         if c.shape[1] != n:
-            raise ValueError(f"C has {c.shape[1]} columns, expected {n}")
+            raise ValueError(f"plant.c has {c.shape[1]} columns, expected {n}")
         p = c.shape[0]
-        d = rows(self.d, p, "D")
+        d = rows(self.d, p, "d")
         if d.shape[1] != b.shape[1]:
-            raise ValueError(f"D has {d.shape[1]} columns, expected {b.shape[1]}")
-        q = rows(self.q, p, "Q")
+            raise ValueError(f"plant.d has {d.shape[1]} columns, expected {b.shape[1]}")
+        q = rows(self.q, p, "q")
         if q.shape[1] != bw.shape[1]:
-            raise ValueError(f"Q has {q.shape[1]} columns, expected {bw.shape[1]}")
+            raise ValueError(f"plant.q has {q.shape[1]} columns, expected {bw.shape[1]}")
         cm = as_matrix(self.cm) if self.cm is not None else np.eye(n)
         if cm.shape[1] != n:
-            raise ValueError(f"Cm has {cm.shape[1]} columns, expected {n}")
+            raise ValueError(f"plant.cm has {cm.shape[1]} columns, expected {n}")
         for name, val in (("a", a), ("b", b), ("bw", bw), ("c", c), ("d", d),
                           ("q", q), ("cm", cm)):
             object.__setattr__(self, name, val)

@@ -20,6 +20,7 @@ import json
 import math
 import shutil
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -247,12 +248,11 @@ def _resolve_basis(spec, up: UncertainPlant, prog: ConvexProgram, variant: str) 
     if spec != "auto":
         return _decode_matrix(spec, "om.basis")
     if variant == "ros":
-        report = check_ros(up, prog.h_eq if not callable(prog.h_eq) else None)
+        # range G does not depend on the equality rows
+        report = check_ros(up)
         if not report["holds"]:
             raise ValueError("auto basis: the output-subspace property fails across samples")
-        geom = equilibrium_geometry(eval_plant(up, up.nominal),
-                                    prog.h_eq if not callable(prog.h_eq) else prog.h_eq(up.nominal))
-        g = geom.g
+        g = equilibrium_geometry(eval_plant(up, up.nominal)).g
         return g if numerical_rank(g) == g.shape[1] else report["g0"]
     report = check_rfs(up, prog.h_eq)
     if not report["holds"]:
@@ -542,13 +542,21 @@ class RunReport:
         }
 
 
+def _raised(spectrum):
+    """A cached spectrum, or raise the error cached in its place."""
+    if isinstance(spectrum, Exception):
+        raise spectrum
+    return spectrum
+
+
 class _Context:
     """Lazy artifact cache shared by the expectation checks of one variant.
 
     Every per-delta artifact (oracle, trajectory, spectrum) is computed once
-    per delta; ``delta=None`` means the variant's simulation delta.  Spectra
-    are computed DELTA_BLOCK deltas at a time (``fill_spectra``), and
-    trajectories before any check runs (``_integrate``).
+    per delta, and the subspace reports once (``subspaces``); ``delta=None``
+    means the variant's simulation delta.  Spectra are computed DELTA_BLOCK
+    deltas at a time (``fill_spectra``), and trajectories before any check
+    runs (``_integrate``).
     """
 
     def __init__(self, sc: Scenario, plan: VariantPlan, h=None, t_end=None):
@@ -618,18 +626,20 @@ class _Context:
             raise ValueError(f"variant {self.plan.name!r} has no sim block to integrate")
         return traj
 
+    @cached_property
+    def subspaces(self) -> dict:
+        """The ``check_rfs`` report, its ``check_ros`` report under ``"ros"``:
+        the ``ros`` and ``rfs`` checks share one pass over the samples."""
+        return check_rfs(self.sc.plant, self.sc.program.h_eq)
+
     def spectrum(self, delta=None) -> np.ndarray:
         """Eigenvalues of the affine loop's A_cl at one delta; raises what
         building the loop at that delta raised."""
         d = self.delta if delta is None else np.asarray(delta, dtype=float)
-        self.fill_spectra([d])
-        eigs = self._cache[("spectrum", d.tobytes())]
-        if isinstance(eigs, Exception):
-            raise eigs
-        return eigs
+        return _raised(self.fill_spectra([d])[0])
 
-    def fill_spectra(self, deltas) -> None:
-        """Cache the spectrum at each delta not cached yet.
+    def fill_spectra(self, deltas) -> list:
+        """Cache the spectrum at each delta not cached yet; return each one's.
 
         Only eigenvalues are kept: a loop per delta of a dense sample set
         would hold its closures and matrices.  Each block of DELTA_BLOCK deltas
@@ -655,6 +665,7 @@ class _Context:
                 eigs = [exc]
             for d, e in zip(block, eigs):
                 self._cache[("spectrum", d.tobytes())] = e
+        return [self._cache[("spectrum", d.tobytes())] for d in deltas]
 
     def metrics(self, settle_tol: float = 1e-3) -> dict:
         return convergence_metrics(self.trajectory(), self.oracle()["y_star"], settle_tol)
@@ -677,13 +688,12 @@ def _witness_detail(rep: dict) -> str:
 
 
 def _check_ros(ctx, spec):
-    h_eq = ctx.sc.program.h_eq
-    rep = check_ros(ctx.sc.plant, None if callable(h_eq) else h_eq)
+    rep = ctx.subspaces["ros"]
     return rep["holds"] == bool(spec["holds"]), _witness_detail(rep)
 
 
 def _check_rfs(ctx, spec):
-    rep = check_rfs(ctx.sc.plant, ctx.sc.program.h_eq)
+    rep = ctx.subspaces
     ok = rep["holds"] == bool(spec["holds"])
     detail = _witness_detail(rep)
     if spec.get("witness") is not None and rep["witness"] is not None:
@@ -727,8 +737,7 @@ def _check_spectrum(ctx, spec):
 
 def _check_hurwitz_at_samples(ctx, spec):
     samples = ctx.sc.plant.delta_samples
-    ctx.fill_spectra(samples)
-    worst = max(float(ctx.spectrum(d).real.max()) for d in samples)
+    worst = max(float(_raised(eigs).real.max()) for eigs in ctx.fill_spectra(samples))
     return ((worst < 0) == bool(spec["value"]),
             f"max Re over samples = {worst:.3g} ({len(samples)} deltas)")
 
@@ -899,14 +908,13 @@ def _spectrum_info(ctx: _Context) -> list[str]:
             or plan.om.program.n_ic):
         return []
     out = []
-    ctx.fill_spectra(ctx.sc.plant.delta_samples)
-    for d in ctx.sc.plant.delta_samples:
+    samples = ctx.sc.plant.delta_samples
+    for d, eigs in zip(samples, ctx.fill_spectra(samples)):
         where = f"[{plan.name}] delta={np.atleast_1d(d).tolist()}"
-        try:
-            top = ctx.spectrum(d).real.max()
-        except (ValueError, OssError) as exc:
-            out.append(f"{where}: spectrum unavailable ({exc})")
+        if isinstance(eigs, Exception):
+            out.append(f"{where}: spectrum unavailable ({eigs})")
             continue
+        top = eigs.real.max()
         out.append(f"{where}: max Re(closed-loop spectrum) = {top:.4g}"
                    + ("  ** unstable **" if top >= 0 else ""))
     return out

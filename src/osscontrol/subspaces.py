@@ -5,7 +5,10 @@ set; its direction subspace is spanned by G = [C D] N with N a basis of
 null [A B].  The checks here decide whether that geometry (or the slice of
 it cut out by the engineering equality constraints) is invariant over the
 uncertainty samples, which is what lets a controller be built without
-knowing delta.
+knowing delta.  Computing the feasible slice computes range G on the way,
+so one pass over the samples decides both: ``check_rfs`` returns the
+robust-feasible-subspace report with the robust-output-subspace report
+under ``"ros"``, and ``check_ros`` is that part.
 
 All "for every delta" verdicts are decided over the plant's finite
 ``delta_samples``; reports carry per-sample results, the number of samples
@@ -121,14 +124,13 @@ class _GeometryGroup(NamedTuple):
     g: np.ndarray
     gperp: np.ndarray
     g_range: np.ndarray
-    t_basis: np.ndarray | None
+    t_basis: np.ndarray
 
 
-def _geometry_groups(ps: PlantStack, h: np.ndarray, feasible: bool = True) -> list:
+def _geometry_groups(ps: PlantStack, h: np.ndarray) -> list:
     """Equilibrium geometry of every realization of a stack, as
     ``_GeometryGroup``s.  ``h`` holds the equality rows of each realization,
-    (S, k, p).  Without ``feasible`` the feasible directions are not computed
-    (t_basis is None).
+    (S, k, p).
 
     An empty null space yields an empty g and gperp equal to the identity
     row basis of the output space.
@@ -144,9 +146,6 @@ def _geometry_groups(ps: PlantStack, h: np.ndarray, feasible: bool = True) -> li
             split = [(np.arange(rows.size), np.zeros((rows.size, ps.p, 0)),
                       np.broadcast_to(np.eye(ps.p), (rows.size, ps.p, ps.p)))]
         for sub, g_range, gperp in split:
-            if not feasible:
-                out.append(_GeometryGroup(rows[sub], nd[sub], g[sub], gperp, g_range, None))
-                continue
             stacked = np.concatenate([gperp, h[rows[sub]]], axis=-2)
             for part, _, vt, rank in rank_groups(stacked):
                 out.append(_GeometryGroup(rows[sub][part], nd[sub][part], g[sub][part],
@@ -174,60 +173,56 @@ def equilibrium_geometry(pm: PlantMatrices, h_eq=None) -> EquilibriumGeometry:
                                t_basis=SubspaceBasis(geom.t_basis[0], pm.p))
 
 
-def _robust_subspace(up: UncertainPlant, h_eq, tol: float, key: str, feasible: bool) -> dict:
-    """Compare the output subspace range G (or, with ``feasible``, the
-    feasible directions) at every sample with its nominal value.
-
-    Returns holds, the nominal orthonormal basis under ``key`` when it holds,
-    the first violating (reference, delta) pair otherwise, per-sample
-    verdicts with their principal-angle sines, the largest sine and the
-    number of samples covered.
-    """
-    samples = up.delta_samples
-    matches = np.ones(len(samples), dtype=bool)
-    sines = np.zeros(len(samples))
-    ref = None
-    for lo, deltas in sample_blocks(up):
-        ps = eval_plant(up, deltas)
-        for geom in _geometry_groups(ps, _equality_rows(h_eq, deltas, ps.p), feasible):
-            bases = geom.t_basis if feasible else geom.g_range
-            if ref is None:
-                ref = bases[0]
-                continue
-            # a subspace of another dimension is at a right angle to the nominal
-            same = bases.shape[-1] == ref.shape[-1]
-            sine = max_sine(ref, bases) if same else 1.0
-            matches[lo + geom.rows] = same & (sine <= tol)
-            sines[lo + geom.rows] = sine
-    bad = np.flatnonzero(~matches)
-    holds = bad.size == 0
-    return {
-        "holds": holds,
-        key: ref if holds else None,
-        "witness": None if holds else (samples[0], samples[bad[0]]),
-        "per_sample": [{"delta": d, "matches_nominal": bool(ok), "sine": float(sine)}
-                       for d, ok, sine in zip(samples[1:], matches[1:], sines[1:])],
-        "max_sine": float(sines.max()),
-        "deltas": len(samples),
-    }
-
-
 def check_ros(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
     """Robust-output-subspace check: is range G(delta) the same at every sample?
 
-    The nominal basis, when it holds, is returned as ``g0``.
+    The nominal basis, when it holds, is returned as ``g0``.  This is the
+    ``"ros"`` part of :func:`check_rfs`; range G does not depend on ``h_eq``.
     """
-    return _robust_subspace(up, h_eq, tol, "g0", feasible=False)
+    return check_rfs(up, h_eq, tol)["ros"]
 
 
 def check_rfs(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
     """Robust-feasible-subspace check: is null [gperp(delta); H(delta)] fixed?
 
-    ``h_eq`` may be a callable of delta for uncertain equality constraints;
-    the same comparison runs with H evaluated per sample.  The nominal basis,
-    when it holds, is returned as ``t0``.
+    ``h_eq`` may be a callable of delta for uncertain equality constraints.
+    Returns holds, the nominal orthonormal basis ``t0`` when it holds, the
+    first violating (reference, delta) pair otherwise, per-sample verdicts
+    with their principal-angle sines, the largest sine, the number of samples
+    covered, and under ``"ros"`` the same report of range G (with ``g0``).
     """
-    return _robust_subspace(up, h_eq, tol, "t0", feasible=True)
+    samples = up.delta_samples
+    # row 0: range G, row 1: the feasible directions
+    matches = np.ones((2, len(samples)), dtype=bool)
+    sines = np.zeros((2, len(samples)))
+    refs = None
+    for lo, deltas in sample_blocks(up):
+        ps = eval_plant(up, deltas)
+        for geom in _geometry_groups(ps, _equality_rows(h_eq, deltas, ps.p)):
+            if refs is None:
+                refs = (geom.g_range[0], geom.t_basis[0])
+                continue
+            for k, (ref, bases) in enumerate(zip(refs, (geom.g_range, geom.t_basis))):
+                # a subspace of another dimension is at a right angle to the nominal
+                same = bases.shape[-1] == ref.shape[-1]
+                sine = max_sine(ref, bases) if same else 1.0
+                matches[k, lo + geom.rows] = same & (sine <= tol)
+                sines[k, lo + geom.rows] = sine
+
+    def report(k: int, key: str) -> dict:
+        bad = np.flatnonzero(~matches[k])
+        holds = bad.size == 0
+        return {
+            "holds": holds,
+            key: refs[k] if holds else None,
+            "witness": None if holds else (samples[0], samples[bad[0]]),
+            "per_sample": [{"delta": d, "matches_nominal": bool(ok), "sine": float(sine)}
+                           for d, ok, sine in zip(samples[1:], matches[k, 1:], sines[k, 1:])],
+            "max_sine": float(sines[k].max()),
+            "deltas": len(samples),
+        }
+
+    return report(1, "t0") | {"ros": report(0, "g0")}
 
 
 def check_robust_full_rank(up: UncertainPlant, tol: float = 1e-10) -> bool:

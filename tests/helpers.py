@@ -14,9 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from osscontrol.matlib import as_matrix, left_null_basis, null_basis, numerical_rank, range_basis
+from osscontrol.matlib import (
+    DELTA_BLOCK,
+    as_matrix,
+    left_null_basis,
+    null_basis,
+    numerical_rank,
+    range_basis,
+)
 from osscontrol.optprob import ConvexProgram, KKTPoint
-from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant, fixed_plant
+from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant, fixed_plant, per_delta
 from osscontrol.stabilize import pbh_stabilizable
 from osscontrol.subspaces import equilibrium_geometry
 
@@ -38,6 +45,49 @@ def random_plant(rng: np.random.Generator, n: int, m: int, p: int, n_w: int = 1,
         c=rng.standard_normal((p, n)), d=rng.standard_normal((p, m)),
         q=rng.standard_normal((p, n_w)),
     )
+
+
+def affine_family(rng, base: PlantMatrices, shifts: dict, special,
+                  draws: int = 2 * DELTA_BLOCK) -> UncertainPlant:
+    """``base`` plus delta_i times ``shifts[key][i]`` for each matrix key; the
+    samples are the nominal zero, the ``special`` deltas and ``draws`` seeded
+    draws, shuffled so the special ones land inside the blocks."""
+    dim = len(next(iter(shifts.values())))
+
+    def evaluate(delta):
+        mats = {k: getattr(base, k) for k in ("a", "b", "bw", "c", "d", "q")}
+        for key, terms in shifts.items():
+            mats[key] = mats[key] + sum(float(delta[i]) * t for i, t in enumerate(terms))
+        return PlantMatrices(**mats)
+
+    drawn = list(rng.uniform(-0.8, 0.8, (draws, dim)))
+    others = [np.asarray(s, dtype=float) for s in special] + drawn
+    order = rng.permutation(len(others))
+    return UncertainPlant(evaluate=per_delta(evaluate), delta_dim=dim,
+                          delta_samples=[np.zeros(dim)] + [others[i] for i in order])
+
+
+def singular_family(rng, draws: int = 2 * DELTA_BLOCK) -> UncertainPlant:
+    """A(delta) = A0 (I - delta_1 x x'/x'x) is singular at delta_1 = 1 and ill
+    conditioned (cond >= 1e8) just below it; the last columns of B and D
+    vanish at delta_2 = 1, where G loses rank."""
+    base = random_plant(rng, 4, 2, 3)
+    x = rng.standard_normal(4)
+    proj = np.outer(x, x) / (x @ x)
+    last = np.zeros((2, 2))
+    last[1, 1] = 1.0
+    shifts = {"a": [-base.a @ proj, np.zeros((4, 4))],
+              "b": [np.zeros((4, 2)), -base.b @ last],
+              "d": [np.zeros((3, 2)), -base.d @ last],
+              "c": [0.3 * rng.standard_normal((3, 4)), np.zeros((3, 4))]}
+    special = [(1.0, 0.0), (1.0 - 1e-10, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0 - 1e-10, 1.0)]
+    return affine_family(rng, base, shifts, special, draws)
+
+
+def scaled_family(rng, m: int = 2, p: int = 4, draws: int = 2 * DELTA_BLOCK) -> UncertainPlant:
+    """(s A, s B) keeps range G fixed: ROS and RFS hold, with roundoff sines."""
+    base = random_plant(rng, 4, m, p)
+    return affine_family(rng, base, {"a": [0.5 * base.a], "b": [0.5 * base.b]}, [], draws)
 
 
 def random_qp_instance(rng: np.random.Generator, n_ec: int = 1, *, n=None, m=None,

@@ -157,6 +157,10 @@ def edit(doc, path, value):
     pytest.param("rfs-violation", ("plant", "matrices", "a_delta", 0),
                  {"rows": 3, "cols": 3, "data": [0.0] * 9}, "plant.a_delta[0] is 3x3",
                  id="a_delta-3x3"),
+    # a matrix given with explicit rows and cols is not reshaped: B is 2x1
+    pytest.param("rfs-violation", ("plant", "matrices", "b"),
+                 {"rows": 1, "cols": 2, "data": [1.0, -1.0]}, "plant.b has 1 rows, expected 2",
+                 id="b-1x2"),
     pytest.param("rfs-violation", ("plant", "matrices", "cm_delta"),
                  [{"rows": 2, "cols": 2, "data": [0.0] * 4}], "plant.cm_delta needs plant.cm",
                  id="cm_delta-without-cm"),

@@ -4,14 +4,19 @@ eigenvalue bit for bit, on seeded families whose A turns singular, whose
 ranks change inside a block, whose null space is empty, with a callable H
 and with a Keps loop that cannot be built at some deltas."""
 
+import hashlib
+import importlib
 import json
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from osscontrol import scenarios
 from osscontrol.matlib import DELTA_BLOCK, rank_decision
-from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant, per_delta
+from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant
 from osscontrol.subspaces import (
     _equality_rows,
     _geometry_groups,
@@ -22,50 +27,17 @@ from osscontrol.subspaces import (
 )
 
 from helpers import (
+    affine_family,
     assert_bits_equal,
     geometry_by_sample,
     random_plant,
     robust_subspace_by_sample,
+    scaled_family,
+    singular_family,
     spectrum_lines_by_sample,
 )
 
 GEOMETRY_KEYS = ("ndelta", "g", "gperp", "g_range", "t_basis")
-
-
-def affine_family(rng, base: PlantMatrices, shifts: dict, special) -> UncertainPlant:
-    """``base`` plus delta_i times ``shifts[key][i]`` for each matrix key; the
-    samples are the nominal zero, the ``special`` deltas and seeded draws,
-    shuffled so the special ones land inside the blocks."""
-    dim = len(next(iter(shifts.values())))
-
-    def evaluate(delta):
-        mats = {k: getattr(base, k) for k in ("a", "b", "bw", "c", "d", "q")}
-        for key, terms in shifts.items():
-            mats[key] = mats[key] + sum(float(delta[i]) * t for i, t in enumerate(terms))
-        return PlantMatrices(**mats)
-
-    drawn = list(rng.uniform(-0.8, 0.8, (2 * DELTA_BLOCK, dim)))
-    others = [np.asarray(s, dtype=float) for s in special] + drawn
-    order = rng.permutation(len(others))
-    return UncertainPlant(evaluate=per_delta(evaluate), delta_dim=dim,
-                          delta_samples=[np.zeros(dim)] + [others[i] for i in order])
-
-
-def singular_family(rng) -> UncertainPlant:
-    """A(delta) = A0 (I - delta_1 x x'/x'x) is singular at delta_1 = 1 and ill
-    conditioned (cond >= 1e8) just below it; the last columns of B and D
-    vanish at delta_2 = 1, where G loses rank."""
-    base = random_plant(rng, 4, 2, 3)
-    x = rng.standard_normal(4)
-    proj = np.outer(x, x) / (x @ x)
-    last = np.zeros((2, 2))
-    last[1, 1] = 1.0
-    shifts = {"a": [-base.a @ proj, np.zeros((4, 4))],
-              "b": [np.zeros((4, 2)), -base.b @ last],
-              "d": [np.zeros((3, 2)), -base.d @ last],
-              "c": [0.3 * rng.standard_normal((3, 4)), np.zeros((3, 4))]}
-    special = [(1.0, 0.0), (1.0 - 1e-10, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0 - 1e-10, 1.0)]
-    return affine_family(rng, base, shifts, special)
 
 
 def empty_null_family(rng) -> UncertainPlant:
@@ -77,12 +49,6 @@ def empty_null_family(rng) -> UncertainPlant:
     x = rng.standard_normal(3)
     return affine_family(rng, base, {"a": [-base.a @ np.outer(x, x) / (x @ x)]},
                          [(1.0,), (1.0 - 1e-10,)])
-
-
-def scaled_family(rng, m: int = 2, p: int = 4) -> UncertainPlant:
-    """(s A, s B) keeps range G fixed: ROS and RFS hold, with roundoff sines."""
-    base = random_plant(rng, 4, m, p)
-    return affine_family(rng, base, {"a": [0.5 * base.a], "b": [0.5 * base.b]}, [])
 
 
 def square_family(rng) -> UncertainPlant:
@@ -263,3 +229,32 @@ def test_dense_samples_keep_the_bundled_verdicts(name):
         rfs = next(r for r in report.results if r.kind == "rfs")
         assert "witness deltas [0.0] vs [0.5]" in rfs.detail
     assert f"over {DENSE_DRAWS + 3} deltas" in report.results[0].detail
+
+
+# SHA-256 of the info lines (one spectrum line per delta sample) and of the
+# check details of ``check_scenario`` on each 100-draw dense document that
+# ``perfbench/harness.dense_doc`` builds with ``random.Random(0)``, as the
+# program wrote them while each check made its own pass over the samples
+DENSE_REPORT_SHA256 = {
+    "power-dapi": ("1e58b622e986aa3c89e290e34695e6c21217eee849f2c4d97626804cf85655a8",
+                   "77f7c9e8c037ea3acec7e0ff00340498fbe7eac4c5c53b48630808a25ad7c5a6"),
+    "power-novel": ("ac8276a54666775fd3a67c3de801285f3b639d221ee9767ed67b8a6eda15be3b",
+                    "05b7e1fd46d5497698ea121ceac9b3b79ddc93ae75d7ceeced9ed37cca41ef60"),
+    "rfs-violation": ("1a589167d0958bb650d26f1f0735323b20808b8c2ed850d58c83d2e60c52cedd",
+                      "9f5e431d8be20952bac1461524c6d89b33007052e2da8101767ec993f3e66a1f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_REPORT_SHA256))
+def test_dense_report_text_is_pinned(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    for module in ("harness", "bootstrap"):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    harness = importlib.import_module("harness")
+    sc = scenarios.load_scenario(harness.dense_doc(name, random.Random(0), 100))
+    report = scenarios.check_scenario(sc)
+    assert report.exit_code == 0
+    assert len(report.info) == len(sc.plant.delta_samples)
+    texts = ("\n".join(report.info), "\n".join(r.detail for r in report.results))
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == DENSE_REPORT_SHA256[name]

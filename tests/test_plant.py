@@ -42,6 +42,19 @@ class TestPlantMatrices:
             PlantMatrices(a=np.zeros((2, 2)), b=np.zeros((2, 1)), bw=np.zeros((2, 1)),
                           c=np.zeros((1, 3)), d=np.zeros((1, 1)), q=np.zeros((1, 1)))
 
+    def test_row_count_is_checked_and_only_vectors_are_reshaped(self):
+        mats = dict(a=-np.eye(2), bw=np.ones((2, 1)), c=np.eye(2), d=np.zeros((2, 1)),
+                    q=np.zeros((2, 1)))
+        for key, bad in (("b", np.ones((1, 2))), ("bw", np.ones((1, 2))),
+                         ("d", np.zeros((1, 2))), ("q", np.zeros((1, 2)))):
+            given = dict(mats, b=np.ones((2, 1)))
+            given[key] = bad
+            with pytest.raises(ValueError, match=f"plant.{key} has 1 rows, expected 2"):
+                PlantMatrices(**given)
+        # a vector is read as the expected rows: one input here
+        pm = PlantMatrices(**mats, b=[1.0, -1.0])
+        assert pm.b.shape == (2, 1) and np.array_equal(pm.b[:, 0], [1.0, -1.0])
+
     def test_default_measurement_is_full_state(self, two_state_plant):
         assert np.allclose(two_state_plant.cm, np.eye(2))
 

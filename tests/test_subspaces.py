@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+from osscontrol import scenarios
 from osscontrol.matlib import (
+    DELTA_BLOCK,
     SubspaceBasis,
+    max_sine,
     null_basis,
     numerical_rank,
     range_basis,
@@ -22,7 +27,7 @@ from osscontrol.subspaces import (
     reduced_error_complement_condition,
 )
 
-from helpers import random_plant
+from helpers import assert_bits_equal, random_plant, scaled_family, singular_family
 
 
 def swing_pieces(delta=0.0):
@@ -210,6 +215,82 @@ class TestCheckRfs:
             return np.array([[1.0, -1.0 - d]])
 
         assert not check_rfs(up, h_bad)["holds"]
+
+
+def rfs_violation_family(rng):
+    """``rfs-violation``'s plant, whose output subspace rotates with delta, at
+    DELTA_BLOCK + 1 seeded draws besides the nominal sample.  Its box is
+    dropped so that one draw can be delta = -1, where A is singular: null
+    [A B] of that sample comes from the SVD, not from A^-1 B, in a group of
+    its own inside the block."""
+    doc = json.loads(scenarios.bundled_path("rfs-violation").read_text())
+    drawn = rng.uniform(-0.5, 0.5, DELTA_BLOCK + 1)
+    drawn[DELTA_BLOCK // 2] = -1.0
+    del doc["plant"]["delta_box"]
+    doc["plant"]["delta_samples"] = [[0.0]] + [[v] for v in drawn]
+    sc = scenarios.load_scenario(doc)
+    return sc.plant, sc.program.h_eq
+
+
+SHARED_FAMILIES = {
+    "rfs-violation": rfs_violation_family,
+    # A singular and G losing rank at special samples inside the blocks
+    "singular": lambda rng: (singular_family(rng, DELTA_BLOCK - 4), None),
+    # range G fixed: ROS holds, and RFS under a fixed H
+    "scaled": lambda rng: (scaled_family(rng, draws=DELTA_BLOCK + 1), None),
+}
+
+
+def reports_by_sample(up: UncertainPlant, h_eq, tol: float = 1e-8) -> dict:
+    """The ROS and RFS reports built one delta at a time: each sample's basis
+    from ``equilibrium_geometry``, its sine from ``max_sine`` against the
+    nominal basis, 1 when the dimensions differ."""
+    geoms = [equilibrium_geometry(eval_plant(up, d), h_eq(d) if callable(h_eq) else h_eq)
+             for d in up.delta_samples]
+    out = {}
+    for key, field in (("g0", "g_range"), ("t0", "t_basis")):
+        bases = [getattr(geom, field).basis for geom in geoms]
+        ref = bases[0]
+        same = [b.shape[1] == ref.shape[1] for b in bases[1:]]
+        sines = [float(max_sine(ref, b)) if ok else 1.0 for b, ok in zip(bases[1:], same)]
+        matches = [ok and sine <= tol for ok, sine in zip(same, sines)]
+        bad = [d for d, ok in zip(up.delta_samples[1:], matches) if not ok]
+        out[key] = {"holds": not bad, "ref": ref, "sines": sines, "matches": matches,
+                    "witness": (up.delta_samples[0], bad[0]) if bad else None}
+    return out
+
+
+class TestSharedPass:
+    @pytest.mark.parametrize("family", sorted(SHARED_FAMILIES))
+    @pytest.mark.parametrize("kind", ["own", "callable"])
+    def test_ros_and_rfs_equal_each_sample_alone(self, family, kind):
+        rng = np.random.default_rng(50 + sorted(SHARED_FAMILIES).index(family))
+        up, h_eq = SHARED_FAMILIES[family](rng)
+        assert len(up.delta_samples) == DELTA_BLOCK + 2  # the nominal block and two more
+        if kind == "callable":
+            p = eval_plant(up, up.nominal).p
+            h0, h1 = rng.standard_normal((2, 1, p))
+            h_eq = lambda delta: h0 + float(delta[0]) * h1  # noqa: E731
+        rfs = check_rfs(up, h_eq)
+        want = reports_by_sample(up, h_eq)
+        for key, rep in (("t0", rfs), ("g0", rfs["ros"]), ("g0", check_ros(up, h_eq))):
+            ref = want[key]
+            assert rep["holds"] is ref["holds"], key
+            assert rep["deltas"] == len(up.delta_samples)
+            assert [s["matches_nominal"] for s in rep["per_sample"]] == ref["matches"], key
+            assert_bits_equal(np.array([s["sine"] for s in rep["per_sample"]]),
+                              np.array(ref["sines"]), f"{key} sines")
+            assert rep["max_sine"] == max([0.0] + ref["sines"])
+            if ref["holds"]:
+                assert rep["witness"] is None
+                assert_bits_equal(rep[key], ref["ref"], key)
+            else:
+                assert rep[key] is None
+                assert all(np.array_equal(a, b) for a, b in zip(rep["witness"], ref["witness"]))
+        if family == "scaled":
+            assert rfs["ros"]["holds"]
+        if family == "rfs-violation" and kind == "own":
+            assert not rfs["holds"]
 
 
 class TestRobustFullRank:

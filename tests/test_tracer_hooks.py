@@ -101,9 +101,10 @@ def test_traced_dense_check_counts_blocks_and_samples(monkeypatch):
     # the per-layer metrics of a dense check stay meaningful: the subspace
     # checks count every sample they cover, loops are assembled once per
     # block of delta samples, and the plant is evaluated once per block: the
-    # nominal alone and then DELTA_BLOCK samples at a time in the ROS and RFS
-    # passes, DELTA_BLOCK at a time in the spectrum pass, besides the
-    # nominal-only evaluations of the full-rank, proposition and oracle checks
+    # nominal alone and then DELTA_BLOCK samples at a time in the one pass
+    # that decides both ROS and RFS (check_rfs), DELTA_BLOCK at a time in the
+    # spectrum pass, besides the nominal-only evaluations of the full-rank,
+    # proposition and oracle checks
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     for name in ("tracer", "harness", "bootstrap"):
@@ -120,9 +121,10 @@ def test_traced_dense_check_counts_blocks_and_samples(monkeypatch):
         report = scenarios.check_scenario(sc)
     assert report.exit_code == 0
     metrics = tracer.layer_metrics(tr, samples, 0.0)
-    assert metrics["subspaces.samples"] == 3 * samples
+    assert metrics["subspaces.samples"] == 2 * samples
     assert metrics["simulate.assemble.calls"] == math.ceil(samples / DELTA_BLOCK)
-    blocks = 2 * (1 + math.ceil((samples - 1) / DELTA_BLOCK)) + math.ceil(samples / DELTA_BLOCK)
+    blocks = (1 + math.ceil((samples - 1) / DELTA_BLOCK)) + math.ceil(samples / DELTA_BLOCK)
     assert blocks <= metrics["plant.eval_plant.calls"] <= blocks + 3
-    for key in ("subspaces.check_ros.s", "subspaces.check_rfs.s", "matlib.calls"):
+    assert metrics["subspaces.check_ros.s"] == 0
+    for key in ("subspaces.check_rfs.s", "matlib.calls"):
         assert metrics[key] > 0, key
