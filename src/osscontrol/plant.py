@@ -91,10 +91,6 @@ class PlantMatrices:
     def n_w(self) -> int:
         return self.bw.shape[-1]
 
-    @property
-    def p_m(self) -> int:
-        return self.cm.shape[-2]
-
     def broadcast(self, count: int) -> PlantStack:
         """This realization at ``count`` deltas: each matrix a read-only
         broadcast view, (count, rows, cols)."""

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import power
 from .errors import OssError
-from .matlib import DELTA_BLOCK, eigenvalues, numerical_rank, range_basis, subspace_equal
+from .matlib import DELTA_BLOCK, _map_blocks, eigenvalues, numerical_rank, range_basis, subspace_equal
 from .omodels import OptimalityModel
 from .optprob import ConvexProgram, check_gradients, oracle_optimal_output, tracking_objective
 from .plant import PlantMatrices, PlantStack, UncertainPlant, build_augmented_qp, checked_delta, eval_plant
@@ -349,6 +349,8 @@ def _build_controller(doc: dict, up: UncertainPlant, prog: ConvexProgram,
     stab_spec = doc.get("stabilizer", {"gains": {}})
     if "gains" in stab_spec:
         g = stab_spec["gains"]
+        if not isinstance(g, dict):
+            raise ValueError(f"stabilizer.gains must be an object, got {type(g).__name__}")
         blocks = {k: _decode_matrix(g[k], f"stabilizer.{k}") for k in
                   ("kx", "knu", "kmu", "keta", "keps") if k in g}
         stab = Stabilizer(**blocks)
@@ -542,21 +544,15 @@ class RunReport:
         }
 
 
-def _raised(spectrum):
-    """A cached spectrum, or raise the error cached in its place."""
-    if isinstance(spectrum, Exception):
-        raise spectrum
-    return spectrum
-
-
 class _Context:
     """Lazy artifact cache shared by the expectation checks of one variant.
 
     Every per-delta artifact (oracle, trajectory, spectrum) is computed once
     per delta, and the subspace reports once (``subspaces``); ``delta=None``
-    means the variant's simulation delta.  Spectra are computed DELTA_BLOCK
-    deltas at a time (``fill_spectra``), and trajectories before any check
-    runs (``_integrate``).
+    means the variant's simulation delta.  The spectra of the delta samples
+    are read once, as arrays (``sample_spectra``): DELTA_BLOCK samples at a
+    time, the blocks mapped over threads.  Trajectories are integrated
+    before any check runs (``_integrate``).
     """
 
     def __init__(self, sc: Scenario, plan: VariantPlan, h=None, t_end=None):
@@ -635,37 +631,56 @@ class _Context:
     def spectrum(self, delta=None) -> np.ndarray:
         """Eigenvalues of the affine loop's A_cl at one delta; raises what
         building the loop at that delta raised."""
-        d = self.delta if delta is None else np.asarray(delta, dtype=float)
-        return _raised(self.fill_spectra([d])[0])
+        return self._per_delta("spectrum", delta, lambda d: self._spectra(d[None])[0])
 
-    def fill_spectra(self, deltas) -> list:
-        """Cache the spectrum at each delta not cached yet; return each one's.
+    def _spectra(self, deltas: np.ndarray) -> np.ndarray:
+        """Eigenvalues of the affine loop at each delta of a block (S, dim),
+        (S, n_state): one loop of the delta stack (``assemble``) and one
+        stacked eigenvalue call; a block of one is the loop at its delta."""
+        sys = self.loop(deltas if len(deltas) > 1 else deltas[0])
+        if sys.affine is None:
+            raise ValueError("the closed-loop spectrum needs an affine loop")
+        return eigenvalues(sys.affine[0]).reshape(len(deltas), sys.n_state)
 
-        Only eigenvalues are kept: a loop per delta of a dense sample set
-        would hold its closures and matrices.  Each block of DELTA_BLOCK deltas
-        is one loop of a delta stack (``assemble``) and one stacked
-        eigenvalue call; a block of one delta is the loop at that delta.  A
-        block that cannot be built is built again one delta at a time, and a
-        delta whose loop cannot be built keeps the error in place of its
-        spectrum.
+    def spectrum_tops(self, deltas) -> tuple[np.ndarray, dict]:
+        """``(tops, errors)``: the largest real part of the loop's spectrum at
+        each delta (NaN where the loop cannot be built), and ``{index:
+        error}`` for each delta whose loop cannot be built, in delta order.
+
+        Only the tops are kept: a loop per delta of a dense sample set would
+        hold its closures and matrices.  Blocks of DELTA_BLOCK deltas are
+        mapped over threads (``_map_blocks``); a block that cannot be built
+        is built again one delta at a time, on this thread.
         """
-        todo = [d for d in deltas if ("spectrum", d.tobytes()) not in self._cache]
-        for lo in range(0, len(todo), DELTA_BLOCK):
-            block = todo[lo: lo + DELTA_BLOCK]
+        deltas = np.asarray(deltas, dtype=float)
+        tops = np.full(len(deltas), np.nan)
+        errors = {}
+
+        def block_tops(span):
+            # on a pool thread: returns values, caches nothing
             try:
-                sys = self.loop(np.stack(block) if len(block) > 1 else block[0])
-                if sys.affine is None:
-                    raise ValueError("the closed-loop spectrum needs an affine loop")
-                eigs = eigenvalues(sys.affine[0]).reshape(len(block), sys.n_state)
+                return self._spectra(deltas[span[0]: span[1]]).real.max(axis=-1)
             except (ValueError, OssError) as exc:
-                if len(block) > 1:
-                    for d in block:
-                        self.fill_spectra([d])
-                    continue
-                eigs = [exc]
-            for d, e in zip(block, eigs):
-                self._cache[("spectrum", d.tobytes())] = e
-        return [self._cache[("spectrum", d.tobytes())] for d in deltas]
+                return exc
+
+        spans = [(lo, min(lo + DELTA_BLOCK, len(deltas)))
+                 for lo in range(0, len(deltas), DELTA_BLOCK)]
+        for (lo, hi), got in zip(spans, _map_blocks(block_tops, spans)):
+            parts = [(lo, got)]
+            if isinstance(got, Exception) and hi - lo > 1:
+                parts = [(i, block_tops((i, i + 1))) for i in range(lo, hi)]
+            for i, got in parts:
+                if isinstance(got, Exception):
+                    errors[i] = got
+                else:
+                    tops[i: i + len(got)] = got
+        return tops, errors
+
+    @cached_property
+    def sample_spectra(self) -> tuple[np.ndarray, dict]:
+        """``spectrum_tops`` of the delta samples, shared by the spectrum info
+        lines and the ``hurwitz_at_samples`` check."""
+        return self.spectrum_tops(self.sc.plant.delta_samples)
 
     def metrics(self, settle_tol: float = 1e-3) -> dict:
         return convergence_metrics(self.trajectory(), self.oracle()["y_star"], settle_tol)
@@ -736,10 +751,12 @@ def _check_spectrum(ctx, spec):
 
 
 def _check_hurwitz_at_samples(ctx, spec):
-    samples = ctx.sc.plant.delta_samples
-    worst = max(float(_raised(eigs).real.max()) for eigs in ctx.fill_spectra(samples))
+    tops, errors = ctx.sample_spectra
+    if errors:
+        raise next(iter(errors.values()))
+    worst = float(tops.max())
     return ((worst < 0) == bool(spec["value"]),
-            f"max Re over samples = {worst:.3g} ({len(samples)} deltas)")
+            f"max Re over samples = {worst:.3g} ({len(tops)} deltas)")
 
 
 def _check_oracle_y(ctx, spec):
@@ -907,16 +924,16 @@ def _spectrum_info(ctx: _Context) -> list[str]:
     if (plan.om is None or plan.sim is None or not plan.om.program.is_qp
             or plan.om.program.n_ic):
         return []
+    tops, errors = ctx.sample_spectra
     out = []
-    samples = ctx.sc.plant.delta_samples
-    for d, eigs in zip(samples, ctx.fill_spectra(samples)):
-        where = f"[{plan.name}] delta={np.atleast_1d(d).tolist()}"
-        if isinstance(eigs, Exception):
-            out.append(f"{where}: spectrum unavailable ({eigs})")
-            continue
-        top = eigs.real.max()
-        out.append(f"{where}: max Re(closed-loop spectrum) = {top:.4g}"
-                   + ("  ** unstable **" if top >= 0 else ""))
+    for i, (d, top) in enumerate(zip(np.stack(ctx.sc.plant.delta_samples).tolist(),
+                                     tops.tolist())):
+        where = f"[{plan.name}] delta={d}"
+        if i in errors:
+            out.append(f"{where}: spectrum unavailable ({errors[i]})")
+        else:
+            out.append(f"{where}: max Re(closed-loop spectrum) = {top:.4g}"
+                       + ("  ** unstable **" if top >= 0 else ""))
     return out
 
 

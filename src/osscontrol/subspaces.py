@@ -11,13 +11,14 @@ robust-feasible-subspace report with the robust-output-subspace report
 under ``"ros"``, and ``check_ros`` is that part.
 
 All "for every delta" verdicts are decided over the plant's finite
-``delta_samples``; reports carry per-sample results, the number of samples
-covered and the worst principal-angle sine, so coverage is visible.  The
-samples are taken in blocks: the nominal sample alone, whose geometry is the
-reference, then the others ``DELTA_BLOCK`` at a time (``plant.sample_blocks``).
-The plant family is evaluated once per block, its realizations stacked along
-a leading axis (``plant.eval_plant``); every matrix function then runs once
-per block.
+``delta_samples``; reports carry the match and the principal-angle sine of
+every sample as arrays, the number of samples covered and the worst sine, so
+coverage is visible.  The samples are taken in blocks: the nominal sample
+alone, whose geometry is the reference, then the others ``DELTA_BLOCK`` at a
+time (``plant.sample_blocks``), mapped over one thread per CPU
+(``matlib._map_blocks``) and gathered in sample order.  The plant family is
+evaluated once per block, its realizations stacked along a leading axis
+(``plant.eval_plant``); every matrix function then runs once per block.
 numpy's ``linalg`` gufuncs (``cond``, ``solve``, ``svd``) and ``matmul`` run
 the same LAPACK or BLAS call on each matrix of a stack as on one matrix, so
 every basis, sine and verdict is bit-identical to computing the sample
@@ -46,6 +47,7 @@ import numpy as np
 from .matlib import (
     DEFAULT_RANK_TOL,
     SubspaceBasis,
+    _map_blocks,
     _rank_from_singular_values,
     as_matrix,
     max_sine,
@@ -187,27 +189,38 @@ def check_rfs(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
 
     ``h_eq`` may be a callable of delta for uncertain equality constraints.
     Returns holds, the nominal orthonormal basis ``t0`` when it holds, the
-    first violating (reference, delta) pair otherwise, per-sample verdicts
-    with their principal-angle sines, the largest sine, the number of samples
-    covered, and under ``"ros"`` the same report of range G (with ``g0``).
+    first violating (reference, delta) pair otherwise, the ``matches`` and
+    principal-angle ``sines`` of every sample against the nominal one (arrays
+    in sample order, the nominal sample first), the largest sine, the number
+    of samples covered, and under ``"ros"`` the same report of range G (with
+    ``g0``).  The blocks after the nominal one are mapped over threads
+    (``_map_blocks``).
     """
     samples = up.delta_samples
-    # row 0: range G, row 1: the feasible directions
-    matches = np.ones((2, len(samples)), dtype=bool)
-    sines = np.zeros((2, len(samples)))
-    refs = None
-    for lo, deltas in sample_blocks(up):
+    blocks = sample_blocks(up)
+    _, nominal = next(blocks)
+    ps = eval_plant(up, nominal)
+    (geom,) = _geometry_groups(ps, _equality_rows(h_eq, nominal, ps.p))
+    refs = (geom.g_range[0], geom.t_basis[0])
+
+    def compare(block) -> tuple[np.ndarray, np.ndarray]:
+        # on a pool thread: row 0 compares range G, row 1 the feasible directions
+        _, deltas = block
         ps = eval_plant(up, deltas)
+        matches = np.empty((2, len(deltas)), dtype=bool)
+        sines = np.empty((2, len(deltas)))
         for geom in _geometry_groups(ps, _equality_rows(h_eq, deltas, ps.p)):
-            if refs is None:
-                refs = (geom.g_range[0], geom.t_basis[0])
-                continue
             for k, (ref, bases) in enumerate(zip(refs, (geom.g_range, geom.t_basis))):
                 # a subspace of another dimension is at a right angle to the nominal
                 same = bases.shape[-1] == ref.shape[-1]
                 sine = max_sine(ref, bases) if same else 1.0
-                matches[k, lo + geom.rows] = same & (sine <= tol)
-                sines[k, lo + geom.rows] = sine
+                matches[k, geom.rows] = same & (sine <= tol)
+                sines[k, geom.rows] = sine
+        return matches, sines
+
+    parts = [(np.ones((2, 1), dtype=bool), np.zeros((2, 1)))] + _map_blocks(compare, blocks)
+    matches = np.concatenate([m for m, _ in parts], axis=1)
+    sines = np.concatenate([s for _, s in parts], axis=1)
 
     def report(k: int, key: str) -> dict:
         bad = np.flatnonzero(~matches[k])
@@ -216,8 +229,8 @@ def check_rfs(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
             "holds": holds,
             key: refs[k] if holds else None,
             "witness": None if holds else (samples[0], samples[bad[0]]),
-            "per_sample": [{"delta": d, "matches_nominal": bool(ok), "sine": float(sine)}
-                           for d, ok, sine in zip(samples[1:], matches[k, 1:], sines[k, 1:])],
+            "matches": matches[k],
+            "sines": sines[k],
             "max_sine": float(sines[k].max()),
             "deltas": len(samples),
         }

@@ -91,6 +91,12 @@ def edit(doc, path, value):
     # each block field of the wrong type
     pytest.param("no-hurwitz", ("stabilizer",), {"lqr": 5}, "stabilizer.lqr must be an object",
                  id="lqr-not-object"),
+    pytest.param("rfs-violation", ("stabilizer", "gains"), 3,
+                 "stabilizer.gains must be an object, got int", id="gains-number"),
+    pytest.param("rfs-violation", ("stabilizer", "gains"), [1.0],
+                 "stabilizer.gains must be an object, got list", id="gains-list"),
+    pytest.param("rfs-violation", ("stabilizer", "gains"), "x",
+                 "stabilizer.gains must be an object, got str", id="gains-string"),
     pytest.param("no-hurwitz", ("stabilizer",), {"lqr": {"q": "big"}},
                  "stabilizer.lqr.q must be a finite number", id="lqr-q-string"),
     pytest.param("no-hurwitz", ("stabilizer",), {"lqr": {"r": None}},

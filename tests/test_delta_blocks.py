@@ -4,17 +4,20 @@ eigenvalue bit for bit, on seeded families whose A turns singular, whose
 ranks change inside a block, whose null space is empty, with a callable H
 and with a Keps loop that cannot be built at some deltas."""
 
+import gc
 import hashlib
 import importlib
 import json
 import random
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from osscontrol import scenarios
+from osscontrol import matlib, scenarios, subspaces
 from osscontrol.matlib import DELTA_BLOCK, rank_decision
 from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant
 from osscontrol.subspaces import (
@@ -117,9 +120,9 @@ def test_block_subspace_checks_equal_each_sample_alone(family, kind):
         want = robust_subspace_by_sample(up, h_eq, key)
         assert rep["holds"] is want["holds"]
         assert rep["deltas"] == len(up.delta_samples)
-        assert [s["matches_nominal"] for s in rep["per_sample"]] == want["matches"]
-        assert_bits_equal(np.array([s["sine"] for s in rep["per_sample"]]),
-                          np.array(want["sines"]), f"{check.__name__} sines")
+        assert rep["matches"][0] and rep["sines"][0] == 0.0  # the nominal sample
+        assert rep["matches"][1:].tolist() == want["matches"]
+        assert_bits_equal(rep["sines"][1:], np.array(want["sines"]), f"{check.__name__} sines")
         assert rep["max_sine"] == max(want["sines"])
         if want["holds"]:
             assert_bits_equal(rep[out], want["ref"], out)
@@ -144,16 +147,17 @@ def test_block_full_rank_equals_each_sample_alone(family):
         assert full[0] and all(full) is (family == "wide")
 
 
-def keps_document(rng) -> dict:
+def keps_document(rng, draws: int = DELTA_BLOCK + 8, singular=(5,)) -> dict:
     """A two-state plant with D(delta) = [delta; 0.5] under proportional
     proxy-error feedback: the feedthrough loop 1 + delta is singular at
-    delta = -1, one of the samples."""
+    delta = -1, the draws at the indices ``singular``."""
     def matrix(m):
         m = np.atleast_2d(m)
         return {"rows": m.shape[0], "cols": m.shape[1], "data": m.ravel().tolist()}
 
-    drawn = rng.uniform(-0.9, 0.9, DELTA_BLOCK + 8).tolist()
-    drawn[5] = -1.0
+    drawn = rng.uniform(-0.9, 0.9, draws).tolist()
+    for i in singular:
+        drawn[i] = -1.0
     return {
         "name": "keps-blocks",
         "plant": {"matrices": {
@@ -197,13 +201,130 @@ def test_block_spectra_equal_each_loop_alone():
     assert failed == 1
     # a delta outside the box (no sample can be, see test_cli) fails alone too
     inside, outside = np.array([0.25]), np.array([1.5])
-    ctx.fill_spectra([inside, outside])
+    tops, errors = ctx.spectrum_tops([inside, outside])
+    assert list(errors) == [1] and "outside box" in str(errors[1])
     with pytest.raises(ValueError, match="outside box"):
         ctx.spectrum(outside)
     got = ctx.spectrum(inside).astype(complex)
     alone = np.linalg.eigvals(ctx.loop(inside).affine[0]).astype(complex)
     for part in ("real", "imag"):
         assert_bits_equal(getattr(got, part), getattr(alone, part), "inside")
+    assert tops[0] == alone.real.max() and np.isnan(tops[1])
+
+
+MAPPED_DRAWS = 3 * DELTA_BLOCK + 1
+
+
+def thread_names(monkeypatch, module, name: str) -> list:
+    """The names of the threads that call ``module.name``, as they call it."""
+    names = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return names
+
+
+def mapped_and_inline(monkeypatch, module, name: str, run) -> tuple:
+    """``run()`` with the blocks mapped over a pool of two threads, then
+    with them run inline; each result with the threads that called
+    ``module.name``, which sees every block."""
+    out = []
+    for workers in (2, 1):
+        monkeypatch.setattr(matlib, "_WORKERS", workers)
+        with monkeypatch.context() as patch:
+            names = thread_names(patch, module, name)
+            out.append((run(), names))
+    (mapped, mapped_threads), (inline, inline_threads) = out
+    main = threading.current_thread().name
+    assert any(t != main for t in mapped_threads), "no block ran on the pool"
+    assert set(inline_threads) == {main}
+    return mapped, inline
+
+
+MAPPED_FAMILIES = {
+    "singular": lambda rng: singular_family(rng, MAPPED_DRAWS),
+    "scaled": lambda rng: scaled_family(rng, draws=MAPPED_DRAWS),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MAPPED_FAMILIES))
+@pytest.mark.parametrize("kind", ["none", "callable"])
+def test_mapped_subspace_pass_equals_inline(monkeypatch, family, kind):
+    rng = np.random.default_rng(60 + sorted(MAPPED_FAMILIES).index(family))
+    up = MAPPED_FAMILIES[family](rng)
+    h_eq = equalities(rng, up, kind)
+    assert len(up.delta_samples) >= 3 * DELTA_BLOCK + 2
+    mapped, inline = mapped_and_inline(monkeypatch, subspaces, "eval_plant",
+                                       lambda: check_rfs(up, h_eq))
+    for got, want, key in ((mapped, inline, "t0"), (mapped["ros"], inline["ros"], "g0")):
+        assert got["holds"] is want["holds"]
+        assert got["deltas"] == want["deltas"] == len(up.delta_samples)
+        assert_bits_equal(got["matches"], want["matches"], "matches")
+        assert_bits_equal(got["sines"], want["sines"], "sines")
+        assert got["max_sine"] == want["max_sine"]
+        if want["holds"]:
+            assert got["witness"] is None
+            assert_bits_equal(got[key], want[key], key)
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(got["witness"], want["witness"]))
+    # the inline pass is the one decided sample by sample
+    want = robust_subspace_by_sample(up, h_eq, "t_basis")
+    assert mapped["holds"] is want["holds"]
+    assert_bits_equal(mapped["sines"][1:], np.array(want["sines"]), "sines by sample")
+    if family == "singular":
+        assert not mapped["holds"] and not mapped["ros"]["holds"]
+
+
+def test_mapped_spectrum_pass_equals_inline(monkeypatch):
+    # loops that cannot be built in the second and the third block, the
+    # first of them at its block's first sample
+    rng = np.random.default_rng(31)
+    doc = keps_document(rng, MAPPED_DRAWS, singular=(DELTA_BLOCK - 1, 2 * DELTA_BLOCK + 7))
+    sc = scenarios.load_scenario(doc)
+    plan = sc.variants[0]
+    assert len(sc.plant.delta_samples) >= 3 * DELTA_BLOCK + 2
+
+    def check():
+        ctx = scenarios._Context(sc, plan)
+        lines = scenarios._spectrum_info(ctx)
+        with pytest.raises(ValueError, match="singular") as raised:
+            scenarios._check_hurwitz_at_samples(ctx, {"value": True})
+        return lines, str(raised.value), ctx.sample_spectra
+
+    mapped, inline = mapped_and_inline(monkeypatch, scenarios, "assemble", check)
+    assert mapped[:2] == inline[:2]
+    # NaN where the loop cannot be built
+    assert np.array_equal(mapped[2][0], inline[2][0], equal_nan=True)
+    assert list(mapped[2][1]) == list(inline[2][1]) == [DELTA_BLOCK, 2 * DELTA_BLOCK + 8]
+    assert sum("spectrum unavailable" in line for line in mapped[0]) == 2
+    # the lines are those of each loop built alone
+    for line, (d, eigs) in zip(mapped[0], spectrum_lines_by_sample(sc, plan)):
+        where = f"[{plan.name}] delta={d.tolist()}"
+        if isinstance(eigs, str):
+            assert line == f"{where}: spectrum unavailable ({eigs})"
+        else:
+            top = eigs.real.max()
+            assert line == (f"{where}: max Re(closed-loop spectrum) = {top:.4g}"
+                            + ("  ** unstable **" if top >= 0 else ""))
+
+
+def test_sample_spectra_leave_no_reference_cycle():
+    # a context holds its trajectories: the spectrum pass must not keep it
+    # alive until the cycle collector runs
+    sc = scenarios.load_scenario(keps_document(np.random.default_rng(32), singular=()))
+    ctx = scenarios._Context(sc, sc.variants[0])
+    gc.disable()
+    try:
+        assert not ctx.sample_spectra[1]
+        alive = weakref.ref(ctx)
+        del ctx
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 DENSE_DRAWS = 100
@@ -258,3 +379,36 @@ def test_dense_report_text_is_pinned(monkeypatch, name):
     assert len(report.info) == len(sc.plant.delta_samples)
     texts = ("\n".join(report.info), "\n".join(r.detail for r in report.results))
     assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == DENSE_REPORT_SHA256[name]
+
+
+# SHA-256 of the info lines and of the check details of ``check_scenario`` on
+# each bundled scenario, whose samples fit one block (decided inline, with no
+# thread), as the program wrote them before the blocks were mapped over threads
+BUNDLED_REPORT_SHA256 = {
+    "tracking-sparse": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                        "fbacc5fc719d5583e3dc125bde5eb068ce09348da596bdc96ac9a354c4aa5247"),
+    "equilibrium-necessity": ("1009c1c22697126c6c3455e3e9fa76ac4566506e1075d69530972e1514d2fabb",
+                              "0bd980565cf5d6f726ee5a1530b393db4385112b136b1c8fcb4a3d6e4ae611e8"),
+    "rfs-violation": ("ddaf02fe34ba625d87c562681dcd1587e43f73b3c5e3a54cfd95faee6f669b55",
+                      "3838b61f24dacda32ec4b085c1f19651c0ad09d219b7d115d30f9288d6e1f972"),
+    "no-hurwitz": ("b61309b2e21c78479667d6889ce14a9c3889803f4573cf97a17f17b409a63aba",
+                   "7663067410bfa13203b9de101c328e92f84ecf66112b4e2a758cf06defb9a87f"),
+    "pd-vs-oss": ("2d1dfd0c8d338a0a107d9e68675f5e697abae3cc92c41b347fae58bf4e423b8e",
+                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "power-dapi": ("64150bbb2d17b3ce9b276f231a4edad3649b3a08ac37cecd5a6baf3969c5dd4e",
+                   "ea80c4afeff43c95cbab4eb2b0a8a19475dfde550c94521d5542cb2ec5af218e"),
+    "power-novel": ("33923bc2f609596a4f1bac62883e84ec0546a95d79cd1d78daef6c0df4d400ac",
+                    "05b7e1fd46d5497698ea121ceac9b3b79ddc93ae75d7ceeced9ed37cca41ef60"),
+    "power-gb": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 "4d72a81a9b54b0774ae8f174206a0e8f97c14c563fd040295c434d4573bdc418"),
+}
+
+
+@pytest.mark.parametrize("name", scenarios.BUNDLED_NAMES)
+def test_bundled_report_text_is_pinned(name):
+    sc = scenarios.load_scenario(name)
+    assert len(sc.plant.delta_samples) <= DELTA_BLOCK
+    report = scenarios.check_scenario(sc)
+    assert report.exit_code == 0
+    texts = ("\n".join(report.info), "\n".join(r.detail for r in report.results))
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == BUNDLED_REPORT_SHA256[name]

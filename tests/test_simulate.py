@@ -13,6 +13,7 @@ import pytest
 from osscontrol import scenarios
 from osscontrol.matlib import DELTA_BLOCK
 from osscontrol.omodels import gather_broadcast_input, om_dynamics
+from osscontrol.optprob import oracle_optimal_output
 from osscontrol.plant import eval_plant
 from osscontrol.simulate import (
     DIVERGENCE_LIMIT,
@@ -20,7 +21,9 @@ from osscontrol.simulate import (
     ClosedLoopSystem,
     Trajectory,
     _rk4_step_map,
+    assemble,
     convergence_metrics,
+    equilibrium_solve,
     integrate_rk4,
 )
 
@@ -259,6 +262,23 @@ def test_tracking_sparse_check_passes():
     analysis = [(kind, variant) for kind, variant in expected_checks(sc, sc.variants)
                 if kind not in scenarios.SIM_CHECK_KINDS]
     assert [(r.kind, r.variant) for r in report.results] == analysis
+
+
+@pytest.mark.parametrize("variant", ["theta-sparse", "theta-tiny"])
+def test_equilibrium_solve_with_finite_difference_jacobian(variant):
+    # tracking-sparse's loop is not affine, so the Newton solve builds its
+    # Jacobian by central differences; its equilibrium output is the oracle's
+    sc = load("tracking-sparse")
+    plan = sc.variant(variant)
+    w = scenarios._Context(sc, plan).w
+    sys = assemble(sc.plant, sc.plant.nominal, w, plan.om, plan.stabilizer)
+    assert sys.affine is None
+    z, resid = equilibrium_solve(sys, np.zeros(sys.n_state))
+    assert resid <= 1e-10
+    y = sys.outputs(z[None])[0][0]
+    y_star = oracle_optimal_output(plan.program, eval_plant(sc.plant, sc.plant.nominal),
+                                   w)["y_star"]
+    assert np.linalg.norm(y - y_star) <= 1e-10 * (1.0 + np.linalg.norm(y_star))
 
 
 # SHA-256 of tracking-sparse's traces over a 2 s horizon (1000 nonlinear RK4
