@@ -6,7 +6,8 @@
 
 SCENARIO is a bundled name (see ``oss list``) or a path to a scenario JSON
 file.  Exit codes: 0 all expectations pass, 1 an expectation failed,
-2 input error, 3 the integration diverged.
+2 input error, 3 the integration diverged.  An error in a scenario document
+names the dotted path of the bad field, such as ``variants[0].sim.h``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def main(argv=None) -> int:
         else:
             report, _ = run_scenario(sc, variant=args.variant, out_dir=args.out,
                                      h=args.h, t_end=args.t_end, sweep=args.sweep)
-    except (FileNotFoundError, KeyError, ValueError, OssError) as exc:
+    except (FileNotFoundError, ValueError, OssError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.as_json:

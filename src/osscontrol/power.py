@@ -115,6 +115,10 @@ def default_network() -> PowerNetwork:
     )
 
 
+# The swing plant's delta box: the damping scale 1 + delta stays within half of 1.
+SWING_DELTA_BOX = ((-0.5, 0.5),)
+
+
 def build_swing_plant(net: PowerNetwork, delta_samples=((0.0,), (0.3,), (-0.3,))) -> UncertainPlant:
     """Swing dynamics as an uncertain LTI plant; delta scales the damping.
 
@@ -151,7 +155,7 @@ def build_swing_plant(net: PowerNetwork, delta_samples=((0.0,), (0.3,), (-0.3,))
 
     return UncertainPlant(evaluate=evaluate, delta_dim=1,
                           delta_samples=[np.asarray(s, dtype=float) for s in delta_samples],
-                          delta_box=[(-0.5, 0.5)])
+                          delta_box=SWING_DELTA_BOX)
 
 
 def frequency_program(net: PowerNetwork, f_freq=None) -> ConvexProgram:

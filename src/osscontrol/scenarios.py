@@ -2,23 +2,30 @@
 
 A scenario file is a JSON document describing plant, program, controller,
 simulation parameters, and an ``expect`` block of machine-checkable
-expectations.  Matrices are given row-major with explicit ``rows``/``cols``
-so shape typos fail at load time.  Variants override top-level keys (deep
-merge) to express paired runs such as two controller tunings.
+expectations.  ``_SCHEMA`` is the one reference for the document format: for
+each dotted path it gives the JSON type, the shape (matrix rows and columns
+against the plant's sizes or the network's, a list's length), the range and
+the default.  Matrices are given row-major with explicit ``rows``/``cols``
+so shape typos fail at load time.  ``load_scenario`` walks the table once
+before it builds any object, and every error names the path of the bad
+field.  Variants override top-level keys (deep merge) to express paired runs
+such as two controller tunings; each is checked after the merge, against
+the same table.
 
 Expectations come in two flavors: analysis checks (subspace robustness,
 proposition clause lists, spectra, equilibrium comparisons) and simulation
 checks (convergence metrics on an integrated trajectory).  ``check`` runs
 only the former; ``run`` runs both.  ``CHECKS`` maps each expectation kind to
-its check function, and loading rejects a kind that is not in it.
+its check function and the fields it requires.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import math
 import shutil
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from importlib import resources
@@ -31,7 +38,8 @@ from .errors import OssError
 from .matlib import DELTA_BLOCK, _map_blocks, eigenvalues, numerical_rank, range_basis, subspace_equal
 from .omodels import OptimalityModel
 from .optprob import ConvexProgram, check_gradients, oracle_optimal_output, tracking_objective
-from .plant import PlantMatrices, PlantStack, UncertainPlant, build_augmented_qp, checked_delta, eval_plant
+from .plant import (_PLANT_FIELDS, PlantMatrices, PlantStack, UncertainPlant, build_augmented_qp,
+                    checked_delta, eval_plant)
 from .simulate import ClosedLoopSystem, Trajectory, assemble, convergence_metrics, equilibrium_solve, integrate_rk4
 from .stabilize import Stabilizer, augmented_pbh, prop4_check, prop5_check, prop6_check, synthesize_lqr
 from .subspaces import check_rfs, check_robust_full_rank, check_ros, equilibrium_geometry
@@ -48,48 +56,17 @@ BUNDLED_NAMES = (
 )
 
 
-# -- JSON decoding -----------------------------------------------------------------
+# -- building from a checked document ------------------------------------------------
 
 
-def _decode_matrix(obj, what: str) -> np.ndarray:
-    if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
-        raise ValueError(f"{what}: matrices need explicit rows/cols/data")
-    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and isinstance(data, list)
-            and all(isinstance(v, (int, float)) for v in data)):
-        raise ValueError(f"{what}: rows and cols must be integers and data a flat list of numbers")
-    if len(data) != rows * cols:
-        raise ValueError(f"{what}: expected {rows * cols} entries, got {len(data)}")
-    return np.asarray(data, dtype=float).reshape(rows, cols)
-
-
-def _decode_vector(obj, what: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float).ravel()
-    if arr.size and not np.isfinite(arr).all():
-        raise ValueError(f"{what}: entries must be finite")
-    return arr
-
-
-def _field(block, key: str, where: str):
-    """``block[key]`` of the JSON object at dotted path ``where``; a missing
-    field or a block that is not an object is a ValueError naming the path."""
-    if not isinstance(block, dict):
-        raise ValueError(f"{where} must be an object, got {type(block).__name__}")
-    if key not in block:
-        raise ValueError(f"{where}.{key} is missing")
-    return block[key]
-
-
-def _number(value, where: str, positive: bool = False, integer: bool = False):
-    """``value`` as a float, or with ``integer`` as an int; anything but a
-    finite number (with ``positive`` a positive one, with ``integer`` an
-    integral one) is a ValueError naming ``where``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or (positive and value <= 0)
-            or (integer and value != int(value))):
-        what = "an integer" if integer else f"a {'positive' if positive else 'finite'} number"
-        raise ValueError(f"{where} must be {what}, got {value!r}")
-    return int(value) if integer else float(value)
+@contextmanager
+def _named(where: str):
+    """Prefix the document path ``where`` to the ValueError of a constructor
+    that rejects a checked block (a precondition the table does not state)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -106,46 +83,14 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def _build_plant(spec: dict, network: power.PowerNetwork | None) -> UncertainPlant:
-    if "builder" in spec:
-        name = spec["builder"]
-        if name == "swing":
-            if network is None:
-                raise ValueError("swing plant builder needs a network block")
-            # the swing plant's delta box rejects a non-finite sample
-            return power.build_swing_plant(network, spec.get("delta_samples",
-                                                             [[0.0], [0.3], [-0.3]]))
-        raise ValueError(f"unknown plant builder {name!r}")
-    mats = spec.get("matrices")
-    if not isinstance(mats, dict):
-        raise ValueError("plant needs a builder or a matrices object")
-    missing = [f"plant.matrices.{k}" for k in ("a", "b", "bw", "c", "d", "q") if k not in mats]
-    if missing:
-        raise ValueError(f"missing required matrices: {', '.join(missing)}")
-    names = ("a", "b", "bw", "c", "d", "q", "cm")
-    unknown = sorted(set(mats) - set(names) - {f"{k}_delta" for k in names})
-    if unknown:
-        raise ValueError(f"plant.matrices.{unknown[0]}: unknown matrix; the plant takes "
-                         f"{', '.join(names)} and their _delta lists")
-    raw = {k: _decode_matrix(mats[k], f"plant.{k}") for k in names if k in mats}
-    base = PlantMatrices(**raw)
-    addends = {}
-    for k in names:
-        if f"{k}_delta" not in mats:
-            continue
-        if k not in raw:
-            raise ValueError(f"plant.{k}_delta needs plant.{k}")
-        terms = [_decode_matrix(mm, f"plant.{k}_delta[{i}]")
-                 for i, mm in enumerate(mats[f"{k}_delta"])]
-        for i, t in enumerate(terms):
-            if t.shape != raw[k].shape:
-                raise ValueError(f"plant.{k}_delta[{i}] is {t.shape[0]}x{t.shape[1]}, "
-                                 f"plant.{k} is {raw[k].shape[0]}x{raw[k].shape[1]}")
-        addends[k] = [t.reshape(getattr(base, k).shape) for t in terms]
-    delta_dim = _number(spec.get("delta_dim", max((len(v) for v in addends.values()), default=0)),
-                        "plant.delta_dim", integer=True)
-    for k, v in addends.items():
-        if len(v) != delta_dim:
-            raise ValueError(f"plant.{k}_delta must list one matrix per delta coordinate")
+    """The family of a checked ``plant`` block: the network's swing plant, or
+    the matrices plus delta_i times their ``_delta`` terms."""
+    samples = list(spec["delta_samples"])
+    if "builder" in spec:  # "swing", the one builder
+        return power.build_swing_plant(network, samples)
+    mats = spec["matrices"]
+    base = PlantMatrices(**{k: mats[k] for k in _PLANT_FIELDS if k in mats})
+    addends = {k: mats[f"{k}_delta"] for k in _PLANT_FIELDS if f"{k}_delta" in mats}
 
     def evaluate(block: np.ndarray) -> PlantStack:
         # base + (0 + delta_1 M_1 + delta_2 M_2 ...), summed in that order
@@ -158,64 +103,19 @@ def _build_plant(spec: dict, network: power.PowerNetwork | None) -> UncertainPla
             vals[k] = getattr(base, k) + acc
         return replace(stack, **vals)
 
-    samples = [_decode_vector(s, "plant.delta_samples")
-               for s in spec.get("delta_samples", [[0.0] * delta_dim])]
-    return UncertainPlant(evaluate=evaluate, delta_dim=delta_dim, delta_samples=samples,
-                          delta_box=_delta_box(spec.get("delta_box"), delta_dim))
+    return UncertainPlant(evaluate=evaluate, delta_dim=spec["delta_dim"], delta_samples=samples,
+                          delta_box=spec.get("delta_box"))
 
 
-def _delta_box(box, delta_dim: int):
-    """The ``plant.delta_box`` entry, checked: exactly ``delta_dim`` pairs
-    [lo, hi] of finite numbers with lo <= hi; None when absent or empty."""
-    if box is None:
-        return None
-    if not isinstance(box, list) or len(box) != delta_dim:
-        raise ValueError(f"plant.delta_box must list one [lo, hi] pair per delta coordinate "
-                         f"({delta_dim}), got {box!r}")
-    for i, pair in enumerate(box):
-        where = f"plant.delta_box[{i}]"
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError(f"{where} must be a pair [lo, hi], got {pair!r}")
-        lo, hi = (_number(v, f"{where}[{j}]") for j, v in enumerate(pair))
-        if lo > hi:
-            raise ValueError(f"{where} is empty: lo {pair[0]} exceeds hi {pair[1]}")
-    return [tuple(pair) for pair in box] or None
-
-
-def _tracking_numbers(params: dict) -> dict:
-    """``p_m``, ``r_idx``, ``theta`` and ``beta`` of a tracking objective's
-    ``params`` block, each checked."""
-    where = "program.objective.params"
-    p_m = _number(_field(params, "p_m", where), f"{where}.p_m", integer=True)
-    theta = _number(_field(params, "theta", where), f"{where}.theta")
-    beta = _number(params.get("beta", 20.0), f"{where}.beta", positive=True)
-    r_indices = _field(params, "r_indices", where)
-    if not isinstance(r_indices, list):
-        raise ValueError(f"{where}.r_indices must be a list, got {r_indices!r}")
-    r_idx = np.asarray([_number(i, f"{where}.r_indices[{j}]", integer=True)
-                        for j, i in enumerate(r_indices)], dtype=np.intp)
-    return {"p_m": p_m, "r_idx": r_idx, "theta": theta, "beta": beta}
-
-
-def _build_program(spec: dict, network: power.PowerNetwork | None, p_hint: int,
-                   n_w: int) -> tuple[ConvexProgram, dict | None]:
-    """The program of a ``program`` block, with the numbers of its tracking
-    objective (``_tracking_numbers``), or None for other objectives."""
-    if spec.get("builder") == "frequency":
-        if network is None:
-            raise ValueError("frequency program builder needs a network block")
-        f = _decode_matrix(spec["f"], "program.f") if "f" in spec else None
-        return power.frequency_program(network, f), None
-    h = _decode_matrix(spec["h"], "program.h") if "h" in spec else None
-    l = _decode_matrix(spec["l"], "program.l") if "l" in spec else None
+def _build_program(spec: dict, network: power.PowerNetwork | None,
+                   dims: dict) -> tuple[ConvexProgram, dict | None]:
+    """The program of a checked ``program`` block, with the params of its
+    tracking objective, or None for other objectives."""
+    if "builder" in spec:  # "frequency", the one builder
+        return power.frequency_program(network, spec.get("f")), None
     ineqs = []
-    for i, item in enumerate(spec.get("inequalities", [])):
-        where = f"program.inequalities[{i}]"
-        if _field(item, "name", where) != "affine":
-            raise ValueError(f"{where}.name: unknown inequality kind {item['name']!r}")
-        params = _field(item, "params", where)
-        g = _decode_vector(_field(params, "g", f"{where}.params"), f"{where}.params.g")
-        offset = _number(params.get("offset", 0.0), f"{where}.params.offset")
+    for item in spec["inequalities"]:  # each "affine"
+        g, offset = item["params"]["g"], item["params"]["offset"]
 
         def f(y, w, g=g, offset=offset):
             return float(g @ np.asarray(y, dtype=float).ravel() - offset)
@@ -226,27 +126,20 @@ def _build_program(spec: dict, network: power.PowerNetwork | None, p_hint: int,
         ineqs.append((f, gr))
     if "qp" in spec:
         qp = spec["qp"]
-        return ConvexProgram.from_qp(
-            _decode_matrix(_field(qp, "m", "program.qp"), "program.qp.m"),
-            _decode_matrix(_field(qp, "n", "program.qp"), "program.qp.n"),
-            n_w=n_w, h_eq=h, l_eq=l,
-            c=_decode_vector(qp["c"], "program.qp.c") if "c" in qp else None,
-            inequalities=ineqs,
-        ), None
-    obj = _field(spec, "objective", "program")
-    name = _field(obj, "name", "program.objective")
-    if name != "l2_tracking_plus_smooth_l1":
-        raise ValueError(f"program.objective.name: unknown objective {name!r}")
-    numbers = _tracking_numbers(_field(obj, "params", "program.objective"))
-    prog = ConvexProgram.from_callables(p_hint, n_w, *tracking_objective(**numbers),
-                                        h_eq=h, l_eq=l, inequalities=ineqs)
-    check_gradients(prog, np.zeros(n_w), np.random.default_rng(0))
-    return prog, numbers
+        return ConvexProgram.from_qp(qp["m"], qp["n"], n_w=dims["n_w"], h_eq=spec["h"],
+                                     l_eq=spec.get("l"), c=qp.get("c"), inequalities=ineqs), None
+    params = spec["objective"]["params"]  # of "l2_tracking_plus_smooth_l1", the one objective
+    prog = ConvexProgram.from_callables(
+        dims["p"], dims["n_w"],
+        *tracking_objective(params["p_m"], params["r_indices"], params["theta"], params["beta"]),
+        h_eq=spec["h"], l_eq=spec.get("l"), inequalities=ineqs)
+    check_gradients(prog, np.zeros(dims["n_w"]), np.random.default_rng(0))
+    return prog, params
 
 
 def _resolve_basis(spec, up: UncertainPlant, prog: ConvexProgram, variant: str) -> np.ndarray:
-    if spec != "auto":
-        return _decode_matrix(spec, "om.basis")
+    if not isinstance(spec, str):  # a matrix, else "auto"
+        return spec
     if variant == "ros":
         # range G does not depend on the equality rows
         report = check_ros(up)
@@ -278,7 +171,7 @@ class VariantPlan:
     sim: dict | None
     program: ConvexProgram | None = None
     expect: list[dict] = field(default_factory=list)
-    # the numbers of a tracking objective (``_tracking_numbers``), else None
+    # the params block of a tracking objective, else None
     objective: dict | None = None
 
 
@@ -297,196 +190,42 @@ class Scenario:
         for v in self.variants:
             if v.name == name:
                 return v
-        raise KeyError(f"scenario {self.name} has no variant {name!r}")
+        raise ValueError(f"scenario {self.name} has no variant {name!r}")
 
 
-def _lqr(up: UncertainPlant, om: OptimalityModel, spec, where: str) -> Stabilizer:
+def _lqr(up: UncertainPlant, om: OptimalityModel, spec: dict) -> Stabilizer:
     """LQR gains for the augmented plant at the nominal delta, weights q I and
-    r I from the ``lqr`` block ``spec`` at dotted path ``where``."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{where} must be an object, got {type(spec).__name__}")
+    r I from a checked ``lqr`` block."""
     pm = eval_plant(up, up.nominal)
     aug = build_augmented_qp(pm, om)
-    q = _number(spec.get("q", 1.0), f"{where}.q") * np.eye(aug.n_state)
-    r = _number(spec.get("r", 1.0), f"{where}.r") * np.eye(pm.m)
-    return synthesize_lqr(aug, q, r)
+    return synthesize_lqr(aug, spec["q"] * np.eye(aug.n_state), spec["r"] * np.eye(pm.m))
 
 
 def _build_controller(doc: dict, up: UncertainPlant, prog: ConvexProgram,
-                      network: power.PowerNetwork | None):
-    """Resolve (om, stabilizer, controller_kind, gb_weights, program) for one variant."""
+                      network: power.PowerNetwork | None, where):
+    """Resolve (om, stabilizer, controller_kind, gb_weights, program) for one
+    checked variant; ``where(block)`` is the document path of a block."""
     if "controller" in doc:
         ctrl = doc["controller"]
-        name = _field(ctrl, "name", "controller")
-        if network is None:
-            raise ValueError("named controllers need a network block")
-        if name == "dapi":
-            om, stab = power.build_dapi(network, _number(ctrl.get("k", 1.0), "controller.k"))
-            return om, stab, "standard", None, om.program
-        if name == "novel":
-            weights = ctrl.get("c", [1.0 / network.n] * network.n)
-            gains = ctrl.get("gains")
-            if gains is not None:
-                for key in ("k1", "k2", "k3"):
-                    _field(gains, key, "controller.gains")
-            om, stab = power.build_novel_freq_controller(network, weights, gains)
-            if stab is None:
-                stab = _lqr(up, om, ctrl.get("lqr", {}), "controller.lqr")
-            return om, stab, "standard", None, om.program
-        if name == "gather_broadcast":
-            weights = np.asarray(ctrl.get("c", [1.0 / network.n] * network.n), dtype=float)
+        with _named(where("controller")):
+            if ctrl["name"] == "dapi":
+                om, stab = power.build_dapi(network, ctrl["k"])
+                return om, stab, "standard", None, om.program
+            if ctrl["name"] == "novel":
+                om, stab = power.build_novel_freq_controller(network, ctrl["c"], ctrl.get("gains"))
+                return om, stab or _lqr(up, om, ctrl["lqr"]), "standard", None, om.program
+            weights = power._validate_weights(network, ctrl["c"])  # gather_broadcast
             gb_prog = power.frequency_program(network, weights.reshape(1, -1))
             return None, None, "gather_broadcast", weights, gb_prog
-        raise ValueError(f"unknown controller {name!r}")
 
-    om_spec = doc.get("om")
-    if om_spec is None:
-        raise ValueError("scenario needs an om block or a controller block")
-    variant = _field(om_spec, "variant", "om")
-    basis = _resolve_basis(om_spec.get("basis", "auto"), up, prog, variant)
-    om = OptimalityModel(variant=variant, basis=basis, program=prog)
-
-    stab_spec = doc.get("stabilizer", {"gains": {}})
+    om_spec, stab_spec = doc["om"], doc["stabilizer"]
+    with _named(where("om")):
+        basis = _resolve_basis(om_spec["basis"], up, prog, om_spec["variant"])
+        om = OptimalityModel(variant=om_spec["variant"], basis=basis, program=prog)
     if "gains" in stab_spec:
-        g = stab_spec["gains"]
-        if not isinstance(g, dict):
-            raise ValueError(f"stabilizer.gains must be an object, got {type(g).__name__}")
-        blocks = {k: _decode_matrix(g[k], f"stabilizer.{k}") for k in
-                  ("kx", "knu", "kmu", "keta", "keps") if k in g}
-        stab = Stabilizer(**blocks)
-    elif "lqr" in stab_spec:
-        stab = _lqr(up, om, stab_spec["lqr"], "stabilizer.lqr")
-    else:
-        raise ValueError("stabilizer block needs 'gains' or 'lqr'")
-    return om, stab, "standard", None, prog
-
-
-# Numeric fields an expectation may carry, whatever its kind: numbers (the
-# input ``index`` an integer), and lists of numbers.
-_NUMBER_FIELDS = ("tol", "by", "equals", "equals_tol", "at_least", "newton_tol", "u_tol",
-                  "omega_tol", "marginal_spread_tol", "min", "max", "index")
-_VECTOR_FIELDS = ("values", "delta")
-
-
-def _expectations(specs, where: str) -> list[dict]:
-    """The ``expect`` list at ``where``, each entry checked for a known kind,
-    the fields its check requires and the type of its numeric fields."""
-    if not isinstance(specs, list):
-        raise ValueError(f"{where} must be a list of expectation objects")
-    for i, spec in enumerate(specs):
-        if not isinstance(spec, dict):
-            raise ValueError(f"{where}[{i}] must be an object with a kind, "
-                             f"got {type(spec).__name__}")
-        kind = spec.get("kind")
-        if not isinstance(kind, str) or kind not in CHECKS:
-            raise ValueError(f"{where}[{i}].kind: unknown expectation kind {kind!r}")
-        missing = [name for name in CHECKS[kind][2] if name not in spec]
-        if missing:
-            raise ValueError(f"{where}[{i}].{missing[0]} is missing: a {kind} check needs it")
-        if kind == "prop" and spec.get("which") not in (4, 5, 6):
-            raise ValueError(f"{where}[{i}].which must be 4, 5 or 6, got {spec.get('which')!r}")
-        for key in _NUMBER_FIELDS:
-            if key in spec:
-                _number(spec[key], f"{where}[{i}].{key}", integer=key == "index")
-        for key in _VECTOR_FIELDS:
-            if key in spec:
-                if not isinstance(spec[key], list):
-                    raise ValueError(f"{where}[{i}].{key} must be a list of numbers, "
-                                     f"got {spec[key]!r}")
-                for j, value in enumerate(spec[key]):
-                    _number(value, f"{where}[{i}].{key}[{j}]")
-    return list(specs)
-
-
-def _require_objects(doc: dict, where: str) -> None:
-    """Reject a block of ``doc`` that is not a JSON object (``sim`` may be null)."""
-    for key in ("plant", "program", "network", "om", "stabilizer", "controller", "sim"):
-        val = doc.get(key)
-        if key in doc and not isinstance(val, dict) and not (key == "sim" and val is None):
-            raise ValueError(f"{where}{key} must be an object, got {type(val).__name__}")
-
-
-def load_scenario(source) -> Scenario:
-    """Load a scenario from a path, a bundled name, or an already-parsed dict."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        path = Path(source)
-        if not path.exists() and str(source) in BUNDLED_NAMES:
-            path = bundled_path(str(source))
-        if not path.exists():
-            raise FileNotFoundError(f"no scenario file or bundled name {source!r}")
-        with open(path) as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"a scenario must be a JSON object, got {type(doc).__name__}")
-    for key in ("name", "plant", "program", "sim"):
-        if key not in doc:
-            raise ValueError(f"scenario is missing required key {key!r}")
-    _require_objects(doc, "")
-
-    network = None
-    if "network" in doc:
-        net = {f.name: _field(doc["network"], f.name, "network")
-               for f in fields(power.PowerNetwork)}
-        net["n"] = _number(net["n"], "network.n", integer=True)
-        network = power.PowerNetwork(**net)
-
-    up = _build_plant(doc["plant"], network)
-    pm0 = eval_plant(up, up.nominal)
-    program, objective = _build_program(doc["program"], network, pm0.p, pm0.n_w)
-
-    variant_docs = doc.get("variants") or [{}]
-    if not isinstance(variant_docs, list):
-        raise ValueError("variants must be a list of objects")
-    plans = []
-    for i, vdoc in enumerate(variant_docs):
-        if not isinstance(vdoc, dict):
-            raise ValueError(f"variants[{i}] must be an object, got {type(vdoc).__name__}")
-        _require_objects(vdoc, f"variants[{i}].")
-        merged = _deep_merge(
-            {k: doc[k] for k in ("om", "stabilizer", "controller", "sim", "program") if k in doc},
-            {k: vdoc[k] for k in ("om", "stabilizer", "controller", "sim", "program") if k in vdoc},
-        )
-        vprog, vobjective = program, objective
-        if "program" in vdoc:
-            vprog, vobjective = _build_program(merged["program"], network, pm0.p, pm0.n_w)
-        om, stab, kind, gb_w, vprog = _build_controller(merged, up, vprog, network)
-        sim = merged.get("sim")
-        if sim is not None:
-            for key in ("h", "t_end"):
-                _number(_field(sim, key, "sim"), f"sim.{key}", positive=True)
-            if sim.get("delta") is not None:
-                where = ("sim.delta" if "delta" not in (vdoc.get("sim") or {})
-                         else f"variants[{i}].sim.delta")
-                checked_delta(_decode_vector(sim["delta"], where), up.delta_dim, up.delta_box,
-                              where)
-        plans.append(VariantPlan(
-            name=vdoc.get("name", "main"),
-            om=om, stabilizer=stab, controller_kind=kind, gb_weights=gb_w,
-            sim=sim, program=vprog,
-            expect=_expectations(vdoc.get("expect", []), f"variants[{i}].expect"),
-            objective=vobjective,
-        ))
-    return Scenario(
-        name=doc["name"], description=doc.get("description", ""),
-        plant=up, program=program, network=network, variants=plans,
-        expect=_expectations(doc.get("expect", []), "expect"), notes=doc.get("notes", ""),
-    )
-
-
-def bundled_scenarios() -> list[str]:
-    """Names of the scenarios shipped with the package."""
-    return list(BUNDLED_NAMES)
-
-
-def bundled_path(name: str) -> Path:
-    if name not in BUNDLED_NAMES:
-        raise KeyError(f"unknown bundled scenario {name!r}")
-    return Path(str(resources.files("osscontrol.scenario_files") / f"{name}.json"))
+        return om, Stabilizer(**stab_spec["gains"]), "standard", None, prog
+    with _named(where("stabilizer")):
+        return om, _lqr(up, om, stab_spec["lqr"]), "standard", None, prog
 
 
 # -- expectation engine --------------------------------------------------------------
@@ -574,10 +313,10 @@ class _Context:
     @property
     def w(self) -> np.ndarray:
         if "w" in self.sim:
-            return _decode_vector(self.sim["w"], "sim.w")
+            return self.sim["w"]
         if self.sc.network is not None:
             return self.sc.network.p_star
-        raise ValueError("sim block needs a disturbance vector w")
+        raise ValueError("sim.w is missing: a plant without a network needs a disturbance vector")
 
     def _per_delta(self, what: str, delta, make):
         # keyed by the exact bits of delta
@@ -611,8 +350,7 @@ class _Context:
         return power.build_gather_broadcast(self.sc.network, self.plan.gb_weights, self.w)
 
     def z0(self, n_state: int) -> np.ndarray:
-        return (_decode_vector(self.sim["z0"], "sim.z0") if "z0" in self.sim
-                else np.zeros(n_state))
+        return self.sim["z0"] if "z0" in self.sim else np.zeros(n_state)
 
     def trajectory(self, delta=None) -> Trajectory:
         """The trajectory at one delta, integrated by ``_integrate``."""
@@ -661,7 +399,10 @@ class _Context:
             try:
                 return self._spectra(deltas[span[0]: span[1]]).real.max(axis=-1)
             except (ValueError, OssError) as exc:
-                return exc
+                # kept to be formatted: without the tracebacks (its own and its
+                # cause's), whose frames hold this context
+                exc.__cause__ = exc.__context__ = None
+                return exc.with_traceback(None)
 
         spans = [(lo, min(lo + DELTA_BLOCK, len(deltas)))
                  for lo in range(0, len(deltas), DELTA_BLOCK)]
@@ -753,7 +494,7 @@ def _check_spectrum(ctx, spec):
 def _check_hurwitz_at_samples(ctx, spec):
     tops, errors = ctx.sample_spectra
     if errors:
-        raise next(iter(errors.values()))
+        raise copy.copy(next(iter(errors.values())))  # the kept error stays without a traceback
     worst = float(tops.max())
     return ((worst < 0) == bool(spec["value"]),
             f"max Re over samples = {worst:.3g} ({len(tops)} deltas)")
@@ -820,11 +561,8 @@ def _check_dispatch(ctx, spec):
 
 
 def _check_final_input_abs(ctx, spec):
-    index = int(spec["index"])
-    u_end = ctx.trajectory().u[-1]
-    if not 0 <= index < u_end.size:
-        raise ValueError(f"final_input_abs index {index} is not one of the {u_end.size} inputs")
-    val = abs(float(u_end[index]))
+    index = spec["index"]
+    val = abs(float(ctx.trajectory().u[-1][index]))
     return _within(val, spec, "min", "max"), f"|u_{index + 1}(t_end)| = {val:.4g}"
 
 
@@ -860,8 +598,8 @@ def _row_program(plans: list[VariantPlan]) -> ConvexProgram | None:
         return first
     if any(n is None for n in nums):
         return None
-    p_m, r_idx = nums[0]["p_m"], nums[0]["r_idx"]
-    if any(n["p_m"] != p_m or not np.array_equal(n["r_idx"], r_idx) for n in nums):
+    p_m, r_idx = nums[0]["p_m"], nums[0]["r_indices"]
+    if any(n["p_m"] != p_m or not np.array_equal(n["r_indices"], r_idx) for n in nums):
         return None
     if any(prog.inequalities or not np.array_equal(prog.h_eq, first.h_eq)
            or not np.array_equal(prog.l_eq, first.l_eq) for prog in progs):
@@ -908,14 +646,17 @@ def _integrate(requests: list[tuple[_Context, np.ndarray]]) -> None:
             sys = assemble(ctx.sc.plant, np.stack([d for _, d in rows]), ctx.w, om,
                            [c.plan.stabilizer for c, _ in rows])
             z0 = np.stack([c.z0(sys.n_state) for c, _ in rows])
-        traj = integrate_rk4(sys, z0, float(ctx.sim["t_end"]), float(ctx.sim["h"]))
+        with _named("sim"):  # its h and t_end, or the ones that override them
+            traj = integrate_rk4(sys, z0, float(ctx.sim["t_end"]), float(ctx.sim["h"]))
         for (c, d), row in zip(rows, traj.rows() if z0.ndim == 2 else [traj]):
             c._cache["trajectory", d.tobytes()] = row
 
 
-def _run_check(ctx: _Context, spec: dict) -> CheckResult:
-    check = CHECKS[spec["kind"]][0]
-    passed, detail = check(ctx, spec)
+def _run_check(ctx: _Context, spec: dict, where: str) -> CheckResult:
+    """The result of the expectation at document path ``where``; a ValueError
+    it raises names that path."""
+    with _named(where):
+        passed, detail = CHECKS[spec["kind"]][0](ctx, spec)
     return CheckResult(spec["kind"], bool(passed), detail, ctx.plan.name)
 
 
@@ -952,8 +693,8 @@ def _evaluate(sc: Scenario, variant: str | None, simulate: bool, h=None, t_end=N
              else _Context(sc, sc.variants[0], h=h, t_end=t_end))
     trajectories: dict[str, Trajectory] = {}
 
-    def run_checks(ctx, specs):
-        report.results.extend(_run_check(ctx, spec) for spec in specs
+    def run_checks(ctx, specs, where):
+        report.results.extend(_run_check(ctx, spec, f"{where}[{j}]") for j, spec in enumerate(specs)
                               if simulate or spec["kind"] not in SIM_CHECK_KINDS)
 
     if simulate:
@@ -967,7 +708,7 @@ def _evaluate(sc: Scenario, variant: str | None, simulate: bool, h=None, t_end=N
         if first.plan.sim is not None and any(s["kind"] in SIM_CHECK_KINDS for s in sc.expect):
             requests.append((first, first.delta))
         _integrate(requests)
-    run_checks(first, sc.expect)
+    run_checks(first, sc.expect, "expect")
     for ctx in contexts:
         plan = ctx.plan
         report.info.extend(_spectrum_info(ctx))
@@ -977,7 +718,8 @@ def _evaluate(sc: Scenario, variant: str | None, simulate: bool, h=None, t_end=N
             if traj.diverged:
                 report.diverged = True
                 report.info.append(f"[{plan.name}] trajectory diverged and was truncated")
-        run_checks(ctx, plan.expect)
+        index = next(i for i, v in enumerate(sc.variants) if v is plan)
+        run_checks(ctx, plan.expect, f"variants[{index}].expect")
         if sweep and plan.sim is not None and plan.controller_kind == "standard":
             trajectories.update(_sweep(ctx, report))
     return report, trajectories
@@ -1034,3 +776,410 @@ def _sweep(ctx: _Context, report: RunReport) -> dict:
         )
         report.diverged = report.diverged or traj.diverged
     return out
+
+
+# -- the document schema -------------------------------------------------------------
+
+
+def _swing(dims: dict, where: str) -> None:
+    """Bind the sizes of the network's swing plant (the plant builder), or
+    check them (a network program or controller)."""
+    if "net" not in dims:
+        raise ValueError(f"{where} needs a network block")
+    n = dims["net"]
+    swing = dict(n=n + dims["lines"], m=n, n_w=n, p=2 * n, delta_dim=1, box=power.SWING_DELTA_BOX)
+    if any(dims.setdefault(size, want) != want for size, want in swing.items()):
+        raise ValueError(f"{where} needs the swing plant of plant.builder")
+
+
+def _expect_fields(spec: dict) -> tuple:
+    """The keys an expectation requires: its kind, and the kind's fields in ``CHECKS``."""
+    kind = spec.get("kind")
+    return ("kind", *CHECKS[kind][2]) if isinstance(kind, str) and kind in CHECKS else ("kind",)
+
+
+# path: (JSON type, shape, range, default), in the order of the walk.  The
+# types are object, list (its items at "path[]"), str, bool, number and int
+# (finite), numbers (a list of numbers, or of number lists for a 2-D shape),
+# matrix ({rows, cols, data}), matrices (a list of them) and box.  An object's
+# shape is the keys it requires, its range the keys of which it needs one and
+# the message if it has none.  Other shapes name sizes: the plant's n, m, n_w
+# and p, the network's net buses and lines, and others, each bound where first
+# seen and checked everywhere after.  A range is a set of values (a dict maps a
+# value to a hook on the sizes), "positive", "box" (inside plant.delta_box) or
+# ("<" or "<=", size) for an integer from 0.  A default is given as the
+# document would give it, or as a function of the sizes.  A null object is an
+# absent one.
+_SCHEMA = {
+    "": ("object", ("name", "plant", "program"), None, None),
+    "name": ("str", None, None, None),
+    "description": ("str", None, None, ""),
+    "notes": ("str", None, None, ""),
+    "network": ("object", tuple(f.name for f in fields(power.PowerNetwork)), None, None),
+    "network.n": ("int", "net", None, None),
+    "network.edges": ("numbers", ("lines", 2), ("<", "net"), None),
+    **{f"network.{k}": ("numbers", (size,), rng, None) for k, size, rng in (
+        ("inertia", "net", "positive"), ("damping", "net", "positive"), ("p_star", "net", None),
+        ("susceptance", "lines", "positive"), ("cost_a", "net", "positive"),
+        ("cost_b", "net", None))},
+    "network.laplacian": ("numbers", ("net", "net"), None, None),
+    "plant": ("object", (), (("builder", "matrices"), "{} needs a builder or a matrices object"),
+              None),
+    "plant.builder": ("str", None, {"swing": _swing}, None),
+    "plant.matrices": ("object", ("a", "b", "bw", "c", "d", "q"), None, None),
+    **{f"plant.matrices.{k}": ("matrix", shape, None, None) for k, shape in (
+        ("a", ("n", "n")), ("b", ("n", "m")), ("bw", ("n", "n_w")), ("c", ("p", "n")),
+        ("d", ("p", "m")), ("q", ("p", "n_w")), ("cm", (None, "n")))},
+    # one term per delta coordinate, each of its matrix's shape
+    **{f"plant.matrices.{k}_delta": ("matrices", ("delta_dim", f"plant.matrices.{k}"), None, None)
+       for k in _PLANT_FIELDS},
+    "plant.delta_dim": ("int", "delta_dim", ("<=", None), lambda dims: dims.get("delta_dim", 0)),
+    "plant.delta_box": ("box", None, None, None),
+    "plant.delta_samples": ("numbers", (None, "delta_dim"), "box",
+                            lambda dims: [[0.0] * dims["delta_dim"]]),
+    "program": ("object", (), (("builder", "qp", "objective"), "{}.objective is missing"), None),
+    "program.builder": ("str", None, {"frequency": _swing}, None),
+    "program.f": ("matrix", (None, "net"), None, None),
+    "program.h": ("matrix", ("n_ec", "p"), None,
+                  lambda dims: {"rows": 0, "cols": dims["p"], "data": []}),
+    "program.l": ("matrix", ("n_ec", "n_w"), None, None),
+    "program.qp": ("object", ("m", "n"), None, None),
+    "program.qp.m": ("matrix", ("p", "p"), None, None),
+    "program.qp.n": ("matrix", ("p", "n_w"), None, None),
+    "program.qp.c": ("numbers", ("p",), None, None),
+    "program.inequalities": ("list", None, None, []),
+    "program.inequalities[]": ("object", ("name", "params"), None, None),
+    "program.inequalities[].name": ("str", None, {"affine"}, None),
+    "program.inequalities[].params": ("object", ("g",), None, None),
+    "program.inequalities[].params.offset": ("number", None, None, 0.0),
+    "program.inequalities[].params.g": ("numbers", ("p",), None, None),
+    "program.objective": ("object", ("name", "params"), None, None),
+    "program.objective.name": ("str", None, {"l2_tracking_plus_smooth_l1"}, None),
+    "program.objective.params": ("object", ("p_m", "theta", "r_indices"), None, None),
+    "program.objective.params.p_m": ("int", "p_m", ("<=", "p"), None),
+    "program.objective.params.theta": ("number", None, None, None),
+    "program.objective.params.beta": ("number", None, "positive", 20.0),
+    "program.objective.params.r_indices": ("numbers", ("p_m",), ("<", "n_w"), None),
+    "om": ("object", ("variant",), None, None),
+    "om.variant": ("str", None, {"rfs", "ros", "rerfs"}, None),
+    "om.basis": ("matrix", ("p", None), {"auto"}, "auto"),
+    "stabilizer": ("object", (), (("gains", "lqr"), "{} block needs 'gains' or 'lqr'"),
+                   {"gains": {}}),
+    "stabilizer.gains": ("object", (), None, None),
+    **{f"stabilizer.gains.{k}": ("matrix", ("m", size), None, None) for k, size in (
+        ("kx", "n"), ("knu", "nu"), ("kmu", "mu"), ("keta", "eps"), ("keps", "eps"))},
+    "stabilizer.lqr": ("object", (), None, None),
+    "controller": ("object", ("name",), None, None),
+    "controller.name": ("str", None, dict.fromkeys(("dapi", "novel", "gather_broadcast"), _swing),
+                        None),
+    "controller.k": ("number", None, None, 1.0),
+    "controller.c": ("numbers", ("net",), None, lambda dims: [1.0 / dims["net"]] * dims["net"]),
+    "controller.gains": ("object", ("k1", "k2", "k3"), None, None),
+    "controller.gains.k1": ("numbers", ("net", 1), None, None),
+    "controller.gains.k2": ("numbers", ("net", "lines"), None, None),
+    "controller.gains.k3": ("numbers", ("net", "net"), None, None),
+    "controller.lqr": ("object", (), None, {}),
+    **{f"{block}.lqr.{k}": ("number", None, None, 1.0) for block in ("stabilizer", "controller")
+       for k in "qr"},
+    "sim": ("object", ("h", "t_end"), None, None),
+    "sim.h": ("number", None, "positive", None),
+    "sim.t_end": ("number", None, "positive", None),
+    "sim.w": ("numbers", ("n_w",), None, None),
+    "sim.z0": ("numbers", ("state",), None, None),
+    "sim.delta": ("numbers", ("delta_dim",), "box", None),
+    "expect": ("list", None, None, []),
+    "expect[]": ("object", _expect_fields, None, None),
+    "expect[].kind": ("str", None, CHECKS, None),
+    **{f"expect[].{k}": ("bool", None, None, None)
+       for k in ("holds", "overall", "value", "matches_om_basis")},
+    **{f"expect[].{k}": ("number", None, None, None)
+       for k in ("tol", "by", "equals", "equals_tol", "at_least", "newton_tol", "u_tol",
+                 "omega_tol", "marginal_spread_tol", "min", "max")},
+    "expect[].which": ("int", None, {4, 5, 6}, None),
+    "expect[].index": ("int", None, ("<", "m"), None),
+    "expect[].values": ("numbers", (None,), None, None),
+    "expect[].delta": ("numbers", ("delta_dim",), "box", None),
+    "expect[].witness": ("numbers", (2, "delta_dim"), None, None),
+    # objects here, each checked after its deep merge as a "variant"
+    "variants": ("list", None, None, None),
+    "variants[]": ("object", (), None, None),
+    "variant": ("object", (), (("om", "controller"), "{} needs an om block or a controller block"),
+                None),
+    "variant.name": ("str", None, None, "main"),
+}
+# The blocks a variant may override, and the sizes its own program binds again.
+_VARIED = ("program", "om", "stabilizer", "controller", "sim")
+_PROGRAM_SIZES = ("n_ec", "p_m")
+# Sizes of the built model (nu, mu and eps lengths, the loop's state): a
+# shape that names one is checked once the model is built.
+_MODEL_SIZES = frozenset(("nu", "mu", "eps", "state"))
+
+
+def _children() -> dict:
+    """``{object path: {key: (path, row)}}``, in table order; a key mapped
+    to None is taken, and checked after the merge of each variant."""
+    out: dict = {}
+    for path, row in _SCHEMA.items():
+        parent, _, key = path.rpartition(".")
+        if path and not path.endswith("[]"):
+            out.setdefault(parent, {})[key] = path, row
+    out[""].update(dict.fromkeys(("om", "stabilizer", "controller", "sim")))
+    out["variants[]"] = dict.fromkeys(("name", "expect", *_VARIED))
+    out["variant"].update({key: (key, _SCHEMA[key]) for key in (*_VARIED, "expect")})
+    return out
+
+
+_CHILDREN = _children()
+
+
+def _fit(got: int, size, dims: dict, where: str, what: str = "") -> None:
+    """Check ``got`` against ``size``: a number, None (any), or the name of a
+    size, bound to ``got`` where first seen (a model size is not)."""
+    if size is None or (size in _MODEL_SIZES and size not in dims):
+        return
+    want = size if isinstance(size, int) else dims.setdefault(size, got)
+    if got != want:
+        raise ValueError(f"{where} has {got} {what}, expected {want}" if what
+                         else f"{where} is {got}, expected {want}")
+
+
+def _check_shape(arr: np.ndarray, shape, dims: dict, where: str) -> None:
+    for axis, size in enumerate(shape or ()):
+        if size is not None:
+            _fit(arr.shape[axis], size, dims, where,
+                 "entries" if arr.ndim == 1 else ("rows", "columns")[axis])
+
+
+def _scalar(value, kind: str, rng, where: str, dims: dict):
+    """``value`` checked to be a JSON ``kind`` ("str", "bool", or a finite
+    "number" or "int") in the range ``rng``; an "int" fits an array index."""
+    if kind in ("str", "bool"):
+        ok = isinstance(value, str if kind == "str" else bool)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
+        if kind == "int":
+            ok = ok and value == int(value) and abs(value) <= sys.maxsize
+    if rng == "positive":
+        ok = ok and value > 0
+    elif isinstance(rng, tuple):
+        bound = dims[rng[1]] if rng[1] else sys.maxsize
+        ok = ok and 0 <= value and (value < bound if rng[0] == "<" else value <= bound)
+    elif rng is not None and rng != "box":
+        ok = ok and value in rng
+    if not ok:
+        raise ValueError(f"{where} must be {_expected(kind, rng, dims)}, got {value!r}")
+    return float(value) if kind == "number" else int(value) if kind == "int" else value
+
+
+def _expected(kind: str, rng, dims: dict) -> str:
+    """What a scalar of JSON type ``kind`` in the range ``rng`` is, in words."""
+    if isinstance(rng, (set, dict)):
+        return "one of " + ", ".join(map(repr, rng))
+    if isinstance(rng, tuple):
+        return (f"an integer in [0, {dims[rng[1]]}{')' if rng[0] == '<' else ']'}" if rng[1]
+                else "a non-negative integer")
+    return {"str": "a string", "bool": "true or false", "int": "an integer",
+            "number": "a positive number" if rng == "positive" else "a finite number"}[kind]
+
+
+def _numbers(value, shape: tuple, rng, where: str, dims: dict) -> np.ndarray:
+    """A list of numbers (of number lists, for a 2-D ``shape``) as a float
+    array, an int array for an integer ``rng``: one ``np.asarray`` and one
+    finiteness test, the entries looked at one by one only to name a bad one."""
+    try:
+        arr = np.asarray(value) if isinstance(value, list) else None
+    except ValueError:  # rows of different lengths
+        arr = None
+    if arr is not None and arr.ndim == len(shape) and arr.dtype.kind in "iuf":
+        arr = arr.astype(float, copy=False)
+        ok = np.isfinite(arr)
+        if rng == "positive":
+            ok &= arr > 0
+        elif rng:  # ("<", size): integers from 0
+            ok = (arr == np.floor(arr)) & (arr >= 0) & (arr < dims[rng[1]])
+        if np.count_nonzero(ok) == arr.size:  # faster than ok.all() on short lists
+            _check_shape(arr, shape, dims, where)
+            return arr.astype(np.intp) if isinstance(rng, tuple) else arr
+    if not isinstance(value, list):
+        what = "number lists" if len(shape) == 2 else "numbers"
+        raise ValueError(f"{where} must be a list of {what}, got {type(value).__name__}")
+    for i, item in enumerate(value):
+        if len(shape) == 2:
+            _numbers(item, shape[1:], rng, f"{where}[{i}]", dims)
+        else:
+            _scalar(item, "int" if isinstance(rng, tuple) else "number", rng, f"{where}[{i}]", dims)
+    raise ValueError(f"{where} must hold numbers that fit an array, got {value!r}")
+
+
+def _matrix(value, where: str, dims: dict) -> np.ndarray:
+    if not isinstance(value, dict) or value.keys() != {"rows", "cols", "data"}:
+        raise ValueError(f"{where} must be a matrix object with rows, cols and data, "
+                         f"got {type(value).__name__}")
+    rows, cols = value["rows"], value["cols"]
+    if not (type(rows) is type(cols) is int and 0 <= min(rows, cols)
+            and max(rows, cols) <= sys.maxsize):
+        rows, cols = (_scalar(value[k], "int", ("<=", None), f"{where}.{k}", dims)
+                      for k in ("rows", "cols"))
+    return _numbers(value["data"], (rows * cols,), None, f"{where}.data", dims).reshape(rows, cols)
+
+
+def _walk(value, path: str, where: str, dims: dict, origin: dict | None = None):
+    """``value``, the document entry at ``where``, checked against the row of
+    ``_SCHEMA`` at ``path`` and decoded: objects with their defaults filled
+    in, number lists and matrices as arrays.  ``dims`` holds the sizes bound
+    so far and the shapes of the matrices seen.  A key of ``origin`` (the
+    document of a merged variant) is named under ``where``, another key at
+    the top level, where it came from."""
+    kind, shape, rng, default = _SCHEMA[path]
+    if kind == "object":
+        if not isinstance(value, dict):
+            raise ValueError(f"{where or 'a scenario'} must be an object, "
+                             f"got {type(value).__name__}")
+        children, prefix = _CHILDREN[path], f"{where}." if where else ""
+        present = set()
+        for key, given in value.items():
+            if key not in children:
+                raise ValueError(f"{prefix}{key}: unknown field; {where or 'a scenario'} takes "
+                                 f"{', '.join(children)}")
+            if given is not None or not children[key] or children[key][1][0] != "object":
+                present.add(key)  # a null object is an absent one
+        for key in shape(value) if callable(shape) else shape:
+            if key not in present:
+                raise ValueError(f"{prefix}{key} is missing")
+        if rng is not None and present.isdisjoint(rng[0]):
+            raise ValueError(rng[1].format(where))
+        out = {}
+        for key, child in children.items():
+            if key in present:
+                given = value[key]
+            elif child and child[1][3] is not None:
+                given = child[1][3](dims) if callable(child[1][3]) else child[1][3]
+            else:
+                continue
+            if child:
+                name = (key if origin is not None and key not in origin
+                        # a plant matrix is named plant.<k>, as PlantMatrices names it
+                        else f"plant.{key}" if path == "plant.matrices" else prefix + key)
+                out[key] = _walk(given, child[0], name, dims)
+        return out
+    if kind in ("list", "matrices") and not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {type(value).__name__}")
+    if kind == "list":
+        return [_walk(item, path + "[]", f"{where}[{i}]", dims) for i, item in enumerate(value)]
+    if kind == "matrix":
+        if isinstance(value, str) and rng and value in rng:
+            return value
+        arr = _matrix(value, where, dims)
+        _check_shape(arr, shape, dims, where)
+        dims[path] = arr.shape
+        return arr
+    if kind == "matrices":
+        (size, base), name = shape, where.removesuffix("_delta")
+        if base not in dims:
+            raise ValueError(f"{where} needs {name}")
+        _fit(len(value), size, dims, where, "entries")
+        terms = [_matrix(item, f"{where}[{i}]", dims) for i, item in enumerate(value)]
+        for i, (rows, cols) in enumerate(term.shape for term in terms):
+            if (rows, cols) != dims[base]:
+                raise ValueError(f"{where}[{i}] is {rows}x{cols}, "
+                                 f"{name} is {dims[base][0]}x{dims[base][1]}")
+        return terms
+    if kind == "box":
+        if not isinstance(value, list) or len(value) != dims["delta_dim"]:
+            raise ValueError(f"{where} must list one [lo, hi] pair per delta coordinate "
+                             f"({dims['delta_dim']}), got {value!r}")
+        for i, pair in enumerate(value):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"{where}[{i}] must be a pair [lo, hi], got {pair!r}")
+            lo, hi = _numbers(pair, (2,), None, f"{where}[{i}]", dims)
+            if lo > hi:
+                raise ValueError(f"{where}[{i}] is empty: lo {pair[0]} exceeds hi {pair[1]}")
+        return dims.setdefault("box", [tuple(pair) for pair in value] or None)
+    if kind == "numbers":
+        arr = _numbers(value, shape, None if rng == "box" else rng, where, dims)
+        if rng == "box":
+            checked_delta(arr, dims["delta_dim"], dims.get("box"), where + "[{}]" * (arr.ndim - 1))
+        return arr
+    value = _scalar(value, kind, rng, where, dims)
+    if isinstance(rng, dict) and callable(rng.get(value)):
+        rng[value](dims, where)
+    _fit(value, shape, dims, where)
+    return value
+
+
+def load_scenario(source) -> Scenario:
+    """Load a scenario from a path, a bundled name, or an already-parsed dict.
+
+    The whole document is checked against ``_SCHEMA`` before any object is
+    built: the top level, then each variant after its deep merge.  A bad
+    field is a ValueError that names its path.
+    """
+    if isinstance(source, dict):
+        doc = source
+    else:
+        path = Path(source)
+        if not path.exists() and str(source) in BUNDLED_NAMES:
+            path = bundled_path(str(source))
+        if not path.exists():
+            raise FileNotFoundError(f"no scenario file or bundled name {source!r}")
+        with open(path) as f:
+            try:
+                doc = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    dims: dict = {}
+    top = _walk(doc, "", "", dims)
+    variant_docs = doc.get("variants") or [{}]
+    checked = []
+    for i, vdoc in enumerate(variant_docs):
+        # the top-level program is checked already: merged only into a variant that changes it
+        blocks = {k: doc[k] for k in _VARIED if k in doc and (k != "program" or k in vdoc)}
+        sizes = {k: v for k, v in dims.items() if k not in _PROGRAM_SIZES}
+        checked.append(_walk(_deep_merge(blocks, vdoc), "variant", f"variants[{i}]", sizes,
+                             origin=vdoc))
+
+    network = None
+    if "network" in top:
+        with _named("network"):
+            network = power.PowerNetwork(**top["network"])
+    with _named("plant"):
+        up = _build_plant(top["plant"], network)
+    with _named("program"):
+        program, objective = _build_program(top["program"], network, dims)
+    plans = []
+    for i, (v, vdoc) in enumerate(zip(checked, variant_docs)):
+        def where(block, vdoc=vdoc, i=i):
+            return f"variants[{i}].{block}" if block in vdoc else block
+
+        vprog, vobjective = program, objective
+        if "program" in v:
+            with _named(where("program")):
+                vprog, vobjective = _build_program(v["program"], network, dims)
+        om, stab, kind, gb_w, vprog = _build_controller(v, up, vprog, network, where)
+        # the shapes that name a size of the built model (_MODEL_SIZES)
+        model = (dict(nu=om.n_ic, mu=om.n_mu, eps=om.eps_dim, state=om.n_ic + om.n_mu + om.eps_dim)
+                 if om is not None else {"state": 1})
+        model["state"] += dims["n"]
+        for k, gain in v["stabilizer"].get("gains", {}).items():
+            _check_shape(gain, _SCHEMA[f"stabilizer.gains.{k}"][1], dims | model,
+                         f"{where('stabilizer')}.gains.{k}")
+        if "z0" in v.get("sim", {}):
+            _check_shape(v["sim"]["z0"], ("state",), model, f"{where('sim')}.z0")
+        plans.append(VariantPlan(name=v["name"], om=om, stabilizer=stab, controller_kind=kind,
+                                 gb_weights=gb_w, sim=v.get("sim"), program=vprog,
+                                 expect=v["expect"], objective=vobjective))
+    return Scenario(name=top["name"], description=top["description"], plant=up,
+                    program=program, network=network, variants=plans, expect=top["expect"],
+                    notes=top["notes"])
+
+
+def bundled_scenarios() -> list[str]:
+    """Names of the scenarios shipped with the package."""
+    return list(BUNDLED_NAMES)
+
+
+def bundled_path(name: str) -> Path:
+    if name not in BUNDLED_NAMES:
+        raise KeyError(f"unknown bundled scenario {name!r}")
+    return Path(str(resources.files("osscontrol.scenario_files") / f"{name}.json"))

@@ -470,8 +470,8 @@ def integrate_rk4(sys: ClosedLoopSystem, z0, t_end: float, h: float) -> Trajecto
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    if t_end < h:
-        raise ValueError("t_end must be at least one step")
+    if not 1 <= t_end / h < math.inf:
+        raise ValueError("t_end must be a finite number of steps, at least one")
     steps = int(round(t_end / h))
     z = np.array(z0, dtype=float)
     z = z.reshape((-1, sys.n_state) if z.ndim == 2 else sys.n_state)

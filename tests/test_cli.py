@@ -1,14 +1,19 @@
 """The ``oss`` command line: exit codes on malformed scenario files."""
 
+import copy
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from osscontrol import cli, scenarios
+from osscontrol.errors import OssError
 
 DELETE = object()
 
@@ -182,6 +187,31 @@ def edit(doc, path, value):
                  "plant.delta_box[0][1] must be a finite number", id="box-hi-null"),
     pytest.param("rfs-violation", ("plant", "delta_box"), 0.5,
                  "plant.delta_box must list one [lo, hi] pair", id="box-number"),
+    # each site that raised a TypeError or IndexError past the command line
+    pytest.param("power-dapi", ("network", "edges", 0), 2.5,
+                 "network.edges[0] must be a list of numbers", id="power57-edge-number"),
+    pytest.param("power-dapi", ("network", "inertia"), {},
+                 "network.inertia must be a list of numbers", id="power62-inertia-object"),
+    pytest.param("power-dapi", ("network", "edges", 0, 0), 10 ** 6,
+                 "network.edges[0][0] must be an integer in [0, 4)", id="power92-edge-bus"),
+    pytest.param("power-dapi", ("plant", "delta_samples"), 2.5,
+                 "plant.delta_samples must be a list of number lists", id="power153-samples"),
+    pytest.param("power-dapi", ("network", "laplacian"), {},
+                 "network.laplacian must be a list of number lists", id="matlib66-laplacian"),
+    pytest.param("pd-vs-oss", ("plant", "matrices", "a", "cols"), False,
+                 "plant.a.cols must be a non-negative integer", id="scenarios63-cols-false"),
+    pytest.param("no-hurwitz", ("sim", "w"), {}, "sim.w must be a list of numbers",
+                 id="scenarios67-w-object"),
+    pytest.param("rfs-violation", ("plant", "delta_samples"), 2.5,
+                 "plant.delta_samples must be a list of number lists", id="scenarios161-samples"),
+    pytest.param("power-gb", ("controller", "c"), {}, "controller.c must be a list of numbers",
+                 id="scenarios337-weights"),
+    pytest.param("rfs-violation", ("expect", 0, "witness"), 2.5,
+                 "expect[0].witness must be a list of number lists", id="scenarios715-witness"),
+    # explicit two-integrator gains of the wrong shape
+    pytest.param("power-novel", ("controller", "gains"),
+                 {"k1": [[0.0]] * 4, "k2": [[0.0, 0.0]] * 4, "k3": [[0.0] * 4] * 4},
+                 "controller.gains.k2 has 2 columns, expected 3", id="controller-gain-k2-shape"),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
     doc = json.loads(scenarios.bundled_path(name).read_text())
@@ -193,13 +223,31 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
 
 
 def test_input_index_out_of_range_exits_2(tmp_path, capsys):
-    # the index is checked against the inputs when the run has them
+    # the index is checked against the plant's inputs at load
     doc = json.loads(scenarios.bundled_path("tracking-sparse").read_text())
     edit(doc, ("variants", 0, "expect", 1, "index"), 7)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["run", str(bad), "--t-end", "0.01"]) == 2
-    assert "index 7 is not one of the 2 inputs" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "variants[0].expect[1].index must be an integer in [0, 2), got 7" in err
+
+
+def test_unknown_variant_exits_2(capsys):
+    assert cli.main(["check", "power-dapi", "--variant", "nosuch"]) == 2
+    assert capsys.readouterr().err == "error: scenario power-dapi has no variant 'nosuch'\n"
+
+
+def test_explicit_two_integrator_gains():
+    # u = -(k1 eta1 + k2 eta2 + k3 omega): Kx is k3 beside zeros on the line
+    # flows, Keta is k1 beside k2
+    doc = json.loads(scenarios.bundled_path("power-novel").read_text())
+    rng = np.random.default_rng(18)
+    k1, k2, k3 = (rng.standard_normal((4, cols)) for cols in (1, 3, 4))
+    doc["controller"]["gains"] = {"k1": k1.tolist(), "k2": k2.tolist(), "k3": k3.tolist()}
+    stab = scenarios.load_scenario(doc).variants[0].stabilizer
+    assert np.array_equal(stab.kx, np.hstack([k3, np.zeros((4, 3))]))
+    assert np.array_equal(stab.keta, np.hstack([k1, k2]))
 
 
 def test_check_json_report_is_json(capsys):
@@ -245,3 +293,79 @@ def test_module_entry_point_exit_codes():
     unknown = oss("check", "no-such-scenario")
     assert unknown.returncode == 2
     assert unknown.stderr.startswith("error: ")
+
+
+# What a mutation puts in place of a value: nulls, booleans, extreme and
+# signed numbers, a string, empty and one-entry lists and objects, a 1x1 matrix.
+REPLACEMENTS = [None, True, False, 0, -1, 1e308, float("nan"), "x", [], {}, [1.0], [[1.0]],
+                {"rows": 1, "cols": 1, "data": [1.0]}, 2.5, -0.0, 10 ** 6]
+MUTATIONS = 500
+FUZZ_SEED = 18
+# an error message opens with the dotted document path of the bad field
+DOCUMENT_PATH = re.compile(r"(variants\[\d+\]\.)?(name|description|notes|network|plant|program|om"
+                           r"|stabilizer|controller|sim|expect|variants)\b")
+
+
+def slots(node):
+    """Every (container, key) of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield node, key
+        yield from slots(child)
+
+
+def mutate(doc: dict, rng: random.Random) -> list:
+    """One or two edits of ``doc`` in place, each deleting a key or a list
+    entry or replacing a value; returns the edits."""
+    edits = []
+    for _ in range(rng.randint(1, 2)):
+        node, key = rng.choice(list(slots(doc)))
+        if rng.random() < 0.3:
+            del node[key]
+            edits.append(("delete", key))
+        else:
+            node[key] = copy.deepcopy(rng.choice(REPLACEMENTS))
+            edits.append(("replace", key, node[key]))
+    return edits
+
+
+# entries of 1e308 overflow by design: ``oss`` prints such a warning, and the
+# test must not raise it as the tier-1 settings do
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mutated_documents_exit_cleanly(tmp_path, capsys, monkeypatch):
+    # every mutation ends with exit code 0, 1, 2 or 3; an exit 2 from a
+    # ValueError names the document path of the bad field (the OssError
+    # subclasses are numerical verdicts on a well-formed document)
+    raised = []
+
+    def recording(fn):
+        def call(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+        return call
+
+    monkeypatch.setattr(cli, "load_scenario", recording(scenarios.load_scenario))
+    monkeypatch.setattr(cli, "check_scenario", recording(scenarios.check_scenario))
+    docs = {name: json.loads(scenarios.bundled_path(name).read_text())
+            for name in scenarios.BUNDLED_NAMES}
+    rng = random.Random(FUZZ_SEED)
+    bad = tmp_path / "mutated.json"
+    for trial in range(MUTATIONS):
+        name = rng.choice(scenarios.BUNDLED_NAMES)
+        doc = copy.deepcopy(docs[name])
+        edits = mutate(doc, rng)
+        bad.write_text(json.dumps(doc))
+        where = f"seed {FUZZ_SEED}, mutation {trial}: {name} with {edits}\n{json.dumps(doc)}"
+        raised.clear()
+        try:
+            code = cli.main(["check", str(bad)])
+        except Exception as exc:
+            pytest.fail(f"{where}\nraised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), where
+        if code == 2 and not isinstance(raised[-1], OssError):
+            assert DOCUMENT_PATH.match(err.removeprefix("error: ")), f"{where}\n{err}"

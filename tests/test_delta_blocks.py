@@ -327,6 +327,26 @@ def test_sample_spectra_leave_no_reference_cycle():
         gc.enable()
 
 
+def test_unbuildable_deltas_leave_no_reference_cycle():
+    # the errors kept for the deltas whose loop cannot be built carry no
+    # traceback: its frames would hold the context
+    sc = scenarios.load_scenario(keps_document(np.random.default_rng(30)))
+    ctx = scenarios._Context(sc, sc.variants[0])
+    gc.disable()
+    try:
+        lines = scenarios._spectrum_info(ctx)
+        assert any("spectrum unavailable (proxy-error feedthrough loop is singular)" in line
+                   for line in lines)
+        # nor does raising one of them again
+        with pytest.raises(ValueError, match="singular"):
+            scenarios._check_hurwitz_at_samples(ctx, {"value": True})
+        alive = weakref.ref(ctx)
+        del ctx
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 DENSE_DRAWS = 100
 
 

@@ -15,7 +15,6 @@ from osscontrol.optprob import (
     unique_optimizer_check,
 )
 from osscontrol.plant import PlantMatrices
-from osscontrol.scenarios import _tracking_numbers
 
 from helpers import assert_bits_equal, kkt_residual, random_plant, random_qp_instance
 
@@ -220,9 +219,7 @@ class TestNonredundantCheck:
 def tracking_objective(p_m: int, theta: float = 1.0, beta: float = 20.0):
     """``(f0, grad_f0)`` of the tracking objective with reference ``w = r``:
     ``p_m = 0`` leaves only the l1 surrogate, ``theta = 0`` only the l2 part."""
-    numbers = _tracking_numbers({"p_m": p_m, "theta": theta, "beta": beta,
-                                 "r_indices": list(range(p_m))})
-    return optprob.tracking_objective(**numbers)
+    return optprob.tracking_objective(p_m, np.arange(p_m), theta, beta)
 
 
 class TestSmoothNorm:

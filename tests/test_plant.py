@@ -159,7 +159,7 @@ def block_families():
             formula = lambda d, spec=spec: matrices_by_formula(spec, d)
         out.append((name, sc.plant, formula, sc.plant.delta_box))
     spec = random_affine_spec(np.random.default_rng(70))
-    out.append(("random-affine", scenarios._build_plant(spec, None),
+    out.append(("random-affine", scenarios._build_plant(scenarios._walk(spec, "plant", "plant", {}), None),
                 lambda d: matrices_by_formula(spec, d), None))
     return out
 

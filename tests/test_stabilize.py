@@ -15,10 +15,11 @@ from helpers import (
     uncertain_wrapper,
 )
 from osscontrol.matlib import eigenvalues, rank_decision
+from osscontrol.omodels import OptimalityModel
 from osscontrol.optprob import ConvexProgram
-from osscontrol.plant import PlantMatrices, eval_plant
+from osscontrol.plant import PlantMatrices, build_augmented_qp, eval_plant
 from osscontrol.simulate import assemble
-from osscontrol.stabilize import PBH_TOL, prop4_check, prop5_check, prop6_check
+from osscontrol.stabilize import PBH_TOL, prop4_check, prop5_check, prop6_check, synthesize_lqr
 
 
 class TestRankDecision:
@@ -167,3 +168,35 @@ def test_loop_spectrum_matches_the_augmented_closed_form():
             top, top_want = eigenvalues(a_cl).real.max(), eigenvalues(want).real.max()
             assert (top < 0) == (top_want < 0) and abs(top - top_want) <= 1e-9, (sc.name, plan.name)
     assert with_keps == 1
+
+
+# Riccati residual |A'P + PA - PBR^-1B'P + Q| over 1 + |P| that both routes
+# stay under (300 draws: 4e-13 hand-rolled, 2e-10 SciPy).  P is ill-conditioned
+# on such draws (condition numbers up to about 1e9), so the routes' gains
+# differ by far more than their residuals: the residuals are compared.
+RICCATI_RESIDUAL = 1e-8
+
+
+def test_lqr_riccati_agrees_with_scipy():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(77)
+    for draw in range(24):
+        variant = ("rfs", "ros")[draw % 2]
+        pm, prog, geom = random_qp_instance(rng)
+        basis = (feasible_direction_matrix(geom) if variant == "rfs"
+                 else output_subspace_matrix(geom))
+        aug = build_augmented_qp(pm, OptimalityModel(variant, basis, prog))
+        a, b, q, r = aug.a, aug.b, np.eye(aug.n_state), np.eye(pm.m)
+        stab = synthesize_lqr(aug, q, r)
+        k_hand = np.hstack([stab.kx, stab.kmu, stab.keta])
+        # the cost-to-go of the hand-rolled gain: the closed loop's Lyapunov equation
+        # F'P + PF = -(Q + K'RK), solved as a Kronecker system
+        f, n = a - b @ k_hand, aug.n_state
+        p_hand = np.linalg.solve(np.kron(np.eye(n), f.T) + np.kron(f.T, np.eye(n)),
+                                 -(q + k_hand.T @ r @ k_hand).ravel()).reshape(n, n)
+        p_scipy = linalg.solve_continuous_are(a, b, q, r)
+        for route, p, k in (("hand-rolled", p_hand, k_hand),
+                            ("scipy", p_scipy, np.linalg.solve(r, b.T @ p_scipy))):
+            assert eigenvalues(a - b @ k).real.max() < 0, (draw, route)
+            residual = a.T @ p + p @ a - p @ b @ np.linalg.solve(r, b.T @ p) + q
+            assert np.abs(residual).max() <= RICCATI_RESIDUAL * (1 + np.abs(p).max()), (draw, route)
