@@ -965,7 +965,7 @@ def _scalar(value, kind: str, rng, where: str, dims: dict):
     elif isinstance(rng, tuple):
         bound = dims[rng[1]] if rng[1] else sys.maxsize
         ok = ok and 0 <= value and (value < bound if rng[0] == "<" else value <= bound)
-    elif rng is not None and rng != "box":
+    elif rng is not None:
         ok = ok and value in rng
     if not ok:
         raise ValueError(f"{where} must be {_expected(kind, rng, dims)}, got {value!r}")
