@@ -187,27 +187,27 @@ def edit(doc, path, value):
                  "plant.delta_box[0][1] must be a finite number", id="box-hi-null"),
     pytest.param("rfs-violation", ("plant", "delta_box"), 0.5,
                  "plant.delta_box must list one [lo, hi] pair", id="box-number"),
-    # each site that raised a TypeError or IndexError past the command line
+    # values that raised a TypeError or IndexError past the command line
     pytest.param("power-dapi", ("network", "edges", 0), 2.5,
-                 "network.edges[0] must be a list of numbers", id="power57-edge-number"),
+                 "network.edges[0] must be a list of numbers", id="edge-number"),
     pytest.param("power-dapi", ("network", "inertia"), {},
-                 "network.inertia must be a list of numbers", id="power62-inertia-object"),
+                 "network.inertia must be a list of numbers", id="inertia-object"),
     pytest.param("power-dapi", ("network", "edges", 0, 0), 10 ** 6,
-                 "network.edges[0][0] must be an integer in [0, 4)", id="power92-edge-bus"),
+                 "network.edges[0][0] must be an integer in [0, 4)", id="edge-bus-out-of-range"),
     pytest.param("power-dapi", ("plant", "delta_samples"), 2.5,
-                 "plant.delta_samples must be a list of number lists", id="power153-samples"),
+                 "plant.delta_samples must be a list of number lists", id="swing-samples-number"),
     pytest.param("power-dapi", ("network", "laplacian"), {},
-                 "network.laplacian must be a list of number lists", id="matlib66-laplacian"),
+                 "network.laplacian must be a list of number lists", id="laplacian-object"),
     pytest.param("pd-vs-oss", ("plant", "matrices", "a", "cols"), False,
-                 "plant.a.cols must be a non-negative integer", id="scenarios63-cols-false"),
+                 "plant.a.cols must be a non-negative integer", id="cols-false"),
     pytest.param("no-hurwitz", ("sim", "w"), {}, "sim.w must be a list of numbers",
-                 id="scenarios67-w-object"),
+                 id="sim-w-object"),
     pytest.param("rfs-violation", ("plant", "delta_samples"), 2.5,
-                 "plant.delta_samples must be a list of number lists", id="scenarios161-samples"),
+                 "plant.delta_samples must be a list of number lists", id="samples-number"),
     pytest.param("power-gb", ("controller", "c"), {}, "controller.c must be a list of numbers",
-                 id="scenarios337-weights"),
+                 id="gb-weights-object"),
     pytest.param("rfs-violation", ("expect", 0, "witness"), 2.5,
-                 "expect[0].witness must be a list of number lists", id="scenarios715-witness"),
+                 "expect[0].witness must be a list of number lists", id="witness-number"),
     # explicit two-integrator gains of the wrong shape
     pytest.param("power-novel", ("controller", "gains"),
                  {"k1": [[0.0]] * 4, "k2": [[0.0, 0.0]] * 4, "k3": [[0.0] * 4] * 4},
@@ -354,8 +354,10 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys, monkeypatch):
             for name in scenarios.BUNDLED_NAMES}
     rng = random.Random(FUZZ_SEED)
     bad = tmp_path / "mutated.json"
+    mutated = set()
     for trial in range(MUTATIONS):
         name = rng.choice(scenarios.BUNDLED_NAMES)
+        mutated.add(name)
         doc = copy.deepcopy(docs[name])
         edits = mutate(doc, rng)
         bad.write_text(json.dumps(doc))
@@ -369,3 +371,4 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys, monkeypatch):
         assert code in (0, 1, 2, 3), where
         if code == 2 and not isinstance(raised[-1], OssError):
             assert DOCUMENT_PATH.match(err.removeprefix("error: ")), f"{where}\n{err}"
+    assert mutated == set(scenarios.BUNDLED_NAMES)
