@@ -212,6 +212,19 @@ def edit(doc, path, value):
     pytest.param("power-novel", ("controller", "gains"),
                  {"k1": [[0.0]] * 4, "k2": [[0.0, 0.0]] * 4, "k3": [[0.0] * 4] * 4},
                  "controller.gains.k2 has 2 columns, expected 3", id="controller-gain-k2-shape"),
+    # shapes against the plant's inputs, and against the built model
+    pytest.param("no-hurwitz", ("stabilizer", "gains", "kx"),
+                 {"rows": 1, "cols": 3, "data": [0.0] * 3}, "stabilizer.gains.kx has 1 rows, expected 2",
+                 id="gain-rows"),
+    pytest.param("no-hurwitz", ("stabilizer", "gains", "keta"),
+                 {"rows": 2, "cols": 1, "data": [1.0, 1.0]},
+                 "stabilizer.gains.keta has 1 columns, expected 2", id="gain-columns"),
+    pytest.param("equilibrium-necessity", ("sim", "z0"), [0.0], "sim.z0 has 1 entries, expected 3",
+                 id="z0-length"),
+    # an unknown field, and a null block, which is an absent one
+    pytest.param("no-hurwitz", ("sim", "hh"), 0.1, "sim.hh: unknown field", id="unknown-field"),
+    pytest.param("no-hurwitz", ("om",), None, "variants[0] needs an om block or a controller block",
+                 id="om-null"),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
     doc = json.loads(scenarios.bundled_path(name).read_text())
@@ -231,6 +244,17 @@ def test_input_index_out_of_range_exits_2(tmp_path, capsys):
     assert cli.main(["run", str(bad), "--t-end", "0.01"]) == 2
     err = capsys.readouterr().err
     assert "variants[0].expect[1].index must be an integer in [0, 2), got 7" in err
+
+
+@pytest.mark.parametrize("sim", [{"t_end": 1e308}, {"h": 1.0, "t_end": 0.5}],
+                         ids=["steps-infinite", "no-step"])
+def test_step_count_exits_2(tmp_path, capsys, sim):
+    doc = json.loads(scenarios.bundled_path("rfs-violation").read_text())
+    doc["sim"].update(sim)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["run", str(bad)]) == 2
+    assert "sim: t_end must be a finite number of steps, at least one" in capsys.readouterr().err
 
 
 def test_unknown_variant_exits_2(capsys):
