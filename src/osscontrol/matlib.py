@@ -146,7 +146,7 @@ def rank_groups(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list:
     u, s, vt = np.linalg.svd(stack, full_matrices=True)
     ranks = _rank_from_singular_values(s, stack.shape[-2:], tol)
     groups = []
-    for rank in np.unique(ranks):
+    for rank in np.flatnonzero(np.bincount(ranks)):
         rows = np.flatnonzero(ranks == rank)
         groups.append((rows, u[rows], vt[rows], int(rank)))
     return groups

@@ -13,6 +13,8 @@ evaluated on a whole block of deltas at once: its callable writes its
 formula over the block and returns the realizations as one ``PlantStack``,
 each matrix stacked along a leading axis, and ``eval_plant`` takes one delta
 or a block.  ``per_delta`` adapts a callable written for one delta.
+Building a family evaluates its nominal sample only: a pass that evaluates
+another block of samples checks its shapes against that realization.
 
 ``build_augmented_qp`` puts a plant in series with an optimality model and
 the proxy-error integrators.  It writes none of the model's formulas: the
@@ -22,7 +24,6 @@ model's linear maps are probed from ``omodels.om_dynamics``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -103,9 +104,8 @@ class PlantStack(PlantMatrices):
     """Realizations of a plant family at a block of S deltas: each matrix
     stacked along a leading axis, (S, rows, cols), where a matrix that does
     not depend on delta may be a read-only broadcast view.  Not validated
-    matrix by matrix: ``eval_plant`` checks the entries finite, and
-    ``UncertainPlant`` checks the shapes against its validated nominal
-    realization."""
+    matrix by matrix: ``eval_plant`` checks the entries finite and the
+    shapes against the family's validated nominal realization."""
 
     def __post_init__(self):
         pass
@@ -142,32 +142,33 @@ class UncertainPlant:
 
     ``evaluate`` maps a block of deltas (S, delta_dim) to the PlantStack of
     their realizations (``per_delta`` makes one from a callable of one
-    delta); ``eval_plant`` is the checked way to call it.  Construction
+    delta); ``eval_plant`` is the checked way to call it, and rejects a
+    realization whose shapes differ from the nominal one.  The samples are
+    kept as one (S, delta_dim) array, the nominal first.  Construction
     rejects a sample of another length than ``delta_dim`` or outside
-    ``delta_box`` (``checked_delta``), evaluates the family once per block of
-    samples (``sample_blocks``), keeping none of the realizations, and
-    rejects a family whose nominal realization is not a valid PlantMatrices
-    or whose matrix shapes vary across the samples.
+    ``delta_box`` (``checked_delta``) and evaluates the nominal sample only,
+    rejecting a family whose nominal realization is not a valid PlantMatrices.
     """
 
     evaluate: Callable[[np.ndarray], PlantStack]
     delta_dim: int
-    delta_samples: Sequence[np.ndarray] = field(default_factory=lambda: [np.zeros(0)])
+    delta_samples: np.ndarray = field(default_factory=lambda: np.zeros((1, 0)))
     delta_box: Sequence[tuple[float, float]] | None = None
+    # the nominal realization's matrix shapes, once construction evaluated it
+    _shapes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        samples = [checked_delta(s, self.delta_dim, None, f"plant.delta_samples[{i}]")
-                   for i, s in enumerate(self.delta_samples)]
-        if not samples:
+        samples = self.delta_samples
+        if not (isinstance(samples, np.ndarray) and samples.ndim == 2):
+            # a list, one sample at a time, to name the first bad one
+            samples = np.reshape([checked_delta(s, self.delta_dim, None, f"plant.delta_samples[{i}]")
+                                  for i, s in enumerate(samples)], (len(samples), self.delta_dim))
+        if not len(samples):
             raise ValueError("delta_samples must contain at least one sample")
-        checked_delta(np.stack(samples), self.delta_dim, self.delta_box, "plant.delta_samples[{}]")
+        samples = checked_delta(samples, self.delta_dim, self.delta_box, "plant.delta_samples[{}]")
         object.__setattr__(self, "delta_samples", samples)
         nominal = eval_plant(self, self.nominal)
-        for _, block in islice(sample_blocks(self), 1, None):
-            ps = eval_plant(self, block)
-            if any(getattr(ps, k).shape != (len(block),) + getattr(nominal, k).shape
-                   for k in _PLANT_FIELDS):
-                raise ValueError(_INCONSISTENT)
+        object.__setattr__(self, "_shapes", tuple(getattr(nominal, k).shape for k in _PLANT_FIELDS))
 
     @property
     def nominal(self) -> np.ndarray:
@@ -179,13 +180,12 @@ def sample_blocks(up: UncertainPlant) -> Iterator[tuple[int, np.ndarray]]:
     sample alone, then the others DELTA_BLOCK at a time."""
     samples = up.delta_samples
     for lo, hi in [(0, 1)] + [(i, i + DELTA_BLOCK) for i in range(1, len(samples), DELTA_BLOCK)]:
-        yield lo, np.stack(samples[lo:hi])
+        yield lo, samples[lo:hi]
 
 
 def fixed_plant(pm: PlantMatrices) -> UncertainPlant:
     """Wrap a single known plant as the nominal-only family (delta = {0})."""
-    return UncertainPlant(evaluate=lambda block: pm.broadcast(len(block)), delta_dim=0,
-                          delta_samples=[np.zeros(0)])
+    return UncertainPlant(evaluate=lambda block: pm.broadcast(len(block)), delta_dim=0)
 
 
 def checked_delta(delta, dim: int, box, where: str = "delta") -> np.ndarray:
@@ -213,14 +213,18 @@ def eval_plant(up: UncertainPlant, delta) -> PlantMatrices:
     """The family at one delta (delta_dim,), as a validated PlantMatrices, or
     at a block of deltas (S, delta_dim), as a PlantStack whose matrices are
     checked finite; one call of ``up.evaluate`` either way, the delta box
-    enforced when present."""
+    enforced when present.  A realization whose matrix shapes differ from
+    the nominal one's is a ValueError."""
     d = checked_delta(delta, up.delta_dim, up.delta_box)
+    ps = up.evaluate(np.atleast_2d(d))
     if d.ndim == 1:
-        ps = up.evaluate(d[None])
-        return PlantMatrices(*(getattr(ps, k)[0] for k in _PLANT_FIELDS))
-    ps = up.evaluate(d)
-    if not all(np.isfinite(getattr(ps, k)).all() for k in _PLANT_FIELDS):
+        ps = PlantMatrices(*(getattr(ps, k)[0] for k in _PLANT_FIELDS))
+    elif not all(np.isfinite(getattr(ps, k)).all() for k in _PLANT_FIELDS):
         raise ValueError("matrix entries must be finite")
+    # _shapes is unset while construction evaluates the nominal sample
+    if up._shapes is not None and any(getattr(ps, k).shape != d.shape[:-1] + shape
+                                      for k, shape in zip(_PLANT_FIELDS, up._shapes)):
+        raise ValueError(_INCONSISTENT)
     return ps
 
 

@@ -153,8 +153,7 @@ def build_swing_plant(net: PowerNetwork, delta_samples=((0.0,), (0.3,), (-0.3,))
         return PlantStack(a=a, **{k: np.broadcast_to(m, (len(block),) + m.shape)
                                   for k, m in fixed.items()})
 
-    return UncertainPlant(evaluate=evaluate, delta_dim=1,
-                          delta_samples=[np.asarray(s, dtype=float) for s in delta_samples],
+    return UncertainPlant(evaluate=evaluate, delta_dim=1, delta_samples=delta_samples,
                           delta_box=SWING_DELTA_BOX)
 
 

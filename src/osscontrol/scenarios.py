@@ -29,6 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +86,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 def _build_plant(spec: dict, network: power.PowerNetwork | None) -> UncertainPlant:
     """The family of a checked ``plant`` block: the network's swing plant, or
     the matrices plus delta_i times their ``_delta`` terms."""
-    samples = list(spec["delta_samples"])
+    samples = spec["delta_samples"]
     if "builder" in spec:  # "swing", the one builder
         return power.build_swing_plant(network, samples)
     mats = spec["matrices"]
@@ -667,8 +668,7 @@ def _spectrum_info(ctx: _Context) -> list[str]:
         return []
     tops, errors = ctx.sample_spectra
     out = []
-    for i, (d, top) in enumerate(zip(np.stack(ctx.sc.plant.delta_samples).tolist(),
-                                     tops.tolist())):
+    for i, (d, top) in enumerate(zip(ctx.sc.plant.delta_samples.tolist(), tops.tolist())):
         where = f"[{plan.name}] delta={d}"
         if i in errors:
             out.append(f"{where}: spectrum unavailable ({errors[i]})")
@@ -792,6 +792,17 @@ def _swing(dims: dict, where: str) -> None:
         raise ValueError(f"{where} needs the swing plant of plant.builder")
 
 
+def _values_of_any_length(dims: dict, where: str) -> None:
+    """The hook of an expectation kind whose ``values`` (a spectrum) may have
+    any length: the size is bound afresh by each expectation's list."""
+    dims.pop("values", None)
+
+
+def _values_per_output(dims: dict, where: str) -> None:
+    """The hook of ``oracle_y``: its ``values`` are the plant's p outputs."""
+    dims["values"] = dims["p"]
+
+
 def _expect_fields(spec: dict) -> tuple:
     """The keys an expectation requires: its kind, and the kind's fields in ``CHECKS``."""
     kind = spec.get("kind")
@@ -889,7 +900,9 @@ _SCHEMA = {
     "sim.delta": ("numbers", ("delta_dim",), "box", None),
     "expect": ("list", None, None, []),
     "expect[]": ("object", _expect_fields, None, None),
-    "expect[].kind": ("str", None, CHECKS, None),
+    # the kind, walked first, binds the length of the expectation's values
+    "expect[].kind": ("str", None, {kind: _values_per_output if kind == "oracle_y"
+                                    else _values_of_any_length for kind in CHECKS}, None),
     **{f"expect[].{k}": ("bool", None, None, None)
        for k in ("holds", "overall", "value", "matches_om_basis")},
     **{f"expect[].{k}": ("number", None, None, None)
@@ -897,7 +910,7 @@ _SCHEMA = {
                  "omega_tol", "marginal_spread_tol", "min", "max")},
     "expect[].which": ("int", None, {4, 5, 6}, None),
     "expect[].index": ("int", None, ("<", "m"), None),
-    "expect[].values": ("numbers", (None,), None, None),
+    "expect[].values": ("numbers", ("values",), None, None),
     "expect[].delta": ("numbers", ("delta_dim",), "box", None),
     "expect[].witness": ("numbers", (2, "delta_dim"), None, None),
     # objects here, each checked after its deep merge as a "variant"
@@ -985,13 +998,16 @@ def _expected(kind: str, rng, dims: dict) -> str:
 
 def _numbers(value, shape: tuple, rng, where: str, dims: dict) -> np.ndarray:
     """A list of numbers (of number lists, for a 2-D ``shape``) as a float
-    array, an int array for an integer ``rng``: one ``np.asarray`` and one
-    finiteness test, the entries looked at one by one only to name a bad one."""
+    array, an int array for an integer ``rng``: one ``np.asarray``, one
+    finiteness test and one pass over the entries' types (``np.asarray``
+    reads a boolean among numbers as 0 or 1), the entries looked at one by
+    one only to name a bad one."""
     try:
         arr = np.asarray(value) if isinstance(value, list) else None
     except ValueError:  # rows of different lengths
         arr = None
-    if arr is not None and arr.ndim == len(shape) and arr.dtype.kind in "iuf":
+    if (arr is not None and arr.ndim == len(shape) and arr.dtype.kind in "iuf"
+            and bool not in map(type, value if arr.ndim == 1 else chain.from_iterable(value))):
         arr = arr.astype(float, copy=False)
         ok = np.isfinite(arr)
         if rng == "positive":

@@ -34,7 +34,8 @@ bundled RFS violation shows up.
 The reduced-error model's complement condition is decided at one
 realization (``reduced_error_complement_condition``), as a clause of
 ``stabilize.prop6_check``; its range condition is checked at every sample
-(``check_rerfs_range_condition``).
+(``check_rerfs_range_condition``), the plant and G evaluated on the same
+blocks and geometry groups as ``check_rfs``.
 """
 
 from __future__ import annotations
@@ -274,28 +275,32 @@ def check_rerfs_range_condition(up: UncertainPlant, h_eq, t0, tol: float = DEFAU
     """Range condition for the reduced-error model:
     range(H G(delta)) and range(t0') intersect only at zero, at every sample.
 
-    ``h_eq`` may be a callable of delta; a sample without equality
-    constraints holds vacuously.
+    ``h_eq`` may be a callable of delta; without equality constraints the
+    condition holds vacuously.  The plant and G are evaluated block by block
+    like :func:`check_rfs` (G read off ``_geometry_groups``), the two ranges
+    compared per sample.  Returns holds, the first failing delta as
+    ``witness`` (None when it holds) and the ``matches`` of every sample, an
+    array in sample order.
     """
     t0 = as_matrix(t0)
-    per_sample = []
-    witness = None
-    for delta in up.delta_samples:
-        h = h_eq(delta) if callable(h_eq) else h_eq
-        pm = eval_plant(up, delta)
-        h = as_matrix(h).reshape(-1, pm.p) if h is not None and np.size(h) else np.zeros((0, pm.p))
-        if t0.shape[0] != pm.p:
-            raise ValueError(f"t0 must have {pm.p} rows, got {t0.shape[0]}")
-        ok = True
-        if h.shape[0]:
-            if t0.shape[1] != h.shape[0]:
-                raise ValueError(
-                    "the reduced-error range condition compares subspaces of the "
-                    f"equality-constraint space: t0 needs {h.shape[0]} columns, got {t0.shape[1]}"
-                )
-            g = equilibrium_geometry(pm, h).g
-            ok = subspace_intersection(*_reduced_error_ranges(h, g, t0), tol).is_empty
-        per_sample.append({"delta": delta, "holds": ok})
-        if not ok and witness is None:
-            witness = delta
-    return {"holds": witness is None, "witness": witness, "per_sample": per_sample}
+    samples = up.delta_samples
+    matches = np.ones(len(samples), dtype=bool)
+    for lo, deltas in sample_blocks(up):
+        ps = eval_plant(up, deltas)
+        h = _equality_rows(h_eq, deltas, ps.p)
+        if t0.shape[0] != ps.p:
+            raise ValueError(f"t0 must have {ps.p} rows, got {t0.shape[0]}")
+        if not h.shape[-2]:
+            continue
+        if t0.shape[1] != h.shape[-2]:
+            raise ValueError(
+                "the reduced-error range condition compares subspaces of the "
+                f"equality-constraint space: t0 needs {h.shape[-2]} columns, got {t0.shape[1]}"
+            )
+        for geom in _geometry_groups(ps, h):
+            for i, g in zip(geom.rows, geom.g):
+                hg, t0t = _reduced_error_ranges(h[i], g, t0)
+                matches[lo + i] = subspace_intersection(hg, t0t, tol).is_empty
+    bad = np.flatnonzero(~matches)
+    return {"holds": not bad.size, "witness": samples[bad[0]] if bad.size else None,
+            "matches": matches}

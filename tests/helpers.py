@@ -340,3 +340,35 @@ def swing_matrices_by_formula(net, delta) -> dict:
     c = np.vstack([np.zeros((n, n + nt)), np.hstack([np.eye(n), np.zeros((n, nt))])])
     d = np.vstack([np.eye(n), np.zeros((n, n))])
     return {"a": a, "b": b, "bw": b.copy(), "c": c, "d": d, "q": np.zeros((2 * n, n))}
+
+
+def rerfs_range_condition_by_sample(up: UncertainPlant, h_eq, t0, tol: float = 1e-10) -> dict:
+    """``subspaces.check_rerfs_range_condition`` decided one delta sample at a
+    time, each G from ``equilibrium_geometry`` of the realization alone:
+    ``holds``, the first failing delta as ``witness`` and the per-sample
+    ``matches``."""
+    from osscontrol.matlib import subspace_intersection
+    from osscontrol.subspaces import _reduced_error_ranges
+
+    t0 = as_matrix(t0)
+    matches = []
+    witness = None
+    for delta in up.delta_samples:
+        h = h_eq(delta) if callable(h_eq) else h_eq
+        pm = eval_plant(up, delta)
+        h = as_matrix(h).reshape(-1, pm.p) if h is not None and np.size(h) else np.zeros((0, pm.p))
+        if t0.shape[0] != pm.p:
+            raise ValueError(f"t0 must have {pm.p} rows, got {t0.shape[0]}")
+        ok = True
+        if h.shape[0]:
+            if t0.shape[1] != h.shape[0]:
+                raise ValueError(
+                    "the reduced-error range condition compares subspaces of the "
+                    f"equality-constraint space: t0 needs {h.shape[0]} columns, got {t0.shape[1]}"
+                )
+            g = equilibrium_geometry(pm, h).g
+            ok = subspace_intersection(*_reduced_error_ranges(h, g, t0), tol).is_empty
+        matches.append(ok)
+        if not ok and witness is None:
+            witness = delta
+    return {"holds": witness is None, "witness": witness, "matches": matches}

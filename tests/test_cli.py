@@ -221,6 +221,12 @@ def edit(doc, path, value):
                  "stabilizer.gains.keta has 1 columns, expected 2", id="gain-columns"),
     pytest.param("equilibrium-necessity", ("sim", "z0"), [0.0], "sim.z0 has 1 entries, expected 3",
                  id="z0-length"),
+    # a boolean among numbers, which numpy would read as 1
+    pytest.param("no-hurwitz", ("plant", "matrices", "a", "data", 0), True,
+                 "plant.a.data[0] must be a finite number, got True", id="data-entry-true"),
+    # the values of an oracle_y check are the plant's outputs
+    pytest.param("equilibrium-necessity", ("expect", 0, "values"), [1.0],
+                 "expect[0].values has 1 entries, expected 2", id="oracle_y-values-length"),
     # an unknown field, and a null block, which is an absent one
     pytest.param("no-hurwitz", ("sim", "hh"), 0.1, "sim.hh: unknown field", id="unknown-field"),
     pytest.param("no-hurwitz", ("om",), None, "variants[0] needs an om block or a controller block",
@@ -319,12 +325,24 @@ def test_module_entry_point_exit_codes():
     assert unknown.stderr.startswith("error: ")
 
 
+def test_checks_leave_numpy_ma_unimported():
+    # numpy.ma takes about 10 ms and a megabyte to import (np.unique imports
+    # it); loading and checking every bundled scenario needs none of it
+    code = ("import sys\n"
+            "from osscontrol import scenarios\n"
+            "for name in scenarios.BUNDLED_NAMES:\n"
+            "    scenarios.check_scenario(scenarios.load_scenario(name))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(scenarios.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 # What a mutation puts in place of a value: nulls, booleans, extreme and
 # signed numbers, a string, empty and one-entry lists and objects, a 1x1 matrix.
 REPLACEMENTS = [None, True, False, 0, -1, 1e308, float("nan"), "x", [], {}, [1.0], [[1.0]],
                 {"rows": 1, "cols": 1, "data": [1.0]}, 2.5, -0.0, 10 ** 6]
-MUTATIONS = 500
-FUZZ_SEED = 18
 # an error message opens with the dotted document path of the bad field
 DOCUMENT_PATH = re.compile(r"(variants\[\d+\]\.)?(name|description|notes|network|plant|program|om"
                            r"|stabilizer|controller|sim|expect|variants)\b")
@@ -372,27 +390,32 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys, monkeypatch):
                 raise
         return call
 
-    monkeypatch.setattr(cli, "load_scenario", recording(scenarios.load_scenario))
-    monkeypatch.setattr(cli, "check_scenario", recording(scenarios.check_scenario))
+    for name in ("load_scenario", "check_scenario", "run_scenario"):
+        monkeypatch.setattr(cli, name, recording(getattr(scenarios, name)))
     docs = {name: json.loads(scenarios.bundled_path(name).read_text())
             for name in scenarios.BUNDLED_NAMES}
-    rng = random.Random(FUZZ_SEED)
     bad = tmp_path / "mutated.json"
-    mutated = set()
-    for trial in range(MUTATIONS):
-        name = rng.choice(scenarios.BUNDLED_NAMES)
-        mutated.add(name)
-        doc = copy.deepcopy(docs[name])
-        edits = mutate(doc, rng)
-        bad.write_text(json.dumps(doc))
-        where = f"seed {FUZZ_SEED}, mutation {trial}: {name} with {edits}\n{json.dumps(doc)}"
-        raised.clear()
-        try:
-            code = cli.main(["check", str(bad)])
-        except Exception as exc:
-            pytest.fail(f"{where}\nraised {exc!r}")
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2, 3), where
-        if code == 2 and not isinstance(raised[-1], OssError):
-            assert DOCUMENT_PATH.match(err.removeprefix("error: ")), f"{where}\n{err}"
-    assert mutated == set(scenarios.BUNDLED_NAMES)
+    # (command, its options after the document, mutations, seed) of each leg
+    legs = (("check", [], 500, 18),
+            ("run", ["--t-end", "0.05", "--sweep", "--out", str(tmp_path / "traces")], 100, 19))
+    for command, options, mutations, seed in legs:
+        argv = [command, str(bad), *options]
+        rng = random.Random(seed)
+        mutated = set()
+        for trial in range(mutations):
+            name = rng.choice(scenarios.BUNDLED_NAMES)
+            mutated.add(name)
+            doc = copy.deepcopy(docs[name])
+            edits = mutate(doc, rng)
+            bad.write_text(json.dumps(doc))
+            where = f"{command} seed {seed}, mutation {trial}: {name} with {edits}\n{json.dumps(doc)}"
+            raised.clear()
+            try:
+                code = cli.main(argv)
+            except Exception as exc:
+                pytest.fail(f"{where}\nraised {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), where
+            if code == 2 and not isinstance(raised[-1], OssError):
+                assert DOCUMENT_PATH.match(err.removeprefix("error: ")), f"{where}\n{err}"
+        assert mutated == set(scenarios.BUNDLED_NAMES), command

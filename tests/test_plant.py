@@ -16,7 +16,7 @@ from osscontrol.plant import (
     per_delta,
 )
 from osscontrol.power import build_swing_plant, default_network
-from osscontrol.subspaces import equilibrium_geometry
+from osscontrol.subspaces import check_rfs, equilibrium_geometry
 
 from helpers import (
     assert_bits_equal,
@@ -97,10 +97,19 @@ class TestEvalPlant:
             return PlantMatrices(a=np.eye(n), b=np.ones((n, 1)), bw=np.ones((n, 1)),
                                  c=np.eye(n), d=np.zeros((n, 1)), q=np.zeros((n, 1)))
 
-        with pytest.raises(ValueError):
-            UncertainPlant(evaluate=per_delta(evaluate), delta_dim=1, delta_samples=[[0.0], [1.0]])
+        # construction evaluates the nominal sample only: the shapes are
+        # rejected by the first evaluation of the other sample, in a block
+        # with the nominal, in a block of its own, or alone
+        up = UncertainPlant(evaluate=per_delta(evaluate), delta_dim=1, delta_samples=[[0.0], [1.0]])
+        for delta in ([[0.0], [1.0]], [[1.0]], [1.0]):
+            with pytest.raises(ValueError, match="inconsistent dimensions across delta samples"):
+                eval_plant(up, delta)
+        with pytest.raises(ValueError, match="inconsistent dimensions across delta samples"):
+            check_rfs(up)
 
     def test_construction_evaluates_each_sample_once(self, two_state_family):
+        # construction evaluates the nominal sample; a pass over the samples
+        # then evaluates each sample once, block by block
         calls = []
 
         def evaluate(delta):
@@ -108,8 +117,10 @@ class TestEvalPlant:
             return eval_plant(two_state_family, delta)
 
         samples = [[0.0], [0.5], [-0.5], [0.25]]
-        UncertainPlant(evaluate=per_delta(evaluate), delta_dim=1, delta_samples=samples)
-        assert [float(d[0]) for d in calls] == [s[0] for s in samples]
+        up = UncertainPlant(evaluate=per_delta(evaluate), delta_dim=1, delta_samples=samples)
+        assert [float(d[0]) for d in calls] == [0.0]
+        check_rfs(up)
+        assert [float(d[0]) for d in calls[1:]] == [s[0] for s in samples]
 
 
 def matrices_by_formula(spec: dict, delta) -> dict:

@@ -222,3 +222,32 @@ def test_a_diverging_sample_row_truncates_alone():
     assert [line.endswith("(diverged)") for line in sweep_lines] == [False, True, False]
     assert "[main] trajectory diverged and was truncated" not in report.info
     assert report.exit_code == 3
+
+
+@pytest.mark.parametrize("change", ["bundled", "r_indices", "equality-row"])
+def test_variants_whose_objectives_do_not_join_integrate_apart(change, monkeypatch):
+    # tracking-sparse's variants share w, h, t_end and the model's basis: one
+    # row stack, their theta as a column.  Tracked outputs that differ, or an
+    # equality row in one variant only, cannot be one program (_row_program):
+    # each variant is then a stack of its own
+    doc = json.loads(scenarios.bundled_path("tracking-sparse").read_text())
+    program = doc["variants"][1]["program"]
+    if change == "r_indices":
+        program["objective"]["params"]["r_indices"] = [0, 2, 3]
+    elif change == "equality-row":
+        program["h"] = {"rows": 1, "cols": 5, "data": [1.0, 0.0, 0.0, 0.0, 0.0]}
+    stacks = []
+
+    def recording(sys, z0, t_end, h):
+        stacks.append(z0.shape)
+        return integrate_rk4(sys, z0, t_end, h)
+
+    monkeypatch.setattr(scenarios, "integrate_rk4", recording)
+    sc = scenarios.load_scenario(doc)
+    t_end = (ROW_BLOCK + 5) * float(sc.variants[0].sim["h"])
+    _, trajectories = scenarios.run_scenario(sc, t_end=t_end)
+    if change == "bundled":
+        assert stacks == [(2, 6)]
+    else:  # an equality row adds its multiplier's state
+        assert stacks == [(1, 6), (1, 7 if change == "equality-row" else 6)]
+    assert assert_requests_match_alone(sc, trajectories, t_end) == 2

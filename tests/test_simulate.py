@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from osscontrol import scenarios
+from osscontrol.errors import OssError
 from osscontrol.matlib import DELTA_BLOCK
 from osscontrol.omodels import gather_broadcast_input, om_dynamics
 from osscontrol.optprob import oracle_optimal_output
@@ -279,6 +280,31 @@ def test_equilibrium_solve_with_finite_difference_jacobian(variant):
     y_star = oracle_optimal_output(plan.program, eval_plant(sc.plant, sc.plant.nominal),
                                    w)["y_star"]
     assert np.linalg.norm(y - y_star) <= 1e-10 * (1.0 + np.linalg.norm(y_star))
+
+
+def one_state_loop(rhs):
+    """A hand-built nonlinear loop z_dot = rhs(z) of one state; the Newton
+    solve reads no outputs."""
+    return ClosedLoopSystem(n_state=1, rhs=lambda _t, z: rhs(z), outputs=None, m=0, p=0,
+                            eps_dim=0)
+
+
+def test_equilibrium_solve_line_search_stalls():
+    # z^2 + 1 has no root and its least residual is at z = 0: from z = 1e-7
+    # the Newton step of -5e6 overshoots by more than 40 halvings can undo
+    sys = one_state_loop(lambda z: z * z + 1.0)
+    with pytest.raises(OssError, match="^equilibrium Newton line search stalled$"):
+        equilibrium_solve(sys, [1e-7])
+
+
+def test_equilibrium_solve_does_not_converge():
+    # exp(z) has no root: each full Newton step, dz = -1, is accepted, and the
+    # residual after max_iter of them is exp(-max_iter), above the tolerance
+    sys = one_state_loop(np.exp)
+    with pytest.raises(OssError, match="^equilibrium Newton did not converge in 5 iterations$"):
+        equilibrium_solve(sys, [0.0], max_iter=5)
+    z, resid = equilibrium_solve(one_state_loop(lambda z: np.exp(z) - 1.0), [1.0], max_iter=5)
+    assert abs(z[0]) <= 1e-10 and resid <= 1e-10  # the same loop with a root converges
 
 
 # SHA-256 of tracking-sparse's traces over a 2 s horizon (1000 nonlinear RK4

@@ -27,7 +27,13 @@ from osscontrol.subspaces import (
     reduced_error_complement_condition,
 )
 
-from helpers import assert_bits_equal, random_plant, scaled_family, singular_family
+from helpers import (
+    assert_bits_equal,
+    random_plant,
+    rerfs_range_condition_by_sample,
+    scaled_family,
+    singular_family,
+)
 
 
 def swing_pieces(delta=0.0):
@@ -339,6 +345,67 @@ class TestReducedErrorRangeCondition:
         rep = check_rerfs_range_condition(nominal_two_state, h, t0)
         # H G = [1 0] @ (1,1) = 1 != 0 and range t0' = R^1
         assert not rep["holds"]
+
+
+def rerfs_case(name: str, rng):
+    """(family, h_eq, t0, whether the condition holds): seeded families of
+    three blocks (the nominal sample, DELTA_BLOCK more and one after them).
+
+    On ``singular_family`` (p = 3, G of rank 2 but rank 1 where its last
+    input column vanishes) range(H G) is the plane R^2 for two generic rows
+    of H and meets a line range(t0'); two parallel rows keep it a line.  H
+    whose second row vanishes at delta_1 = 0 holds at the nominal sample and
+    fails at the first sample after it.  On ``scaled_family`` (p = 4, G of
+    rank 2), range(H G) is a plane in R^3: it misses a generic line and
+    meets a plane.
+    """
+    family, h_kind = name.split("-")
+    if family == "singular":
+        up, p, k = singular_family(rng, DELTA_BLOCK - 4), 3, 2
+    else:
+        up, p, k = scaled_family(rng, draws=DELTA_BLOCK + 1), 4, 3
+    h0, h1 = rng.standard_normal((2, k, p))
+    line = np.outer(rng.standard_normal(p), rng.standard_normal(k))
+    plane = rng.standard_normal((p, 2)) @ rng.standard_normal((2, k))
+    return {
+        "singular-fixed": (up, h0, line, False),
+        "singular-parallel": (up, np.outer(np.arange(1.0, k + 1), h0[0]), line, True),
+        "singular-callable": (up, lambda d: np.vstack([h0[0], float(d[0]) * h1[1]]), line, False),
+        "scaled-fixed": (up, h0, plane, False),
+        "scaled-callable": (up, lambda d: h0 + float(d[0]) * h1, line, True),
+    }[name]
+
+
+RERFS_CASES = ("singular-fixed", "singular-parallel", "singular-callable", "scaled-fixed",
+               "scaled-callable")
+
+
+@pytest.mark.parametrize("name", RERFS_CASES)
+def test_rerfs_range_condition_equals_each_sample_alone(name):
+    rng = np.random.default_rng(70 + RERFS_CASES.index(name))
+    up, h_eq, t0, holds = rerfs_case(name, rng)
+    assert len(up.delta_samples) > DELTA_BLOCK + 1  # the nominal block and two more
+    got = check_rerfs_range_condition(up, h_eq, t0)
+    want = rerfs_range_condition_by_sample(up, h_eq, t0)
+    assert got["holds"] is want["holds"] is holds
+    assert got["matches"].tolist() == want["matches"]
+    if holds:
+        assert got["witness"] is None is want["witness"]
+    else:
+        assert np.array_equal(got["witness"], want["witness"])
+        assert np.array_equal(got["witness"], up.delta_samples[np.argmin(got["matches"])])
+    if name == "singular-callable":
+        # holds at the nominal sample, where the second row of H vanishes
+        assert got["matches"][0] and not got["matches"][1]
+
+
+@pytest.mark.parametrize("t0, message", [(np.zeros((3, 1)), "t0 must have 2 rows, got 3"),
+                                         (np.zeros((2, 2)), "t0 needs 1 columns, got 2")],
+                         ids=["rows", "columns"])
+def test_rerfs_range_condition_rejects_t0_shapes(two_state_family, t0, message):
+    for check in (check_rerfs_range_condition, rerfs_range_condition_by_sample):
+        with pytest.raises(ValueError, match=message):
+            check(two_state_family, np.array([[1.0, 0.0]]), t0)
 
 
 def complement_condition(pm, h, t0) -> bool:
