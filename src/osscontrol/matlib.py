@@ -12,7 +12,6 @@ answer is no), so borderline calls are visible to callers.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,41 +23,15 @@ _ORTHONORMALITY_TOL = 1e-10
 # trajectory at once need temporaries several times its size (peak memory of
 # the bundled runs grew by a sixth); blocks keep them small.
 ROW_BLOCK = 256
-# Delta samples per block of the subspace and spectrum checks.  The blocks of
-# a pass run on one thread per CPU (``_map_blocks``), and numpy releases the
-# interpreter lock inside a stacked ``eigvals`` or ``svd`` only for a large
-# enough stack: 32 stacked calls on 11x11 matrices, serial then on two
-# threads, took 22.6 -> 24.6 ms on stacks of 32, 43.1 -> 26.4 ms on stacks of
-# 64 and 83.4 -> 44.9 ms on stacks of 128 (one BLAS thread each).  A sample's
-# temporaries (its plant matrices, SVD factors, closed-loop probe) take about
-# ten kilobytes, so each block in flight holds under a megabyte; blocks of
-# ROW_BLOCK samples raised the peak memory of a dense check by 2 MB.
+# Delta samples per block of the subspace and spectrum checks.  A block is
+# one stacked call of each matrix function, which spreads numpy's per-call
+# overhead over its samples: checking three 1000-draw dense documents (one
+# BLAS thread, median of 15 alternating passes) took 0.121 s with blocks of
+# 32, 0.107 s with 64 and 0.096 s with 128.  A sample's temporaries (its
+# plant matrices, SVD factors, closed-loop probe) take about ten kilobytes, so
+# a block of 64 holds under a megabyte; on those documents blocks of 64, 128
+# and 256 reached the same peak memory.
 DELTA_BLOCK = ROW_BLOCK // 4
-# Threads of ``_map_blocks``: one per CPU this process may run on.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_pool = None
-
-
-def _map_blocks(fn, blocks) -> list:
-    """``[fn(b) for b in blocks]`` in block order, the blocks run on a pool of
-    ``_WORKERS`` threads; inline with one worker or one block.
-
-    ``fn`` returns its results and changes no shared state, and never maps
-    blocks itself: a map nested on a pool thread would wait for the threads
-    it occupies.  ``np.errstate`` is per thread, so a setting ``fn`` needs is
-    made inside it.  The pool starts at the first map of several blocks:
-    importing the package starts no thread.
-    """
-    blocks = list(blocks)
-    if _WORKERS < 2 or len(blocks) < 2:
-        return [fn(b) for b in blocks]
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="osscontrol-blocks")
-    return list(_pool.map(fn, blocks))
 
 
 def as_matrix(m) -> np.ndarray:
@@ -108,10 +81,6 @@ class SubspaceBasis:
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the subspace."""
         return self.basis @ self.basis.T
-
-
-def _empty_basis(ambient_dim: int, tol: float) -> SubspaceBasis:
-    return SubspaceBasis(np.zeros((ambient_dim, 0)), ambient_dim, tol)
 
 
 def _svd(m: np.ndarray):
@@ -190,8 +159,6 @@ def rank_decision(m, want_rank: int, tol: float = DEFAULT_RANK_TOL) -> tuple[boo
 def null_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> SubspaceBasis:
     """Orthonormal basis of the right null space of ``m``."""
     a = as_matrix(m)
-    if a.shape[1] == 0:
-        return _empty_basis(0, tol)
     _, s, vt = _svd(a)
     r = _rank_from_singular_values(s, a.shape, tol, floor)
     return SubspaceBasis(vt[r:].T.copy(), a.shape[1], tol)
@@ -200,8 +167,6 @@ def null_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> Subspace
 def range_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> SubspaceBasis:
     """Orthonormal basis of the column space of ``m``."""
     a = as_matrix(m)
-    if a.shape[0] == 0:
-        return _empty_basis(0, tol)
     u, s, _ = _svd(a)
     r = _rank_from_singular_values(s, a.shape, tol, floor)
     return SubspaceBasis(u[:, :r].copy(), a.shape[0], tol)
@@ -210,8 +175,6 @@ def range_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> Subspac
 def left_null_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> SubspaceBasis:
     """Orthonormal basis of the left null space (orthogonal complement of the range)."""
     a = as_matrix(m)
-    if a.shape[0] == 0:
-        return _empty_basis(0, tol)
     u, s, _ = _svd(a)
     r = _rank_from_singular_values(s, a.shape, tol, floor)
     return SubspaceBasis(u[:, r:].copy(), a.shape[0], tol)
@@ -252,8 +215,6 @@ def subspace_intersection(u: SubspaceBasis, v: SubspaceBasis, tol: float = DEFAU
             f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}"
         )
     n = u.ambient_dim
-    if u.is_empty or v.is_empty:
-        return _empty_basis(n, tol)
     stack = np.vstack([np.eye(n) - u.projector(), np.eye(n) - v.projector()])
     return null_basis(stack, tol)
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import power
 from .errors import OssError
-from .matlib import DELTA_BLOCK, _map_blocks, eigenvalues, numerical_rank, range_basis, subspace_equal
+from .matlib import DELTA_BLOCK, eigenvalues, numerical_rank, range_basis, subspace_equal
 from .omodels import OptimalityModel
 from .optprob import ConvexProgram, check_gradients, oracle_optimal_output, tracking_objective
 from .plant import (_PLANT_FIELDS, PlantMatrices, PlantStack, UncertainPlant, build_augmented_qp,
@@ -290,9 +290,8 @@ class _Context:
     Every per-delta artifact (oracle, trajectory, spectrum) is computed once
     per delta, and the subspace reports once (``subspaces``); ``delta=None``
     means the variant's simulation delta.  The spectra of the delta samples
-    are read once, as arrays (``sample_spectra``): DELTA_BLOCK samples at a
-    time, the blocks mapped over threads.  Trajectories are integrated
-    before any check runs (``_integrate``).
+    are read once, as arrays (``sample_spectra``), DELTA_BLOCK samples at a
+    time.  Trajectories are integrated before any check runs (``_integrate``).
     """
 
     def __init__(self, sc: Scenario, plan: VariantPlan, h=None, t_end=None):
@@ -387,35 +386,26 @@ class _Context:
         error}`` for each delta whose loop cannot be built, in delta order.
 
         Only the tops are kept: a loop per delta of a dense sample set would
-        hold its closures and matrices.  Blocks of DELTA_BLOCK deltas are
-        mapped over threads (``_map_blocks``); a block that cannot be built
-        is built again one delta at a time, on this thread.
+        hold its closures and matrices.  The deltas are taken DELTA_BLOCK at a
+        time; a block that cannot be built is built again one delta at a time.
         """
         deltas = np.asarray(deltas, dtype=float)
         tops = np.full(len(deltas), np.nan)
         errors = {}
-
-        def block_tops(span):
-            # on a pool thread: returns values, caches nothing
+        spans = [(lo, min(lo + DELTA_BLOCK, len(deltas)))
+                 for lo in range(0, len(deltas), DELTA_BLOCK)]
+        while spans:
+            lo, hi = spans.pop(0)
             try:
-                return self._spectra(deltas[span[0]: span[1]]).real.max(axis=-1)
+                tops[lo:hi] = self._spectra(deltas[lo:hi]).real.max(axis=-1)
             except (ValueError, OssError) as exc:
+                if hi - lo > 1:
+                    spans[:0] = [(i, i + 1) for i in range(lo, hi)]
+                    continue
                 # kept to be formatted: without the tracebacks (its own and its
                 # cause's), whose frames hold this context
                 exc.__cause__ = exc.__context__ = None
-                return exc.with_traceback(None)
-
-        spans = [(lo, min(lo + DELTA_BLOCK, len(deltas)))
-                 for lo in range(0, len(deltas), DELTA_BLOCK)]
-        for (lo, hi), got in zip(spans, _map_blocks(block_tops, spans)):
-            parts = [(lo, got)]
-            if isinstance(got, Exception) and hi - lo > 1:
-                parts = [(i, block_tops((i, i + 1))) for i in range(lo, hi)]
-            for i, got in parts:
-                if isinstance(got, Exception):
-                    errors[i] = got
-                else:
-                    tops[i: i + len(got)] = got
+                errors[lo] = exc.with_traceback(None)
         return tops, errors
 
     @cached_property

@@ -15,21 +15,22 @@ All "for every delta" verdicts are decided over the plant's finite
 every sample as arrays, the number of samples covered and the worst sine, so
 coverage is visible.  The samples are taken in blocks: the nominal sample
 alone, whose geometry is the reference, then the others ``DELTA_BLOCK`` at a
-time (``plant.sample_blocks``), mapped over one thread per CPU
-(``matlib._map_blocks``) and gathered in sample order.  The plant family is
-evaluated once per block, its realizations stacked along a leading axis
-(``plant.eval_plant``); every matrix function then runs once per block.
-numpy's ``linalg`` gufuncs (``cond``, ``solve``, ``svd``) and ``matmul`` run
-the same LAPACK or BLAS call on each matrix of a stack as on one matrix, so
-every basis, sine and verdict is bit-identical to computing the sample
-alone; ``equilibrium_geometry`` of one realization is the block of one.
+time (``plant.sample_blocks``).  The plant family is evaluated once per
+block, its realizations stacked along a leading axis (``plant.eval_plant``);
+every matrix function then runs once per block.  numpy's ``linalg`` gufuncs
+(``cond``, ``solve``, ``svd``) and ``matmul`` run the same LAPACK or BLAS
+call on each matrix of a stack as on one matrix, so every basis, sine and
+verdict is bit-identical to computing the sample alone;
+``equilibrium_geometry`` of one realization is the block of one.
 
 Ranks can differ across a block: A may be singular at some deltas, and the
 dimension of range G or of the feasible slice may change.  Each SVD's rows
 are therefore grouped by numerical rank (``matlib.rank_groups``), and each
-group carries on with bases of one shape.  A sample whose subspace has
-another dimension than the nominal one does not match it; that is how the
-bundled RFS violation shows up.
+group carries on with bases of one shape.  A callable H may have another
+number of rows at some deltas, so the rows of a block are split by H's row
+count first (``_equality_rows``).  A sample whose subspace has another
+dimension than the nominal one does not match it; that is how the bundled
+RFS violation shows up.
 
 The reduced-error model's complement condition is decided at one
 realization (``reduced_error_complement_condition``), as a clause of
@@ -48,7 +49,6 @@ import numpy as np
 from .matlib import (
     DEFAULT_RANK_TOL,
     SubspaceBasis,
-    _map_blocks,
     _rank_from_singular_values,
     as_matrix,
     max_sine,
@@ -83,27 +83,27 @@ def _swap(mats: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(mats, -1, -2))
 
 
-def _null_ab(ps: PlantStack) -> list:
+def _null_ab(a: np.ndarray, b: np.ndarray) -> list:
     """Bases of null [A B] of a stack, as (rows, basis stack) groups.
 
     Where A is invertible (well conditioned) the basis [-A^-1 B; I] is used,
     which makes g literally the DC gain -C A^-1 B + D; otherwise an
     orthonormal SVD basis, grouped by rank.
     """
-    count = len(ps.a)
-    if ps.n == 0:
-        return [(np.arange(count), np.broadcast_to(np.eye(ps.m), (count, ps.m, ps.m)))]
-    cond = _cond(ps.a)
+    count, m = len(a), b.shape[-1]
+    if a.shape[-1] == 0:
+        return [(np.arange(count), np.broadcast_to(np.eye(m), (count, m, m)))]
+    cond = _cond(a)
     invertible = np.isfinite(cond) & (cond < 1.0 / _INVERTIBILITY_RCOND)
     groups = []
     rows = np.flatnonzero(invertible)
     if rows.size:
-        x = np.linalg.solve(ps.a[rows], ps.b[rows])
+        x = np.linalg.solve(a[rows], b[rows])
         groups.append((rows, np.concatenate(
-            [-x, np.broadcast_to(np.eye(ps.m), (rows.size, ps.m, ps.m))], axis=-2)))
+            [-x, np.broadcast_to(np.eye(m), (rows.size, m, m))], axis=-2)))
     rows = np.flatnonzero(~invertible)
     if rows.size:
-        ab = np.concatenate([ps.a[rows], ps.b[rows]], axis=-1)
+        ab = np.concatenate([a[rows], b[rows]], axis=-1)
         groups += [(rows[sub], _swap(vt[:, rank:])) for sub, _, vt, rank in rank_groups(ab)]
     return groups
 
@@ -120,7 +120,8 @@ def _cond(a: np.ndarray):
 class _GeometryGroup(NamedTuple):
     """The geometry of the realizations ``rows`` of a stack, whose bases share
     their shapes: each field of ``EquilibriumGeometry`` as a stack over the
-    rows, orthonormal bases as plain arrays."""
+    rows, orthonormal bases as plain arrays, and the equality rows ``h`` of
+    each realization."""
 
     rows: np.ndarray
     ndelta: np.ndarray
@@ -128,49 +129,57 @@ class _GeometryGroup(NamedTuple):
     gperp: np.ndarray
     g_range: np.ndarray
     t_basis: np.ndarray
+    h: np.ndarray
 
 
-def _geometry_groups(ps: PlantStack, h: np.ndarray) -> list:
-    """Equilibrium geometry of every realization of a stack, as
-    ``_GeometryGroup``s.  ``h`` holds the equality rows of each realization,
-    (S, k, p).
+def _geometry_groups(ps: PlantStack, h_eq, deltas) -> list:
+    """Equilibrium geometry of every realization of a stack, the plant at the
+    ``deltas`` of a block, as ``_GeometryGroup``s.  The rows are split by the
+    number of rows H has at their delta (``_equality_rows``), then by rank.
 
     An empty null space yields an empty g and gperp equal to the identity
     row basis of the output space.
     """
     cd = np.concatenate([ps.c, ps.d], axis=-1)
     out = []
-    for rows, nd in _null_ab(ps):
-        g = cd[rows] @ nd
-        if g.shape[-1]:
-            split = [(sub, u[..., :rank].copy(), np.swapaxes(u[..., rank:].copy(), -1, -2))
-                     for sub, u, _, rank in rank_groups(g)]
-        else:
-            split = [(np.arange(rows.size), np.zeros((rows.size, ps.p, 0)),
-                      np.broadcast_to(np.eye(ps.p), (rows.size, ps.p, ps.p)))]
-        for sub, g_range, gperp in split:
-            stacked = np.concatenate([gperp, h[rows[sub]]], axis=-2)
-            for part, _, vt, rank in rank_groups(stacked):
-                out.append(_GeometryGroup(rows[sub][part], nd[sub][part], g[sub][part],
-                                          gperp[part], g_range[part], _swap(vt[:, rank:])))
+    for at, h in _equality_rows(h_eq, deltas, ps.p):
+        for rows, nd in _null_ab(ps.a[at], ps.b[at]):
+            g = cd[at[rows]] @ nd
+            if g.shape[-1]:
+                split = [(sub, u[..., :rank].copy(), np.swapaxes(u[..., rank:].copy(), -1, -2))
+                         for sub, u, _, rank in rank_groups(g)]
+            else:
+                split = [(np.arange(rows.size), np.zeros((rows.size, ps.p, 0)),
+                          np.broadcast_to(np.eye(ps.p), (rows.size, ps.p, ps.p)))]
+            for sub, g_range, gperp in split:
+                hs = h[rows[sub]]
+                for part, _, vt, rank in rank_groups(np.concatenate([gperp, hs], axis=-2)):
+                    out.append(_GeometryGroup(at[rows[sub][part]], nd[sub][part], g[sub][part],
+                                              gperp[part], g_range[part], _swap(vt[:, rank:]),
+                                              hs[part]))
     return out
 
 
-def _equality_rows(h_eq, deltas, p: int) -> np.ndarray:
-    """H at each delta of a block, (S, k, p); ``h_eq`` may be a callable of delta."""
-    def rows(h):
+def _equality_rows(h_eq, deltas, p: int) -> list:
+    """H at each delta of a block, as ``(rows, h)`` groups of the deltas where
+    H has the same number k of rows, h (len(rows), k, p).  ``h_eq`` may be a
+    callable of delta, and its row count may change from delta to delta."""
+    def matrix(h):
         return as_matrix(h).reshape(-1, p) if h is not None and np.size(h) else np.zeros((0, p))
 
-    if callable(h_eq):
-        return np.stack([rows(h_eq(d)) for d in deltas])
-    h = rows(h_eq)
-    return np.broadcast_to(h, (len(deltas),) + h.shape)
+    if not callable(h_eq):
+        h = matrix(h_eq)
+        return [(np.arange(len(deltas)), np.broadcast_to(h, (len(deltas),) + h.shape))]
+    hs = [matrix(h_eq(d)) for d in deltas]
+    counts = np.array([len(h) for h in hs])
+    groups = (np.flatnonzero(counts == k) for k in np.flatnonzero(np.bincount(counts)))
+    return [(rows, np.stack([hs[i] for i in rows])) for rows in groups]
 
 
 def equilibrium_geometry(pm: PlantMatrices, h_eq=None) -> EquilibriumGeometry:
     """Build the equilibrium-output geometry for a plant realization: the
     block of one realization."""
-    (geom,) = _geometry_groups(pm.broadcast(1), _equality_rows(h_eq, [None], pm.p))
+    (geom,) = _geometry_groups(pm.broadcast(1), h_eq, [None])
     return EquilibriumGeometry(ndelta=geom.ndelta[0], g=geom.g[0], gperp=geom.gperp[0],
                                g_range=SubspaceBasis(geom.g_range[0], pm.p),
                                t_basis=SubspaceBasis(geom.t_basis[0], pm.p))
@@ -194,34 +203,26 @@ def check_rfs(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
     principal-angle ``sines`` of every sample against the nominal one (arrays
     in sample order, the nominal sample first), the largest sine, the number
     of samples covered, and under ``"ros"`` the same report of range G (with
-    ``g0``).  The blocks after the nominal one are mapped over threads
-    (``_map_blocks``).
+    ``g0``).
     """
     samples = up.delta_samples
     blocks = sample_blocks(up)
     _, nominal = next(blocks)
     ps = eval_plant(up, nominal)
-    (geom,) = _geometry_groups(ps, _equality_rows(h_eq, nominal, ps.p))
+    (geom,) = _geometry_groups(ps, h_eq, nominal)
     refs = (geom.g_range[0], geom.t_basis[0])
-
-    def compare(block) -> tuple[np.ndarray, np.ndarray]:
-        # on a pool thread: row 0 compares range G, row 1 the feasible directions
-        _, deltas = block
+    # row 0 compares range G, row 1 the feasible directions
+    matches = np.ones((2, len(samples)), dtype=bool)
+    sines = np.zeros((2, len(samples)))
+    for lo, deltas in blocks:
         ps = eval_plant(up, deltas)
-        matches = np.empty((2, len(deltas)), dtype=bool)
-        sines = np.empty((2, len(deltas)))
-        for geom in _geometry_groups(ps, _equality_rows(h_eq, deltas, ps.p)):
+        for geom in _geometry_groups(ps, h_eq, deltas):
             for k, (ref, bases) in enumerate(zip(refs, (geom.g_range, geom.t_basis))):
                 # a subspace of another dimension is at a right angle to the nominal
                 same = bases.shape[-1] == ref.shape[-1]
                 sine = max_sine(ref, bases) if same else 1.0
-                matches[k, geom.rows] = same & (sine <= tol)
-                sines[k, geom.rows] = sine
-        return matches, sines
-
-    parts = [(np.ones((2, 1), dtype=bool), np.zeros((2, 1)))] + _map_blocks(compare, blocks)
-    matches = np.concatenate([m for m, _ in parts], axis=1)
-    sines = np.concatenate([s for _, s in parts], axis=1)
+                matches[k, lo + geom.rows] = same & (sine <= tol)
+                sines[k, lo + geom.rows] = sine
 
     def report(k: int, key: str) -> dict:
         bad = np.flatnonzero(~matches[k])
@@ -287,19 +288,19 @@ def check_rerfs_range_condition(up: UncertainPlant, h_eq, t0, tol: float = DEFAU
     matches = np.ones(len(samples), dtype=bool)
     for lo, deltas in sample_blocks(up):
         ps = eval_plant(up, deltas)
-        h = _equality_rows(h_eq, deltas, ps.p)
         if t0.shape[0] != ps.p:
             raise ValueError(f"t0 must have {ps.p} rows, got {t0.shape[0]}")
-        if not h.shape[-2]:
-            continue
-        if t0.shape[1] != h.shape[-2]:
-            raise ValueError(
-                "the reduced-error range condition compares subspaces of the "
-                f"equality-constraint space: t0 needs {h.shape[-2]} columns, got {t0.shape[1]}"
-            )
-        for geom in _geometry_groups(ps, h):
-            for i, g in zip(geom.rows, geom.g):
-                hg, t0t = _reduced_error_ranges(h[i], g, t0)
+        for geom in _geometry_groups(ps, h_eq, deltas):
+            k = geom.h.shape[-2]
+            if not k:
+                continue
+            if t0.shape[1] != k:
+                raise ValueError(
+                    "the reduced-error range condition compares subspaces of the "
+                    f"equality-constraint space: t0 needs {k} columns, got {t0.shape[1]}"
+                )
+            for i, h, g in zip(geom.rows, geom.h, geom.g):
+                hg, t0t = _reduced_error_ranges(h, g, t0)
                 matches[lo + i] = subspace_intersection(hg, t0t, tol).is_empty
     bad = np.flatnonzero(~matches)
     return {"holds": not bad.size, "witness": samples[bad[0]] if bad.size else None,

@@ -8,20 +8,20 @@ import gc
 import hashlib
 import importlib
 import json
+import os
 import random
+import subprocess
 import sys
-import threading
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from osscontrol import matlib, scenarios, subspaces
+from osscontrol import scenarios
 from osscontrol.matlib import DELTA_BLOCK, rank_decision
 from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant
 from osscontrol.subspaces import (
-    _equality_rows,
     _geometry_groups,
     check_rfs,
     check_robust_full_rank,
@@ -89,7 +89,7 @@ def test_block_geometry_equals_each_sample_alone(family, kind):
     h_eq = equalities(rng, up, kind)
     samples = up.delta_samples
     ps = eval_plant(up, np.stack(samples))
-    groups = _geometry_groups(ps, _equality_rows(h_eq, samples, ps.p))
+    groups = _geometry_groups(ps, h_eq, samples)
     seen = np.concatenate([geom.rows for geom in groups])
     assert np.array_equal(np.sort(seen), np.arange(len(samples)))
     if family != "scaled":
@@ -110,11 +110,9 @@ def test_block_geometry_equals_each_sample_alone(family, kind):
         assert_bits_equal(getattr(got, "basis", got), want[key], key)
 
 
-@pytest.mark.parametrize("family,kind", CASES)
-def test_block_subspace_checks_equal_each_sample_alone(family, kind):
-    rng = np.random.default_rng(10 + sorted(FAMILIES).index(family))
-    up = FAMILIES[family](rng)
-    h_eq = equalities(rng, up, kind)
+def assert_subspace_checks_equal_each_sample_alone(up: UncertainPlant, h_eq) -> None:
+    """Every field of the ``check_ros`` and ``check_rfs`` reports against the
+    same check decided one sample at a time, bit for bit."""
     for check, key, out in ((check_ros, "g_range", "g0"), (check_rfs, "t_basis", "t0")):
         rep = check(up, h_eq)
         want = robust_subspace_by_sample(up, h_eq, key)
@@ -125,9 +123,18 @@ def test_block_subspace_checks_equal_each_sample_alone(family, kind):
         assert_bits_equal(rep["sines"][1:], np.array(want["sines"]), f"{check.__name__} sines")
         assert rep["max_sine"] == max(want["sines"])
         if want["holds"]:
+            assert rep["witness"] is None
             assert_bits_equal(rep[out], want["ref"], out)
         else:
             assert all(np.array_equal(a, b) for a, b in zip(rep["witness"], want["witness"]))
+
+
+@pytest.mark.parametrize("family,kind", CASES)
+def test_block_subspace_checks_equal_each_sample_alone(family, kind):
+    rng = np.random.default_rng(10 + sorted(FAMILIES).index(family))
+    up = FAMILIES[family](rng)
+    h_eq = equalities(rng, up, kind)
+    assert_subspace_checks_equal_each_sample_alone(up, h_eq)
     if family == "scaled" and kind != "callable":
         assert check_ros(up, h_eq)["holds"] and check_rfs(up, h_eq)["holds"]
 
@@ -212,104 +219,76 @@ def test_block_spectra_equal_each_loop_alone():
     assert tops[0] == alone.real.max() and np.isnan(tops[1])
 
 
-MAPPED_DRAWS = 3 * DELTA_BLOCK + 1
+MULTI_BLOCK_DRAWS = 3 * DELTA_BLOCK + 1
 
-
-def thread_names(monkeypatch, module, name: str) -> list:
-    """The names of the threads that call ``module.name``, as they call it."""
-    names = []
-    original = getattr(module, name)
-
-    def recording(*args, **kwargs):
-        names.append(threading.current_thread().name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, recording)
-    return names
-
-
-def mapped_and_inline(monkeypatch, module, name: str, run) -> tuple:
-    """``run()`` with the blocks mapped over a pool of two threads, then
-    with them run inline; each result with the threads that called
-    ``module.name``, which sees every block."""
-    out = []
-    for workers in (2, 1):
-        monkeypatch.setattr(matlib, "_WORKERS", workers)
-        with monkeypatch.context() as patch:
-            names = thread_names(patch, module, name)
-            out.append((run(), names))
-    (mapped, mapped_threads), (inline, inline_threads) = out
-    main = threading.current_thread().name
-    assert any(t != main for t in mapped_threads), "no block ran on the pool"
-    assert set(inline_threads) == {main}
-    return mapped, inline
-
-
-MAPPED_FAMILIES = {
-    "singular": lambda rng: singular_family(rng, MAPPED_DRAWS),
-    "scaled": lambda rng: scaled_family(rng, draws=MAPPED_DRAWS),
+MULTI_BLOCK_FAMILIES = {
+    "singular": lambda rng: singular_family(rng, MULTI_BLOCK_DRAWS),
+    "scaled": lambda rng: scaled_family(rng, draws=MULTI_BLOCK_DRAWS),
 }
 
 
-@pytest.mark.parametrize("family", sorted(MAPPED_FAMILIES))
+@pytest.mark.parametrize("family", sorted(MULTI_BLOCK_FAMILIES))
 @pytest.mark.parametrize("kind", ["none", "callable"])
-def test_mapped_subspace_pass_equals_inline(monkeypatch, family, kind):
-    rng = np.random.default_rng(60 + sorted(MAPPED_FAMILIES).index(family))
-    up = MAPPED_FAMILIES[family](rng)
+def test_multi_block_subspace_pass_equals_each_sample_alone(family, kind):
+    rng = np.random.default_rng(60 + sorted(MULTI_BLOCK_FAMILIES).index(family))
+    up = MULTI_BLOCK_FAMILIES[family](rng)
     h_eq = equalities(rng, up, kind)
     assert len(up.delta_samples) >= 3 * DELTA_BLOCK + 2
-    mapped, inline = mapped_and_inline(monkeypatch, subspaces, "eval_plant",
-                                       lambda: check_rfs(up, h_eq))
-    for got, want, key in ((mapped, inline, "t0"), (mapped["ros"], inline["ros"], "g0")):
-        assert got["holds"] is want["holds"]
-        assert got["deltas"] == want["deltas"] == len(up.delta_samples)
-        assert_bits_equal(got["matches"], want["matches"], "matches")
-        assert_bits_equal(got["sines"], want["sines"], "sines")
-        assert got["max_sine"] == want["max_sine"]
-        if want["holds"]:
-            assert got["witness"] is None
-            assert_bits_equal(got[key], want[key], key)
-        else:
-            assert all(np.array_equal(a, b) for a, b in zip(got["witness"], want["witness"]))
-    # the inline pass is the one decided sample by sample
-    want = robust_subspace_by_sample(up, h_eq, "t_basis")
-    assert mapped["holds"] is want["holds"]
-    assert_bits_equal(mapped["sines"][1:], np.array(want["sines"]), "sines by sample")
+    assert_subspace_checks_equal_each_sample_alone(up, h_eq)
     if family == "singular":
-        assert not mapped["holds"] and not mapped["ros"]["holds"]
+        rep = check_rfs(up, h_eq)
+        assert not rep["holds"] and not rep["ros"]["holds"]
 
 
-def test_mapped_spectrum_pass_equals_inline(monkeypatch):
+def test_multi_block_spectrum_pass_equals_each_loop_alone():
     # loops that cannot be built in the second and the third block, the
     # first of them at its block's first sample
     rng = np.random.default_rng(31)
-    doc = keps_document(rng, MAPPED_DRAWS, singular=(DELTA_BLOCK - 1, 2 * DELTA_BLOCK + 7))
+    doc = keps_document(rng, MULTI_BLOCK_DRAWS,
+                        singular=(DELTA_BLOCK - 1, 2 * DELTA_BLOCK + 7))
     sc = scenarios.load_scenario(doc)
     plan = sc.variants[0]
     assert len(sc.plant.delta_samples) >= 3 * DELTA_BLOCK + 2
-
-    def check():
-        ctx = scenarios._Context(sc, plan)
-        lines = scenarios._spectrum_info(ctx)
-        with pytest.raises(ValueError, match="singular") as raised:
-            scenarios._check_hurwitz_at_samples(ctx, {"value": True})
-        return lines, str(raised.value), ctx.sample_spectra
-
-    mapped, inline = mapped_and_inline(monkeypatch, scenarios, "assemble", check)
-    assert mapped[:2] == inline[:2]
-    # NaN where the loop cannot be built
-    assert np.array_equal(mapped[2][0], inline[2][0], equal_nan=True)
-    assert list(mapped[2][1]) == list(inline[2][1]) == [DELTA_BLOCK, 2 * DELTA_BLOCK + 8]
-    assert sum("spectrum unavailable" in line for line in mapped[0]) == 2
+    ctx = scenarios._Context(sc, plan)
+    lines = scenarios._spectrum_info(ctx)
+    with pytest.raises(ValueError, match="singular"):
+        scenarios._check_hurwitz_at_samples(ctx, {"value": True})
+    tops, errors = ctx.sample_spectra
+    assert list(errors) == [DELTA_BLOCK, 2 * DELTA_BLOCK + 8]
+    assert np.isnan(tops[list(errors)]).all()
+    assert sum("spectrum unavailable" in line for line in lines) == 2
     # the lines are those of each loop built alone
-    for line, (d, eigs) in zip(mapped[0], spectrum_lines_by_sample(sc, plan)):
+    want = spectrum_lines_by_sample(sc, plan)
+    assert len(lines) == len(want)
+    for line, top_got, (d, eigs) in zip(lines, tops, want):
         where = f"[{plan.name}] delta={d.tolist()}"
         if isinstance(eigs, str):
             assert line == f"{where}: spectrum unavailable ({eigs})"
         else:
             top = eigs.real.max()
+            assert top_got == top, where
             assert line == (f"{where}: max Re(closed-loop spectrum) = {top:.4g}"
                             + ("  ** unstable **" if top >= 0 else ""))
+
+
+def test_block_passes_start_no_thread():
+    # every block of a pass runs on the calling thread: a fresh process that
+    # checks a document of more than three sample blocks ends with its main
+    # thread alone
+    doc = keps_document(np.random.default_rng(33), MULTI_BLOCK_DRAWS, singular=())
+    doc["expect"] = [{"kind": "rfs", "holds": False}, {"kind": "ros", "holds": False},
+                     {"kind": "robust_full_rank", "holds": False},
+                     {"kind": "hurwitz_at_samples", "value": True}]
+    code = ("import json, sys, threading\n"
+            "from osscontrol import scenarios\n"
+            "sc = scenarios.load_scenario(json.load(sys.stdin))\n"
+            "print(len(sc.plant.delta_samples), scenarios.check_scenario(sc).exit_code,\n"
+            "      threading.active_count(), 'concurrent.futures' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(scenarios.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], input=json.dumps(doc), env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{MULTI_BLOCK_DRAWS + 1} 0 1 False\n"
 
 
 def test_sample_spectra_leave_no_reference_cycle():
@@ -402,8 +381,7 @@ def test_dense_report_text_is_pinned(monkeypatch, name):
 
 
 # SHA-256 of the info lines and of the check details of ``check_scenario`` on
-# each bundled scenario, whose samples fit one block (decided inline, with no
-# thread), as the program wrote them before the blocks were mapped over threads
+# each bundled scenario, whose samples fit one block
 BUNDLED_REPORT_SHA256 = {
     "tracking-sparse": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
                         "fbacc5fc719d5583e3dc125bde5eb068ce09348da596bdc96ac9a354c4aa5247"),

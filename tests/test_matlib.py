@@ -154,6 +154,31 @@ class TestSubspaceIntersection:
         assert subspace_equal(inter, basis_of([[1.0], [0.0], [0.0]]))
 
 
+EMPTY = SubspaceBasis(np.zeros((3, 0)), 3)
+PLANE = basis_of([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+
+# numpy's full SVD of a matrix with no rows or no columns still returns square
+# factors of the other side, so each basis keeps the ambient dimension of its
+# side: the whole space, or zero columns
+@pytest.mark.parametrize("make, shape", [
+    (lambda: null_basis(np.zeros((0, 3))), (3, 3)),
+    (lambda: null_basis(np.zeros((3, 0))), (0, 0)),
+    (lambda: range_basis(np.zeros((0, 3))), (0, 0)),
+    (lambda: range_basis(np.zeros((3, 0))), (3, 0)),
+    (lambda: left_null_basis(np.zeros((0, 3))), (0, 0)),
+    (lambda: left_null_basis(np.zeros((3, 0))), (3, 3)),
+    (lambda: subspace_intersection(EMPTY, PLANE), (3, 0)),
+    (lambda: subspace_intersection(PLANE, EMPTY), (3, 0)),
+    (lambda: subspace_intersection(EMPTY, EMPTY), (3, 0)),
+], ids=["null-0-rows", "null-0-cols", "range-0-rows", "range-0-cols", "left-null-0-rows",
+        "left-null-0-cols", "meet-empty-plane", "meet-plane-empty", "meet-empty-empty"])
+def test_zero_dimension_bases(make, shape):
+    got = make()
+    assert got.basis.shape == shape and got.ambient_dim == shape[0]
+    assert np.array_equal(got.basis, np.eye(*shape))
+
+
 class TestEigenvalues:
     def test_diagonal(self):
         ev = np.sort(eigenvalues(np.diag([1.0, 2.0])).real)

@@ -31,6 +31,7 @@ from helpers import (
     assert_bits_equal,
     random_plant,
     rerfs_range_condition_by_sample,
+    robust_subspace_by_sample,
     scaled_family,
     singular_family,
 )
@@ -406,6 +407,53 @@ def test_rerfs_range_condition_rejects_t0_shapes(two_state_family, t0, message):
     for check in (check_rerfs_range_condition, rerfs_range_condition_by_sample):
         with pytest.raises(ValueError, match=message):
             check(two_state_family, np.array([[1.0, 0.0]]), t0)
+
+
+def one_state_family(samples) -> UncertainPlant:
+    """x' = -(1 + delta) x + u with both outputs reading x: range G is the
+    line through (1, 1) at every delta."""
+    def evaluate(delta):
+        return PlantMatrices(a=[[-1.0 - float(delta[0])]], b=[[1.0]], bw=[[1.0]],
+                             c=[[1.0], [1.0]], d=np.zeros((2, 1)), q=np.zeros((2, 1)))
+
+    return UncertainPlant(evaluate=per_delta(evaluate), delta_dim=1, delta_samples=samples)
+
+
+def h_without_rows_at_one(delta):
+    """One equality row, none at delta = 1."""
+    return None if delta[0] == 1.0 else np.array([[1.0, 0.0]])
+
+
+# delta = 1 shares a block with deltas where H has a row: the second block of
+# three samples, or the third block of a longer sample set
+H_ROW_COUNT_SAMPLES = {
+    "second-block": [[0.0], [1.0], [0.5]],
+    "third-block": ([[0.0]] + [[0.9 * i / (2 * DELTA_BLOCK)] for i in range(1, DELTA_BLOCK + 5)]
+                    + [[1.0]] + [[-0.5]] * 10),
+}
+
+
+@pytest.mark.parametrize("where", sorted(H_ROW_COUNT_SAMPLES))
+def test_h_row_count_changes_inside_a_block(where):
+    samples = H_ROW_COUNT_SAMPLES[where]
+    up = one_state_family(samples)
+    h_eq = h_without_rows_at_one
+    at_one = samples.index([1.0])
+    rep = check_rfs(up, h_eq)
+    for got, key in ((rep, "t_basis"), (rep["ros"], "g_range")):
+        want = robust_subspace_by_sample(up, h_eq, key)
+        assert got["holds"] is want["holds"]
+        assert got["matches"][1:].tolist() == want["matches"]
+        assert_bits_equal(got["sines"][1:], np.array(want["sines"]), key)
+    # without H the feasible directions are the line range G, with it none
+    assert rep["ros"]["holds"] and not rep["holds"]
+    assert np.flatnonzero(~rep["matches"]).tolist() == [at_one]
+    for t0 in (np.zeros((2, 1)), np.array([[1.0], [0.0]])):
+        got = check_rerfs_range_condition(up, h_eq, t0)
+        want = rerfs_range_condition_by_sample(up, h_eq, t0)
+        assert got["holds"] is want["holds"]
+        assert got["matches"].tolist() == want["matches"]
+        assert got["matches"][at_one]  # no rows: holds vacuously
 
 
 def complement_condition(pm, h, t0) -> bool:
