@@ -18,20 +18,29 @@ import numpy as np
 
 DEFAULT_RANK_TOL = 1e-10
 _ORTHONORMALITY_TOL = 1e-10
-# Rows per block of a stacked computation: states per output block and steps
-# per divergence check of the integrator.  Outputs built over a whole
-# trajectory at once need temporaries several times its size (peak memory of
-# the bundled runs grew by a sixth); blocks keep them small.
+# Rows per block of a stacked computation: states per output block, steps
+# per divergence check of the integrator and delta samples per block of the
+# subspace and spectrum checks.  Outputs built over a whole trajectory at once
+# need temporaries several times its size (peak memory of the bundled runs
+# grew by a sixth); blocks keep them small.
 ROW_BLOCK = 256
-# Delta samples per block of the subspace and spectrum checks.  A block is
-# one stacked call of each matrix function, which spreads numpy's per-call
-# overhead over its samples: checking three 1000-draw dense documents (one
-# BLAS thread, median of 15 alternating passes) took 0.121 s with blocks of
-# 32, 0.107 s with 64 and 0.096 s with 128.  A sample's temporaries (its
-# plant matrices, SVD factors, closed-loop probe) take about ten kilobytes, so
-# a block of 64 holds under a megabyte; on those documents blocks of 64, 128
-# and 256 reached the same peak memory.
-DELTA_BLOCK = ROW_BLOCK // 4
+# Delta samples per block of the subspace and spectrum checks, read when a
+# pass starts (``delta_spans``).  A block is one stacked call of each matrix
+# function, which spreads numpy's per-call overhead over its samples; past
+# that the pass is bound by LAPACK (``eigvals`` and ``svd`` take about half
+# its time).  Checking three 1000-draw dense documents (2-CPU guest, one
+# BLAS thread, medians of 12 alternating passes, two processes) took
+# 106.8/145.4 ms with blocks of 64, 98.0/135.8 ms with 128, 95.4/130.1 ms
+# with 256 and 97.4/134.1 ms with 1024, with the same reports.  A sample's
+# temporaries (its plant matrices, SVD factors, closed-loop probe) take about
+# ten kilobytes, so a block holds a few megabytes at most.
+DELTA_BLOCK = ROW_BLOCK
+
+
+def delta_spans(start: int, stop: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` index spans of at most DELTA_BLOCK samples, in order,
+    covering ``start`` to ``stop``."""
+    return [(lo, min(lo + DELTA_BLOCK, stop)) for lo in range(start, stop, DELTA_BLOCK)]
 
 
 def as_matrix(m) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .matlib import DELTA_BLOCK, as_matrix
+from .matlib import as_matrix, delta_spans
 
 
 @dataclass(frozen=True)
@@ -177,9 +177,9 @@ class UncertainPlant:
 
 def sample_blocks(up: UncertainPlant) -> Iterator[tuple[int, np.ndarray]]:
     """``(first index, deltas (S, delta_dim))`` over the samples: the nominal
-    sample alone, then the others DELTA_BLOCK at a time."""
+    sample alone, then the others ``matlib.DELTA_BLOCK`` at a time."""
     samples = up.delta_samples
-    for lo, hi in [(0, 1)] + [(i, i + DELTA_BLOCK) for i in range(1, len(samples), DELTA_BLOCK)]:
+    for lo, hi in [(0, 1)] + delta_spans(1, len(samples)):
         yield lo, samples[lo:hi]
 
 

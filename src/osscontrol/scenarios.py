@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 import shutil
 import sys
 from contextlib import contextmanager
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import power
 from .errors import OssError
-from .matlib import DELTA_BLOCK, eigenvalues, numerical_rank, range_basis, subspace_equal
+from .matlib import delta_spans, eigenvalues, numerical_rank, range_basis, subspace_equal
 from .omodels import OptimalityModel
 from .optprob import ConvexProgram, check_gradients, oracle_optimal_output, tracking_objective
 from .plant import (_PLANT_FIELDS, PlantMatrices, PlantStack, UncertainPlant, build_augmented_qp,
@@ -134,7 +135,7 @@ def _build_program(spec: dict, network: power.PowerNetwork | None,
         dims["p"], dims["n_w"],
         *tracking_objective(params["p_m"], params["r_indices"], params["theta"], params["beta"]),
         h_eq=spec["h"], l_eq=spec.get("l"), inequalities=ineqs)
-    check_gradients(prog, np.zeros(dims["n_w"]), np.random.default_rng(0))
+    check_gradients(prog, np.zeros(dims["n_w"]), random.Random(0))
     return prog, params
 
 
@@ -290,8 +291,9 @@ class _Context:
     Every per-delta artifact (oracle, trajectory, spectrum) is computed once
     per delta, and the subspace reports once (``subspaces``); ``delta=None``
     means the variant's simulation delta.  The spectra of the delta samples
-    are read once, as arrays (``sample_spectra``), DELTA_BLOCK samples at a
-    time.  Trajectories are integrated before any check runs (``_integrate``).
+    are read once, as arrays (``sample_spectra``), in blocks of
+    ``matlib.DELTA_BLOCK`` samples (``ROW_BLOCK``, 256).  Trajectories are
+    integrated before any check runs (``_integrate``).
     """
 
     def __init__(self, sc: Scenario, plan: VariantPlan, h=None, t_end=None):
@@ -386,21 +388,24 @@ class _Context:
         error}`` for each delta whose loop cannot be built, in delta order.
 
         Only the tops are kept: a loop per delta of a dense sample set would
-        hold its closures and matrices.  The deltas are taken DELTA_BLOCK at a
-        time; a block that cannot be built is built again one delta at a time.
+        hold its closures and matrices.  The deltas are taken
+        ``matlib.DELTA_BLOCK`` at a time.  A span that cannot be built is built
+        again as its two halves, so one bad delta in a block of 256 costs 16
+        more loops; a delta's eigenvalues are bit-identical in any block, so
+        the tops and errors are those of each delta alone.
         """
         deltas = np.asarray(deltas, dtype=float)
         tops = np.full(len(deltas), np.nan)
         errors = {}
-        spans = [(lo, min(lo + DELTA_BLOCK, len(deltas)))
-                 for lo in range(0, len(deltas), DELTA_BLOCK)]
+        spans = delta_spans(0, len(deltas))
         while spans:
             lo, hi = spans.pop(0)
             try:
                 tops[lo:hi] = self._spectra(deltas[lo:hi]).real.max(axis=-1)
             except (ValueError, OssError) as exc:
                 if hi - lo > 1:
-                    spans[:0] = [(i, i + 1) for i in range(lo, hi)]
+                    mid = (lo + hi) // 2
+                    spans[:0] = [(lo, mid), (mid, hi)]
                     continue
                 # kept to be formatted: without the tracebacks (its own and its
                 # cause's), whose frames hold this context

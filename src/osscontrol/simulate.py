@@ -31,7 +31,8 @@ Newton solve and the spectrum checks all read it.
 
 ``assemble`` builds a loop of S rows, row i the loop at delta_i with
 stabilizer i; a scenario integrates its variants and sweep samples this way,
-and the spectrum checks probe the A_cl of a block of delta samples.  Each
+and the spectrum checks probe the A_cl of a block of up to
+``matlib.DELTA_BLOCK`` delta samples, the same ROW_BLOCK rows.  Each
 row takes its own products, and an affine loop of S rows steps with each
 row's own step map.  ``integrate_rk4`` advances such a stack (or S states of
 a one-row loop) with the same block loop as one state.  Each row is

@@ -14,8 +14,9 @@ All "for every delta" verdicts are decided over the plant's finite
 ``delta_samples``; reports carry the match and the principal-angle sine of
 every sample as arrays, the number of samples covered and the worst sine, so
 coverage is visible.  The samples are taken in blocks: the nominal sample
-alone, whose geometry is the reference, then the others ``DELTA_BLOCK`` at a
-time (``plant.sample_blocks``).  The plant family is evaluated once per
+alone, whose geometry is the reference, then the others
+``matlib.DELTA_BLOCK`` (``ROW_BLOCK``, 256) at a time
+(``plant.sample_blocks``).  The plant family is evaluated once per
 block, its realizations stacked along a leading axis (``plant.eval_plant``);
 every matrix function then runs once per block.  numpy's ``linalg`` gufuncs
 (``cond``, ``solve``, ``svd``) and ``matmul`` run the same LAPACK or BLAS

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from osscontrol import matlib
 from osscontrol.plant import PlantMatrices, UncertainPlant, fixed_plant, per_delta
 
 
@@ -42,3 +43,12 @@ def singular_unstable_plant() -> PlantMatrices:
 @pytest.fixture
 def nominal_two_state(two_state_plant) -> UncertainPlant:
     return fixed_plant(two_state_plant)
+
+
+@pytest.fixture
+def delta_block(monkeypatch) -> int:
+    """The delta-sample block size, patched to 8: a test that sizes its
+    samples by it spans several blocks at a fraction of the package's block
+    size (every result is bit-identical in any block)."""
+    monkeypatch.setattr(matlib, "DELTA_BLOCK", 8)
+    return matlib.DELTA_BLOCK

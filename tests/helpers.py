@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from osscontrol import matlib
 from osscontrol.matlib import (
-    DELTA_BLOCK,
     as_matrix,
     left_null_basis,
     null_basis,
@@ -48,10 +48,12 @@ def random_plant(rng: np.random.Generator, n: int, m: int, p: int, n_w: int = 1,
 
 
 def affine_family(rng, base: PlantMatrices, shifts: dict, special,
-                  draws: int = 2 * DELTA_BLOCK) -> UncertainPlant:
+                  draws: int | None = None) -> UncertainPlant:
     """``base`` plus delta_i times ``shifts[key][i]`` for each matrix key; the
     samples are the nominal zero, the ``special`` deltas and ``draws`` seeded
-    draws, shuffled so the special ones land inside the blocks."""
+    draws (by default two blocks of ``matlib.DELTA_BLOCK``, as it is when
+    called), shuffled so the special ones land inside the blocks."""
+    draws = 2 * matlib.DELTA_BLOCK if draws is None else draws
     dim = len(next(iter(shifts.values())))
 
     def evaluate(delta):
@@ -67,7 +69,7 @@ def affine_family(rng, base: PlantMatrices, shifts: dict, special,
                           delta_samples=[np.zeros(dim)] + [others[i] for i in order])
 
 
-def singular_family(rng, draws: int = 2 * DELTA_BLOCK) -> UncertainPlant:
+def singular_family(rng, draws: int | None = None) -> UncertainPlant:
     """A(delta) = A0 (I - delta_1 x x'/x'x) is singular at delta_1 = 1 and ill
     conditioned (cond >= 1e8) just below it; the last columns of B and D
     vanish at delta_2 = 1, where G loses rank."""
@@ -84,7 +86,7 @@ def singular_family(rng, draws: int = 2 * DELTA_BLOCK) -> UncertainPlant:
     return affine_family(rng, base, shifts, special, draws)
 
 
-def scaled_family(rng, m: int = 2, p: int = 4, draws: int = 2 * DELTA_BLOCK) -> UncertainPlant:
+def scaled_family(rng, m: int = 2, p: int = 4, draws: int | None = None) -> UncertainPlant:
     """(s A, s B) keeps range G fixed: ROS and RFS hold, with roundoff sines."""
     base = random_plant(rng, 4, m, p)
     return affine_family(rng, base, {"a": [0.5 * base.a], "b": [0.5 * base.b]}, [], draws)

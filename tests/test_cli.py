@@ -327,16 +327,18 @@ def test_module_entry_point_exit_codes():
 
 def test_checks_leave_numpy_ma_unimported():
     # numpy.ma takes about 10 ms and a megabyte to import (np.unique imports
-    # it); loading and checking every bundled scenario needs none of it
+    # it), numpy.random about 12 ms and 6 MB (the gradient check of a
+    # tracking objective drew its probe points from it); loading and checking
+    # every bundled scenario needs neither
     code = ("import sys\n"
             "from osscontrol import scenarios\n"
             "for name in scenarios.BUNDLED_NAMES:\n"
             "    scenarios.check_scenario(scenarios.load_scenario(name))\n"
-            "print('numpy.ma' in sys.modules)\n")
+            "print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(scenarios.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n"
 
 
 # What a mutation puts in place of a value: nulls, booleans, extreme and

@@ -8,6 +8,7 @@ import gc
 import hashlib
 import importlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -18,8 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from osscontrol import scenarios
-from osscontrol.matlib import DELTA_BLOCK, rank_decision
+from osscontrol import matlib, scenarios
+from osscontrol.matlib import rank_decision
 from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant
 from osscontrol.subspaces import (
     _geometry_groups,
@@ -83,7 +84,7 @@ CASES = [(family, kind) for family in FAMILIES for kind in ("none", "fixed", "ca
 
 
 @pytest.mark.parametrize("family,kind", CASES)
-def test_block_geometry_equals_each_sample_alone(family, kind):
+def test_block_geometry_equals_each_sample_alone(family, kind, delta_block):
     rng = np.random.default_rng(sorted(FAMILIES).index(family))
     up = FAMILIES[family](rng)
     h_eq = equalities(rng, up, kind)
@@ -130,7 +131,7 @@ def assert_subspace_checks_equal_each_sample_alone(up: UncertainPlant, h_eq) -> 
 
 
 @pytest.mark.parametrize("family,kind", CASES)
-def test_block_subspace_checks_equal_each_sample_alone(family, kind):
+def test_block_subspace_checks_equal_each_sample_alone(family, kind, delta_block):
     rng = np.random.default_rng(10 + sorted(FAMILIES).index(family))
     up = FAMILIES[family](rng)
     h_eq = equalities(rng, up, kind)
@@ -143,7 +144,7 @@ RANK_FAMILIES = dict(FAMILIES, wide=lambda rng: scaled_family(rng, m=3, p=2))
 
 
 @pytest.mark.parametrize("family", sorted(RANK_FAMILIES))
-def test_block_full_rank_equals_each_sample_alone(family):
+def test_block_full_rank_equals_each_sample_alone(family, delta_block):
     rng = np.random.default_rng(20 + sorted(RANK_FAMILIES).index(family))
     up = RANK_FAMILIES[family](rng)
     full = [rank_decision(np.block([[pm.a, pm.b], [pm.c, pm.d]]), pm.n + pm.p)[0]
@@ -154,10 +155,13 @@ def test_block_full_rank_equals_each_sample_alone(family):
         assert full[0] and all(full) is (family == "wide")
 
 
-def keps_document(rng, draws: int = DELTA_BLOCK + 8, singular=(5,)) -> dict:
+def keps_document(rng, draws: int | None = None, singular=(5,)) -> dict:
     """A two-state plant with D(delta) = [delta; 0.5] under proportional
     proxy-error feedback: the feedthrough loop 1 + delta is singular at
-    delta = -1, the draws at the indices ``singular``."""
+    delta = -1, the draws at the indices ``singular``.  By default the draws
+    are one block of ``matlib.DELTA_BLOCK`` (as it is when called) and 8."""
+    draws = matlib.DELTA_BLOCK + 8 if draws is None else draws
+
     def matrix(m):
         m = np.atleast_2d(m)
         return {"rows": m.shape[0], "cols": m.shape[1], "data": m.ravel().tolist()}
@@ -183,7 +187,7 @@ def keps_document(rng, draws: int = DELTA_BLOCK + 8, singular=(5,)) -> dict:
     }
 
 
-def test_block_spectra_equal_each_loop_alone():
+def test_block_spectra_equal_each_loop_alone(delta_block):
     sc = scenarios.load_scenario(keps_document(np.random.default_rng(30)))
     plan = sc.variants[0]
     ctx = scenarios._Context(sc, plan)
@@ -219,42 +223,45 @@ def test_block_spectra_equal_each_loop_alone():
     assert tops[0] == alone.real.max() and np.isnan(tops[1])
 
 
-MULTI_BLOCK_DRAWS = 3 * DELTA_BLOCK + 1
+def multi_block_draws() -> int:
+    """Draws that take more than three blocks besides the nominal sample."""
+    return 3 * matlib.DELTA_BLOCK + 1
+
 
 MULTI_BLOCK_FAMILIES = {
-    "singular": lambda rng: singular_family(rng, MULTI_BLOCK_DRAWS),
-    "scaled": lambda rng: scaled_family(rng, draws=MULTI_BLOCK_DRAWS),
+    "singular": lambda rng: singular_family(rng, multi_block_draws()),
+    "scaled": lambda rng: scaled_family(rng, draws=multi_block_draws()),
 }
 
 
 @pytest.mark.parametrize("family", sorted(MULTI_BLOCK_FAMILIES))
 @pytest.mark.parametrize("kind", ["none", "callable"])
-def test_multi_block_subspace_pass_equals_each_sample_alone(family, kind):
+def test_multi_block_subspace_pass_equals_each_sample_alone(family, kind, delta_block):
     rng = np.random.default_rng(60 + sorted(MULTI_BLOCK_FAMILIES).index(family))
     up = MULTI_BLOCK_FAMILIES[family](rng)
     h_eq = equalities(rng, up, kind)
-    assert len(up.delta_samples) >= 3 * DELTA_BLOCK + 2
+    assert len(up.delta_samples) >= 3 * delta_block + 2
     assert_subspace_checks_equal_each_sample_alone(up, h_eq)
     if family == "singular":
         rep = check_rfs(up, h_eq)
         assert not rep["holds"] and not rep["ros"]["holds"]
 
 
-def test_multi_block_spectrum_pass_equals_each_loop_alone():
+def test_multi_block_spectrum_pass_equals_each_loop_alone(delta_block):
     # loops that cannot be built in the second and the third block, the
     # first of them at its block's first sample
     rng = np.random.default_rng(31)
-    doc = keps_document(rng, MULTI_BLOCK_DRAWS,
-                        singular=(DELTA_BLOCK - 1, 2 * DELTA_BLOCK + 7))
+    doc = keps_document(rng, multi_block_draws(),
+                        singular=(delta_block - 1, 2 * delta_block + delta_block // 2))
     sc = scenarios.load_scenario(doc)
     plan = sc.variants[0]
-    assert len(sc.plant.delta_samples) >= 3 * DELTA_BLOCK + 2
+    assert len(sc.plant.delta_samples) >= 3 * delta_block + 2
     ctx = scenarios._Context(sc, plan)
     lines = scenarios._spectrum_info(ctx)
     with pytest.raises(ValueError, match="singular"):
         scenarios._check_hurwitz_at_samples(ctx, {"value": True})
     tops, errors = ctx.sample_spectra
-    assert list(errors) == [DELTA_BLOCK, 2 * DELTA_BLOCK + 8]
+    assert list(errors) == [delta_block, 2 * delta_block + delta_block // 2 + 1]
     assert np.isnan(tops[list(errors)]).all()
     assert sum("spectrum unavailable" in line for line in lines) == 2
     # the lines are those of each loop built alone
@@ -275,7 +282,8 @@ def test_block_passes_start_no_thread():
     # every block of a pass runs on the calling thread: a fresh process that
     # checks a document of more than three sample blocks ends with its main
     # thread alone
-    doc = keps_document(np.random.default_rng(33), MULTI_BLOCK_DRAWS, singular=())
+    draws = multi_block_draws()
+    doc = keps_document(np.random.default_rng(33), draws, singular=())
     doc["expect"] = [{"kind": "rfs", "holds": False}, {"kind": "ros", "holds": False},
                      {"kind": "robust_full_rank", "holds": False},
                      {"kind": "hurwitz_at_samples", "value": True}]
@@ -288,7 +296,39 @@ def test_block_passes_start_no_thread():
     done = subprocess.run([sys.executable, "-c", code], input=json.dumps(doc), env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == f"{MULTI_BLOCK_DRAWS + 1} 0 1 False\n"
+    assert done.stdout == f"{draws + 1} 0 1 False\n"
+
+
+@pytest.mark.parametrize("singular", [(5,), (5, 200)], ids=["one-bad-delta", "two-bad-deltas"])
+def test_unbuildable_block_is_built_again_in_halves(monkeypatch, singular):
+    # a block holding a loop that cannot be built is built again as its two
+    # halves, down to the bad delta: 2 log2(DELTA_BLOCK) more loops for one
+    # bad delta (16 in blocks of 256), not one per delta of the block
+    sc = scenarios.load_scenario(keps_document(np.random.default_rng(30), singular=singular))
+    built = []
+    original = scenarios.assemble
+
+    def counting(up, deltas, *args):
+        built.append(len(np.atleast_2d(deltas)))
+        return original(up, deltas, *args)
+
+    monkeypatch.setattr(scenarios, "assemble", counting)
+    plan = sc.variants[0]
+    tops, errors = scenarios._Context(sc, plan).sample_spectra
+    samples = len(sc.plant.delta_samples)
+    blocks = len(matlib.delta_spans(0, samples))
+    halvings = math.ceil(math.log2(matlib.DELTA_BLOCK))
+    assert samples > matlib.DELTA_BLOCK and built[0] == matlib.DELTA_BLOCK
+    assert len(built) - blocks <= 2 * halvings * len(singular)
+    if len(singular) == 1:
+        assert len(built) - blocks == 2 * halvings
+    # in delta order, each error and top that of its loop built alone
+    assert list(errors) == [i + 1 for i in singular]
+    for i, (d, eigs) in enumerate(spectrum_lines_by_sample(sc, plan)):
+        if isinstance(eigs, str):
+            assert str(errors[i]) == eigs and np.isnan(tops[i])
+        else:
+            assert tops[i] == eigs.real.max(), d
 
 
 def test_sample_spectra_leave_no_reference_cycle():
@@ -365,8 +405,9 @@ DENSE_REPORT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DENSE_REPORT_SHA256))
-def test_dense_report_text_is_pinned(monkeypatch, name):
+def dense_report_hashes(monkeypatch, name: str) -> tuple:
+    """SHA-256 of the info lines and of the check details of ``check_scenario``
+    on the 100-draw dense document of ``name``, which passes."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
     for module in ("harness", "bootstrap"):
@@ -377,7 +418,22 @@ def test_dense_report_text_is_pinned(monkeypatch, name):
     assert report.exit_code == 0
     assert len(report.info) == len(sc.plant.delta_samples)
     texts = ("\n".join(report.info), "\n".join(r.detail for r in report.results))
-    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == DENSE_REPORT_SHA256[name]
+    return tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_REPORT_SHA256))
+def test_dense_report_text_is_pinned(monkeypatch, name):
+    assert dense_report_hashes(monkeypatch, name) == DENSE_REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 256])
+@pytest.mark.parametrize("name", sorted(DENSE_REPORT_SHA256))
+def test_dense_report_is_the_same_in_any_block_size(monkeypatch, name, block):
+    # the pinned bytes from each sample alone (1), blocks that do not divide
+    # the samples (7), the earlier block size (64) and one block holding all
+    # of them (256)
+    monkeypatch.setattr(matlib, "DELTA_BLOCK", block)
+    assert dense_report_hashes(monkeypatch, name) == DENSE_REPORT_SHA256[name]
 
 
 # SHA-256 of the info lines and of the check details of ``check_scenario`` on
@@ -405,7 +461,7 @@ BUNDLED_REPORT_SHA256 = {
 @pytest.mark.parametrize("name", scenarios.BUNDLED_NAMES)
 def test_bundled_report_text_is_pinned(name):
     sc = scenarios.load_scenario(name)
-    assert len(sc.plant.delta_samples) <= DELTA_BLOCK
+    assert len(sc.plant.delta_samples) <= matlib.DELTA_BLOCK
     report = scenarios.check_scenario(sc)
     assert report.exit_code == 0
     texts = ("\n".join(report.info), "\n".join(r.detail for r in report.results))

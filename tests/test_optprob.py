@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import numpy as np
@@ -332,7 +333,7 @@ class TestGradientChecker:
             lambda y, w: float(y @ y),
             lambda y, w: 2.0 * np.asarray(y, dtype=float),
         )
-        check_gradients(prog, [0.0], np.random.default_rng(0))
+        check_gradients(prog, [0.0], random.Random(0))
 
     def test_rejects_wrong_gradient(self):
         prog = ConvexProgram.from_callables(
@@ -341,4 +342,4 @@ class TestGradientChecker:
             lambda y, w: 3.0 * np.asarray(y, dtype=float),
         )
         with pytest.raises(ValueError):
-            check_gradients(prog, [0.0], np.random.default_rng(0))
+            check_gradients(prog, [0.0], random.Random(0))

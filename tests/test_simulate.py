@@ -12,7 +12,6 @@ import pytest
 
 from osscontrol import scenarios
 from osscontrol.errors import OssError
-from osscontrol.matlib import DELTA_BLOCK
 from osscontrol.omodels import gather_broadcast_input, om_dynamics
 from osscontrol.optprob import oracle_optimal_output
 from osscontrol.plant import eval_plant
@@ -368,7 +367,7 @@ def test_sweep_reuses_the_variant_trajectory(tmp_path, monkeypatch):
             == (tmp_path / "power-dapi--main.csv").read_bytes())
 
 
-def test_check_builds_one_closed_loop_stack_per_delta_block(monkeypatch):
+def test_check_builds_one_closed_loop_stack_per_delta_block(monkeypatch, delta_block):
     calls = []
     original = scenarios.assemble
 
@@ -386,12 +385,12 @@ def test_check_builds_one_closed_loop_stack_per_delta_block(monkeypatch):
     assert np.array_equal(calls[1], samples)
     # a sample set past one block takes one loop per DELTA_BLOCK samples
     doc = json.loads(scenarios.bundled_path("rfs-violation").read_text())
-    drawn = np.linspace(-0.5, 0.5, DELTA_BLOCK + 5)
+    drawn = np.linspace(-0.5, 0.5, 2 * delta_block + 4)
     doc["plant"]["delta_samples"] += [[float(v)] for v in drawn]
     dense = scenarios.load_scenario(doc)
     calls.clear()
     assert scenarios.check_scenario(dense).exit_code == 0
-    assert [len(c) for c in calls if c.ndim == 2] == [DELTA_BLOCK, 8]
+    assert [len(c) for c in calls if c.ndim == 2] == [delta_block, delta_block, 7]
     ctx = scenarios._Context(sc, sc.variants[0])
     d = sc.plant.delta_samples[1]
     first = ctx.spectrum(d)

@@ -14,10 +14,11 @@ from helpers import (
     random_qp_instance,
     uncertain_wrapper,
 )
+from osscontrol.errors import NotStabilizable, RiccatiFailure
 from osscontrol.matlib import eigenvalues, rank_decision
 from osscontrol.omodels import OptimalityModel
 from osscontrol.optprob import ConvexProgram
-from osscontrol.plant import PlantMatrices, build_augmented_qp, eval_plant
+from osscontrol.plant import AugmentedPlant, PlantMatrices, build_augmented_qp, eval_plant
 from osscontrol.simulate import assemble
 from osscontrol.stabilize import PBH_TOL, prop4_check, prop5_check, prop6_check, synthesize_lqr
 
@@ -200,3 +201,23 @@ def test_lqr_riccati_agrees_with_scipy():
             assert eigenvalues(a - b @ k).real.max() < 0, (draw, route)
             residual = a.T @ p + p @ a - p @ b @ np.linalg.solve(r, b.T @ p) + q
             assert np.abs(residual).max() <= RICCATI_RESIDUAL * (1 + np.abs(p).max()), (draw, route)
+
+
+# synthesize_lqr's refusals, each on a one-state augmented plant: an input
+# cost that is not positive definite, a pair (A, B) with an unstable mode B
+# cannot reach, and a zero state cost that leaves the Hamiltonian of a
+# marginal mode ([0, -1; 0, 0]) without a strictly stable eigenvalue
+LQR_REFUSALS = {
+    "indefinite-r": ((0.0, 1.0, 1.0, -1.0), ValueError, "input cost must be positive definite"),
+    "not-stabilizable": ((1.0, 0.0, 1.0, 1.0), NotStabilizable, "not stabilizable"),
+    "no-stable-subspace": ((0.0, 1.0, 0.0, 1.0), RiccatiFailure,
+                           "Hamiltonian has 0 strictly stable eigenvalues, expected 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LQR_REFUSALS))
+def test_lqr_refusals(case):
+    (a, b, q, r), error, message = LQR_REFUSALS[case]
+    aug = AugmentedPlant(a=np.array([[a]]), b=np.array([[b]]), n=1, n_mu=0, n_eta=0)
+    with pytest.raises(error, match=message):
+        synthesize_lqr(aug, [[q]], [[r]])

@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from osscontrol import scenarios
+from osscontrol import matlib, scenarios
 from osscontrol.matlib import (
-    DELTA_BLOCK,
     SubspaceBasis,
     max_sine,
     null_basis,
@@ -231,8 +230,8 @@ def rfs_violation_family(rng):
     [A B] of that sample comes from the SVD, not from A^-1 B, in a group of
     its own inside the block."""
     doc = json.loads(scenarios.bundled_path("rfs-violation").read_text())
-    drawn = rng.uniform(-0.5, 0.5, DELTA_BLOCK + 1)
-    drawn[DELTA_BLOCK // 2] = -1.0
+    drawn = rng.uniform(-0.5, 0.5, matlib.DELTA_BLOCK + 1)
+    drawn[matlib.DELTA_BLOCK // 2] = -1.0
     del doc["plant"]["delta_box"]
     doc["plant"]["delta_samples"] = [[0.0]] + [[v] for v in drawn]
     sc = scenarios.load_scenario(doc)
@@ -242,9 +241,9 @@ def rfs_violation_family(rng):
 SHARED_FAMILIES = {
     "rfs-violation": rfs_violation_family,
     # A singular and G losing rank at special samples inside the blocks
-    "singular": lambda rng: (singular_family(rng, DELTA_BLOCK - 4), None),
+    "singular": lambda rng: (singular_family(rng, matlib.DELTA_BLOCK - 4), None),
     # range G fixed: ROS holds, and RFS under a fixed H
-    "scaled": lambda rng: (scaled_family(rng, draws=DELTA_BLOCK + 1), None),
+    "scaled": lambda rng: (scaled_family(rng, draws=matlib.DELTA_BLOCK + 1), None),
 }
 
 
@@ -270,10 +269,10 @@ def reports_by_sample(up: UncertainPlant, h_eq, tol: float = 1e-8) -> dict:
 class TestSharedPass:
     @pytest.mark.parametrize("family", sorted(SHARED_FAMILIES))
     @pytest.mark.parametrize("kind", ["own", "callable"])
-    def test_ros_and_rfs_equal_each_sample_alone(self, family, kind):
+    def test_ros_and_rfs_equal_each_sample_alone(self, family, kind, delta_block):
         rng = np.random.default_rng(50 + sorted(SHARED_FAMILIES).index(family))
         up, h_eq = SHARED_FAMILIES[family](rng)
-        assert len(up.delta_samples) == DELTA_BLOCK + 2  # the nominal block and two more
+        assert len(up.delta_samples) == delta_block + 2  # the nominal block and two more
         if kind == "callable":
             p = eval_plant(up, up.nominal).p
             h0, h1 = rng.standard_normal((2, 1, p))
@@ -362,9 +361,9 @@ def rerfs_case(name: str, rng):
     """
     family, h_kind = name.split("-")
     if family == "singular":
-        up, p, k = singular_family(rng, DELTA_BLOCK - 4), 3, 2
+        up, p, k = singular_family(rng, matlib.DELTA_BLOCK - 4), 3, 2
     else:
-        up, p, k = scaled_family(rng, draws=DELTA_BLOCK + 1), 4, 3
+        up, p, k = scaled_family(rng, draws=matlib.DELTA_BLOCK + 1), 4, 3
     h0, h1 = rng.standard_normal((2, k, p))
     line = np.outer(rng.standard_normal(p), rng.standard_normal(k))
     plane = rng.standard_normal((p, 2)) @ rng.standard_normal((2, k))
@@ -382,10 +381,10 @@ RERFS_CASES = ("singular-fixed", "singular-parallel", "singular-callable", "scal
 
 
 @pytest.mark.parametrize("name", RERFS_CASES)
-def test_rerfs_range_condition_equals_each_sample_alone(name):
+def test_rerfs_range_condition_equals_each_sample_alone(name, delta_block):
     rng = np.random.default_rng(70 + RERFS_CASES.index(name))
     up, h_eq, t0, holds = rerfs_case(name, rng)
-    assert len(up.delta_samples) > DELTA_BLOCK + 1  # the nominal block and two more
+    assert len(up.delta_samples) > delta_block + 1  # the nominal block and two more
     got = check_rerfs_range_condition(up, h_eq, t0)
     want = rerfs_range_condition_by_sample(up, h_eq, t0)
     assert got["holds"] is want["holds"] is holds
@@ -425,17 +424,17 @@ def h_without_rows_at_one(delta):
 
 
 # delta = 1 shares a block with deltas where H has a row: the second block of
-# three samples, or the third block of a longer sample set
+# three samples, or the third block of a longer sample set (for a block size)
 H_ROW_COUNT_SAMPLES = {
-    "second-block": [[0.0], [1.0], [0.5]],
-    "third-block": ([[0.0]] + [[0.9 * i / (2 * DELTA_BLOCK)] for i in range(1, DELTA_BLOCK + 5)]
-                    + [[1.0]] + [[-0.5]] * 10),
+    "second-block": lambda block: [[0.0], [1.0], [0.5]],
+    "third-block": lambda block: ([[0.0]] + [[0.9 * i / (2 * block)] for i in range(1, block + 5)]
+                                  + [[1.0]] + [[-0.5]] * 10),
 }
 
 
 @pytest.mark.parametrize("where", sorted(H_ROW_COUNT_SAMPLES))
-def test_h_row_count_changes_inside_a_block(where):
-    samples = H_ROW_COUNT_SAMPLES[where]
+def test_h_row_count_changes_inside_a_block(where, delta_block):
+    samples = H_ROW_COUNT_SAMPLES[where](delta_block)
     up = one_state_family(samples)
     h_eq = h_without_rows_at_one
     at_one = samples.index([1.0])
