@@ -53,6 +53,12 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def _row_matrix(m, cols: int) -> np.ndarray:
+    """``m`` as a matrix of ``cols`` columns (``as_matrix``), such as the rows
+    of H; None or an empty ``m`` is (0, cols)."""
+    return as_matrix(m).reshape(-1, cols) if m is not None and np.size(m) else np.zeros((0, cols))
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal basis of a subspace of R^ambient_dim.

@@ -61,8 +61,6 @@ class OptimalityModel:
             raise ValueError(
                 f"subspace matrix must have {prog.p} rows, got {b.shape[0]}"
             )
-        if prog.has_uncertain_equalities:
-            raise ValueError("resolve delta-dependent equality constraints before building")
         n_ic, n_ec = prog.n_ic, prog.n_ec
         if self.variant == "rerfs" and b.shape[1] != n_ec:
             raise ValueError(

@@ -21,7 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InfeasibleProblem, NonuniqueOptimizer
-from .matlib import _mv, _vdot, as_matrix, left_null_basis, null_basis, rank_decision, solve_linear
+from .matlib import (_mv, _row_matrix, _vdot, as_matrix, left_null_basis, null_basis, rank_decision,
+                     solve_linear)
 from .plant import PlantMatrices
 
 ACTIVE_SET_CAP = 12
@@ -83,8 +84,9 @@ class ConvexProgram:
     call on that row alone: ``f0`` returns a float or an array of shape
     ``y.shape[:-1]``, ``grad_f0`` a float array of the gradients in the shape
     of y.
-    ``h_eq``/``l_eq`` may be callables of delta for uncertain equality
-    constraints; resolve them with :meth:`at_delta` before numeric use.
+    ``h_eq``/``l_eq`` are the constant matrices of the equality constraints
+    ``H y = L w``; the optimality model integrates their violation, so it
+    must know them.
     """
 
     p: int
@@ -92,8 +94,8 @@ class ConvexProgram:
     qp: QPData | None = None
     f0: Callable[[np.ndarray, np.ndarray], float] | None = None
     grad_f0: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    h_eq: np.ndarray | Callable[[np.ndarray], np.ndarray] = field(default_factory=lambda: np.zeros((0, 0)))
-    l_eq: np.ndarray | Callable[[np.ndarray], np.ndarray] = field(default_factory=lambda: np.zeros((0, 0)))
+    h_eq: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    l_eq: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     inequalities: Sequence[tuple[Callable, Callable]] = ()
 
     def __post_init__(self):
@@ -103,13 +105,13 @@ class ConvexProgram:
             raise ValueError(f"qp dimension {self.qp.p} != p={self.p}")
         if self.f0 is not None and self.grad_f0 is None:
             raise ValueError("callable objectives need a gradient callable")
-        if not callable(self.h_eq):
-            h = as_matrix(self.h_eq).reshape(-1, self.p) if np.size(self.h_eq) else np.zeros((0, self.p))
-            l = as_matrix(self.l_eq).reshape(h.shape[0], -1) if np.size(self.l_eq) else np.zeros((h.shape[0], self.n_w))
-            if h.shape[0] and l.shape != (h.shape[0], self.n_w):
-                raise ValueError(f"L must be {h.shape[0]}x{self.n_w}, got {l.shape}")
-            object.__setattr__(self, "h_eq", h)
-            object.__setattr__(self, "l_eq", l)
+        h = _row_matrix(self.h_eq, self.p)
+        l = (as_matrix(self.l_eq).reshape(h.shape[0], -1) if np.size(self.l_eq)
+             else np.zeros((h.shape[0], self.n_w)))
+        if h.shape[0] and l.shape != (h.shape[0], self.n_w):
+            raise ValueError(f"L must be {h.shape[0]}x{self.n_w}, got {l.shape}")
+        object.__setattr__(self, "h_eq", h)
+        object.__setattr__(self, "l_eq", l)
         object.__setattr__(self, "inequalities", tuple(self.inequalities))
 
     # -- construction helpers -------------------------------------------------
@@ -139,28 +141,12 @@ class ConvexProgram:
         return self.qp is not None
 
     @property
-    def has_uncertain_equalities(self) -> bool:
-        return callable(self.h_eq)
-
-    @property
     def n_ic(self) -> int:
         return len(self.inequalities)
 
     @property
     def n_ec(self) -> int:
-        if self.has_uncertain_equalities:
-            raise ValueError("equality constraints are delta-dependent; resolve with at_delta")
         return self.h_eq.shape[0]
-
-    def at_delta(self, delta) -> "ConvexProgram":
-        """Resolve delta-dependent equality constraints to concrete matrices."""
-        if not self.has_uncertain_equalities:
-            return self
-        d = np.asarray(delta, dtype=float).ravel()
-        return ConvexProgram(p=self.p, n_w=self.n_w, qp=self.qp, f0=self.f0,
-                             grad_f0=self.grad_f0, h_eq=np.asarray(self.h_eq(d), dtype=float),
-                             l_eq=np.asarray(self.l_eq(d), dtype=float),
-                             inequalities=self.inequalities)
 
     # -- evaluation -------------------------------------------------------------
     # Each takes one output y (p,) or a row stack (..., p); row i of a stacked
@@ -305,7 +291,7 @@ def nonredundant_check(gperp, h_eq, tol: float = 1e-10) -> tuple[bool, float]:
     """Does the stacked constraint matrix [gperp; H] have full row rank?
     Returns the decision and its :func:`rank_decision` margin."""
     g = as_matrix(gperp)
-    h = as_matrix(h_eq).reshape(-1, g.shape[1]) if np.size(h_eq) else np.zeros((0, g.shape[1]))
+    h = _row_matrix(h_eq, g.shape[1])
     stack = np.vstack([g, h])
     return rank_decision(stack, stack.shape[0], tol)
 
@@ -381,8 +367,6 @@ def oracle_optimal_output(prog: ConvexProgram, pm: PlantMatrices, w,
     by more than ``y_tol``.
     """
     w = np.asarray(w, dtype=float).ravel()
-    if callable(prog.h_eq):
-        raise ValueError("resolve delta-dependent constraints with at_delta first")
     if prog.n_ic > ACTIVE_SET_CAP:
         raise ValueError(f"active-set enumeration capped at {ACTIVE_SET_CAP} inequalities")
 

@@ -338,7 +338,7 @@ class _Context:
         return eval_plant(self.sc.plant, self.delta if delta is None else delta)
 
     def oracle(self, delta=None) -> dict:
-        prog = self.plan.program if self.plan.program is not None else self.sc.program
+        prog = self.plan.program
         return self._per_delta("oracle", delta,
                                lambda d: oracle_optimal_output(prog, self.pm(d), self.w))
 
@@ -366,7 +366,7 @@ class _Context:
     def subspaces(self) -> dict:
         """The ``check_rfs`` report, its ``check_ros`` report under ``"ros"``:
         the ``ros`` and ``rfs`` checks share one pass over the samples."""
-        return check_rfs(self.sc.plant, self.sc.program.h_eq)
+        return check_rfs(self.sc.plant, self.plan.program.h_eq)
 
     def spectrum(self, delta=None) -> np.ndarray:
         """Eigenvalues of the affine loop's A_cl at one delta; raises what
@@ -737,11 +737,12 @@ def run_scenario(sc: Scenario, variant: str | None = None, out_dir=None,
     report plus the trajectories, keyed by variant name; the sweep's are
     keyed ``<variant>--delta<i>`` and written as extra traces.
     """
+    if out_dir is not None:  # before the integration: a path that is a file fails at once
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     report, trajectories = _evaluate(sc, variant, simulate=True, h=h, t_end=t_end,
                                      sweep=sweep)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         multi = len(trajectories) > 1
         # a sweep sample at the variant's own delta is the variant's trajectory:
         # format it once, copy the file for the alias
@@ -1134,11 +1135,12 @@ def load_scenario(source) -> Scenario:
             path = bundled_path(str(source))
         if not path.exists():
             raise FileNotFoundError(f"no scenario file or bundled name {source!r}")
-        with open(path) as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        try:
+            doc = json.loads(path.read_bytes().decode("utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text at byte offset {exc.start}") from exc
     dims: dict = {}
     top = _walk(doc, "", "", dims)
     variant_docs = doc.get("variants") or [{}]
@@ -1149,6 +1151,10 @@ def load_scenario(source) -> Scenario:
         sizes = {k: v for k, v in dims.items() if k not in _PROGRAM_SIZES}
         checked.append(_walk(_deep_merge(blocks, vdoc), "variant", f"variants[{i}]", sizes,
                              origin=vdoc))
+        # a variant's name keys its trace and --variant: two of one name would share them
+        if any(v["name"] == checked[-1]["name"] for v in checked[:-1]):
+            raise ValueError(f"variants[{i}].name: another variant is named "
+                             f"{checked[-1]['name']!r}; variant names must be unique")
 
     network = None
     if "network" in top:

@@ -22,7 +22,7 @@ excluded from equivalence checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,12 +104,9 @@ def augmented_pbh(pm: PlantMatrices, om: OptimalityModel,
     return stab and det, min(m1, m2)
 
 
-def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis, cm,
+def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis,
                 variant: str, tol: float) -> ConditionReport:
     pm = eval_plant(up, delta)
-    if cm is not None:
-        pm = replace(pm, cm=cm)
-    prog = prog.at_delta(delta)
     # builds only for an equality-constrained QP, which the clauses assume
     om = OptimalityModel(variant, basis, prog)
     basis = om.basis
@@ -167,22 +164,22 @@ def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis, cm,
     return report
 
 
-def prop4_check(up: UncertainPlant, delta, prog: ConvexProgram, t0, cm=None,
+def prop4_check(up: UncertainPlant, delta, prog: ConvexProgram, t0,
                 tol: float = PBH_TOL) -> ConditionReport:
     """Clause checks for the feasible-subspace model on an equality-constrained QP."""
-    return _prop_check(up, delta, prog, t0, cm, "rfs", tol)
+    return _prop_check(up, delta, prog, t0, "rfs", tol)
 
 
-def prop5_check(up: UncertainPlant, delta, prog: ConvexProgram, g0, cm=None,
+def prop5_check(up: UncertainPlant, delta, prog: ConvexProgram, g0,
                 tol: float = PBH_TOL) -> ConditionReport:
     """Clause checks for the output-subspace model on an equality-constrained QP."""
-    return _prop_check(up, delta, prog, g0, cm, "ros", tol)
+    return _prop_check(up, delta, prog, g0, "ros", tol)
 
 
-def prop6_check(up: UncertainPlant, delta, prog: ConvexProgram, t0, cm=None,
+def prop6_check(up: UncertainPlant, delta, prog: ConvexProgram, t0,
                 tol: float = PBH_TOL) -> ConditionReport:
     """Clause checks for the reduced-error model on an equality-constrained QP."""
-    return _prop_check(up, delta, prog, t0, cm, "rerfs", tol)
+    return _prop_check(up, delta, prog, t0, "rerfs", tol)
 
 
 @dataclass(frozen=True)

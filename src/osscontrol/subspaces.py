@@ -27,11 +27,10 @@ verdict is bit-identical to computing the sample alone;
 Ranks can differ across a block: A may be singular at some deltas, and the
 dimension of range G or of the feasible slice may change.  Each SVD's rows
 are therefore grouped by numerical rank (``matlib.rank_groups``), and each
-group carries on with bases of one shape.  A callable H may have another
-number of rows at some deltas, so the rows of a block are split by H's row
-count first (``_equality_rows``).  A sample whose subspace has another
-dimension than the nominal one does not match it; that is how the bundled
-RFS violation shows up.
+group carries on with bases of one shape.  H is the program's constant
+matrix, the same for every realization of a block.  A sample whose subspace
+has another dimension than the nominal one does not match it; that is how
+the bundled RFS violation shows up.
 
 The reduced-error model's complement condition is decided at one
 realization (``reduced_error_complement_condition``), as a clause of
@@ -51,6 +50,7 @@ from .matlib import (
     DEFAULT_RANK_TOL,
     SubspaceBasis,
     _rank_from_singular_values,
+    _row_matrix,
     as_matrix,
     max_sine,
     range_basis,
@@ -121,8 +121,7 @@ def _cond(a: np.ndarray):
 class _GeometryGroup(NamedTuple):
     """The geometry of the realizations ``rows`` of a stack, whose bases share
     their shapes: each field of ``EquilibriumGeometry`` as a stack over the
-    rows, orthonormal bases as plain arrays, and the equality rows ``h`` of
-    each realization."""
+    rows, orthonormal bases as plain arrays."""
 
     rows: np.ndarray
     ndelta: np.ndarray
@@ -130,57 +129,38 @@ class _GeometryGroup(NamedTuple):
     gperp: np.ndarray
     g_range: np.ndarray
     t_basis: np.ndarray
-    h: np.ndarray
 
 
-def _geometry_groups(ps: PlantStack, h_eq, deltas) -> list:
-    """Equilibrium geometry of every realization of a stack, the plant at the
-    ``deltas`` of a block, as ``_GeometryGroup``s.  The rows are split by the
-    number of rows H has at their delta (``_equality_rows``), then by rank.
+def _geometry_groups(ps: PlantStack, h_eq) -> list:
+    """Equilibrium geometry of every realization of a stack, as
+    ``_GeometryGroup``s: the rows are split by rank.
 
     An empty null space yields an empty g and gperp equal to the identity
     row basis of the output space.
     """
+    h = _row_matrix(h_eq, ps.p)
     cd = np.concatenate([ps.c, ps.d], axis=-1)
     out = []
-    for at, h in _equality_rows(h_eq, deltas, ps.p):
-        for rows, nd in _null_ab(ps.a[at], ps.b[at]):
-            g = cd[at[rows]] @ nd
-            if g.shape[-1]:
-                split = [(sub, u[..., :rank].copy(), np.swapaxes(u[..., rank:].copy(), -1, -2))
-                         for sub, u, _, rank in rank_groups(g)]
-            else:
-                split = [(np.arange(rows.size), np.zeros((rows.size, ps.p, 0)),
-                          np.broadcast_to(np.eye(ps.p), (rows.size, ps.p, ps.p)))]
-            for sub, g_range, gperp in split:
-                hs = h[rows[sub]]
-                for part, _, vt, rank in rank_groups(np.concatenate([gperp, hs], axis=-2)):
-                    out.append(_GeometryGroup(at[rows[sub][part]], nd[sub][part], g[sub][part],
-                                              gperp[part], g_range[part], _swap(vt[:, rank:]),
-                                              hs[part]))
+    for rows, nd in _null_ab(ps.a, ps.b):
+        g = cd[rows] @ nd
+        if g.shape[-1]:
+            split = [(sub, u[..., :rank].copy(), np.swapaxes(u[..., rank:].copy(), -1, -2))
+                     for sub, u, _, rank in rank_groups(g)]
+        else:
+            split = [(np.arange(rows.size), np.zeros((rows.size, ps.p, 0)),
+                      np.broadcast_to(np.eye(ps.p), (rows.size, ps.p, ps.p)))]
+        for sub, g_range, gperp in split:
+            hs = np.broadcast_to(h, (sub.size,) + h.shape)
+            for part, _, vt, rank in rank_groups(np.concatenate([gperp, hs], axis=-2)):
+                out.append(_GeometryGroup(rows[sub][part], nd[sub][part], g[sub][part],
+                                          gperp[part], g_range[part], _swap(vt[:, rank:])))
     return out
-
-
-def _equality_rows(h_eq, deltas, p: int) -> list:
-    """H at each delta of a block, as ``(rows, h)`` groups of the deltas where
-    H has the same number k of rows, h (len(rows), k, p).  ``h_eq`` may be a
-    callable of delta, and its row count may change from delta to delta."""
-    def matrix(h):
-        return as_matrix(h).reshape(-1, p) if h is not None and np.size(h) else np.zeros((0, p))
-
-    if not callable(h_eq):
-        h = matrix(h_eq)
-        return [(np.arange(len(deltas)), np.broadcast_to(h, (len(deltas),) + h.shape))]
-    hs = [matrix(h_eq(d)) for d in deltas]
-    counts = np.array([len(h) for h in hs])
-    groups = (np.flatnonzero(counts == k) for k in np.flatnonzero(np.bincount(counts)))
-    return [(rows, np.stack([hs[i] for i in rows])) for rows in groups]
 
 
 def equilibrium_geometry(pm: PlantMatrices, h_eq=None) -> EquilibriumGeometry:
     """Build the equilibrium-output geometry for a plant realization: the
     block of one realization."""
-    (geom,) = _geometry_groups(pm.broadcast(1), h_eq, [None])
+    (geom,) = _geometry_groups(pm.broadcast(1), h_eq)
     return EquilibriumGeometry(ndelta=geom.ndelta[0], g=geom.g[0], gperp=geom.gperp[0],
                                g_range=SubspaceBasis(geom.g_range[0], pm.p),
                                t_basis=SubspaceBasis(geom.t_basis[0], pm.p))
@@ -196,9 +176,8 @@ def check_ros(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
 
 
 def check_rfs(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
-    """Robust-feasible-subspace check: is null [gperp(delta); H(delta)] fixed?
+    """Robust-feasible-subspace check: is null [gperp(delta); H] fixed?
 
-    ``h_eq`` may be a callable of delta for uncertain equality constraints.
     Returns holds, the nominal orthonormal basis ``t0`` when it holds, the
     first violating (reference, delta) pair otherwise, the ``matches`` and
     principal-angle ``sines`` of every sample against the nominal one (arrays
@@ -210,14 +189,14 @@ def check_rfs(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
     blocks = sample_blocks(up)
     _, nominal = next(blocks)
     ps = eval_plant(up, nominal)
-    (geom,) = _geometry_groups(ps, h_eq, nominal)
+    (geom,) = _geometry_groups(ps, h_eq)
     refs = (geom.g_range[0], geom.t_basis[0])
     # row 0 compares range G, row 1 the feasible directions
     matches = np.ones((2, len(samples)), dtype=bool)
     sines = np.zeros((2, len(samples)))
     for lo, deltas in blocks:
         ps = eval_plant(up, deltas)
-        for geom in _geometry_groups(ps, h_eq, deltas):
+        for geom in _geometry_groups(ps, h_eq):
             for k, (ref, bases) in enumerate(zip(refs, (geom.g_range, geom.t_basis))):
                 # a subspace of another dimension is at a right angle to the nominal
                 same = bases.shape[-1] == ref.shape[-1]
@@ -277,30 +256,27 @@ def check_rerfs_range_condition(up: UncertainPlant, h_eq, t0, tol: float = DEFAU
     """Range condition for the reduced-error model:
     range(H G(delta)) and range(t0') intersect only at zero, at every sample.
 
-    ``h_eq`` may be a callable of delta; without equality constraints the
-    condition holds vacuously.  The plant and G are evaluated block by block
-    like :func:`check_rfs` (G read off ``_geometry_groups``), the two ranges
-    compared per sample.  Returns holds, the first failing delta as
-    ``witness`` (None when it holds) and the ``matches`` of every sample, an
-    array in sample order.
+    Without equality constraints the condition holds vacuously.  The plant
+    and G are evaluated block by block like :func:`check_rfs` (G read off
+    ``_geometry_groups``), the two ranges compared per sample.  Returns
+    holds, the first failing delta as ``witness`` (None when it holds) and
+    the ``matches`` of every sample, an array in sample order.
     """
     t0 = as_matrix(t0)
     samples = up.delta_samples
     matches = np.ones(len(samples), dtype=bool)
-    for lo, deltas in sample_blocks(up):
-        ps = eval_plant(up, deltas)
-        if t0.shape[0] != ps.p:
-            raise ValueError(f"t0 must have {ps.p} rows, got {t0.shape[0]}")
-        for geom in _geometry_groups(ps, h_eq, deltas):
-            k = geom.h.shape[-2]
-            if not k:
-                continue
-            if t0.shape[1] != k:
-                raise ValueError(
-                    "the reduced-error range condition compares subspaces of the "
-                    f"equality-constraint space: t0 needs {k} columns, got {t0.shape[1]}"
-                )
-            for i, h, g in zip(geom.rows, geom.h, geom.g):
+    p = eval_plant(up, up.nominal).p
+    if t0.shape[0] != p:
+        raise ValueError(f"t0 must have {p} rows, got {t0.shape[0]}")
+    h = _row_matrix(h_eq, p)
+    if h.shape[0] and t0.shape[1] != h.shape[0]:
+        raise ValueError(
+            "the reduced-error range condition compares subspaces of the "
+            f"equality-constraint space: t0 needs {h.shape[0]} columns, got {t0.shape[1]}"
+        )
+    for lo, deltas in sample_blocks(up) if len(h) else ():  # no rows: holds vacuously
+        for geom in _geometry_groups(eval_plant(up, deltas), h):
+            for i, g in zip(geom.rows, geom.g):
                 hg, t0t = _reduced_error_ranges(h, g, t0)
                 matches[lo + i] = subspace_intersection(hg, t0t, tol).is_empty
     bad = np.flatnonzero(~matches)

@@ -301,8 +301,7 @@ def robust_subspace_by_sample(up: UncertainPlant, h_eq, key: str, tol: float = 1
     """``check_ros`` (key ``g_range``) or ``check_rfs`` (key ``t_basis``)
     decided one delta sample at a time: ``holds``, ``witness`` and the
     per-sample ``sines`` and ``matches`` against the nominal basis ``ref``."""
-    bases = [geometry_by_sample(eval_plant(up, d), h_eq(d) if callable(h_eq) else h_eq)[key]
-             for d in up.delta_samples]
+    bases = [geometry_by_sample(eval_plant(up, d), h_eq)[key] for d in up.delta_samples]
     ref = bases[0]
     sines = [principal_sine(ref, b) for b in bases[1:]]
     matches = [b.shape[1] == ref.shape[1] and sine <= tol for b, sine in zip(bases[1:], sines)]
@@ -356,9 +355,8 @@ def rerfs_range_condition_by_sample(up: UncertainPlant, h_eq, t0, tol: float = 1
     matches = []
     witness = None
     for delta in up.delta_samples:
-        h = h_eq(delta) if callable(h_eq) else h_eq
         pm = eval_plant(up, delta)
-        h = as_matrix(h).reshape(-1, pm.p) if h is not None and np.size(h) else np.zeros((0, pm.p))
+        h = as_matrix(h_eq).reshape(-1, pm.p) if h_eq is not None and np.size(h_eq) else np.zeros((0, pm.p))
         if t0.shape[0] != pm.p:
             raise ValueError(f"t0 must have {pm.p} rows, got {t0.shape[0]}")
         ok = True

@@ -231,6 +231,12 @@ def edit(doc, path, value):
     pytest.param("no-hurwitz", ("sim", "hh"), 0.1, "sim.hh: unknown field", id="unknown-field"),
     pytest.param("no-hurwitz", ("om",), None, "variants[0] needs an om block or a controller block",
                  id="om-null"),
+    # a variant's name keys its trace and --variant: two unnamed variants are both "main"
+    pytest.param("no-hurwitz", ("variants",), [{}, {}],
+                 "variants[1].name: another variant is named 'main'", id="variants-unnamed-twice"),
+    pytest.param("pd-vs-oss", ("variants", 1, "name"), "primal-dual",
+                 "variants[1].name: another variant is named 'primal-dual'",
+                 id="variant-name-repeated"),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
     doc = json.loads(scenarios.bundled_path(name).read_text())
@@ -261,6 +267,50 @@ def test_step_count_exits_2(tmp_path, capsys, sim):
     bad.write_text(json.dumps(doc))
     assert cli.main(["run", str(bad)]) == 2
     assert "sim: t_end must be a finite number of steps, at least one" in capsys.readouterr().err
+
+
+def test_unreadable_paths_exit_2(tmp_path, capsys, monkeypatch):
+    # a directory as the document, a file where the trace directory goes and
+    # a document that is not UTF-8 text: one error line each, no traceback
+    assert cli.main(["check", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    integrated = []
+    monkeypatch.setattr(scenarios, "_evaluate", lambda *a, **k: integrated.append(a))
+    assert cli.main(["run", "no-hurwitz", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(taken) in err
+    assert not integrated  # refused before the integration
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"name": "caf\xe9"}')
+    assert cli.main(["check", str(latin)]) == 2
+    assert capsys.readouterr().err == f"error: {latin}: not UTF-8 text at byte offset 13\n"
+
+
+def matrix(rows) -> dict:
+    """A scenario-file matrix from its rows."""
+    return {"rows": len(rows), "cols": len(rows[0]), "data": [v for row in rows for v in row]}
+
+
+def test_variant_subspace_checks_read_the_variant_program(tmp_path, capsys):
+    # the top-level program has no H; the variant's has one row, which cuts
+    # range G = R^2 down to the line (0, 1), and its auto basis is that line
+    eye, zero = [[1.0, 0.0], [0.0, 1.0]], [[0.0], [0.0]]
+    doc = {"name": "variant-h",
+           "plant": {"matrices": {"a": matrix([[-1.0, 0.0], [0.0, -1.0]]), "b": matrix(eye),
+                                  "bw": matrix(zero), "c": matrix(eye),
+                                  "d": matrix([[0.0, 0.0], [0.0, 0.0]]), "q": matrix(zero)}},
+           "program": {"qp": {"m": matrix(eye), "n": matrix(zero)}},
+           "om": {"variant": "rfs"},
+           "variants": [{"program": {"h": matrix([[1.0, 0.0]])},
+                         "expect": [{"kind": "rfs", "holds": True, "matches_om_basis": True}]}]}
+    path = tmp_path / "variant-h.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path)]) == 0
+    assert "[PASS] rfs [main]: holds=True, max sine 0 over 1 deltas, om basis spans it: True" in (
+        capsys.readouterr().out)
 
 
 def test_unknown_variant_exits_2(capsys):

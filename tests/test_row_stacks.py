@@ -251,3 +251,30 @@ def test_variants_whose_objectives_do_not_join_integrate_apart(change, monkeypat
     else:  # an equality row adds its multiplier's state
         assert stacks == [(1, 6), (1, 7 if change == "equality-row" else 6)]
     assert assert_requests_match_alone(sc, trajectories, t_end) == 2
+
+
+def test_qp_variants_of_distinct_programs_integrate_apart(monkeypatch):
+    # rfs-violation's QP in two variants that share w, h, t_end and the
+    # model's basis, each with a program of its own: with no tracking
+    # objective to join them (_row_program), each variant is a stack of its own
+    doc = json.loads(scenarios.bundled_path("rfs-violation").read_text())
+    doc["expect"] = []
+    doc["variants"] = [
+        {"name": name, "program": {"qp": {"m": {"rows": 2, "cols": 2, "data": [c, 0.0, 0.0, 1.0]}}}}
+        for name, c in (("unit-cost", 1.0), ("weighted-cost", 2.0))]
+    stacks = []
+
+    def recording(sys, z0, t_end, h):
+        stacks.append(z0.shape)
+        return integrate_rk4(sys, z0, t_end, h)
+
+    monkeypatch.setattr(scenarios, "integrate_rk4", recording)
+    sc = scenarios.load_scenario(doc)
+    assert sc.variants[0].program is not sc.variants[1].program
+    t_end = (ROW_BLOCK + 5) * float(sc.variants[0].sim["h"])
+    _, trajectories = scenarios.run_scenario(sc, t_end=t_end)
+    assert stacks == [(1, 3), (1, 3)]
+    assert assert_requests_match_alone(sc, trajectories, t_end) == 2
+    # the two costs reach two equilibria
+    ends = [trajectories[name].y[-1] for name in ("unit-cost", "weighted-cost")]
+    assert not np.allclose(*ends)

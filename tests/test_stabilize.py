@@ -2,6 +2,7 @@
 plant, and the rank decision they all rest on."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from helpers import (
     random_qp_instance,
     uncertain_wrapper,
 )
-from osscontrol.errors import NotStabilizable, RiccatiFailure
+from osscontrol import stabilize
+from osscontrol.errors import NotStabilizable, NumericsDisagreement, RiccatiFailure
 from osscontrol.matlib import eigenvalues, rank_decision
 from osscontrol.omodels import OptimalityModel
 from osscontrol.optprob import ConvexProgram
@@ -78,9 +80,9 @@ def with_hidden_mode(pm: PlantMatrices, rng) -> PlantMatrices:
 
 
 def draws(rng, reduced_error=False, count=60):
-    """``count`` seeded ``(pm, prog, geom, cm, kind)`` draws in three kinds:
-    Cm = 0 on the plant with a hidden unstable mode, Cm = 0 passed as the
-    ``cm`` override, and a cost that is flat along a feasible direction.
+    """``count`` seeded ``(pm, prog, geom, kind)`` draws in three kinds:
+    Cm = 0 on the plant with a hidden unstable mode, Cm = 0 on the plant as
+    drawn, and a cost that is flat along a feasible direction.
     With ``reduced_error`` the feasible directions have one dimension per
     equality constraint."""
     i = 0
@@ -90,14 +92,13 @@ def draws(rng, reduced_error=False, count=60):
         if not geom.t_basis.dim or (reduced_error and geom.t_basis.dim != n_ec):
             continue
         kind = ("hidden", "blind", "flat")[i % 3]
-        cm = None
         if kind == "hidden":
             pm = with_hidden_mode(pm, rng)
         elif kind == "blind":
-            cm = np.zeros((1, pm.n))
+            pm = replace(pm, cm=np.zeros((1, pm.n)))
         else:
             prog = flat_cost(prog, geom)
-        yield pm, prog, geom, cm, kind
+        yield pm, prog, geom, kind
         i += 1
 
 
@@ -112,8 +113,8 @@ class TestPropositionsAgreeWithDirectPbh:
     def test_feasible_and_output_subspace_models(self, check, basis_of):
         rng = np.random.default_rng(31)
         verdicts = {"hidden": set(), "blind": set(), "flat": set()}
-        for pm, prog, geom, cm, kind in draws(rng):
-            rep = check(uncertain_wrapper(pm), np.zeros(0), prog, basis_of(geom), cm=cm)
+        for pm, prog, geom, kind in draws(rng):
+            rep = check(uncertain_wrapper(pm), np.zeros(0), prog, basis_of(geom))
             assert rep.premise_ok
             assert rep.overall == rep.direct_pbh
             verdicts[kind].add(rep.overall)
@@ -128,9 +129,9 @@ class TestPropositionsAgreeWithDirectPbh:
         # not the stabilizability of the augmented plant
         rng = np.random.default_rng(32)
         verdicts = {"hidden": set(), "blind": set(), "flat": set()}
-        for pm, prog, geom, cm, kind in draws(rng, reduced_error=True):
+        for pm, prog, geom, kind in draws(rng, reduced_error=True):
             rep = prop6_check(uncertain_wrapper(pm), np.zeros(0), prog,
-                              feasible_direction_matrix(geom), cm=cm)
+                              feasible_direction_matrix(geom))
             assert rep.premise_ok == (kind != "flat")
             assert rep.overall == rep.direct_pbh
             verdicts[kind].add(rep.overall)
@@ -221,3 +222,26 @@ def test_lqr_refusals(case):
     aug = AugmentedPlant(a=np.array([[a]]), b=np.array([[b]]), n=1, n_mu=0, n_eta=0)
     with pytest.raises(error, match=message):
         synthesize_lqr(aug, [[q]], [[r]])
+
+
+def test_clause_verdict_against_a_flipped_direct_pbh_raises(monkeypatch):
+    # away from borderline margins the clause verdict and PBH on the
+    # augmented plant must agree; a direct verdict flipped on purpose is the
+    # numerics bug the check exists to catch
+    rng = np.random.default_rng(33)
+    pm, prog, geom = random_qp_instance(rng)
+    up, t0 = uncertain_wrapper(pm), feasible_direction_matrix(geom)
+    rep = prop4_check(up, np.zeros(0), prog, t0)
+    direct, margin = stabilize.augmented_pbh(pm, OptimalityModel("rfs", t0, prog))
+    assert rep.premise_ok and rep.overall == rep.direct_pbh == direct
+    assert min(rep.min_margin, margin) >= 1e3
+    real = stabilize.augmented_pbh
+
+    def flipped(*args):
+        verdict, margin = real(*args)
+        return not verdict, margin
+
+    monkeypatch.setattr(stabilize, "augmented_pbh", flipped)
+    with pytest.raises(NumericsDisagreement, match=f"clause verdict {direct} disagrees with "
+                                                    f"direct PBH {not direct} for the rfs"):
+        prop4_check(up, np.zeros(0), prog, t0)

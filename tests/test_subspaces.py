@@ -13,10 +13,8 @@ from osscontrol.matlib import (
     solve_linear,
     subspace_equal,
 )
-from osscontrol.optprob import ConvexProgram
 from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant, fixed_plant, per_delta
 from osscontrol.power import build_swing_plant, default_network
-from osscontrol.stabilize import prop6_check
 from osscontrol.subspaces import (
     check_rerfs_range_condition,
     check_rfs,
@@ -194,34 +192,6 @@ class TestCheckRfs:
             if check_ros(up)["holds"]:
                 assert check_rfs(up, h)["holds"]
 
-    def test_delta_dependent_equalities(self, two_state_plant):
-        # scaled dynamics keep the output span fixed while H(delta) rescales its
-        # row: the feasible slice stays (1, 1), so the property holds with a
-        # fixed matrix even though H varies
-        base = two_state_plant
-
-        def evaluate(delta):
-            s = 1.0 + 0.5 * float(delta[0])
-            return PlantMatrices(a=s * base.a, b=s * base.b, bw=base.bw,
-                                 c=base.c, d=base.d, q=base.q)
-
-        up = UncertainPlant(evaluate=per_delta(evaluate), delta_dim=1,
-                            delta_samples=[[0.0], [1.0], [-1.0]])
-
-        def h_of(delta):
-            return (1.0 + 0.5 * float(delta[0])) * np.array([[1.0, -1.0]])
-
-        rep = check_rfs(up, h_of)
-        assert rep["holds"]
-        assert subspace_equal(range_basis(rep["t0"]),
-                              range_basis(np.array([[1.0], [1.0]])))
-
-        def h_bad(delta):
-            d = float(delta[0])
-            return np.array([[1.0, -1.0 - d]])
-
-        assert not check_rfs(up, h_bad)["holds"]
-
 
 def rfs_violation_family(rng):
     """``rfs-violation``'s plant, whose output subspace rotates with delta, at
@@ -251,8 +221,7 @@ def reports_by_sample(up: UncertainPlant, h_eq, tol: float = 1e-8) -> dict:
     """The ROS and RFS reports built one delta at a time: each sample's basis
     from ``equilibrium_geometry``, its sine from ``max_sine`` against the
     nominal basis, 1 when the dimensions differ."""
-    geoms = [equilibrium_geometry(eval_plant(up, d), h_eq(d) if callable(h_eq) else h_eq)
-             for d in up.delta_samples]
+    geoms = [equilibrium_geometry(eval_plant(up, d), h_eq) for d in up.delta_samples]
     out = {}
     for key, field in (("g0", "g_range"), ("t0", "t_basis")):
         bases = [getattr(geom, field).basis for geom in geoms]
@@ -268,15 +237,13 @@ def reports_by_sample(up: UncertainPlant, h_eq, tol: float = 1e-8) -> dict:
 
 class TestSharedPass:
     @pytest.mark.parametrize("family", sorted(SHARED_FAMILIES))
-    @pytest.mark.parametrize("kind", ["own", "callable"])
+    @pytest.mark.parametrize("kind", ["own", "two-rows"])
     def test_ros_and_rfs_equal_each_sample_alone(self, family, kind, delta_block):
         rng = np.random.default_rng(50 + sorted(SHARED_FAMILIES).index(family))
         up, h_eq = SHARED_FAMILIES[family](rng)
         assert len(up.delta_samples) == delta_block + 2  # the nominal block and two more
-        if kind == "callable":
-            p = eval_plant(up, up.nominal).p
-            h0, h1 = rng.standard_normal((2, 1, p))
-            h_eq = lambda delta: h0 + float(delta[0]) * h1  # noqa: E731
+        if kind == "two-rows":
+            h_eq = rng.standard_normal((2, eval_plant(up, up.nominal).p))
         rfs = check_rfs(up, h_eq)
         want = reports_by_sample(up, h_eq)
         for key, rep in (("t0", rfs), ("g0", rfs["ros"]), ("g0", check_ros(up, h_eq))):
@@ -353,31 +320,27 @@ def rerfs_case(name: str, rng):
 
     On ``singular_family`` (p = 3, G of rank 2 but rank 1 where its last
     input column vanishes) range(H G) is the plane R^2 for two generic rows
-    of H and meets a line range(t0'); two parallel rows keep it a line.  H
-    whose second row vanishes at delta_1 = 0 holds at the nominal sample and
-    fails at the first sample after it.  On ``scaled_family`` (p = 4, G of
-    rank 2), range(H G) is a plane in R^3: it misses a generic line and
-    meets a plane.
+    of H and meets a line range(t0'); two parallel rows keep it a line.  On
+    ``scaled_family`` (p = 4, G of rank 2), range(H G) is a plane in R^3: it
+    misses a generic line and meets a plane.
     """
     family, h_kind = name.split("-")
     if family == "singular":
         up, p, k = singular_family(rng, matlib.DELTA_BLOCK - 4), 3, 2
     else:
         up, p, k = scaled_family(rng, draws=matlib.DELTA_BLOCK + 1), 4, 3
-    h0, h1 = rng.standard_normal((2, k, p))
+    h0, _ = rng.standard_normal((2, k, p))
     line = np.outer(rng.standard_normal(p), rng.standard_normal(k))
     plane = rng.standard_normal((p, 2)) @ rng.standard_normal((2, k))
     return {
         "singular-fixed": (up, h0, line, False),
         "singular-parallel": (up, np.outer(np.arange(1.0, k + 1), h0[0]), line, True),
-        "singular-callable": (up, lambda d: np.vstack([h0[0], float(d[0]) * h1[1]]), line, False),
         "scaled-fixed": (up, h0, plane, False),
-        "scaled-callable": (up, lambda d: h0 + float(d[0]) * h1, line, True),
+        "scaled-line": (up, h0, line, True),
     }[name]
 
 
-RERFS_CASES = ("singular-fixed", "singular-parallel", "singular-callable", "scaled-fixed",
-               "scaled-callable")
+RERFS_CASES = ("singular-fixed", "singular-parallel", "scaled-fixed", "scaled-line")
 
 
 @pytest.mark.parametrize("name", RERFS_CASES)
@@ -394,9 +357,6 @@ def test_rerfs_range_condition_equals_each_sample_alone(name, delta_block):
     else:
         assert np.array_equal(got["witness"], want["witness"])
         assert np.array_equal(got["witness"], up.delta_samples[np.argmin(got["matches"])])
-    if name == "singular-callable":
-        # holds at the nominal sample, where the second row of H vanishes
-        assert got["matches"][0] and not got["matches"][1]
 
 
 @pytest.mark.parametrize("t0, message", [(np.zeros((3, 1)), "t0 must have 2 rows, got 3"),
@@ -406,53 +366,6 @@ def test_rerfs_range_condition_rejects_t0_shapes(two_state_family, t0, message):
     for check in (check_rerfs_range_condition, rerfs_range_condition_by_sample):
         with pytest.raises(ValueError, match=message):
             check(two_state_family, np.array([[1.0, 0.0]]), t0)
-
-
-def one_state_family(samples) -> UncertainPlant:
-    """x' = -(1 + delta) x + u with both outputs reading x: range G is the
-    line through (1, 1) at every delta."""
-    def evaluate(delta):
-        return PlantMatrices(a=[[-1.0 - float(delta[0])]], b=[[1.0]], bw=[[1.0]],
-                             c=[[1.0], [1.0]], d=np.zeros((2, 1)), q=np.zeros((2, 1)))
-
-    return UncertainPlant(evaluate=per_delta(evaluate), delta_dim=1, delta_samples=samples)
-
-
-def h_without_rows_at_one(delta):
-    """One equality row, none at delta = 1."""
-    return None if delta[0] == 1.0 else np.array([[1.0, 0.0]])
-
-
-# delta = 1 shares a block with deltas where H has a row: the second block of
-# three samples, or the third block of a longer sample set (for a block size)
-H_ROW_COUNT_SAMPLES = {
-    "second-block": lambda block: [[0.0], [1.0], [0.5]],
-    "third-block": lambda block: ([[0.0]] + [[0.9 * i / (2 * block)] for i in range(1, block + 5)]
-                                  + [[1.0]] + [[-0.5]] * 10),
-}
-
-
-@pytest.mark.parametrize("where", sorted(H_ROW_COUNT_SAMPLES))
-def test_h_row_count_changes_inside_a_block(where, delta_block):
-    samples = H_ROW_COUNT_SAMPLES[where](delta_block)
-    up = one_state_family(samples)
-    h_eq = h_without_rows_at_one
-    at_one = samples.index([1.0])
-    rep = check_rfs(up, h_eq)
-    for got, key in ((rep, "t_basis"), (rep["ros"], "g_range")):
-        want = robust_subspace_by_sample(up, h_eq, key)
-        assert got["holds"] is want["holds"]
-        assert got["matches"][1:].tolist() == want["matches"]
-        assert_bits_equal(got["sines"][1:], np.array(want["sines"]), key)
-    # without H the feasible directions are the line range G, with it none
-    assert rep["ros"]["holds"] and not rep["holds"]
-    assert np.flatnonzero(~rep["matches"]).tolist() == [at_one]
-    for t0 in (np.zeros((2, 1)), np.array([[1.0], [0.0]])):
-        got = check_rerfs_range_condition(up, h_eq, t0)
-        want = rerfs_range_condition_by_sample(up, h_eq, t0)
-        assert got["holds"] is want["holds"]
-        assert got["matches"].tolist() == want["matches"]
-        assert got["matches"][at_one]  # no rows: holds vacuously
 
 
 def complement_condition(pm, h, t0) -> bool:
@@ -472,25 +385,6 @@ class TestProp6DetectabilityCondition:
                            c=[[1.0], [0.0]], d=[[0.0], [1.0]], q=np.zeros((2, 1)))
         h = equilibrium_geometry(pm).gperp[:1, :]
         assert not complement_condition(pm, h, np.zeros((2, 1)))
-
-    def test_callable_h_is_evaluated_per_sample(self):
-        # G spans (1, 1) and t0 = 0: H(delta) = [1, delta - 1] annihilates G
-        # only at delta = 0, so the prop6 clause fails there and holds at 1
-        pm = PlantMatrices(a=[[-1.0]], b=[[1.0]], bw=[[1.0]],
-                           c=[[1.0], [0.0]], d=[[0.0], [1.0]], q=np.zeros((2, 1)))
-        up = UncertainPlant(evaluate=per_delta(lambda _delta: pm), delta_dim=1,
-                            delta_samples=[[0.0], [1.0]])
-
-        def h_of(delta):
-            return np.array([[1.0, float(delta[0]) - 1.0]])
-
-        prog = ConvexProgram.from_qp(np.eye(2), np.zeros((2, 1)), n_w=1, h_eq=h_of,
-                                     l_eq=lambda _delta: np.zeros((1, 1)))
-        t0 = np.zeros((2, 1))
-        for delta, holds in zip(up.delta_samples, (False, True)):
-            clause = prop6_check(up, delta, prog, t0).clauses[-1]
-            assert clause.passed is holds
-            assert complement_condition(pm, h_of(delta), t0) is holds
 
     def test_swing_dapi_case(self):
         net, up, _ = swing_pieces()
