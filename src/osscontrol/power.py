@@ -10,11 +10,11 @@ w = p_star the uncontrolled injections.  The optimization output is
 y = (u, omega); the steady-state program minimizes total quadratic
 production cost subject to zero steady-state frequency deviation.
 
-Three controllers are provided: distributed-averaging PI over a
-communication Laplacian, a two-integrator scheme (one agent integrates the
-weighted frequency while the others average marginal costs), and a
-centralized gather-and-broadcast scheme with inverse-marginal-cost dispatch.
-All use the package-wide negative-feedback convention u = -(gains . states).
+Distributed-averaging PI and the two-integrator controller are
+optimality-model controllers, bundled as the documents ``power-dapi`` and
+``power-novel``; the one loop built by hand here is centralized
+gather-and-broadcast with inverse-marginal-cost dispatch.  All use the
+package-wide negative-feedback convention u = -(gains . states).
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matlib import _mv, _vdot, as_matrix, numerical_rank
-from .omodels import OptimalityModel, gather_broadcast_input
+from .omodels import gather_broadcast_input
 from .optprob import ConvexProgram
 from .plant import PlantStack, UncertainPlant, eval_plant
 from .simulate import ClosedLoopSystem, _affine_maps
-from .stabilize import Stabilizer
 
 
 @dataclass(frozen=True)
@@ -171,59 +170,6 @@ def frequency_program(net: PowerNetwork, f_freq=None) -> ConvexProgram:
     h = np.hstack([np.zeros((f.shape[0], n)), f])
     l = np.zeros((f.shape[0], n))
     return ConvexProgram.from_qp(m_cost, np.zeros((2 * n, n)), n_w=n, h_eq=h, l_eq=l, c=c)
-
-
-def dapi_feasible_basis(net: PowerNetwork) -> np.ndarray:
-    """Fixed feasible-direction matrix [laplacian'; 0] for the full-frequency constraint."""
-    n = net.n
-    return np.vstack([net.laplacian.T, np.zeros((n, n))])
-
-
-def build_dapi(net: PowerNetwork, k: float = 1.0) -> tuple[OptimalityModel, Stabilizer]:
-    """Distributed-averaging PI: eta_dot = omega + laplacian grad J(u), u = -(1/k) eta."""
-    if k <= 0:
-        raise ValueError("integral gain parameter k must be positive")
-    prog = frequency_program(net)
-    om = OptimalityModel(variant="rerfs", basis=dapi_feasible_basis(net), program=prog)
-    stab = Stabilizer(keta=np.eye(net.n) / k)
-    return om, stab
-
-
-def novel_feasible_basis(net: PowerNetwork) -> np.ndarray:
-    """Reduced feasible-direction matrix [reduced-laplacian'; 0] (first row deleted).
-
-    Requires the reduced Laplacian to keep rank n-1, which holds whenever the
-    deleted row lies in the span of the others (always for undirected
-    connected graphs).
-    """
-    n = net.n
-    if n < 2:
-        raise ValueError("two-integrator controller needs at least two buses")
-    reduced = net.laplacian[1:, :]
-    if numerical_rank(reduced) != n - 1:
-        raise ValueError("deleting the first Laplacian row drops rank; pick another row order")
-    return np.vstack([reduced.T, np.zeros((n, n - 1))])
-
-
-def build_novel_freq_controller(net: PowerNetwork, c_weights, gains=None) -> tuple[OptimalityModel, Stabilizer | None]:
-    """Two-integrator frequency controller from the feasible-subspace model.
-
-    eps = (c' omega, reduced-laplacian grad J(u)); one agent integrates the
-    convex-weighted frequency, the others average marginal costs.  ``gains``
-    may supply (k1, k2, k3) blocks for u = -(k1 eta1 + k2 eta2 + k3 omega);
-    when None the caller is expected to synthesize a stabilizer (e.g. LQR).
-    """
-    c = _validate_weights(net, c_weights)
-    prog = frequency_program(net, f_freq=c.reshape(1, -1))
-    om = OptimalityModel(variant="rfs", basis=novel_feasible_basis(net), program=prog)
-    stab = None
-    if gains is not None:
-        k1 = as_matrix(gains["k1"]).reshape(net.n, 1)
-        k2 = as_matrix(gains["k2"]).reshape(net.n, net.n - 1)
-        k3 = as_matrix(gains["k3"]).reshape(net.n, net.n)
-        kx = np.hstack([k3, np.zeros((net.n, net.n_lines))])
-        stab = Stabilizer(kx=kx, keta=np.hstack([k1, k2]))
-    return om, stab
 
 
 def _validate_weights(net: PowerNetwork, c_weights) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Scenario definitions: JSON loading, bundled library, and the check/run engine.
 
-A scenario file is a JSON document describing plant, program, controller,
+A scenario file is a JSON document describing plant, program, controller
+(an optimality model with its stabilizer, or the gather-and-broadcast loop),
 simulation parameters, and an ``expect`` block of machine-checkable
 expectations.  ``_SCHEMA`` is the one reference for the document format: for
 each dotted path it gives the JSON type, the shape (matrix rows and columns
@@ -163,12 +164,12 @@ def _resolve_basis(spec, up: UncertainPlant, prog: ConvexProgram, variant: str) 
 
 @dataclass
 class VariantPlan:
-    """One resolved run: an optimality model (or custom loop), stabilizer, sim block."""
+    """One resolved run: an optimality model and its stabilizer, or (``om``
+    None) the gather-and-broadcast loop of ``gb_weights``, and a sim block."""
 
     name: str
     om: OptimalityModel | None
     stabilizer: Stabilizer | None
-    controller_kind: str
     gb_weights: np.ndarray | None
     sim: dict | None
     program: ConvexProgram | None = None
@@ -197,7 +198,7 @@ class Scenario:
 
 def _lqr(up: UncertainPlant, om: OptimalityModel, spec: dict) -> Stabilizer:
     """LQR gains for the augmented plant at the nominal delta, weights q I and
-    r I from a checked ``lqr`` block."""
+    r I from a checked ``stabilizer.lqr`` block."""
     pm = eval_plant(up, up.nominal)
     aug = build_augmented_qp(pm, om)
     return synthesize_lqr(aug, spec["q"] * np.eye(aug.n_state), spec["r"] * np.eye(pm.m))
@@ -205,29 +206,23 @@ def _lqr(up: UncertainPlant, om: OptimalityModel, spec: dict) -> Stabilizer:
 
 def _build_controller(doc: dict, up: UncertainPlant, prog: ConvexProgram,
                       network: power.PowerNetwork | None, where):
-    """Resolve (om, stabilizer, controller_kind, gb_weights, program) for one
-    checked variant; ``where(block)`` is the document path of a block."""
-    if "controller" in doc:
-        ctrl = doc["controller"]
+    """Resolve (om, stabilizer, gb_weights, program) for one checked variant;
+    ``where(block)`` is the document path of a block.  An ``om`` block is the
+    optimality model over the variant's program with explicit or LQR gains; a
+    ``controller`` block is the hand-built gather-and-broadcast loop."""
+    if "controller" in doc:  # "gather_broadcast", the one controller
         with _named(where("controller")):
-            if ctrl["name"] == "dapi":
-                om, stab = power.build_dapi(network, ctrl["k"])
-                return om, stab, "standard", None, om.program
-            if ctrl["name"] == "novel":
-                om, stab = power.build_novel_freq_controller(network, ctrl["c"], ctrl.get("gains"))
-                return om, stab or _lqr(up, om, ctrl["lqr"]), "standard", None, om.program
-            weights = power._validate_weights(network, ctrl["c"])  # gather_broadcast
-            gb_prog = power.frequency_program(network, weights.reshape(1, -1))
-            return None, None, "gather_broadcast", weights, gb_prog
+            weights = power._validate_weights(network, doc["controller"]["c"])
+            return None, None, weights, power.frequency_program(network, weights.reshape(1, -1))
 
     om_spec, stab_spec = doc["om"], doc["stabilizer"]
     with _named(where("om")):
         basis = _resolve_basis(om_spec["basis"], up, prog, om_spec["variant"])
         om = OptimalityModel(variant=om_spec["variant"], basis=basis, program=prog)
     if "gains" in stab_spec:
-        return om, Stabilizer(**stab_spec["gains"]), "standard", None, prog
+        return om, Stabilizer(**stab_spec["gains"]), None, prog
     with _named(where("stabilizer")):
-        return om, _lqr(up, om, stab_spec["lqr"]), "standard", None, prog
+        return om, _lqr(up, om, stab_spec["lqr"]), None, prog
 
 
 # -- expectation engine --------------------------------------------------------------
@@ -331,7 +326,7 @@ class _Context:
     @property
     def om(self) -> OptimalityModel:
         if self.plan.om is None:
-            raise ValueError("this check needs a standard optimality-model controller")
+            raise ValueError("this check needs an optimality-model controller")
         return self.plan.om
 
     def pm(self, delta=None) -> PlantMatrices:
@@ -697,7 +692,7 @@ def _evaluate(sc: Scenario, variant: str | None, simulate: bool, h=None, t_end=N
         for ctx in contexts:
             if ctx.plan.sim is not None:
                 requests.append((ctx, ctx.delta))
-                if sweep and ctx.plan.controller_kind == "standard":
+                if sweep and ctx.plan.om is not None:
                     requests += [(ctx, d) for d in sc.plant.delta_samples]
         # scenario-level checks read the first variant, selected or not
         if first.plan.sim is not None and any(s["kind"] in SIM_CHECK_KINDS for s in sc.expect):
@@ -715,7 +710,7 @@ def _evaluate(sc: Scenario, variant: str | None, simulate: bool, h=None, t_end=N
                 report.info.append(f"[{plan.name}] trajectory diverged and was truncated")
         index = next(i for i, v in enumerate(sc.variants) if v is plan)
         run_checks(ctx, plan.expect, f"variants[{index}].expect")
-        if sweep and plan.sim is not None and plan.controller_kind == "standard":
+        if sweep and plan.sim is not None and plan.om is not None:
             trajectories.update(_sweep(ctx, report))
     return report, trajectories
 
@@ -876,18 +871,10 @@ _SCHEMA = {
     **{f"stabilizer.gains.{k}": ("matrix", ("m", size), None, None) for k, size in (
         ("kx", "n"), ("knu", "nu"), ("kmu", "mu"), ("keta", "eps"), ("keps", "eps"))},
     "stabilizer.lqr": ("object", (), None, None),
+    **{f"stabilizer.lqr.{k}": ("number", None, None, 1.0) for k in "qr"},
     "controller": ("object", ("name",), None, None),
-    "controller.name": ("str", None, dict.fromkeys(("dapi", "novel", "gather_broadcast"), _swing),
-                        None),
-    "controller.k": ("number", None, None, 1.0),
+    "controller.name": ("str", None, {"gather_broadcast": _swing}, None),
     "controller.c": ("numbers", ("net",), None, lambda dims: [1.0 / dims["net"]] * dims["net"]),
-    "controller.gains": ("object", ("k1", "k2", "k3"), None, None),
-    "controller.gains.k1": ("numbers", ("net", 1), None, None),
-    "controller.gains.k2": ("numbers", ("net", "lines"), None, None),
-    "controller.gains.k3": ("numbers", ("net", "net"), None, None),
-    "controller.lqr": ("object", (), None, {}),
-    **{f"{block}.lqr.{k}": ("number", None, None, 1.0) for block in ("stabilizer", "controller")
-       for k in "qr"},
     "sim": ("object", ("h", "t_end"), None, None),
     "sim.h": ("number", None, "positive", None),
     "sim.t_end": ("number", None, "positive", None),
@@ -1173,7 +1160,7 @@ def load_scenario(source) -> Scenario:
         if "program" in v:
             with _named(where("program")):
                 vprog, vobjective = _build_program(v["program"], network, dims)
-        om, stab, kind, gb_w, vprog = _build_controller(v, up, vprog, network, where)
+        om, stab, gb_w, vprog = _build_controller(v, up, vprog, network, where)
         # the shapes that name a size of the built model (_MODEL_SIZES)
         model = (dict(nu=om.n_ic, mu=om.n_mu, eps=om.eps_dim, state=om.n_ic + om.n_mu + om.eps_dim)
                  if om is not None else {"state": 1})
@@ -1183,9 +1170,9 @@ def load_scenario(source) -> Scenario:
                          f"{where('stabilizer')}.gains.{k}")
         if "z0" in v.get("sim", {}):
             _check_shape(v["sim"]["z0"], ("state",), model, f"{where('sim')}.z0")
-        plans.append(VariantPlan(name=v["name"], om=om, stabilizer=stab, controller_kind=kind,
-                                 gb_weights=gb_w, sim=v.get("sim"), program=vprog,
-                                 expect=v["expect"], objective=vobjective))
+        plans.append(VariantPlan(name=v["name"], om=om, stabilizer=stab, gb_weights=gb_w,
+                                 sim=v.get("sim"), program=vprog, expect=v["expect"],
+                                 objective=vobjective))
     return Scenario(name=top["name"], description=top["description"], plant=up,
                     program=program, network=network, variants=plans, expect=top["expect"],
                     notes=top["notes"])

@@ -6,7 +6,8 @@ formulas (DC gain, KKT residual, the hand-written augmented plant of each
 optimality-model variant, the optimality model with its empty products, the
 settling-time scan, the CSV trace by ``np.savetxt``, the equilibrium
 geometry, subspace checks and spectra one delta at a time, the swing plant
-rebuilt block by block) are independent routes that tests compare the
+rebuilt block by block, the feasible-direction bases of the two distributed
+power controllers) are independent routes that tests compare the
 package against.
 """
 
@@ -372,3 +373,19 @@ def rerfs_range_condition_by_sample(up: UncertainPlant, h_eq, t0, tol: float = 1
         if not ok and witness is None:
             witness = delta
     return {"holds": witness is None, "witness": witness, "matches": matches}
+
+
+def dapi_basis_by_formula(net) -> np.ndarray:
+    """[L'; 0]: the feasible directions of distributed-averaging PI over the
+    communication Laplacian L, one column per bus (``power-dapi``'s
+    ``om.basis``, a reduced-error model whose integrator gain is I / k)."""
+    return np.vstack([net.laplacian.T, np.zeros((net.n, net.n))])
+
+
+def two_integrator_basis_by_formula(net) -> np.ndarray:
+    """[L[1:, :]'; 0]: the two-integrator controller's feasible directions,
+    the Laplacian with its first row deleted (``power-novel``'s
+    ``om.basis``).  Bus 0 integrates the weighted frequency c' omega, the
+    others average marginal costs; the n - 1 columns are independent because
+    the reduced Laplacian of a connected graph keeps rank n - 1."""
+    return np.vstack([net.laplacian[1:, :].T, np.zeros((net.n, net.n - 1))])

@@ -9,7 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from osscontrol import cli, scenarios
@@ -85,10 +84,8 @@ def edit(doc, path, value):
                  id="missing-om-variant"),
     pytest.param("no-hurwitz", ("stabilizer", "gains"), DELETE, "stabilizer block needs",
                  id="missing-stabilizer-gains"),
-    pytest.param("power-dapi", ("controller", "name"), DELETE, "controller.name is missing",
+    pytest.param("power-gb", ("controller", "name"), DELETE, "controller.name is missing",
                  id="missing-controller-name"),
-    pytest.param("power-novel", ("controller", "gains"), {"k1": [1.0]},
-                 "controller.gains.k2 is missing", id="missing-controller-gain"),
     pytest.param("power-dapi", ("network", "p_star"), DELETE, "network.p_star is missing",
                  id="missing-network-field"),
     pytest.param("no-hurwitz", ("plant", "matrices"), DELETE, "plant needs a builder",
@@ -106,8 +103,6 @@ def edit(doc, path, value):
                  "stabilizer.lqr.q must be a finite number", id="lqr-q-string"),
     pytest.param("no-hurwitz", ("stabilizer",), {"lqr": {"r": None}},
                  "stabilizer.lqr.r must be a finite number", id="lqr-r-null"),
-    pytest.param("power-novel", ("controller", "lqr", "q"), [1.0],
-                 "controller.lqr.q must be a finite number", id="controller-lqr-q-list"),
     pytest.param("no-hurwitz", ("sim", "h"), None, "sim.h must be a positive number",
                  id="sim-h-null"),
     pytest.param("no-hurwitz", ("sim", "h"), 0.0, "sim.h must be a positive number",
@@ -128,8 +123,6 @@ def edit(doc, path, value):
                  [{"name": "affine", "params": {"g": [1.0, 0.0], "offset": None}}],
                  "program.inequalities[0].params.offset must be a finite number",
                  id="inequality-offset-null"),
-    pytest.param("power-dapi", ("controller", "k"), None, "controller.k must be a finite number",
-                 id="controller-k-null"),
     pytest.param("power-dapi", ("network", "n"), None, "network.n must be an integer",
                  id="network-n-null"),
     # numeric fields of an expectation, read only when its check runs
@@ -206,12 +199,20 @@ def edit(doc, path, value):
                  "plant.delta_samples must be a list of number lists", id="samples-number"),
     pytest.param("power-gb", ("controller", "c"), {}, "controller.c must be a list of numbers",
                  id="gb-weights-object"),
+    pytest.param("power-gb", ("controller", "c"), [0.5, 0.5, 0.5, -0.5],
+                 "controller: weights must be nonnegative", id="gb-weights-negative"),
+    pytest.param("power-dapi", ("plant", "delta_samples"), [],
+                 "plant.delta_samples must hold numbers that fit an array, got []",
+                 id="swing-samples-empty"),
     pytest.param("rfs-violation", ("expect", 0, "witness"), 2.5,
                  "expect[0].witness must be a list of number lists", id="witness-number"),
-    # explicit two-integrator gains of the wrong shape
-    pytest.param("power-novel", ("controller", "gains"),
-                 {"k1": [[0.0]] * 4, "k2": [[0.0, 0.0]] * 4, "k3": [[0.0] * 4] * 4},
-                 "controller.gains.k2 has 2 columns, expected 3", id="controller-gain-k2-shape"),
+    # the distributed power controllers are om documents: gather_broadcast is
+    # the one controller name, and a feasible-direction basis has one row per output
+    pytest.param("power-gb", ("controller", "name"), "dapi",
+                 "controller.name must be one of 'gather_broadcast', got 'dapi'",
+                 id="controller-name-dapi"),
+    pytest.param("power-dapi", ("om", "basis"), {"rows": 7, "cols": 4, "data": [0.0] * 28},
+                 "om.basis has 7 rows, expected 8", id="om-basis-7-rows"),
     # shapes against the plant's inputs, and against the built model
     pytest.param("no-hurwitz", ("stabilizer", "gains", "kx"),
                  {"rows": 1, "cols": 3, "data": [0.0] * 3}, "stabilizer.gains.kx has 1 rows, expected 2",
@@ -289,6 +290,32 @@ def test_unreadable_paths_exit_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"error: {latin}: not UTF-8 text at byte offset 13\n"
 
 
+def test_invalid_json_exits_2(tmp_path, capsys):
+    # a document cut short after its first field
+    cut = tmp_path / "cut.json"
+    cut.write_text('{"name": "x",\n')
+    assert cli.main(["check", str(cut)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cut}: invalid JSON at line 2: Expecting property name enclosed in double quotes\n")
+
+
+def test_list_and_an_unknown_name_in_process(capsys):
+    assert cli.main(["list"]) == 0
+    assert capsys.readouterr().out.split() == list(scenarios.BUNDLED_NAMES)
+    assert cli.main(["check", "no-such-scenario"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no scenario file or bundled name 'no-such-scenario'\n")
+
+
+def test_step_override_sets_the_trace_times(tmp_path, capsys):
+    # --h replaces the document's sim.h (0.01): 0.2 s is four steps of 0.05
+    assert cli.main(["run", "rfs-violation", "--h", "0.05", "--t-end", "0.2",
+                     "--out", str(tmp_path)]) == 0
+    assert "[PASS] final_err [main]" in capsys.readouterr().out
+    lines = (tmp_path / "rfs-violation.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["t", "0", "0.05", "0.1", "0.15", "0.2"]
+
+
 def matrix(rows) -> dict:
     """A scenario-file matrix from its rows."""
     return {"rows": len(rows), "cols": len(rows[0]), "data": [v for row in rows for v in row]}
@@ -316,18 +343,6 @@ def test_variant_subspace_checks_read_the_variant_program(tmp_path, capsys):
 def test_unknown_variant_exits_2(capsys):
     assert cli.main(["check", "power-dapi", "--variant", "nosuch"]) == 2
     assert capsys.readouterr().err == "error: scenario power-dapi has no variant 'nosuch'\n"
-
-
-def test_explicit_two_integrator_gains():
-    # u = -(k1 eta1 + k2 eta2 + k3 omega): Kx is k3 beside zeros on the line
-    # flows, Keta is k1 beside k2
-    doc = json.loads(scenarios.bundled_path("power-novel").read_text())
-    rng = np.random.default_rng(18)
-    k1, k2, k3 = (rng.standard_normal((4, cols)) for cols in (1, 3, 4))
-    doc["controller"]["gains"] = {"k1": k1.tolist(), "k2": k2.tolist(), "k3": k3.tolist()}
-    stab = scenarios.load_scenario(doc).variants[0].stabilizer
-    assert np.array_equal(stab.kx, np.hstack([k3, np.zeros((4, 3))]))
-    assert np.array_equal(stab.keta, np.hstack([k1, k2]))
 
 
 def test_check_json_report_is_json(capsys):

@@ -189,6 +189,12 @@ class TestEigenvalues:
         assert np.allclose(np.sort(ev.imag), [-1.0, 1.0])
         assert np.allclose(ev.real, 0.0)
 
+    def test_empty_matrix_and_stack(self):
+        # no eigenvalues, complex like every other result that is not all real
+        for shape in ((0, 0), (3, 0, 0)):
+            ev = eigenvalues(np.zeros(shape))
+            assert ev.shape == shape[:-1] and ev.dtype == complex
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             eigenvalues(np.zeros((2, 3)))

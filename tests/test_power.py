@@ -1,12 +1,15 @@
 """Power-network builders on their own: the closed-form dispatch against the
-generic oracle, the network data checks, and the dispatch map."""
+generic oracle, the network data checks, the dispatch map, and the two
+distributed controllers as optimality models."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from osscontrol.omodels import gather_broadcast_input
+from osscontrol import scenarios
+from osscontrol.matlib import numerical_rank
+from osscontrol.omodels import OptimalityModel, gather_broadcast_input, om_dynamics
 from osscontrol.optprob import oracle_optimal_output
 from osscontrol.plant import eval_plant
 from osscontrol.power import (
@@ -17,7 +20,12 @@ from osscontrol.power import (
     frequency_program,
 )
 
-from helpers import assert_bits_equal, swing_matrices_by_formula
+from helpers import (
+    assert_bits_equal,
+    dapi_basis_by_formula,
+    swing_matrices_by_formula,
+    two_integrator_basis_by_formula,
+)
 
 
 def random_tree_network(rng, n: int) -> PowerNetwork:
@@ -90,3 +98,56 @@ def test_swing_plant_matrices_equal_the_block_formula():
                 assert_bits_equal(getattr(pm, key), want, key)
             assert not any(getattr(pm, k).flags.writeable for k in ("b", "bw", "c", "d", "q"))
             assert pm.a.flags.writeable
+
+
+# (variant, basis formula, frequency rows F of the program) of each bundled
+# distributed controller: DAPI constrains every bus frequency, the
+# two-integrator controller the uniformly weighted one
+POWER_MODELS = {
+    "power-dapi": ("rerfs", dapi_basis_by_formula, lambda n: np.eye(n)),
+    "power-novel": ("rfs", two_integrator_basis_by_formula, lambda n: np.full((1, n), 1.0 / n)),
+}
+
+
+@pytest.mark.parametrize("name", list(POWER_MODELS))
+def test_bundled_power_models_equal_their_formulas(name):
+    # the document's om.basis, program.f and integrator gain are the formulas
+    # applied to its own network block, bit for bit
+    sc = scenarios.load_scenario(name)
+    plan, net = sc.variants[0], sc.network
+    variant, basis_of, rows_of = POWER_MODELS[name]
+    assert plan.om.variant == variant
+    assert_bits_equal(plan.om.basis, basis_of(net), "om.basis")
+    assert_bits_equal(plan.program.h_eq, frequency_program(net, rows_of(net.n)).h_eq, "program.f")
+    if name == "power-dapi":  # keta = I / k with k = 1; power-novel's gains come from LQR
+        assert_bits_equal(plan.stabilizer.keta, np.eye(net.n) / 1.0, "keta")
+
+
+def test_reduced_laplacian_keeps_rank_on_random_trees():
+    # deleting the first Laplacian row of a connected graph keeps rank n - 1,
+    # so the two-integrator basis has independent columns
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        net = random_tree_network(rng, int(rng.integers(2, 8)))
+        assert numerical_rank(net.laplacian[1:, :]) == net.n - 1
+        assert numerical_rank(two_integrator_basis_by_formula(net)) == net.n - 1
+
+
+def test_power_models_give_the_distributed_error_signals():
+    # the generic models' proxy errors are the published controllers' signals:
+    # DAPI integrates omega + L grad J(u), the two-integrator controller
+    # (c' omega, L[1:, :] grad J(u))
+    rng = np.random.default_rng(54)
+    for _ in range(10):
+        net = random_tree_network(rng, int(rng.integers(2, 7)))
+        c = rng.dirichlet(np.ones(net.n))
+        y = rng.standard_normal((5, 2 * net.n))
+        u, omega = y[:, :net.n], y[:, net.n:]
+        grad = net.marginal_cost(u)
+        dapi = OptimalityModel("rerfs", dapi_basis_by_formula(net), frequency_program(net))
+        two = OptimalityModel("rfs", two_integrator_basis_by_formula(net),
+                              frequency_program(net, c.reshape(1, -1)))
+        for om, want in ((dapi, omega + grad @ net.laplacian.T),
+                         (two, np.hstack([omega @ c[:, None], grad @ net.laplacian[1:, :].T]))):
+            _, eps = om_dynamics(om, y, net.p_star, np.zeros((5, 0)))
+            np.testing.assert_allclose(eps, want, rtol=0, atol=1e-12)

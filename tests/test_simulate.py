@@ -50,8 +50,7 @@ def simulated_loops(name):
         if plan.sim is None:
             continue
         ctx = scenarios._Context(sc, plan)
-        deltas = ([sc.plant.nominal] if plan.controller_kind == "gather_broadcast"
-                  else sc.plant.delta_samples)
+        deltas = [sc.plant.nominal] if plan.om is None else sc.plant.delta_samples
         for d in deltas:
             yield f"{plan.name}@{np.atleast_1d(d).tolist()}", plan, d, ctx.w, ctx.loop(d)
 
@@ -111,7 +110,7 @@ def test_stacked_outputs_match_per_row_reference(name):
     for label, plan, delta, w, sys in loops:
         zs = random_states(sys.n_state)
         got = sys.outputs(zs)
-        if plan.controller_kind == "gather_broadcast":
+        if plan.om is None:
             want = gather_broadcast_reference(sc.network, plan.gb_weights, zs)
         else:
             want = standard_reference(sc, plan, delta, w, zs, got[1])
@@ -213,6 +212,12 @@ DIVERGENCE_CASES = {
     "near-limit-no-divergence": (diagonal_loop([0.0, 0.0]), np.array([0.9e12, 0.0]), None),
     "stable": (diagonal_loop([-1.0, -0.5], offset=[1.0, 2.0]), np.array([5.0, -5.0]), None),
 }
+
+
+@pytest.mark.parametrize("h", [0.0, -H])
+def test_non_positive_step_is_refused(h):
+    with pytest.raises(ValueError, match="step size must be positive"):
+        integrate_rk4(diagonal_loop([-1.0]), np.ones(1), 1.0, h)
 
 
 @pytest.mark.parametrize("case", list(DIVERGENCE_CASES))
