@@ -8,7 +8,6 @@ simulates the closed loop to certify convergence.
 """
 
 from .matlib import (
-    SubspaceBasis,
     eigenvalues,
     left_null_basis,
     null_basis,
@@ -24,7 +23,6 @@ from .optprob import (
     ConvexProgram,
     KKTPoint,
     QPData,
-    nonredundant_check,
     oracle_optimal_output,
     unique_optimizer_check,
 )

@@ -1,8 +1,9 @@
 """Dense linear algebra and rank-revealing subspace toolkit.
 
-All subspaces are carried as orthonormal column bases (`SubspaceBasis`), so
-equality and intersection tests are well conditioned.  The empty subspace is
-a first-class value: a basis with zero columns.
+A subspace of R^n is carried as a plain (n, k) array whose columns are an
+orthonormal basis of it, so equality and intersection tests are well
+conditioned.  The empty subspace is a first-class value: a basis with zero
+columns.
 
 Rank decisions use a relative threshold ``tol * sigma_max * max(rows, cols)``.
 ``rank_decision`` is the one yes/no rank test: it also returns its margin,
@@ -12,12 +13,9 @@ answer is no), so borderline calls are visible to callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 DEFAULT_RANK_TOL = 1e-10
-_ORTHONORMALITY_TOL = 1e-10
 # Rows per block of a stacked computation: states per output block, steps
 # per divergence check of the integrator and delta samples per block of the
 # subspace and spectrum checks.  Outputs built over a whole trajectory at once
@@ -59,49 +57,6 @@ def _row_matrix(m, cols: int) -> np.ndarray:
     return as_matrix(m).reshape(-1, cols) if m is not None and np.size(m) else np.zeros((0, cols))
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis of a subspace of R^ambient_dim.
-
-    ``basis`` has shape (ambient_dim, dim); zero columns encode the trivial
-    subspace.  ``tol`` records the rank threshold used at construction.
-    """
-
-    basis: np.ndarray
-    ambient_dim: int
-    tol: float = field(default=DEFAULT_RANK_TOL)
-
-    def __post_init__(self):
-        b = as_matrix(self.basis) if self.basis.size else np.asarray(self.basis, dtype=float)
-        if b.ndim != 2:
-            b = b.reshape(self.ambient_dim, -1)
-        object.__setattr__(self, "basis", b)
-        if b.shape[0] != self.ambient_dim:
-            raise ValueError(
-                f"basis has {b.shape[0]} rows but ambient dimension is {self.ambient_dim}"
-            )
-        if self.dim:
-            gram = b.T @ b
-            if np.abs(gram - np.eye(self.dim)).max() > _ORTHONORMALITY_TOL:
-                raise ValueError("basis columns are not orthonormal")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.dim == 0
-
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace."""
-        return self.basis @ self.basis.T
-
-
-def _svd(m: np.ndarray):
-    return np.linalg.svd(m, full_matrices=True)
-
-
 def _rank_threshold(s: np.ndarray, shape, tol: float, floor: float = 0.0):
     """Singular values above this count toward the rank (``s`` nonempty,
     descending; (..., k) for a stack of matrices of ``shape``, one threshold
@@ -136,15 +91,21 @@ def rank_groups(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list:
     return groups
 
 
+def _svd_rank(m, tol: float, floor: float):
+    """``u``, ``vt`` of the full SVD of ``m`` (``as_matrix``) and its
+    numerical rank."""
+    a = as_matrix(m)
+    u, s, vt = np.linalg.svd(a, full_matrices=True)
+    return u, vt, int(_rank_from_singular_values(s, a.shape, tol, floor))
+
+
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> int:
     """Number of singular values above ``tol * sigma_max * max(rows, cols)``.
 
     ``floor`` is an optional absolute cutoff for matrices built by
     cancellation of larger factors, where sigma_max itself may be roundoff.
     """
-    a = as_matrix(m)
-    _, s, _ = _svd(a)
-    return int(_rank_from_singular_values(s, a.shape, tol, floor))
+    return _svd_rank(m, tol, floor)[2]
 
 
 def rank_decision(m, want_rank: int, tol: float = DEFAULT_RANK_TOL) -> tuple[bool, float]:
@@ -171,39 +132,37 @@ def rank_decision(m, want_rank: int, tol: float = DEFAULT_RANK_TOL) -> tuple[boo
     return False, np.inf if sigma == 0.0 else float(thresh / sigma)
 
 
-def null_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> SubspaceBasis:
-    """Orthonormal basis of the right null space of ``m``."""
-    a = as_matrix(m)
-    _, s, vt = _svd(a)
-    r = _rank_from_singular_values(s, a.shape, tol, floor)
-    return SubspaceBasis(vt[r:].T.copy(), a.shape[1], tol)
+def null_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of the right null space of ``m``, (cols, k)."""
+    _, vt, r = _svd_rank(m, tol, floor)
+    return vt[r:].T.copy()
 
 
-def range_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> SubspaceBasis:
-    """Orthonormal basis of the column space of ``m``."""
-    a = as_matrix(m)
-    u, s, _ = _svd(a)
-    r = _rank_from_singular_values(s, a.shape, tol, floor)
-    return SubspaceBasis(u[:, :r].copy(), a.shape[0], tol)
+def range_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of the column space of ``m``, (rows, k)."""
+    u, _, r = _svd_rank(m, tol, floor)
+    return u[:, :r].copy()
 
 
-def left_null_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> SubspaceBasis:
-    """Orthonormal basis of the left null space (orthogonal complement of the range)."""
-    a = as_matrix(m)
-    u, s, _ = _svd(a)
-    r = _rank_from_singular_values(s, a.shape, tol, floor)
-    return SubspaceBasis(u[:, r:].copy(), a.shape[0], tol)
+def left_null_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of the left null space (orthogonal complement of the
+    range) of ``m``, (rows, k)."""
+    u, _, r = _svd_rank(m, tol, floor)
+    return u[:, r:].copy()
 
 
-def subspace_equal(u: SubspaceBasis, v: SubspaceBasis, tol: float = 1e-8) -> bool:
-    """True iff the subspaces have equal dimension and max principal-angle sine <= tol."""
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}"
-        )
-    if u.dim != v.dim:
+def _same_ambient(u: np.ndarray, v: np.ndarray) -> None:
+    if u.shape[0] != v.shape[0]:
+        raise ValueError(f"ambient dimensions differ: {u.shape[0]} vs {v.shape[0]}")
+
+
+def subspace_equal(u: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> bool:
+    """True iff the subspaces spanned by the orthonormal bases ``u`` and ``v``
+    have equal dimension and max principal-angle sine <= tol."""
+    _same_ambient(u, v)
+    if u.shape[1] != v.shape[1]:
         return False
-    return float(max_sine(u.basis, v.basis)) <= tol
+    return float(max_sine(u, v)) <= tol
 
 
 def max_sine(u: np.ndarray, v: np.ndarray):
@@ -219,19 +178,16 @@ def max_sine(u: np.ndarray, v: np.ndarray):
     return np.linalg.svd(v - u @ (u.T @ v), compute_uv=False)[..., 0]
 
 
-def subspace_intersection(u: SubspaceBasis, v: SubspaceBasis, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the intersection of two subspaces.
+def subspace_intersection(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of the intersection of the subspaces spanned by the
+    orthonormal bases ``u`` and ``v``.
 
     Computed as the null space of the stacked orthogonal-complement
-    projectors ``[I - P_u; I - P_v]``.
+    projectors ``[I - u u'; I - v v']``.
     """
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}"
-        )
-    n = u.ambient_dim
-    stack = np.vstack([np.eye(n) - u.projector(), np.eye(n) - v.projector()])
-    return null_basis(stack, tol)
+    _same_ambient(u, v)
+    n = u.shape[0]
+    return null_basis(np.vstack([np.eye(n) - u @ u.T, np.eye(n) - v @ v.T]), tol)
 
 
 # ``_mv(a, z)`` is ``a @ z`` for one vector z (n,) or for each row of a stack

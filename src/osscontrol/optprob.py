@@ -21,8 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InfeasibleProblem, NonuniqueOptimizer
-from .matlib import (_mv, _row_matrix, _vdot, as_matrix, left_null_basis, null_basis, rank_decision,
-                     solve_linear)
+from .matlib import _mv, _row_matrix, _vdot, as_matrix, left_null_basis, null_basis, solve_linear
 from .plant import PlantMatrices
 
 ACTIVE_SET_CAP = 12
@@ -287,15 +286,6 @@ def unique_optimizer_check(m_cost, t0, tol: float = 1e-10) -> tuple[bool, float]
     return False, thresh / lam if lam > 0 else np.inf
 
 
-def nonredundant_check(gperp, h_eq, tol: float = 1e-10) -> tuple[bool, float]:
-    """Does the stacked constraint matrix [gperp; H] have full row rank?
-    Returns the decision and its :func:`rank_decision` margin."""
-    g = as_matrix(gperp)
-    h = _row_matrix(h_eq, g.shape[1])
-    stack = np.vstack([g, h])
-    return rank_decision(stack, stack.shape[0], tol)
-
-
 # -- optimizer oracle --------------------------------------------------------------
 
 
@@ -375,7 +365,7 @@ def oracle_optimal_output(prog: ConvexProgram, pm: PlantMatrices, w,
     z_p = solve_linear(ab, rhs)
     if np.linalg.norm(ab @ z_p - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
         raise InfeasibleProblem("no forced equilibrium exists for this disturbance")
-    nbasis = null_basis(ab).basis
+    nbasis = null_basis(ab)
     cd = np.hstack([pm.c, pm.d])
     y_p = cd @ z_p + pm.q @ w
     gm = cd @ nbasis
@@ -389,7 +379,7 @@ def oracle_optimal_output(prog: ConvexProgram, pm: PlantMatrices, w,
         """The result at the optimal equilibrium coordinates v and multipliers mu, nu."""
         y_star = y_p + gm @ v
         z = z_p + nbasis @ v
-        gperp = left_null_basis(gm).basis.T
+        gperp = left_null_basis(gm).T
         lam = solve_linear(gperp.T, -(prog.lagrangian_grad(y_star, w, nu) + prog.h_eq.T @ mu))
         return {
             "y_star": y_star,
@@ -425,7 +415,7 @@ def oracle_optimal_output(prog: ConvexProgram, pm: PlantMatrices, w,
             raise NonuniqueOptimizer(
                 "no unique optimizer: the cost is unbounded along a feasible direction"
             )
-        null = null_basis(kkt_mat).basis
+        null = null_basis(kkt_mat)
         if null.shape[1]:
             moves = gm @ null[:k, :]
             if np.abs(moves).max() > 1e-8 * (1.0 + np.linalg.norm(sol)):

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import NotStabilizable, NumericsDisagreement, RiccatiFailure
 from .matlib import as_matrix, eigenvalues, range_basis, rank_decision, subspace_equal
 from .omodels import OptimalityModel
-from .optprob import ConvexProgram, nonredundant_check, unique_optimizer_check
+from .optprob import ConvexProgram, unique_optimizer_check
 from .plant import AugmentedPlant, PlantMatrices, UncertainPlant, build_augmented_qp, eval_plant
 from .subspaces import equilibrium_geometry, reduced_error_complement_condition
 
@@ -123,13 +123,13 @@ def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis,
     ]
 
     if variant in ("rfs", "ros"):
-        nonred, m3 = nonredundant_check(geom.gperp, prog.h_eq, tol)
+        rows = geom.gperp.shape[0] + prog.n_ec
+        nonred, m3 = rank_decision(np.vstack([geom.gperp, prog.h_eq]), rows, tol)
         clauses.append(ClauseResult(
             "nonredundant constraints", nonred,
-            detail=f"rank of stacked constraints vs {geom.gperp.shape[0] + prog.n_ec} rows",
-            margin=m3))
+            detail=f"rank of stacked constraints vs {rows} rows", margin=m3))
 
-    unique, m4 = unique_optimizer_check(prog.qp.m_cost, geom.t_basis.basis, tol)
+    unique, m4 = unique_optimizer_check(prog.qp.m_cost, geom.t_basis, tol)
     premise = subspace_equal(range_basis(basis),
                              geom.g_range if variant == "ros" else geom.t_basis)
     if variant == "rerfs":

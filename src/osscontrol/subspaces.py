@@ -22,7 +22,9 @@ every matrix function then runs once per block.  numpy's ``linalg`` gufuncs
 (``cond``, ``solve``, ``svd``) and ``matmul`` run the same LAPACK or BLAS
 call on each matrix of a stack as on one matrix, so every basis, sine and
 verdict is bit-identical to computing the sample alone;
-``equilibrium_geometry`` of one realization is the block of one.
+``equilibrium_geometry`` of one realization is row 0 of the block of one.
+Every basis is a plain array with orthonormal columns (``matlib``), in a
+block as in one realization.
 
 Ranks can differ across a block: A may be singular at some deltas, and the
 dimension of range G or of the feasible slice may change.  Each SVD's rows
@@ -41,14 +43,12 @@ blocks and geometry groups as ``check_rfs``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .matlib import (
     DEFAULT_RANK_TOL,
-    SubspaceBasis,
     _rank_from_singular_values,
     _row_matrix,
     as_matrix,
@@ -63,20 +63,21 @@ from .plant import PlantMatrices, PlantStack, UncertainPlant, eval_plant, sample
 _INVERTIBILITY_RCOND = 1e-8
 
 
-@dataclass(frozen=True)
-class EquilibriumGeometry:
-    """Geometry of the equilibrium-output set for one plant realization.
+class EquilibriumGeometry(NamedTuple):
+    """Geometry of the equilibrium-output set for one plant realization, or
+    each field a stack over the realizations of a group (``_geometry_groups``).
 
     ndelta spans null [A B]; g = [C D] ndelta spans the output direction
-    subspace, with orthonormal basis g_range; gperp has orthonormal rows
-    annihilating it; t_basis spans the feasible directions null [gperp; H].
+    subspace, with orthonormal basis g_range, (p, k); gperp has orthonormal
+    rows annihilating it; t_basis, (p, k), is an orthonormal basis of the
+    feasible directions null [gperp; H].
     """
 
     ndelta: np.ndarray
     g: np.ndarray
     gperp: np.ndarray
-    g_range: SubspaceBasis
-    t_basis: SubspaceBasis
+    g_range: np.ndarray
+    t_basis: np.ndarray
 
 
 def _swap(mats: np.ndarray) -> np.ndarray:
@@ -118,22 +119,11 @@ def _cond(a: np.ndarray):
         return np.array([_cond(m) for m in a]) if a.ndim > 2 else np.inf
 
 
-class _GeometryGroup(NamedTuple):
-    """The geometry of the realizations ``rows`` of a stack, whose bases share
-    their shapes: each field of ``EquilibriumGeometry`` as a stack over the
-    rows, orthonormal bases as plain arrays."""
-
-    rows: np.ndarray
-    ndelta: np.ndarray
-    g: np.ndarray
-    gperp: np.ndarray
-    g_range: np.ndarray
-    t_basis: np.ndarray
-
-
 def _geometry_groups(ps: PlantStack, h_eq) -> list:
-    """Equilibrium geometry of every realization of a stack, as
-    ``_GeometryGroup``s: the rows are split by rank.
+    """Equilibrium geometry of every realization of a stack, as ``(rows,
+    geometry)`` pairs: the rows are split by rank, and each field of the
+    ``EquilibriumGeometry`` is a stack over the realizations ``rows``, whose
+    bases share their shapes.
 
     An empty null space yields an empty g and gperp equal to the identity
     row basis of the output space.
@@ -152,18 +142,16 @@ def _geometry_groups(ps: PlantStack, h_eq) -> list:
         for sub, g_range, gperp in split:
             hs = np.broadcast_to(h, (sub.size,) + h.shape)
             for part, _, vt, rank in rank_groups(np.concatenate([gperp, hs], axis=-2)):
-                out.append(_GeometryGroup(rows[sub][part], nd[sub][part], g[sub][part],
-                                          gperp[part], g_range[part], _swap(vt[:, rank:])))
+                out.append((rows[sub][part], EquilibriumGeometry(
+                    nd[sub][part], g[sub][part], gperp[part], g_range[part], _swap(vt[:, rank:]))))
     return out
 
 
 def equilibrium_geometry(pm: PlantMatrices, h_eq=None) -> EquilibriumGeometry:
-    """Build the equilibrium-output geometry for a plant realization: the
-    block of one realization."""
-    (geom,) = _geometry_groups(pm.broadcast(1), h_eq)
-    return EquilibriumGeometry(ndelta=geom.ndelta[0], g=geom.g[0], gperp=geom.gperp[0],
-                               g_range=SubspaceBasis(geom.g_range[0], pm.p),
-                               t_basis=SubspaceBasis(geom.t_basis[0], pm.p))
+    """Build the equilibrium-output geometry for a plant realization: row 0
+    of the block of one realization."""
+    ((_, geom),) = _geometry_groups(pm.broadcast(1), h_eq)
+    return EquilibriumGeometry._make(field[0] for field in geom)
 
 
 def check_ros(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
@@ -189,20 +177,20 @@ def check_rfs(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
     blocks = sample_blocks(up)
     _, nominal = next(blocks)
     ps = eval_plant(up, nominal)
-    (geom,) = _geometry_groups(ps, h_eq)
+    ((_, geom),) = _geometry_groups(ps, h_eq)
     refs = (geom.g_range[0], geom.t_basis[0])
     # row 0 compares range G, row 1 the feasible directions
     matches = np.ones((2, len(samples)), dtype=bool)
     sines = np.zeros((2, len(samples)))
     for lo, deltas in blocks:
         ps = eval_plant(up, deltas)
-        for geom in _geometry_groups(ps, h_eq):
+        for rows, geom in _geometry_groups(ps, h_eq):
             for k, (ref, bases) in enumerate(zip(refs, (geom.g_range, geom.t_basis))):
                 # a subspace of another dimension is at a right angle to the nominal
                 same = bases.shape[-1] == ref.shape[-1]
                 sine = max_sine(ref, bases) if same else 1.0
-                matches[k, lo + geom.rows] = same & (sine <= tol)
-                sines[k, lo + geom.rows] = sine
+                matches[k, lo + rows] = same & (sine <= tol)
+                sines[k, lo + rows] = sine
 
     def report(k: int, key: str) -> dict:
         bad = np.flatnonzero(~matches[k])
@@ -249,7 +237,7 @@ def reduced_error_complement_condition(h, g, t0, tol: float = DEFAULT_RANK_TOL) 
     space.  Returns the decision and its :func:`rank_decision` margin.
     """
     hg, t0t = _reduced_error_ranges(h, g, t0)
-    return rank_decision(np.hstack([hg.basis, t0t.basis]), h.shape[0], tol)
+    return rank_decision(np.hstack([hg, t0t]), h.shape[0], tol)
 
 
 def check_rerfs_range_condition(up: UncertainPlant, h_eq, t0, tol: float = DEFAULT_RANK_TOL) -> dict:
@@ -275,10 +263,10 @@ def check_rerfs_range_condition(up: UncertainPlant, h_eq, t0, tol: float = DEFAU
             f"equality-constraint space: t0 needs {h.shape[0]} columns, got {t0.shape[1]}"
         )
     for lo, deltas in sample_blocks(up) if len(h) else ():  # no rows: holds vacuously
-        for geom in _geometry_groups(eval_plant(up, deltas), h):
-            for i, g in zip(geom.rows, geom.g):
+        for rows, geom in _geometry_groups(eval_plant(up, deltas), h):
+            for i, g in zip(rows, geom.g):
                 hg, t0t = _reduced_error_ranges(h, g, t0)
-                matches[lo + i] = subspace_intersection(hg, t0t, tol).is_empty
+                matches[lo + i] = not subspace_intersection(hg, t0t, tol).shape[1]
     bad = np.flatnonzero(~matches)
     return {"holds": not bad.size, "witness": samples[bad[0]] if bad.size else None,
             "matches": matches}

@@ -123,7 +123,7 @@ def random_qp_instance(rng: np.random.Generator, n_ec: int = 1, *, n=None, m=Non
 def feasible_direction_matrix(geom, rng=None, columns=None) -> np.ndarray:
     """Matrix spanning the feasible directions; optionally re-mixed to a given
     column count (keeping the range)."""
-    tb = geom.t_basis.basis
+    tb = geom.t_basis
     if columns is None:
         return tb
     if columns < tb.shape[1]:
@@ -141,7 +141,7 @@ def uncertain_wrapper(pm: PlantMatrices) -> UncertainPlant:
 
 def output_subspace_matrix(geom) -> np.ndarray:
     """Full-column-rank matrix spanning the equilibrium-output subspace."""
-    return range_basis(geom.g).basis
+    return range_basis(geom.g)
 
 
 def dc_gain(pm: PlantMatrices) -> np.ndarray:
@@ -280,11 +280,11 @@ def geometry_by_sample(pm: PlantMatrices, h_eq=None) -> dict:
         if np.isfinite(cond) and cond < 1e8:
             nd = np.vstack([-np.linalg.solve(pm.a, pm.b), np.eye(pm.m)])
         else:
-            nd = null_basis(np.hstack([pm.a, pm.b])).basis
+            nd = null_basis(np.hstack([pm.a, pm.b]))
     g = np.hstack([pm.c, pm.d]) @ nd
-    gperp = left_null_basis(g).basis.T if g.shape[1] else np.eye(pm.p)
-    return {"ndelta": nd, "g": g, "gperp": gperp, "g_range": range_basis(g).basis,
-            "t_basis": null_basis(np.vstack([gperp, h])).basis}
+    gperp = left_null_basis(g).T if g.shape[1] else np.eye(pm.p)
+    return {"ndelta": nd, "g": g, "gperp": gperp, "g_range": range_basis(g),
+            "t_basis": null_basis(np.vstack([gperp, h]))}
 
 
 def principal_sine(ref: np.ndarray, basis: np.ndarray) -> float:
@@ -368,7 +368,7 @@ def rerfs_range_condition_by_sample(up: UncertainPlant, h_eq, t0, tol: float = 1
                     f"equality-constraint space: t0 needs {h.shape[0]} columns, got {t0.shape[1]}"
                 )
             g = equilibrium_geometry(pm, h).g
-            ok = subspace_intersection(*_reduced_error_ranges(h, g, t0), tol).is_empty
+            ok = not subspace_intersection(*_reduced_error_ranges(h, g, t0), tol).shape[1]
         matches.append(ok)
         if not ok and witness is None:
             witness = delta

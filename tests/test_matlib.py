@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from osscontrol.matlib import (
-    SubspaceBasis,
     eigenvalues,
     left_null_basis,
     null_basis,
@@ -15,7 +14,7 @@ from osscontrol.matlib import (
 )
 
 
-def basis_of(cols) -> SubspaceBasis:
+def basis_of(cols) -> np.ndarray:
     return range_basis(np.asarray(cols, dtype=float))
 
 
@@ -47,28 +46,28 @@ class TestNumericalRank:
 class TestNullBasis:
     def test_identity_has_empty_null_space(self):
         nb = null_basis(np.eye(2))
-        assert nb.is_empty and nb.ambient_dim == 2
+        assert nb.shape == (2, 0)
 
     def test_row_vector(self):
         nb = null_basis([[1.0, 1.0]])
         expected = np.array([[1.0], [-1.0]]) / np.sqrt(2)
-        assert subspace_equal(nb, SubspaceBasis(expected, 2))
+        assert subspace_equal(nb, expected)
 
     def test_zero_rows_means_everything(self):
         nb = null_basis(np.zeros((0, 3)))
-        assert nb.dim == 3
+        assert nb.shape == (3, 3)
 
     def test_annihilation_residual(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((4, 7))
         nb = null_basis(m)
         smax = np.linalg.svd(m, compute_uv=False)[0]
-        assert np.abs(m @ nb.basis).max() <= 1e-8 * (1 + smax)
+        assert np.abs(m @ nb).max() <= 1e-8 * (1 + smax)
 
 
 class TestRangeBasis:
     def test_zero_matrix(self):
-        assert range_basis(np.zeros((3, 2))).is_empty
+        assert range_basis(np.zeros((3, 2))).shape == (3, 0)
 
     def test_ones_column(self):
         rb = range_basis([[1.0], [1.0]])
@@ -77,32 +76,32 @@ class TestRangeBasis:
     def test_slanted_column(self):
         rb = range_basis([[1.0], [0.5]])
         v = np.array([1.0, 0.5]) / np.linalg.norm([1.0, 0.5])
-        assert np.abs(np.abs(rb.basis.ravel() @ v) - 1.0) < 1e-12
+        assert np.abs(np.abs(rb.ravel() @ v) - 1.0) < 1e-12
 
     def test_projection_residual(self):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((6, 3))
         rb = range_basis(m)
-        resid = m - rb.projector() @ m
+        resid = m - rb @ (rb.T @ m)
         smax = np.linalg.svd(m, compute_uv=False)[0]
         assert np.abs(resid).max() <= 1e-8 * (1 + smax)
 
 
 class TestLeftNullBasis:
     def test_identity_empty(self):
-        assert left_null_basis(np.eye(3)).is_empty
+        assert left_null_basis(np.eye(3)).shape == (3, 0)
 
     def test_ones_column(self):
         lb = left_null_basis([[1.0], [1.0]])
         expected = np.array([[1.0], [-1.0]]) / np.sqrt(2)
-        assert subspace_equal(lb, SubspaceBasis(expected, 2))
+        assert subspace_equal(lb, expected)
 
     def test_annihilates_from_left(self):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((5, 2))
         lb = left_null_basis(m)
         smax = np.linalg.svd(m, compute_uv=False)[0]
-        assert np.abs(lb.basis.T @ m).max() <= 1e-8 * (1 + smax)
+        assert np.abs(lb.T @ m).max() <= 1e-8 * (1 + smax)
 
 
 class TestSubspaceEqual:
@@ -116,8 +115,13 @@ class TestSubspaceEqual:
         assert not subspace_equal(e1, e2)
 
     def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^ambient dimensions differ: 2 vs 3$"):
             subspace_equal(basis_of([[1.0], [0.0]]), basis_of([[1.0], [0.0], [0.0]]))
+
+    def test_a_line_is_not_a_plane_that_holds_it(self):
+        # same ambient space, different dimensions: unequal without comparing angles
+        line = basis_of([[1.0], [0.0], [0.0]])
+        assert not subspace_equal(line, PLANE) and not subspace_equal(PLANE, line)
 
     def test_rotated_output_directions_differ(self):
         # equilibrium-output spans of the perturbed two-state plant at two deltas
@@ -131,7 +135,7 @@ class TestSubspaceEqual:
             n, k = 6, 3
             u = range_basis(rng.standard_normal((n, k)))
             q, _ = np.linalg.qr(rng.standard_normal((k, k)))
-            v = SubspaceBasis(u.basis @ q, n)
+            v = u @ q
             assert subspace_equal(u, v)
             w = range_basis(rng.standard_normal((n, k)))
             assert subspace_equal(u, w) == subspace_equal(w, u)
@@ -145,7 +149,7 @@ class TestSubspaceIntersection:
     def test_orthogonal_lines_meet_trivially(self):
         e1 = basis_of([[1.0], [0.0]])
         e2 = basis_of([[0.0], [1.0]])
-        assert subspace_intersection(e1, e2).is_empty
+        assert subspace_intersection(e1, e2).shape == (2, 0)
 
     def test_plane_intersection(self):
         u = basis_of([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -153,8 +157,12 @@ class TestSubspaceIntersection:
         inter = subspace_intersection(u, v)
         assert subspace_equal(inter, basis_of([[1.0], [0.0], [0.0]]))
 
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="^ambient dimensions differ: 3 vs 2$"):
+            subspace_intersection(PLANE, basis_of([[1.0], [0.0]]))
 
-EMPTY = SubspaceBasis(np.zeros((3, 0)), 3)
+
+EMPTY = np.zeros((3, 0))
 PLANE = basis_of([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
@@ -175,8 +183,8 @@ PLANE = basis_of([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         "left-null-0-cols", "meet-empty-plane", "meet-plane-empty", "meet-empty-empty"])
 def test_zero_dimension_bases(make, shape):
     got = make()
-    assert got.basis.shape == shape and got.ambient_dim == shape[0]
-    assert np.array_equal(got.basis, np.eye(*shape))
+    assert got.shape == shape
+    assert np.array_equal(got, np.eye(*shape))
 
 
 class TestEigenvalues:
@@ -234,8 +242,15 @@ class TestSolveLinear:
             solve_linear(np.eye(2), np.zeros(3))
 
 
+def assert_orthonormal(basis: np.ndarray, rows: int) -> None:
+    assert basis.shape[0] == rows
+    assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) < 1e-10
+
+
 class TestToolkitInvariants:
     def test_rank_nullity_and_orthonormality(self):
+        # every basis the toolkit returns is a plain array of orthonormal
+        # columns with the dimension rank-nullity gives it
         rng = np.random.default_rng(9)
         for _ in range(300):
             rows = int(rng.integers(1, 8))
@@ -244,9 +259,16 @@ class TestToolkitInvariants:
             m = (rng.standard_normal((rows, rank_cap))
                  @ rng.standard_normal((rank_cap, cols))) if rank_cap else np.zeros((rows, cols))
             r = numerical_rank(m)
-            nb = null_basis(m)
-            assert r + nb.dim == cols
-            if nb.dim:
-                assert np.abs(nb.basis.T @ nb.basis - np.eye(nb.dim)).max() < 1e-10
-            rb = range_basis(m)
-            assert rb.dim == r
+            nb, rb, lb = null_basis(m), range_basis(m), left_null_basis(m)
+            for basis, ambient, dim in ((nb, cols, cols - r), (rb, rows, r), (lb, rows, rows - r)):
+                assert basis.shape == (ambient, dim)
+                assert_orthonormal(basis, ambient)
+            # the range and the left null space split R^rows orthogonally
+            assert np.abs(rb.T @ lb).max(initial=0.0) < 1e-10
+            sub = range_basis(m[:, : cols // 2])
+            meet = subspace_intersection(rb, sub)
+            assert_orthonormal(meet, rows)
+            assert meet.shape[1] <= sub.shape[1]
+            for basis in (rb, sub):  # the meet lies in both subspaces
+                assert np.abs(meet - basis @ (basis.T @ meet)).max(initial=0.0) < 1e-8
+            assert not subspace_intersection(rb, lb).shape[1]

@@ -6,12 +6,12 @@ import pytest
 
 from osscontrol import optprob
 from osscontrol.errors import InfeasibleProblem, NonuniqueOptimizer
+from osscontrol.matlib import rank_decision
 from osscontrol.optprob import (
     ConvexProgram,
     KKTPoint,
     QPData,
     check_gradients,
-    nonredundant_check,
     oracle_optimal_output,
     unique_optimizer_check,
 )
@@ -184,7 +184,7 @@ class TestUniqueOptimizerCheck:
             definite = bool(rng.integers(0, 2))
             pm, prog, geom = random_qp_instance(rng, n_ec=int(rng.integers(0, 2)),
                                                 definite=definite)
-            predicted = unique_optimizer_check(prog.qp.m_cost, geom.t_basis.basis)[0]
+            predicted = unique_optimizer_check(prog.qp.m_cost, geom.t_basis)[0]
             try:
                 oracle_optimal_output(prog, pm, rng.standard_normal(1))
                 observed = True
@@ -195,12 +195,15 @@ class TestUniqueOptimizerCheck:
         assert agree == 100
 
 
-class TestNonredundantCheck:
+class TestNonredundantConstraints:
+    """The nonredundancy clause of Props. 4 and 5: ``rank_decision`` of the
+    stacked constraint matrix [gperp; H] against its row count."""
+
     def test_independent_rows(self):
-        assert nonredundant_check([[1.0, 0.0]], [[0.0, 1.0]])[0]
+        assert rank_decision([[1.0, 0.0], [0.0, 1.0]], 2)[0]
 
     def test_duplicated_row(self):
-        assert not nonredundant_check([[1.0, 0.0]], [[1.0, 0.0]])[0]
+        assert not rank_decision([[1.0, 0.0], [1.0, 0.0]], 2)[0]
 
     def test_swing_network_case(self):
         # with the full frequency constraint the zero-frequency rows overlap the
@@ -208,13 +211,23 @@ class TestNonredundantCheck:
         # model (which has no nonredundancy clause) is the one that applies there
         from osscontrol.power import build_swing_plant, default_network
         from osscontrol.plant import eval_plant
+        from osscontrol.stabilize import prop4_check
         from osscontrol.subspaces import equilibrium_geometry
 
         net = default_network()
-        pm = eval_plant(build_swing_plant(net), [0.0])
+        up = build_swing_plant(net)
+        pm = eval_plant(up, [0.0])
         h = np.hstack([np.zeros((net.n, net.n)), np.eye(net.n)])
         geom = equilibrium_geometry(pm, h)
-        assert not nonredundant_check(geom.gperp, h)[0]
+        rows = geom.gperp.shape[0] + net.n
+        assert not rank_decision(np.vstack([geom.gperp, h]), rows)[0]
+        prog = ConvexProgram.from_qp(np.eye(pm.p), np.zeros((pm.p, pm.n_w)), n_w=pm.n_w,
+                                     h_eq=h, l_eq=np.zeros((net.n, pm.n_w)))
+        rep = prop4_check(up, [0.0], prog, geom.t_basis)
+        (clause,) = [c for c in rep.clauses if c.name == "nonredundant constraints"]
+        assert not clause.passed
+        assert clause.detail == f"rank of stacked constraints vs {rows} rows"
+        assert not rep.overall and rep.direct_pbh is False
 
 
 def tracking_objective(p_m: int, theta: float = 1.0, beta: float = 20.0):

@@ -61,7 +61,7 @@ class TestRankDecision:
 def flat_cost(prog: ConvexProgram, geom) -> ConvexProgram:
     """The program with its cost zeroed along one feasible direction, so the
     optimizer is not unique."""
-    v = geom.t_basis.basis[:, :1]
+    v = geom.t_basis[:, :1]
     proj = np.eye(prog.p) - v @ v.T
     return ConvexProgram.from_qp(proj @ prog.qp.m_cost @ proj, prog.qp.n_cost, n_w=prog.n_w,
                                  h_eq=prog.h_eq, l_eq=prog.l_eq)
@@ -89,7 +89,7 @@ def draws(rng, reduced_error=False, count=60):
     while i < count:
         n_ec = int(rng.integers(1, 3))
         pm, prog, geom = random_qp_instance(rng, n_ec=n_ec)
-        if not geom.t_basis.dim or (reduced_error and geom.t_basis.dim != n_ec):
+        if not geom.t_basis.shape[1] or (reduced_error and geom.t_basis.shape[1] != n_ec):
             continue
         kind = ("hidden", "blind", "flat")[i % 3]
         if kind == "hidden":

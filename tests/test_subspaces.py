@@ -5,7 +5,6 @@ import pytest
 
 from osscontrol import matlib, scenarios
 from osscontrol.matlib import (
-    SubspaceBasis,
     max_sine,
     null_basis,
     numerical_rank,
@@ -55,7 +54,7 @@ class TestEquilibriumGeometry:
         ab = np.hstack([two_state_plant.a, two_state_plant.b])
         assert np.abs(ab @ geom.ndelta).max() < 1e-8
         assert np.abs(geom.gperp @ geom.g).max() < 1e-8
-        assert geom.gperp.shape[0] + geom.g_range.dim == two_state_plant.p
+        assert geom.gperp.shape[0] + geom.g_range.shape[1] == two_state_plant.p
 
     def test_swing_network_output_span(self):
         net, _, pm = swing_pieces(0.3)
@@ -99,7 +98,7 @@ class TestEquilibriumGeometry:
             w = rng.standard_normal(1)
             ab = np.hstack([pm.a, pm.b])
             z0 = solve_linear(ab, -pm.bw @ w)
-            nb = null_basis(ab).basis
+            nb = null_basis(ab)
             ref = None
             for _ in range(200):
                 z = z0 + nb @ rng.standard_normal(nb.shape[1])
@@ -205,7 +204,7 @@ def rfs_violation_family(rng):
     del doc["plant"]["delta_box"]
     doc["plant"]["delta_samples"] = [[0.0]] + [[v] for v in drawn]
     sc = scenarios.load_scenario(doc)
-    return sc.plant, sc.program.h_eq
+    return sc.plant, sc.variants[0].program.h_eq
 
 
 SHARED_FAMILIES = {
@@ -224,7 +223,7 @@ def reports_by_sample(up: UncertainPlant, h_eq, tol: float = 1e-8) -> dict:
     geoms = [equilibrium_geometry(eval_plant(up, d), h_eq) for d in up.delta_samples]
     out = {}
     for key, field in (("g0", "g_range"), ("t0", "t_basis")):
-        bases = [getattr(geom, field).basis for geom in geoms]
+        bases = [getattr(geom, field) for geom in geoms]
         ref = bases[0]
         same = [b.shape[1] == ref.shape[1] for b in bases[1:]]
         sines = [float(max_sine(ref, b)) if ok else 1.0 for b, ok in zip(bases[1:], same)]

@@ -61,7 +61,7 @@ def test_equilibrium_output_is_the_optimum(variant, n_ec):
         if variant == "rerfs":
             pm, prog, geom = (random_qp_instance(rng, n_ec, m=1) if n_ec
                               else unsteerable_instance(rng))
-            assert geom.t_basis.basis.shape[1] == 0
+            assert geom.t_basis.shape[1] == 0
         else:
             pm, prog, geom = random_qp_instance(rng, n_ec)
         om = OptimalityModel(variant, model_basis(variant, geom, n_ec, rng), prog)
