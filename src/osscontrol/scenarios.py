@@ -183,7 +183,6 @@ class Scenario:
     name: str
     description: str
     plant: UncertainPlant
-    program: ConvexProgram
     network: power.PowerNetwork | None
     variants: list[VariantPlan]
     expect: list[dict] = field(default_factory=list)
@@ -446,9 +445,8 @@ def _check_rfs(ctx, spec):
     if spec.get("witness") is not None and rep["witness"] is not None:
         want_w = [np.asarray(x, dtype=float) for x in spec["witness"]]
         ok = ok and all(np.allclose(a, b) for a, b in zip(want_w, rep["witness"]))
-    om = ctx.plan.om
-    if spec.get("matches_om_basis") and om is not None:
-        same = subspace_equal(range_basis(om.basis),
+    if spec.get("matches_om_basis"):
+        same = subspace_equal(range_basis(ctx.om.basis),
                               range_basis(rep["t0"])) if rep["holds"] else False
         ok = ok and same
         detail += f", om basis spans it: {same}"
@@ -794,6 +792,13 @@ def _values_per_output(dims: dict, where: str) -> None:
     dims["values"] = dims["p"]
 
 
+def _dispatch(dims: dict, where: str) -> None:
+    """The hook of ``dispatch`` and ``oracle_matches_dispatch``, which compare
+    with the network's economic dispatch: they need its swing plant."""
+    _values_of_any_length(dims, where)
+    _swing(dims, where)
+
+
 def _expect_fields(spec: dict) -> tuple:
     """The keys an expectation requires: its kind, and the kind's fields in ``CHECKS``."""
     kind = spec.get("kind")
@@ -808,13 +813,14 @@ def _expect_fields(spec: dict) -> tuple:
 # the message if it has none.  Other shapes name sizes: the plant's n, m, n_w
 # and p, the network's net buses and lines, and others, each bound where first
 # seen and checked everywhere after.  A range is a set of values (a dict maps a
-# value to a hook on the sizes), "positive", "box" (inside plant.delta_box) or
-# ("<" or "<=", size) for an integer from 0.  A default is given as the
+# value to a hook on the sizes), "positive", "box" (inside plant.delta_box),
+# "file name" (a string without a path separator or NUL, as it names a trace
+# file) or ("<" or "<=", size) for an integer from 0.  A default is given as the
 # document would give it, or as a function of the sizes.  A null object is an
 # absent one.
 _SCHEMA = {
     "": ("object", ("name", "plant", "program"), None, None),
-    "name": ("str", None, None, None),
+    "name": ("str", None, "file name", None),
     "description": ("str", None, None, ""),
     "notes": ("str", None, None, ""),
     "network": ("object", tuple(f.name for f in fields(power.PowerNetwork)), None, None),
@@ -885,6 +891,7 @@ _SCHEMA = {
     "expect[]": ("object", _expect_fields, None, None),
     # the kind, walked first, binds the length of the expectation's values
     "expect[].kind": ("str", None, {kind: _values_per_output if kind == "oracle_y"
+                                    else _dispatch if "dispatch" in kind
                                     else _values_of_any_length for kind in CHECKS}, None),
     **{f"expect[].{k}": ("bool", None, None, None)
        for k in ("holds", "overall", "value", "matches_om_basis")},
@@ -901,7 +908,7 @@ _SCHEMA = {
     "variants[]": ("object", (), None, None),
     "variant": ("object", (), (("om", "controller"), "{} needs an om block or a controller block"),
                 None),
-    "variant.name": ("str", None, None, "main"),
+    "variant.name": ("str", None, "file name", "main"),
 }
 # The blocks a variant may override, and the sizes its own program binds again.
 _VARIED = ("program", "om", "stabilizer", "controller", "sim")
@@ -958,6 +965,8 @@ def _scalar(value, kind: str, rng, where: str, dims: dict):
             ok = ok and value == int(value) and abs(value) <= sys.maxsize
     if rng == "positive":
         ok = ok and value > 0
+    elif rng == "file name":  # a trace file name: it may not leave --out
+        ok = ok and not any(c in value for c in "/\\\0")
     elif isinstance(rng, tuple):
         bound = dims[rng[1]] if rng[1] else sys.maxsize
         ok = ok and 0 <= value and (value < bound if rng[0] == "<" else value <= bound)
@@ -975,6 +984,8 @@ def _expected(kind: str, rng, dims: dict) -> str:
     if isinstance(rng, tuple):
         return (f"an integer in [0, {dims[rng[1]]}{')' if rng[0] == '<' else ']'}" if rng[1]
                 else "a non-negative integer")
+    if rng == "file name":
+        return "a string without '/', '\\' or NUL"
     return {"str": "a string", "bool": "true or false", "int": "an integer",
             "number": "a positive number" if rng == "positive" else "a finite number"}[kind]
 
@@ -1174,8 +1185,7 @@ def load_scenario(source) -> Scenario:
                                  sim=v.get("sim"), program=vprog, expect=v["expect"],
                                  objective=vobjective))
     return Scenario(name=top["name"], description=top["description"], plant=up,
-                    program=program, network=network, variants=plans, expect=top["expect"],
-                    notes=top["notes"])
+                    network=network, variants=plans, expect=top["expect"], notes=top["notes"])
 
 
 def bundled_scenarios() -> list[str]:

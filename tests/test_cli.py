@@ -45,6 +45,24 @@ def edit(doc, path, value):
                  id="stabilizer-string"),
     pytest.param("power-gb", ("expect", 0), {"kind": "prop", "which": 4, "overall": True},
                  "optimality-model controller", id="prop-without-model"),
+    pytest.param("power-gb", ("expect", 0),
+                 {"kind": "rfs", "holds": True, "matches_om_basis": True},
+                 "expect[0]: this check needs an optimality-model controller",
+                 id="rfs-om-basis-without-model"),
+    # the dispatch checks compare with the economic dispatch of a network's swing plant
+    pytest.param("no-hurwitz", ("expect", 0), {"kind": "oracle_matches_dispatch"},
+                 "expect[0].kind needs a network block", id="oracle-dispatch-without-network"),
+    pytest.param("no-hurwitz", ("variants", 0, "expect"), [{"kind": "dispatch"}],
+                 "variants[0].expect[0].kind needs a network block", id="dispatch-without-network"),
+    # a plant without a network, whose disturbance the spectrum check needs
+    pytest.param("no-hurwitz", ("sim", "w"), DELETE,
+                 "expect[2]: sim.w is missing: a plant without a network needs a disturbance vector",
+                 id="missing-sim-w"),
+    pytest.param("no-hurwitz", ("plant", "matrices", "a"), 1.0,
+                 "plant.a must be a matrix object with rows, cols and data, got float",
+                 id="matrix-number"),
+    pytest.param("no-hurwitz", ("expect",), {}, "expect must be a list, got dict",
+                 id="expect-object"),
     pytest.param("no-hurwitz", ("plant", "matrices", "dm"),
                  {"rows": 5, "cols": 1, "data": [0.0] * 5}, "plant.matrices.dm", id="dm-given"),
     pytest.param("no-hurwitz", ("plant", "matrices", "qm"),
@@ -246,6 +264,52 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
     bad.write_text(json.dumps(doc))
     assert cli.main(["check", str(bad)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, field, name", [
+    (("name",), "name", "../escaped"),
+    (("name",), "name", "ABS"),
+    (("name",), "name", "nul\0byte"),
+    (("variants", 0, "name"), "variants[0].name", "..\\escaped"),
+], ids=["parent-dir", "absolute", "nul", "variant-backslash"])
+def test_a_name_that_would_leave_out_exits_2(tmp_path, capsys, path, field, name):
+    # a name is part of its trace file names: a separator in it would put the
+    # trace outside --out, or anywhere for an absolute one
+    name = name.replace("ABS", str(tmp_path / "abs" / "absolute"))
+    doc = json.loads(scenarios.bundled_path("no-hurwitz").read_text())
+    edit(doc, path, name)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["run", str(bad), "--out", str(tmp_path / "esc" / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {field} must be a string without '/', '\\' or NUL, got {name!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def test_dispatch_check_needs_the_swing_plant(tmp_path, capsys):
+    # a network block beside a plant of its own matrices: no swing plant to dispatch
+    doc = json.loads(scenarios.bundled_path("no-hurwitz").read_text())
+    doc["network"] = json.loads(scenarios.bundled_path("power-dapi").read_text())["network"]
+    doc["expect"][0] = {"kind": "dispatch"}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: expect[0].kind needs the swing plant of plant.builder\n"
+
+
+def test_diverged_variant_exits_3(tmp_path, capsys):
+    # no-hurwitz's gains with their signs flipped put closed-loop poles at 4.8
+    # and 9.6: the state passes the divergence limit long before t_end
+    doc = json.loads(scenarios.bundled_path("no-hurwitz").read_text())
+    for gain in doc["stabilizer"]["gains"].values():
+        gain["data"] = [-x for x in gain["data"]]
+    doc["sim"].update(h=0.01, t_end=100.0)
+    bad = tmp_path / "diverges.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["run", str(bad)]) == 3
+    out = capsys.readouterr().out
+    assert "  [main] trajectory diverged and was truncated\n" in out
+    assert out.endswith("result: FAIL (diverged)\n")
 
 
 def test_input_index_out_of_range_exits_2(tmp_path, capsys):

@@ -111,6 +111,15 @@ class TestOracle:
         with pytest.raises(InfeasibleProblem):
             oracle_optimal_output(prog, two_state_plant, [1.0])
 
+    def test_no_forced_equilibrium_detected(self):
+        # x_dot = w, with no input, has no equilibrium at w != 0
+        pm = PlantMatrices(a=np.zeros((1, 1)), b=np.zeros((1, 1)), bw=np.eye(1),
+                           c=np.eye(1), d=np.zeros((1, 1)), q=np.zeros((1, 1)))
+        prog = ConvexProgram.from_qp(np.eye(1), np.zeros((1, 1)), n_w=1)
+        with pytest.raises(InfeasibleProblem,
+                           match="^no forced equilibrium exists for this disturbance$"):
+            oracle_optimal_output(prog, pm, [1.0])
+
     def test_flat_objective_reported_nonunique(self, two_state_plant):
         prog = ConvexProgram.from_qp(np.zeros((2, 2)), np.zeros((2, 1)), n_w=1)
         with pytest.raises(NonuniqueOptimizer):

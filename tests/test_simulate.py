@@ -249,12 +249,32 @@ def expected_checks(sc, plans):
             + [(spec["kind"], plan.name) for plan in plans for spec in plan.expect])
 
 
+# SHA-256 of the text report (``render``) of each bundled run, with the sweep
+# where the golden traces have one: the spectrum, sweep and trace lines and
+# every check's detail.
+RUN_REPORT_SHA256 = {
+    "equilibrium-necessity": "e5ec1639e8d6806114c3fedcfe4df2540393fb9152f20918b5537145e100d0ce",
+    "no-hurwitz": "bab5865af8dc9b83f453821e60331d96ace63cd1f18f0c4831686df433af9648",
+    "pd-vs-oss": "f0dbc4d3fa504c3fae285783b24fb250bfd144258f625100b9ced68616a9f058",
+    "power-dapi": "03895ca29e221820c4db2005a2dd5f089c3142c11a68ae528ee683617752588b",
+    "power-gb": "43d005b8dd890a85fbcc15a47d2b3f4a0f9decefe7b6b617e0f884225608a017",
+    "power-novel": "2757752b3e91af6062ae14ad0e3bc79f0199003f3d686ae1011a6a234ea28eaf",
+    "rfs-violation": "996fb4fa01c1880608ce0620382e1731feceddb25e735312730917fd627074a1",
+    "tracking-sparse": "c00ab9aa30d31a6e6e2a29b6197a336e8d1eb533546223210942cd092f9b962e",
+}
+
+
+def render_sha256(report) -> str:
+    return hashlib.sha256(report.render().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", AFFINE_SCENARIOS)
 def test_affine_scenario_run_passes_with_golden_traces(name, tmp_path):
     sc = load(name)
     report, _ = scenarios.run_scenario(sc, out_dir=tmp_path, sweep=name in SWEPT)
     assert report.exit_code == 0, report.render()
     assert [(r.kind, r.variant) for r in report.results] == expected_checks(sc, sc.variants)
+    assert render_sha256(report) == RUN_REPORT_SHA256[name]
     traces = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
               for p in sorted(tmp_path.glob("*.csv"))}
     assert traces == GOLDEN[name]
@@ -301,6 +321,13 @@ def test_equilibrium_solve_line_search_stalls():
         equilibrium_solve(sys, [1e-7])
 
 
+def test_equilibrium_solve_singular_jacobian():
+    # z_dot = 1 does not depend on z: its Jacobian is zero and gives no Newton step
+    sys = one_state_loop(np.ones_like)
+    with pytest.raises(OssError, match="^equilibrium Jacobian is singular at tolerance$"):
+        equilibrium_solve(sys, [0.0])
+
+
 def test_equilibrium_solve_does_not_converge():
     # exp(z) has no root: each full Newton step, dz = -1, is accepted, and the
     # residual after max_iter of them is exp(-max_iter), above the tolerance
@@ -338,6 +365,7 @@ def test_tracking_sparse_run_passes_with_full_horizon_traces(tmp_path):
     assert report.exit_code == 0, report.render()
     # ros, then final_err and final_input_abs in each variant
     assert [(r.kind, r.variant) for r in report.results] == expected_checks(sc, sc.variants)
+    assert render_sha256(report) == RUN_REPORT_SHA256["tracking-sparse"]
     traces = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
               for p in sorted(tmp_path.glob("*.csv"))}
     assert traces == TRACKING_SPARSE_FULL
