@@ -91,7 +91,7 @@ def rank_groups(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list:
     return groups
 
 
-def _svd_rank(m, tol: float, floor: float):
+def _factors_and_rank(m, tol: float, floor: float):
     """``u``, ``vt`` of the full SVD of ``m`` (``as_matrix``) and its
     numerical rank."""
     a = as_matrix(m)
@@ -105,7 +105,7 @@ def numerical_rank(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> int:
     ``floor`` is an optional absolute cutoff for matrices built by
     cancellation of larger factors, where sigma_max itself may be roundoff.
     """
-    return _svd_rank(m, tol, floor)[2]
+    return _factors_and_rank(m, tol, floor)[2]
 
 
 def rank_decision(m, want_rank: int, tol: float = DEFAULT_RANK_TOL) -> tuple[bool, float]:
@@ -134,20 +134,20 @@ def rank_decision(m, want_rank: int, tol: float = DEFAULT_RANK_TOL) -> tuple[boo
 
 def null_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the right null space of ``m``, (cols, k)."""
-    _, vt, r = _svd_rank(m, tol, floor)
+    _, vt, r = _factors_and_rank(m, tol, floor)
     return vt[r:].T.copy()
 
 
 def range_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the column space of ``m``, (rows, k)."""
-    u, _, r = _svd_rank(m, tol, floor)
+    u, _, r = _factors_and_rank(m, tol, floor)
     return u[:, :r].copy()
 
 
 def left_null_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the left null space (orthogonal complement of the
     range) of ``m``, (rows, k)."""
-    u, _, r = _svd_rank(m, tol, floor)
+    u, _, r = _factors_and_rank(m, tol, floor)
     return u[:, r:].copy()
 
 
@@ -182,8 +182,8 @@ def subspace_intersection(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_RAN
     """Orthonormal basis of the intersection of the subspaces spanned by the
     orthonormal bases ``u`` and ``v``.
 
-    Computed as the null space of the stacked orthogonal-complement
-    projectors ``[I - u u'; I - v v']``.
+    Computed as the null space of ``[I - u u'; I - v v']``, whose blocks
+    map onto the orthogonal complements.
     """
     _same_ambient(u, v)
     n = u.shape[0]

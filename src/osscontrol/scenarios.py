@@ -891,7 +891,7 @@ _SCHEMA = {
     "expect[]": ("object", _expect_fields, None, None),
     # the kind, walked first, binds the length of the expectation's values
     "expect[].kind": ("str", None, {kind: _values_per_output if kind == "oracle_y"
-                                    else _dispatch if "dispatch" in kind
+                                    else _dispatch if kind in ("dispatch", "oracle_matches_dispatch")
                                     else _values_of_any_length for kind in CHECKS}, None),
     **{f"expect[].{k}": ("bool", None, None, None)
        for k in ("holds", "overall", "value", "matches_om_basis")},
