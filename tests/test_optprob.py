@@ -204,7 +204,7 @@ class TestUniqueOptimizerCheck:
         assert agree == 100
 
 
-class TestNonredundantConstraints:
+class TestNonredundantCheck:
     """The nonredundancy clause of Props. 4 and 5: ``rank_decision`` of the
     stacked constraint matrix [gperp; H] against its row count."""
 
