@@ -16,11 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_RANK_TOL = 1e-10
-# Rows per block of a stacked computation: states per output block, steps
-# per divergence check of the integrator and delta samples per block of the
-# subspace and spectrum checks.  Outputs built over a whole trajectory at once
-# need temporaries several times its size (peak memory of the bundled runs
-# grew by a sixth); blocks keep them small.
+# Rows per block of a stacked computation: times per block of a trajectory's
+# outputs in the convergence metrics, steps per divergence check of the
+# integrator and delta samples per block of the subspace and spectrum checks.
+# A trajectory stores only its states; its outputs are evaluated where they
+# are read, a block at a time, because outputs over a whole trajectory at once
+# need temporaries several times its size.
 ROW_BLOCK = 256
 # Delta samples per block of the subspace and spectrum checks, read when a
 # pass starts (``delta_spans``).  A block is one stacked call of each matrix
@@ -183,11 +184,15 @@ def subspace_intersection(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_RAN
     orthonormal bases ``u`` and ``v``.
 
     Computed as the null space of ``[I - u u'; I - v v']``, whose blocks
-    map onto the orthogonal complements.
+    map onto the orthogonal complements.  That stack's singular values are
+    at most sqrt(2), and zero along the intersection; when both bases span
+    the whole space they are all roundoff, which a threshold relative to the
+    largest would count toward the rank.  So ``tol`` is also an absolute
+    floor: a singular value below it counts as zero.
     """
     _same_ambient(u, v)
     n = u.shape[0]
-    return null_basis(np.vstack([np.eye(n) - u @ u.T, np.eye(n) - v @ v.T]), tol)
+    return null_basis(np.vstack([np.eye(n) - u @ u.T, np.eye(n) - v @ v.T]), tol, floor=tol)
 
 
 # ``_mv(a, z)`` is ``a @ z`` for one vector z (n,) or for each row of a stack

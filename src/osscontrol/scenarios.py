@@ -43,7 +43,8 @@ from .omodels import OptimalityModel
 from .optprob import ConvexProgram, check_gradients, oracle_optimal_output, tracking_objective
 from .plant import (_PLANT_FIELDS, PlantMatrices, PlantStack, UncertainPlant, build_augmented_qp,
                     checked_delta, eval_plant)
-from .simulate import ClosedLoopSystem, Trajectory, assemble, convergence_metrics, equilibrium_solve, integrate_rk4
+from .simulate import (ClosedLoopSystem, Trajectory, assemble, convergence_metrics, equilibrium_solve,
+                       integrate_rk4, output_error)
 from .stabilize import Stabilizer, augmented_pbh, prop4_check, prop5_check, prop6_check, synthesize_lqr
 from .subspaces import check_rfs, check_robust_full_rank, check_ros, equilibrium_geometry
 
@@ -414,7 +415,13 @@ class _Context:
         return self.spectrum_tops(self.sc.plant.delta_samples)
 
     def metrics(self, settle_tol: float = 1e-3) -> dict:
-        return convergence_metrics(self.trajectory(), self.oracle()["y_star"], settle_tol)
+        """``convergence_metrics`` of the variant's trajectory: one pass over
+        its outputs per tolerance."""
+        key = ("metrics", settle_tol)
+        if key not in self._cache:
+            self._cache[key] = convergence_metrics(self.trajectory(), self.oracle()["y_star"],
+                                                   settle_tol)
+        return self._cache[key]
 
 
 # Each check takes (ctx, spec) and returns (passed, detail).
@@ -514,7 +521,7 @@ def _check_equilibrium_mismatch(ctx, spec):
 
 
 def _check_final_err(ctx, spec):
-    err = ctx.metrics()["final_err"]
+    err = float(output_error(ctx.trajectory().final()[0], ctx.oracle()["y_star"]))
     return _within(err, spec, "min", "tol"), f"final err = {err:.3g}"
 
 
@@ -524,7 +531,7 @@ def _check_settling(ctx, spec):
 
 
 def _check_final_cost(ctx, spec):
-    gap = abs(float(ctx.trajectory().cost[-1]) - ctx.oracle()["cost"])
+    gap = abs(float(ctx.trajectory().final()[3]) - ctx.oracle()["cost"])
     return gap <= float(spec["tol"]), f"|final cost - optimal cost| = {gap:.3g}"
 
 
@@ -535,7 +542,7 @@ def _check_extrema(ctx, spec):
 
 def _check_dispatch(ctx, spec):
     net = ctx.sc.network
-    y_end = ctx.trajectory().y[-1]
+    y_end = ctx.trajectory().final()[0]
     disp = power.dispatch_oracle(net, ctx.w)
     u_end, omega_end = y_end[:net.n], y_end[net.n:]
     marg = net.marginal_cost(u_end)
@@ -551,7 +558,7 @@ def _check_dispatch(ctx, spec):
 
 def _check_final_input_abs(ctx, spec):
     index = spec["index"]
-    val = abs(float(ctx.trajectory().u[-1][index]))
+    val = abs(float(ctx.trajectory().final()[1][index]))
     return _within(val, spec, "min", "max"), f"|u_{index + 1}(t_end)| = {val:.4g}"
 
 
@@ -608,7 +615,9 @@ def _integrate(requests: list[tuple[_Context, np.ndarray]]) -> None:
     ``_row_program`` joins the rows' objectives; rows whose objectives do
     not join are stacked per variant.  A gather-and-broadcast request (no
     optimality model) is integrated alone, on ``ctx.loop``.  Each row is
-    bit-identical to integrating its request alone.
+    bit-identical to integrating its request alone, and a row of a stack of
+    several reads its outputs from its request's own loop, which gives the
+    stacked loop's bits without evaluating the other rows.
     """
     groups: dict = {}
     for ctx, d in requests:
@@ -637,7 +646,11 @@ def _integrate(requests: list[tuple[_Context, np.ndarray]]) -> None:
             z0 = np.stack([c.z0(sys.n_state) for c, _ in rows])
         with _named("sim"):  # its h and t_end, or the ones that override them
             traj = integrate_rk4(sys, z0, float(ctx.sim["t_end"]), float(ctx.sim["h"]))
-        for (c, d), row in zip(rows, traj.rows() if z0.ndim == 2 else [traj]):
+        if z0.ndim == 1:
+            made = [traj]
+        else:
+            made = traj.rows([c.loop(d).outputs for c, d in rows] if len(rows) > 1 else None)
+        for (c, d), row in zip(rows, made):
             c._cache["trajectory", d.tobytes()] = row
 
 
@@ -758,7 +771,8 @@ def _sweep(ctx: _Context, report: RunReport) -> dict:
     for idx, d in enumerate(ctx.sc.plant.delta_samples):
         traj = ctx.trajectory(d)
         out[f"{ctx.plan.name}--delta{idx}"] = traj
-        tail = float(np.linalg.norm(traj.eps[-1])) if traj.eps.size else 0.0
+        eps = traj.final()[2]
+        tail = float(np.linalg.norm(eps)) if eps.size else 0.0
         report.info.append(
             f"[{ctx.plan.name}] sweep delta={np.atleast_1d(d).tolist()}: "
             f"final |eps| = {tail:.3g}" + (" (diverged)" if traj.diverged else "")

@@ -12,17 +12,17 @@ reads the eps rows of the model's linear maps (``OptimalityModel.linear_maps``).
 Integration is classical fixed-step RK4: deterministic, bit-stable for fixed
 inputs, so golden traces are byte-reproducible.  For fully affine loops the
 four stages collapse to a precomputed linear step map, which is the same
-update in exact arithmetic.  Both the step map and the four-stage step run in
-one loop that checks divergence once per block of ROW_BLOCK steps; a block
-that may hold a diverged state is rescanned step by step, so the truncation
-step is the one a per-step check would find.
+update in exact arithmetic.  Both write each new state in place, into its row
+of the stored states, and run in one loop that checks divergence once per
+block of ROW_BLOCK steps; a block that may hold a diverged state is rescanned
+step by step, so the truncation step is the one a per-step check would find.
 
 ``assemble`` writes the loop's input and output map once, as ``evaluate``:
 one state (n_state,) or a row stack (..., n_state) to (x, u, y, state_dot,
 eps), through ``om_dynamics``.  ``rhs`` adds the plant derivative, at one
 state or a row stack; ``outputs`` maps a (k, ..., n_state) array of states to
-(y, u, eps, cost), about ROW_BLOCK states at a time, affine or not.  Matrix-vector
-products over a row stack (``matlib._mv``) make the same BLAS call per row as
+(y, u, eps, cost) in one evaluation, affine or not.  Matrix-vector products
+over a row stack (``matlib._mv``) make the same BLAS call per row as
 for one state, and every other operation is elementwise or per row, so row i
 of a stacked result is bit-identical to evaluating state i alone.  An affine
 loop's (A_cl, b_cl) is probed from one ``rhs`` call on the rows [0; I]; it is
@@ -41,6 +41,15 @@ steps on until every row has diverged or the horizon ends, and a row past
 its end repeats its last state, so the discarded steps of a diverged row
 never reach ``outputs``.  Row i of the stacked trajectory is bit-identical
 to integrating row i alone.
+
+A Trajectory stores the states only, (k, n_state) per row: its outputs are
+evaluated from the states where they are read, a block at a time (the
+convergence metrics, ROW_BLOCK times; ``to_csv``, one chunk of lines) or at
+the last state (``Trajectory.final``), so those temporaries stay small and
+nothing of the size of the horizon but the states and the times stays
+alive.  A one-row trajectory split off a stack reads them from an outputs
+map of its own row; the row of a scenario takes its request's own loop,
+which gives the stacked map's bits, so no row evaluates the others.
 
 ``Trajectory.to_csv`` writes each value as ``"%.15g" % value``, the bytes of
 ``np.savetxt(fmt="%.15g")``, formatting a chunk of values at once.  For a
@@ -91,12 +100,14 @@ _X_MIN, _X_MAX = -22, 15  # decimal exponents that _format_g15 lays out itself
 class ClosedLoopSystem:
     """Assembled autonomous closed loop z_dot = rhs(t, z) with output maps.
 
-    ``rhs`` takes one state (n_state,) or a row stack (..., n_state).
-    ``outputs`` takes an array (k, ..., n_state) of states and returns
-    ``(y, u, eps, cost)`` of shapes (k, ..., p), (k, ..., m), (k, ..., eps_dim)
-    and (k, ...); every entry is bit-identical to evaluating the output
-    formulas at its state alone.  ``affine`` holds (A_cl, b_cl) with
-    rhs(z) = A_cl z + b_cl when the loop is affine.  A loop of S rows (see
+    ``rhs`` takes one state (n_state,) or a row stack (..., n_state) and
+    returns a new array, which the integrator may overwrite.  ``outputs``
+    takes an array (k, ..., n_state) of states and returns ``(y, u, eps,
+    cost)`` of shapes (k, ..., p), (k, ..., m), (k, ..., eps_dim) and (k,
+    ...), evaluated at once; every entry is bit-identical to evaluating the
+    output formulas at its state alone, so a caller may pass any block of
+    states (a Trajectory reads its outputs this way).  ``affine`` holds
+    (A_cl, b_cl) with rhs(z) = A_cl z + b_cl when the loop is affine.  A loop of S rows (see
     ``assemble``) takes states with a row axis of length S before the state
     axis, and its ``affine`` holds one (A_cl, b_cl) per row, (S, n_state,
     n_state) and (S, n_state).
@@ -111,48 +122,77 @@ class ClosedLoopSystem:
     affine: tuple[np.ndarray, np.ndarray] | None = None
 
 
+def _evaluated(index: int, name: str):
+    def read(self):
+        return np.concatenate([out[index] for _, out in self.blocks()])
+
+    return property(read, doc=f"{name} at every time, evaluated from the states when read.")
+
+
 @dataclass
 class Trajectory:
-    """Uniform-grid closed-loop trace with per-time outputs.
+    """Uniform-grid closed-loop trace: the states, and the map to their outputs.
 
-    One row: ``states`` (k, n_state), ``y``, ``u``, ``eps`` (k, .) and
-    ``cost`` (k,).  A row stack of S rows puts a row axis after the time
-    axis, (k, S, .), and holds each row's ``diverged`` flag and its number of
-    samples, ``ends``, as (S,) arrays; past its end a row repeats its last
-    state and outputs.  ``rows`` splits a stack into one-row trajectories.
+    One row: ``times`` (k,), ``states`` (k, n_state) and ``outputs``, the
+    loop's map from states to ``(y, u, eps, cost)`` (``ClosedLoopSystem``).
+    Outputs are not stored: each reader evaluates them where it reads,
+    ``final`` at the last state, ``blocks`` a block of states at a time, and
+    ``y``, ``u``, ``eps`` and ``cost`` (k, .) at every state.  A row stack of
+    S rows puts a row axis after the time axis, (k, S, n_state), with the
+    stacked loop's map, and holds each row's ``diverged`` flag and its number
+    of samples, ``ends``, as (S,) arrays; past its end a row repeats its last
+    state.  ``rows`` splits a stack into one-row trajectories.
     """
 
     times: np.ndarray
     states: np.ndarray
-    y: np.ndarray
-    u: np.ndarray
-    eps: np.ndarray
-    cost: np.ndarray
+    outputs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     diverged: bool | np.ndarray = False
     ends: np.ndarray | None = None
 
-    def rows(self) -> list[Trajectory]:
-        """The one-row trajectories of a row stack, each up to its own end."""
-        return [Trajectory(times=self.times[:e], states=self.states[:e, i], y=self.y[:e, i],
-                           u=self.u[:e, i], eps=self.eps[:e, i], cost=self.cost[:e, i],
+    y = _evaluated(0, "Outputs")
+    u = _evaluated(1, "Inputs")
+    eps = _evaluated(2, "Proxy errors")
+    cost = _evaluated(3, "Objective values")
+
+    def final(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(y, u, eps, cost)`` at the last time; a stack's rows repeat
+        their last states, so these are each row's last outputs."""
+        return tuple(part[0] for part in self.outputs(self.states[-1:]))
+
+    def blocks(self, size: int = ROW_BLOCK):
+        """``(lo, (y, u, eps, cost))`` of ``states[lo: lo + size]`` for each
+        block of ``size`` times, in order."""
+        for lo in range(0, len(self.states), size):
+            yield lo, self.outputs(self.states[lo: lo + size])
+
+    def rows(self, outputs=None) -> list[Trajectory]:
+        """The one-row trajectories of a row stack, each up to its own end.
+
+        Row i takes the map ``outputs[i]``, which must give that row's bits
+        of the stacked map (the row's own loop); by default every row takes
+        the stack's map, which holds for S states of a one-row loop and for
+        a loop of one row.
+        """
+        maps = [self.outputs] * len(self.ends) if outputs is None else outputs
+        return [Trajectory(times=self.times[:e], states=self.states[:e, i], outputs=f,
                            diverged=bool(d))
-                for i, (e, d) in enumerate(zip(self.ends, self.diverged))]
+                for i, (e, d, f) in enumerate(zip(self.ends, self.diverged, maps))]
 
     def to_csv(self, path) -> None:
         """Write the trace as CSV: t, state, input, output, proxy error, cost.
 
         A header line of column names, then one line per time: every value as
         ``"%.15g" % value`` (15 significant digits), comma separated, LF line
-        endings.
+        endings.  The outputs are evaluated one chunk of lines at a time.
         """
-        cols = [c for c in (self.times.reshape(-1, 1), self.states, self.u, self.y,
-                            self.eps, self.cost.reshape(-1, 1)) if c.shape[1] > 0]
+        y, u, eps, _ = self.final()
         names = (
             ["t"]
             + [f"x{i+1}" for i in range(self.states.shape[1])]
-            + [f"u{i+1}" for i in range(self.u.shape[1])]
-            + [f"y{i+1}" for i in range(self.y.shape[1])]
-            + [f"eps{i+1}" for i in range(self.eps.shape[1])]
+            + [f"u{i+1}" for i in range(u.size)]
+            + [f"y{i+1}" for i in range(y.size)]
+            + [f"eps{i+1}" for i in range(eps.size)]
             + ["cost"]
         )
         rows = max(1, _CSV_CHUNK // len(names))
@@ -162,8 +202,10 @@ class Trajectory:
         seps = np.tile(seps << np.uint64(32), rows)
         with open(path, "wb") as f:
             f.write((",".join(names) + "\n").encode())
-            for lo in range(0, len(self.times), rows):
-                block = np.hstack([c[lo: lo + rows] for c in cols]).ravel()
+            for lo, (y, u, eps, cost) in self.blocks(rows):
+                hi = lo + len(cost)
+                cols = (self.times[lo:hi, None], self.states[lo:hi], u, y, eps, cost[:, None])
+                block = np.hstack([c for c in cols if c.shape[1] > 0]).ravel()
                 f.write(_format_g15(block, seps[: block.size]))
 
 
@@ -407,15 +449,8 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab) -> ClosedL
         return np.concatenate((x_dot, state_dot, eps) if n_om else (x_dot, eps), axis=-1)
 
     def outputs(zs: np.ndarray):
-        lead = zs.shape[:-1]
-        out = (np.empty(lead + (pm.p,)), np.empty(lead + (m,)), np.empty(lead + (n_eta,)),
-               np.empty(lead))
-        block = max(1, ROW_BLOCK // math.prod(lead[1:]))  # about ROW_BLOCK states
-        for lo in range(0, lead[0], block):
-            _, u, y, _, eps = evaluate(zs[lo: lo + block])
-            for arr, part in zip(out, (y, u, eps, prog.objective_value(y, w))):
-                arr[lo: lo + block] = part
-        return out
+        _, u, y, _, eps = evaluate(zs)
+        return y, u, eps, prog.objective_value(y, w)
 
     return ClosedLoopSystem(
         n_state=n_state, rhs=rhs, outputs=outputs, m=m, p=pm.p, eps_dim=n_eta,
@@ -481,18 +516,29 @@ def integrate_rk4(sys: ClosedLoopSystem, z0, t_end: float, h: float) -> Trajecto
     by_row = states.reshape(steps + 1, -1, sys.n_state)  # a view; one row for one state
     if sys.affine is not None:
         phi, psi = _rk4_step_map(*sys.affine, h)
+        matvec, add = np.matvec, np.add
 
-        def step(z):
-            return _mv(phi, z) + psi
+        def advance(z, out):
+            matvec(phi, z, out=out)
+            add(out, psi, out=out)
     else:
         rhs, half, sixth = sys.rhs, 0.5 * h, h / 6.0
+        add, multiply = np.add, np.multiply
 
-        def step(z):
+        def advance(z, out):
+            # the stage states are formed in ``out``; the products and sums
+            # are those of z + sixth * (k1 + 2 k2 + 2 k3 + k4), in place
             k1 = rhs(0.0, z)
-            k2 = rhs(0.0, z + half * k1)
-            k3 = rhs(0.0, z + half * k2)
-            k4 = rhs(0.0, z + h * k3)
-            return z + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            add(z, multiply(half, k1, out=out), out=out)
+            k2 = rhs(0.0, out)
+            add(z, multiply(half, k2, out=out), out=out)
+            k3 = rhs(0.0, out)
+            add(z, multiply(h, k3, out=out), out=out)
+            k4 = rhs(0.0, out)
+            add(k1, multiply(2, k2, out=k2), out=k2)
+            add(k2, multiply(2, k3, out=k3), out=k2)
+            add(k2, k4, out=k2)
+            add(z, multiply(sixth, k2, out=k2), out=out)
 
     diverged = np.zeros(by_row.shape[1], dtype=bool)
     ends = np.full(by_row.shape[1], steps + 1)
@@ -501,9 +547,10 @@ def integrate_rk4(sys: ClosedLoopSystem, z0, t_end: float, h: float) -> Trajecto
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, steps, ROW_BLOCK):
             hi = min(lo + ROW_BLOCK, steps)
-            for k in range(lo, hi):
-                z = step(z)
-                states[k + 1] = z
+            for k in range(lo + 1, hi + 1):
+                z_next = states[k]
+                advance(z, z_next)
+                z = z_next
             block = by_row[lo + 1: hi + 1]
             # A state _diverged flags has a nan or inf sum of squares, or one
             # above LIMIT**2, four times this bound; a row passing the bound
@@ -518,12 +565,10 @@ def integrate_rk4(sys: ClosedLoopSystem, z0, t_end: float, h: float) -> Trajecto
     end = ends.max()
     for r in np.flatnonzero(ends < end):
         by_row[ends[r]: end, r] = by_row[ends[r] - 1, r]
-    states = states[:end]
-    ys, us, epss, costs = sys.outputs(states)
     if z.ndim == 1:
         diverged, ends = bool(diverged[0]), None
-    return Trajectory(times=np.arange(end) * h, states=states, y=ys, u=us, eps=epss,
-                      cost=costs, diverged=diverged, ends=ends)
+    return Trajectory(times=np.arange(end) * h, states=states[:end], outputs=sys.outputs,
+                      diverged=diverged, ends=ends)
 
 
 def equilibrium_solve(sys: ClosedLoopSystem, z_guess, tol: float = 1e-10,
@@ -569,23 +614,34 @@ def equilibrium_solve(sys: ClosedLoopSystem, z_guess, tol: float = 1e-10,
     raise OssError(f"equilibrium Newton did not converge in {max_iter} iterations")
 
 
+def output_error(y: np.ndarray, y_star: np.ndarray) -> np.ndarray:
+    """|y - y*| at each time: a row's error is the same from any block."""
+    return np.linalg.norm(y - y_star, axis=-1)
+
+
 def convergence_metrics(traj: Trajectory, y_star, settle_tol: float = 1e-3) -> dict:
     """Quantify convergence of the optimization output to a target.
 
+    One pass over the trajectory's outputs, ROW_BLOCK times at a time.
     extrema_count counts strict local extrema of the cost after a transient
     guard of 5% of the horizon; comparisons use a prominence floor of 1e-9
     of the cost range so floating-point wiggle at a plateau is not counted.
     """
     ys = np.asarray(y_star, dtype=float).ravel()
-    err = np.linalg.norm(traj.y - ys, axis=1)
+    k = len(traj.times)
+    cost = np.empty(k)
+    last_above = -1
+    for lo, (y, _, _, c) in traj.blocks():
+        err = output_error(y, ys)
+        above = np.flatnonzero(~(err < settle_tol))
+        if above.size:
+            last_above = lo + above[-1]
+        cost[lo: lo + len(c)] = c
     final_err = float(err[-1])
     # settled from one past the last sample that is not below tolerance
-    above = np.flatnonzero(~(err < settle_tol))
-    first = above[-1] + 1 if above.size else 0
-    settling = float(traj.times[first]) if first < len(err) else np.inf
-    t_end = traj.times[-1] if len(traj.times) else 0.0
-    guard = traj.times > 0.05 * t_end
-    c = traj.cost[guard]
+    first = last_above + 1
+    settling = float(traj.times[first]) if first < k else np.inf
+    c = cost[traj.times > 0.05 * traj.times[-1]]
     extrema = 0
     if c.size >= 3:
         floor = 1e-9 * max(float(c.max() - c.min()), 1e-300)

@@ -8,7 +8,8 @@ settling-time scan, the CSV trace by ``np.savetxt``, the equilibrium
 geometry, subspace checks and spectra one delta at a time, the swing plant
 rebuilt block by block, the feasible-direction bases of the two distributed
 power controllers) are independent routes that tests compare the
-package against.
+package against.  ``trajectory_of_arrays`` builds a trajectory from given
+outputs, for the tests of what reads them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from osscontrol.matlib import (
 )
 from osscontrol.optprob import ConvexProgram, KKTPoint
 from osscontrol.plant import PlantMatrices, UncertainPlant, eval_plant, fixed_plant, per_delta
+from osscontrol.simulate import Trajectory
 from osscontrol.stabilize import pbh_stabilizable
 from osscontrol.subspaces import equilibrium_geometry
 
@@ -262,6 +264,28 @@ def csv_by_savetxt(traj, path) -> None:
     with open(path, "w", newline="\n") as f:
         np.savetxt(f, data, fmt="%.15g", delimiter=",", header=",".join(names),
                    comments="", newline="\n")
+
+
+def trajectory_of_arrays(times, states, y, u, eps, cost) -> Trajectory:
+    """A Trajectory whose outputs at time i are row i of ``y``, ``u``,
+    ``eps`` and ``cost``, given as arrays rather than by a loop.
+
+    Its outputs map reads which rows of ``states`` it is given from their
+    address: the states are held in a buffer one column wider, so that rows
+    of zero width have distinct addresses too.
+    """
+    k, n = states.shape
+    buffer = np.zeros((k, n + 1))
+    buffer[:, :n] = states
+    held = buffer[:, :n]
+    start, stride = held.__array_interface__["data"][0], held.strides[0]
+
+    def outputs(zs):
+        lo, rest = divmod(zs.__array_interface__["data"][0] - start, stride)
+        assert rest == 0 and zs.strides[0] == stride and 0 <= lo <= k - len(zs)
+        return tuple(a[lo: lo + len(zs)] for a in (y, u, eps, cost))
+
+    return Trajectory(times=times, states=held, outputs=outputs)
 
 
 def geometry_by_sample(pm: PlantMatrices, h_eq=None) -> dict:

@@ -157,6 +157,35 @@ class TestSubspaceIntersection:
         inter = subspace_intersection(u, v)
         assert subspace_equal(inter, basis_of([[1.0], [0.0], [0.0]]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_bases_of_the_whole_space_meet_in_it(self, n):
+        # orthonormal bases of R^n other than the identity: I - q q' is
+        # roundoff, and used to read as full rank
+        rng = np.random.default_rng(70 + n)
+        for _ in range(10):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            r, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            for u, v in ((q, q), (q, r), (q, np.eye(n))):
+                inter = subspace_intersection(u, v)
+                assert inter.shape == (n, n)
+                assert subspace_equal(inter, np.eye(n))
+
+    def test_random_subspaces_meet_in_their_shared_columns(self):
+        # u spans columns [0, k) of a random orthonormal q and v columns
+        # [k - j, k - j + l), each in a rotated basis: they meet in the j
+        # shared columns, the whole space and the trivial meet among them
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            k, l = (int(x) for x in rng.integers(0, n + 1, 2))
+            j = int(rng.integers(max(0, k + l - n), min(k, l) + 1))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            u = q[:, :k] @ np.linalg.qr(rng.standard_normal((k, k)))[0]
+            v = q[:, k - j: k - j + l] @ np.linalg.qr(rng.standard_normal((l, l)))[0]
+            inter = subspace_intersection(u, v)
+            assert inter.shape == (n, j), (n, k, l, j)
+            assert subspace_equal(inter, q[:, k - j: k]), (n, k, l, j)
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="^ambient dimensions differ: 3 vs 2$"):
             subspace_intersection(PLANE, basis_of([[1.0], [0.0]]))

@@ -27,6 +27,24 @@ def residual_max(res: dict) -> float:
     )
 
 
+# _newton_kkt's failures, on one-unknown residuals: NaN next to the root
+# makes the difference Jacobian NaN, which lstsq refuses (LinAlgError);
+# x^2 + 1 has no root and a zero Jacobian at 0, so the step is zero and no
+# halving decreases the residual; x^2 converges linearly, so two iterations
+# leave it above tolerance
+NEWTON_FAILURES = {
+    "nan-jacobian": (lambda x: np.where(x > 0, x - 1.0, np.nan), 0.0, 60),
+    "line-search": (lambda x: x * x + 1.0, 0.0, 60),
+    "iterations": (lambda x: x * x, 1.0, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEWTON_FAILURES))
+def test_newton_kkt_failures_return_none(case):
+    residual, x0, max_iter = NEWTON_FAILURES[case]
+    assert optprob._newton_kkt(residual, np.array([x0]), max_iter=max_iter) is None
+
+
 class TestQPData:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):

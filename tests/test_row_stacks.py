@@ -109,13 +109,20 @@ def test_stacked_rows_match_one_row_integration(case):
     assert stack.diverged.tolist() == [False, True, False]
     # the diverging row ends after the first block, before the others
     assert ROW_BLOCK + 1 < stack.ends[1] < STEPS + 1 == stack.ends[0] == stack.ends[2]
-    for i, (row, stab, om_i) in enumerate(zip(stack.rows(), stabs, row_oms)):
-        alone = integrate_rk4(assemble(up, up.nominal, w, om_i, stab), z0[i], STEPS * H, H)
-        assert len(row.times) == len(alone.times) == stack.ends[i], i
+    # the row's states against its own loop's, and the stacked map's outputs
+    # of the row against its own loop's outputs
+    stacked = dict(zip(FIELDS[1:], stack.outputs(stack.states)))
+    alone_loops = [assemble(up, up.nominal, w, om_i, stab) for stab, om_i in zip(stabs, row_oms)]
+    rows = stack.rows([loop.outputs for loop in alone_loops])
+    for i, (row, loop) in enumerate(zip(rows, alone_loops)):
+        alone = integrate_rk4(loop, z0[i], STEPS * H, H)
+        end = stack.ends[i]
+        assert len(row.times) == len(alone.times) == end, i
         assert row.diverged == alone.diverged, i
         assert_bits_equal(row.times, alone.times, f"row {i} times")
-        for what in FIELDS:
-            assert_bits_equal(getattr(row, what), getattr(alone, what), f"row {i} {what}")
+        assert_bits_equal(row.states, alone.states, f"row {i} states")
+        for what in FIELDS[1:]:
+            assert_bits_equal(stacked[what][:end, i], getattr(alone, what), f"row {i} {what}")
 
 
 def test_states_of_one_loop_match_one_row_integration():

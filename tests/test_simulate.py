@@ -27,7 +27,7 @@ from osscontrol.simulate import (
     integrate_rk4,
 )
 
-from helpers import assert_bits_equal, settling_time_by_scan
+from helpers import assert_bits_equal, settling_time_by_scan, trajectory_of_arrays
 
 # SHA-256 of every CSV trace `oss run` writes for the affine scenarios (with
 # --sweep for the multi-sample ones), recorded before the row-stacked outputs.
@@ -56,7 +56,8 @@ def simulated_loops(name):
 
 
 def random_states(n_state):
-    """Rows spanning three output blocks, some of them resting (all zero)."""
+    """Random rows, more than two ROW_BLOCK blocks of them, some resting (all
+    zero)."""
     rng = np.random.default_rng(7)
     zs = 3.0 * rng.standard_normal((2 * ROW_BLOCK + 5, n_state))
     zs[[0, ROW_BLOCK, -1]] = 0.0
@@ -477,8 +478,8 @@ def test_settling_time_matches_the_suffix_scan(shape):
             err[-1] = 0.5 * tol
         y = np.zeros((k, 2))
         y[:, 0] = err
-        traj = Trajectory(times=times, states=np.zeros((k, 0)), y=y, u=np.zeros((k, 0)),
-                          eps=np.zeros((k, 0)), cost=np.zeros(k))
+        traj = trajectory_of_arrays(times, np.zeros((k, 0)), y, np.zeros((k, 0)),
+                                    np.zeros((k, 0)), np.zeros(k))
         got = convergence_metrics(traj, np.zeros(2), tol)["settling_time"]
         want = settling_time_by_scan(times, err, tol)
         assert got == want

@@ -224,6 +224,44 @@ def test_lqr_refusals(case):
         synthesize_lqr(aug, [[q]], [[r]])
 
 
+# synthesize_lqr's refusals past the Hamiltonian count.  In exact arithmetic a
+# stabilizable pair whose Hamiltonian has n stable eigenvalues has a stable
+# invariant subspace that is a graph, with a real, symmetric, stabilizing
+# solution, so these guard against eigenvectors that rounding left
+# degenerate.  Each case changes the stable eigenvectors (x1; x2) that
+# np.linalg.eig returns for a two-state plant, A = diag(-1, -2), B = Q = R = I:
+# x1 made singular, x2 + 1e-3i x1 (P + 1e-3i I), x2 + E x1 with E
+# antisymmetric (P + E), and x2 - 10 x1 (P - 10 I, whose gain pushes
+# A - B K past the imaginary axis).
+EIGENVECTOR_DEFECTS = {
+    "defective": (lambda x1, x2: (x1[:, [0, 0]], x2), "stable invariant subspace is defective"),
+    "nonreal": (lambda x1, x2: (x1, x2 + 1e-3j * x1), "Riccati solution has a nonreal component"),
+    "asymmetric": (lambda x1, x2: (x1, x2 + np.array([[0.0, 1e-3], [-1e-3, 0.0]]) @ x1),
+                   "Riccati solution asymmetry exceeds 1e-9"),
+    "not-stabilizing": (lambda x1, x2: (x1, x2 - 10.0 * x1),
+                        "closed-loop spectrum is not strictly stable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EIGENVECTOR_DEFECTS))
+def test_lqr_refuses_degenerate_eigenvectors(case, monkeypatch):
+    change, message = EIGENVECTOR_DEFECTS[case]
+    aug = AugmentedPlant(a=np.diag([-1.0, -2.0]), b=np.eye(2), n=2, n_mu=0, n_eta=0)
+    assert synthesize_lqr(aug, np.eye(2), np.eye(2)).kx.shape == (2, 2)
+    eig = np.linalg.eig
+
+    def changed(m):
+        evals, evecs = eig(m)
+        evecs = evecs.astype(complex)
+        stable = np.flatnonzero(evals.real < 0)
+        evecs[:2, stable], evecs[2:, stable] = change(evecs[:2, stable], evecs[2:, stable])
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eig", changed)
+    with pytest.raises(RiccatiFailure, match=message):
+        synthesize_lqr(aug, np.eye(2), np.eye(2))
+
+
 def test_clause_verdict_against_a_flipped_direct_pbh_raises(monkeypatch):
     # away from borderline margins the clause verdict and PBH on the
     # augmented plant must agree; a direct verdict flipped on purpose is the

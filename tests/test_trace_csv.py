@@ -5,7 +5,7 @@ import pytest
 
 from osscontrol.simulate import _CSV_CHUNK, Trajectory, _significands
 
-from helpers import csv_by_savetxt
+from helpers import csv_by_savetxt, trajectory_of_arrays
 
 
 def trajectory(values, width: int) -> Trajectory:
@@ -13,7 +13,7 @@ def trajectory(values, width: int) -> Trajectory:
     cost last, the columns between split over x, u, y and eps."""
     data = np.asarray(values, dtype=float).reshape(-1, width)
     x, u, y, eps = np.array_split(data[:, 1:-1], 4, axis=1)
-    return Trajectory(times=data[:, 0], states=x, u=u, y=y, eps=eps, cost=data[:, -1])
+    return trajectory_of_arrays(data[:, 0], x, y, u, eps, data[:, -1])
 
 
 def assert_same_bytes(traj: Trajectory, tmp_path) -> None:

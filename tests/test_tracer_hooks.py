@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from osscontrol.matlib import ROW_BLOCK
 from osscontrol.plant import fixed_plant
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -68,7 +69,8 @@ def test_traced_runs_record_the_stacked_loops(monkeypatch):
     # both scenarios integrate their two variants as one row stack: one
     # integrate_rk4 call each, counted once per stacked step, and four rhs
     # spans per step of tracking-sparse's nonlinear loop; power-dapi --sweep
-    # integrates its three delta samples, its own delta among them, as one
+    # integrates its three delta samples, its own delta among them, as one;
+    # no CSV is written
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.delitem(sys.modules, "tracer", raising=False)
@@ -94,7 +96,13 @@ def test_traced_runs_record_the_stacked_loops(monkeypatch):
     assert calls["scenarios._sweep"] == 1
     assert tr.counts["simulate.rk4_steps"] == sum(steps.values()) + 50
     assert calls["simulate.rhs"] == 4 * steps["tracking-sparse"]
-    assert calls["simulate.outputs"] == 3
+    # outputs are evaluated where they are read, never by integrate_rk4: one
+    # call per check of a final state (tracking-sparse's final_err and
+    # final_input_abs in two variants, pd-vs-oss's final_cost in two,
+    # power-dapi's dispatch and its three sweep lines), and one per block of
+    # ROW_BLOCK states in the metrics pass of pd-vs-oss's extrema checks
+    blocks = math.ceil((steps["pd-vs-oss"] + 1) / ROW_BLOCK)
+    assert calls["simulate.outputs"] == 4 + 2 + 4 + 2 * blocks
 
 
 def test_traced_dense_check_counts_blocks_and_samples(monkeypatch):
