@@ -16,8 +16,8 @@ the same table.
 Expectations come in two flavors: analysis checks (subspace robustness,
 proposition clause lists, spectra, equilibrium comparisons) and simulation
 checks (convergence metrics on an integrated trajectory).  ``check`` runs
-only the former; ``run`` runs both.  ``CHECKS`` maps each expectation kind to
-its check function and the fields it requires.
+only the former; ``run`` runs both.  ``CHECK_KINDS`` holds one record per
+expectation kind: its check, its flavor, the fields it takes and their defaults.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from functools import cached_property
 from importlib import resources
 from itertools import chain
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -353,7 +354,7 @@ class _Context:
         """The trajectory at one delta, integrated by ``_integrate``."""
         d = self.delta if delta is None else np.asarray(delta, dtype=float)
         traj = self._cache.get(("trajectory", d.tobytes()))
-        if traj is None:
+        if traj is None:  # built in code: load_scenario refuses a simulated check without sim
             raise ValueError(f"variant {self.plan.name!r} has no sim block to integrate")
         return traj
 
@@ -427,10 +428,9 @@ class _Context:
 # Each check takes (ctx, spec) and returns (passed, detail).
 
 
-def _within(value, spec: dict, lo: str, hi: str, cast=float) -> bool:
+def _within(value, spec: dict, lo: str, hi: str) -> bool:
     """``spec[lo] <= value <= spec[hi]``, each bound only when present."""
-    return ((lo not in spec or value >= cast(spec[lo]))
-            and (hi not in spec or value <= cast(spec[hi])))
+    return (lo not in spec or value >= spec[lo]) and (hi not in spec or value <= spec[hi])
 
 
 def _witness_detail(rep: dict) -> str:
@@ -442,19 +442,17 @@ def _witness_detail(rep: dict) -> str:
 
 def _check_ros(ctx, spec):
     rep = ctx.subspaces["ros"]
-    return rep["holds"] == bool(spec["holds"]), _witness_detail(rep)
+    return rep["holds"] == spec["holds"], _witness_detail(rep)
 
 
 def _check_rfs(ctx, spec):
     rep = ctx.subspaces
-    ok = rep["holds"] == bool(spec["holds"])
+    ok = rep["holds"] == spec["holds"]
     detail = _witness_detail(rep)
-    if spec.get("witness") is not None and rep["witness"] is not None:
-        want_w = [np.asarray(x, dtype=float) for x in spec["witness"]]
-        ok = ok and all(np.allclose(a, b) for a, b in zip(want_w, rep["witness"]))
-    if spec.get("matches_om_basis"):
-        same = subspace_equal(range_basis(ctx.om.basis),
-                              range_basis(rep["t0"])) if rep["holds"] else False
+    if "witness" in spec and rep["witness"] is not None:
+        ok = ok and all(np.allclose(a, b) for a, b in zip(spec["witness"], rep["witness"]))
+    if spec["matches_om_basis"]:
+        same = rep["holds"] and subspace_equal(range_basis(ctx.om.basis), range_basis(rep["t0"]))
         ok = ok and same
         detail += f", om basis spans it: {same}"
     return ok, detail
@@ -462,28 +460,27 @@ def _check_rfs(ctx, spec):
 
 def _check_robust_full_rank(ctx, spec):
     got = check_robust_full_rank(ctx.sc.plant)
-    return got == bool(spec["holds"]), f"holds={got}"
+    return got == spec["holds"], f"holds={got}"
 
 
 def _check_prop(ctx, spec):
-    which = int(spec["which"])
     om = ctx.om
     # resolved per call, so a wrapper put on the module name is the one called
-    check = {4: prop4_check, 5: prop5_check, 6: prop6_check}[which]
+    check = {4: prop4_check, 5: prop5_check, 6: prop6_check}[spec["which"]]
     rep = check(ctx.sc.plant, ctx.delta, om.program, om.basis)
-    return (rep.overall == bool(spec["overall"]),
-            f"prop{which} overall={rep.overall}, direct PBH={rep.direct_pbh}")
+    return (rep.overall == spec["overall"],
+            f"prop{spec['which']} overall={rep.overall}, direct PBH={rep.direct_pbh}")
 
 
 def _check_stabilizable(ctx, spec):
     got = augmented_pbh(ctx.pm(), ctx.om)[0]
-    return got == bool(spec["value"]), f"augmented plant stabilizable+detectable={got}"
+    return got == spec["value"], f"augmented plant stabilizable+detectable={got}"
 
 
 def _check_spectrum(ctx, spec):
     got = np.sort_complex(ctx.spectrum())
-    want = np.sort_complex(np.asarray(spec["values"], dtype=complex))
-    ok = got.size == want.size and np.abs(got - want).max() <= float(spec.get("tol", 1e-9))
+    want = np.sort_complex(spec["values"])
+    ok = got.size == want.size and np.abs(got - want).max() <= spec["tol"]
     return ok, f"spectrum={np.round(got, 6).tolist()}"
 
 
@@ -492,31 +489,29 @@ def _check_hurwitz_at_samples(ctx, spec):
     if errors:
         raise copy.copy(next(iter(errors.values())))  # the kept error stays without a traceback
     worst = float(tops.max())
-    return ((worst < 0) == bool(spec["value"]),
+    return ((worst < 0) == spec["value"],
             f"max Re over samples = {worst:.3g} ({len(tops)} deltas)")
 
 
 def _check_oracle_y(ctx, spec):
-    err = float(np.linalg.norm(ctx.oracle()["y_star"] - np.asarray(spec["values"], dtype=float)))
-    return err <= float(spec.get("tol", 1e-9)), f"|y* - target| = {err:.3g}"
+    err = float(np.linalg.norm(ctx.oracle()["y_star"] - spec["values"]))
+    return err <= spec["tol"], f"|y* - target| = {err:.3g}"
 
 
 def _check_oracle_matches_dispatch(ctx, spec):
     y_star = ctx.oracle()["y_star"]
     err = float(np.linalg.norm(y_star - power.dispatch_oracle(ctx.sc.network, ctx.w)["y_star"]))
-    return err <= float(spec.get("tol", 1e-8)), f"|oracle - dispatch| = {err:.3g}"
+    return err <= spec["tol"], f"|oracle - dispatch| = {err:.3g}"
 
 
 def _check_equilibrium_mismatch(ctx, spec):
-    d = np.asarray(spec["delta"], dtype=float)
-    sys = ctx.loop(d)
-    zbar, resid = equilibrium_solve(sys, np.zeros(sys.n_state),
-                                    tol=float(spec.get("newton_tol", 1e-10)))
+    sys = ctx.loop(spec["delta"])
+    zbar, resid = equilibrium_solve(sys, np.zeros(sys.n_state), tol=spec["newton_tol"])
     ybar = sys.outputs(zbar[None])[0][0]
-    gap = float(np.linalg.norm(ybar - ctx.oracle(d)["y_star"]))
-    ok = gap >= float(spec.get("at_least", 0.0))
+    gap = float(np.linalg.norm(ybar - ctx.oracle(spec["delta"])["y_star"]))
+    ok = gap >= spec["at_least"]
     if "equals" in spec:
-        ok = ok and abs(gap - float(spec["equals"])) <= float(spec.get("equals_tol", 1e-6))
+        ok = ok and abs(gap - spec["equals"]) <= spec["equals_tol"]
     return ok, f"|ybar - y*| = {gap:.6g} (newton residual {resid:.1e})"
 
 
@@ -526,18 +521,18 @@ def _check_final_err(ctx, spec):
 
 
 def _check_settling(ctx, spec):
-    settling = ctx.metrics(float(spec.get("tol", 1e-3)))["settling_time"]
-    return settling <= float(spec["by"]), f"settling time = {settling:.3g}"
+    settling = ctx.metrics(spec["tol"])["settling_time"]
+    return settling <= spec["by"], f"settling time = {settling:.3g}"
 
 
 def _check_final_cost(ctx, spec):
     gap = abs(float(ctx.trajectory().final()[3]) - ctx.oracle()["cost"])
-    return gap <= float(spec["tol"]), f"|final cost - optimal cost| = {gap:.3g}"
+    return gap <= spec["tol"], f"|final cost - optimal cost| = {gap:.3g}"
 
 
 def _check_extrema(ctx, spec):
     count = ctx.metrics()["extrema_count"]
-    return _within(count, spec, "min", "max", int), f"cost extrema after transient = {count}"
+    return _within(count, spec, "min", "max"), f"cost extrema after transient = {count}"
 
 
 def _check_dispatch(ctx, spec):
@@ -549,9 +544,7 @@ def _check_dispatch(ctx, spec):
     u_err = float(np.abs(u_end - disp["u_star"]).max())
     w_err = float(np.abs(omega_end).max())
     spread = float(marg.max() - marg.min())
-    ok = (u_err <= float(spec.get("u_tol", 1e-3))
-          and w_err <= float(spec.get("omega_tol", 1e-5))
-          and spread <= float(spec.get("marginal_spread_tol", 1e-4)))
+    ok = u_err <= spec["u_tol"] and w_err <= spec["omega_tol"] and spread <= spec["marginal_spread_tol"]
     return ok, (f"max|u-u*|={u_err:.2e}, max|omega|={w_err:.2e}, "
                 f"marginal spread={spread:.2e}")
 
@@ -560,28 +553,6 @@ def _check_final_input_abs(ctx, spec):
     index = spec["index"]
     val = abs(float(ctx.trajectory().final()[1][index]))
     return _within(val, spec, "min", "max"), f"|u_{index + 1}(t_end)| = {val:.4g}"
-
-
-# kind -> (check, whether it reads the integrated trajectory, required fields)
-CHECKS = {
-    "ros": (_check_ros, False, ("holds",)),
-    "rfs": (_check_rfs, False, ("holds",)),
-    "robust_full_rank": (_check_robust_full_rank, False, ("holds",)),
-    "prop": (_check_prop, False, ("which", "overall")),
-    "stabilizable": (_check_stabilizable, False, ("value",)),
-    "spectrum": (_check_spectrum, False, ("values",)),
-    "hurwitz_at_samples": (_check_hurwitz_at_samples, False, ("value",)),
-    "oracle_y": (_check_oracle_y, False, ("values",)),
-    "oracle_matches_dispatch": (_check_oracle_matches_dispatch, False, ()),
-    "equilibrium_mismatch": (_check_equilibrium_mismatch, False, ("delta",)),
-    "final_err": (_check_final_err, True, ()),
-    "settling": (_check_settling, True, ("by",)),
-    "final_cost": (_check_final_cost, True, ("tol",)),
-    "extrema": (_check_extrema, True, ()),
-    "dispatch": (_check_dispatch, True, ()),
-    "final_input_abs": (_check_final_input_abs, True, ("index",)),
-}
-SIM_CHECK_KINDS = frozenset(kind for kind, (_, simulated, _) in CHECKS.items() if simulated)
 
 
 def _row_program(plans: list[VariantPlan]) -> ConvexProgram | None:
@@ -658,7 +629,7 @@ def _run_check(ctx: _Context, spec: dict, where: str) -> CheckResult:
     """The result of the expectation at document path ``where``; a ValueError
     it raises names that path."""
     with _named(where):
-        passed, detail = CHECKS[spec["kind"]][0](ctx, spec)
+        passed, detail = CHECK_KINDS[spec["kind"]].check(ctx, spec)
     return CheckResult(spec["kind"], bool(passed), detail, ctx.plan.name)
 
 
@@ -696,7 +667,7 @@ def _evaluate(sc: Scenario, variant: str | None, simulate: bool, h=None, t_end=N
 
     def run_checks(ctx, specs, where):
         report.results.extend(_run_check(ctx, spec, f"{where}[{j}]") for j, spec in enumerate(specs)
-                              if simulate or spec["kind"] not in SIM_CHECK_KINDS)
+                              if simulate or not CHECK_KINDS[spec["kind"]].simulated)
 
     if simulate:
         requests = []
@@ -706,7 +677,7 @@ def _evaluate(sc: Scenario, variant: str | None, simulate: bool, h=None, t_end=N
                 if sweep and ctx.plan.om is not None:
                     requests += [(ctx, d) for d in sc.plant.delta_samples]
         # scenario-level checks read the first variant, selected or not
-        if first.plan.sim is not None and any(s["kind"] in SIM_CHECK_KINDS for s in sc.expect):
+        if first.plan.sim is not None and any(CHECK_KINDS[s["kind"]].simulated for s in sc.expect):
             requests.append((first, first.delta))
         _integrate(requests)
     run_checks(first, sc.expect, "expect")
@@ -795,28 +766,44 @@ def _swing(dims: dict, where: str) -> None:
         raise ValueError(f"{where} needs the swing plant of plant.builder")
 
 
-def _values_of_any_length(dims: dict, where: str) -> None:
-    """The hook of an expectation kind whose ``values`` (a spectrum) may have
-    any length: the size is bound afresh by each expectation's list."""
-    dims.pop("values", None)
+class CheckKind(NamedTuple):
+    """An expectation kind: its check, whether the check reads the integrated
+    trajectory, the fields it requires, its optional ones mapped to their
+    defaults (None: none), a group of which it needs one, and its kind's hook."""
+
+    check: Callable
+    simulated: bool = False
+    required: tuple = ()
+    optional: dict = {}
+    one_of: tuple = ()
+    hook: Callable | None = None
 
 
-def _values_per_output(dims: dict, where: str) -> None:
-    """The hook of ``oracle_y``: its ``values`` are the plant's p outputs."""
-    dims["values"] = dims["p"]
-
-
-def _dispatch(dims: dict, where: str) -> None:
-    """The hook of ``dispatch`` and ``oracle_matches_dispatch``, which compare
-    with the network's economic dispatch: they need its swing plant."""
-    _values_of_any_length(dims, where)
-    _swing(dims, where)
-
-
-def _expect_fields(spec: dict) -> tuple:
-    """The keys an expectation requires: its kind, and the kind's fields in ``CHECKS``."""
-    kind = spec.get("kind")
-    return ("kind", *CHECKS[kind][2]) if isinstance(kind, str) and kind in CHECKS else ("kind",)
+# The hooks: a spectrum's values have any length, bound afresh by each list; oracle_y's
+# are the p outputs; the dispatch kinds compare with a swing plant's economic dispatch.
+CHECK_KINDS = {
+    "ros": CheckKind(_check_ros, False, ("holds",)),
+    "rfs": CheckKind(_check_rfs, False, ("holds",), {"witness": None, "matches_om_basis": False}),
+    "robust_full_rank": CheckKind(_check_robust_full_rank, False, ("holds",)),
+    "prop": CheckKind(_check_prop, False, ("which", "overall")),
+    "stabilizable": CheckKind(_check_stabilizable, False, ("value",)),
+    "spectrum": CheckKind(_check_spectrum, False, ("values",), {"tol": 1e-9},
+                          hook=lambda dims, where: dims.pop("values", None)),
+    "hurwitz_at_samples": CheckKind(_check_hurwitz_at_samples, False, ("value",)),
+    "oracle_y": CheckKind(_check_oracle_y, False, ("values",), {"tol": 1e-9},
+                          hook=lambda dims, where: dims.update(values=dims["p"])),
+    "oracle_matches_dispatch": CheckKind(_check_oracle_matches_dispatch, False, (), {"tol": 1e-8},
+                                         hook=_swing),
+    "equilibrium_mismatch": CheckKind(_check_equilibrium_mismatch, False, ("delta",), {
+        "newton_tol": 1e-10, "at_least": 0.0, "equals": None, "equals_tol": 1e-6}),
+    "final_err": CheckKind(_check_final_err, True, one_of=("min", "tol")),
+    "settling": CheckKind(_check_settling, True, ("by",), {"tol": 1e-3}),
+    "final_cost": CheckKind(_check_final_cost, True, ("tol",)),
+    "extrema": CheckKind(_check_extrema, True, one_of=("min", "max")),
+    "dispatch": CheckKind(_check_dispatch, True, (), {
+        "u_tol": 1e-3, "omega_tol": 1e-5, "marginal_spread_tol": 1e-4}, hook=_swing),
+    "final_input_abs": CheckKind(_check_final_input_abs, True, ("index",), one_of=("min", "max")),
+}
 
 
 # path: (JSON type, shape, range, default), in the order of the walk.  The
@@ -831,7 +818,8 @@ def _expect_fields(spec: dict) -> tuple:
 # "file name" (a string without a path separator or NUL, as it names a trace
 # file) or ("<" or "<=", size) for an integer from 0.  A default is given as the
 # document would give it, or as a function of the sizes.  A null object is an
-# absent one.
+# absent one.  The ``expect[]`` rows type the fields of every kind; an
+# expectation takes those of its kind's record in CHECK_KINDS, with its defaults.
 _SCHEMA = {
     "": ("object", ("name", "plant", "program"), None, None),
     "name": ("str", None, "file name", None),
@@ -902,11 +890,9 @@ _SCHEMA = {
     "sim.z0": ("numbers", ("state",), None, None),
     "sim.delta": ("numbers", ("delta_dim",), "box", None),
     "expect": ("list", None, None, []),
-    "expect[]": ("object", _expect_fields, None, None),
+    "expect[]": ("object", ("kind",), None, None),
     # the kind, walked first, binds the length of the expectation's values
-    "expect[].kind": ("str", None, {kind: _values_per_output if kind == "oracle_y"
-                                    else _dispatch if kind in ("dispatch", "oracle_matches_dispatch")
-                                    else _values_of_any_length for kind in CHECKS}, None),
+    "expect[].kind": ("str", None, {kind: rec.hook for kind, rec in CHECK_KINDS.items()}, None),
     **{f"expect[].{k}": ("bool", None, None, None)
        for k in ("holds", "overall", "value", "matches_om_basis")},
     **{f"expect[].{k}": ("number", None, None, None)
@@ -1060,18 +1046,25 @@ def _walk(value, path: str, where: str, dims: dict, origin: dict | None = None):
         if not isinstance(value, dict):
             raise ValueError(f"{where or 'a scenario'} must be an object, "
                              f"got {type(value).__name__}")
-        children, prefix = _CHILDREN[path], f"{where}." if where else ""
+        children, prefix, label = _CHILDREN[path], f"{where}." if where else "", where or "a scenario"
+        if path == "expect[]" and isinstance(value.get("kind"), str) and value["kind"] in CHECK_KINDS:
+            # the fields of the kind's record, with its defaults
+            label, rec = value["kind"], CHECK_KINDS[value["kind"]]
+            declared = {"kind", *rec.required, *rec.optional, *rec.one_of}
+            children = {key: (p, (*row[:3], rec.optional.get(key)))
+                        for key, (p, row) in children.items() if key in declared}
+            shape = ("kind", *rec.required)
+            rng = rec.one_of and (rec.one_of, f"{{}}: {label} needs {' or '.join(rec.one_of)}")
         present = set()
         for key, given in value.items():
             if key not in children:
-                raise ValueError(f"{prefix}{key}: unknown field; {where or 'a scenario'} takes "
-                                 f"{', '.join(children)}")
+                raise ValueError(f"{prefix}{key}: unknown field; {label} takes {', '.join(children)}")
             if given is not None or not children[key] or children[key][1][0] != "object":
                 present.add(key)  # a null object is an absent one
-        for key in shape(value) if callable(shape) else shape:
+        for key in shape:
             if key not in present:
                 raise ValueError(f"{prefix}{key} is missing")
-        if rng is not None and present.isdisjoint(rng[0]):
+        if rng and present.isdisjoint(rng[0]):
             raise ValueError(rng[1].format(where))
         out = {}
         for key, child in children.items():
@@ -1167,6 +1160,13 @@ def load_scenario(source) -> Scenario:
         if any(v["name"] == checked[-1]["name"] for v in checked[:-1]):
             raise ValueError(f"variants[{i}].name: another variant is named "
                              f"{checked[-1]['name']!r}; variant names must be unique")
+    # a simulated expectation reads its variant's trajectory; one at the top level, the first's
+    for at, specs, v in (("expect", top["expect"], checked[0]),
+                         *((f"variants[{i}].expect", v["expect"], v) for i, v in enumerate(checked))):
+        for j, spec in enumerate(specs):
+            if "sim" not in v and CHECK_KINDS[spec["kind"]].simulated:
+                raise ValueError(f"{at}[{j}]: {spec['kind']} reads the trajectory of variant "
+                                 f"{v['name']!r}, which has no sim block")
 
     network = None
     if "network" in top:

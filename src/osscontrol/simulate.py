@@ -567,7 +567,9 @@ def integrate_rk4(sys: ClosedLoopSystem, z0, t_end: float, h: float) -> Trajecto
         by_row[ends[r]: end, r] = by_row[ends[r] - 1, r]
     if z.ndim == 1:
         diverged, ends = bool(diverged[0]), None
-    return Trajectory(times=np.arange(end) * h, states=states[:end], outputs=sys.outputs,
+    if end <= steps:  # cut short by divergence: its own rows, not the whole horizon's buffer
+        states = states[:end].copy()
+    return Trajectory(times=np.arange(end) * h, states=states, outputs=sys.outputs,
                       diverged=diverged, ends=ends)
 
 

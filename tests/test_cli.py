@@ -256,6 +256,28 @@ def edit(doc, path, value):
     pytest.param("pd-vs-oss", ("variants", 1, "name"), "primal-dual",
                  "variants[1].name: another variant is named 'primal-dual'",
                  id="variant-name-repeated"),
+    # an expectation takes only the fields of its kind's record: a threshold
+    # of another kind would be ignored
+    pytest.param("no-hurwitz", ("expect", 2, "omega_tol"), 1e-5,
+                 "expect[2].omega_tol: unknown field; spectrum takes kind, tol, values",
+                 id="spectrum-omega_tol"),
+    pytest.param("no-hurwitz", ("expect", 1, "newton_tol"), 1e-10,
+                 "expect[1].newton_tol: unknown field; prop takes kind, overall, which",
+                 id="prop-newton_tol"),
+    pytest.param("no-hurwitz", ("expect", 0, "tol"), 5.0,
+                 "expect[0].tol: unknown field; robust_full_rank takes kind, holds",
+                 id="robust_full_rank-tol"),
+    pytest.param("power-dapi", ("variants", 0, "expect", 1, "tol"), 1.0,
+                 "variants[0].expect[1].tol: unknown field; dispatch takes kind, u_tol, omega_tol, "
+                 "marginal_spread_tol", id="dispatch-tol"),
+    # a bound-less expectation would pass whatever the loop does
+    pytest.param("rfs-violation", ("variants", 0, "expect", 1), {"kind": "final_err"},
+                 "variants[0].expect[1]: final_err needs min or tol", id="final_err-unbounded"),
+    pytest.param("rfs-violation", ("variants", 0, "expect", 1), {"kind": "extrema"},
+                 "variants[0].expect[1]: extrema needs min or max", id="extrema-unbounded"),
+    pytest.param("rfs-violation", ("variants", 0, "expect", 1), {"kind": "final_input_abs", "index": 0},
+                 "variants[0].expect[1]: final_input_abs needs min or max",
+                 id="final_input_abs-unbounded"),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
     doc = json.loads(scenarios.bundled_path(name).read_text())
@@ -295,6 +317,50 @@ def test_dispatch_check_needs_the_swing_plant(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert cli.main(["check", str(bad)]) == 2
     assert capsys.readouterr().err == "error: expect[0].kind needs the swing plant of plant.builder\n"
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("scenario_level", [False, True], ids=["variant", "scenario-level"])
+def test_simulated_check_without_sim_exits_2(tmp_path, capsys, command, scenario_level):
+    # a dispatch check reads a trajectory: its variant's, or the first variant's
+    # for a scenario-level one; refused at load by both commands
+    doc = json.loads(scenarios.bundled_path("power-dapi").read_text())
+    if scenario_level:  # a first variant that nulls the top-level sim, a second that keeps it
+        doc["variants"] = [{"name": "main", "sim": None}, {"name": "second"}]
+        doc["expect"].append({"kind": "dispatch"})
+        where = f"expect[{len(doc['expect']) - 1}]"
+    else:
+        del doc["sim"]
+        where = "variants[0].expect[1]"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main([command, str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {where}: dispatch reads the trajectory of variant 'main', which has no sim block\n")
+
+
+def test_spectrum_of_a_nonlinear_loop_exits_2(tmp_path, capsys):
+    doc = json.loads(scenarios.bundled_path("tracking-sparse").read_text())
+    doc["expect"].append({"kind": "spectrum", "values": [0.0]})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: expect[1]: the closed-loop spectrum needs an affine loop\n")
+
+
+def test_scenario_level_simulated_check_reads_the_first_variant(tmp_path, capsys):
+    doc = json.loads(scenarios.bundled_path("rfs-violation").read_text())
+    doc["expect"].append({"kind": "final_err", "tol": 1.0})
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == 0
+    checks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  [PASS]")]
+    # the scenario-level checks, then the variant's: both final_err read its trajectory
+    assert [line.split(" [main]")[0] for line in checks] == [
+        f"  [PASS] {kind}" for kind in ("rfs", "ros", "robust_full_rank", "equilibrium_mismatch",
+                                        "final_err", "hurwitz_at_samples", "final_err")]
+    assert checks[4] == checks[6] == "  [PASS] final_err [main]: final err = 0.111"
 
 
 def test_diverged_variant_exits_3(tmp_path, capsys):
@@ -490,7 +556,20 @@ def slots(node):
 
 def mutate(doc: dict, rng: random.Random) -> list:
     """One or two edits of ``doc`` in place, each deleting a key or a list
-    entry or replacing a value; returns the edits."""
+    entry or replacing a value, or one edit that copies a field of another
+    kind's record into an expectation; returns the edits."""
+    expectations = [(f"expect[{j}]", spec) for j, spec in enumerate(doc.get("expect", []))]
+    expectations += [(f"variants[{i}].expect[{j}]", spec) for i, v in enumerate(doc.get("variants", []))
+                     for j, spec in enumerate(v.get("expect", []))]
+    if expectations and rng.random() < 0.1:
+        where, spec = rng.choice(expectations)
+        own = scenarios.CHECK_KINDS[spec["kind"]]
+        foreign = sorted({key for rec in scenarios.CHECK_KINDS.values()
+                          for key in (*rec.required, *rec.optional, *rec.one_of)}
+                         - {*own.required, *own.optional, *own.one_of})
+        key = rng.choice(foreign)
+        spec[key] = copy.deepcopy(rng.choice(REPLACEMENTS))
+        return [("foreign", f"{where}.{key}", spec[key])]
     edits = []
     for _ in range(rng.randint(1, 2)):
         node, key = rng.choice(list(slots(doc)))
@@ -547,6 +626,8 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys, monkeypatch):
                 pytest.fail(f"{where}\nraised {exc!r}")
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 3), where
+            if edits[0][0] == "foreign":  # refused at load, naming the field
+                assert code == 2 and err.startswith(f"error: {edits[0][1]}: unknown field"), where
             if code == 2 and not isinstance(raised[-1], OssError):
                 assert DOCUMENT_PATH.match(err.removeprefix("error: ")), f"{where}\n{err}"
         assert mutated == set(scenarios.BUNDLED_NAMES), command

@@ -240,6 +240,15 @@ def test_block_divergence_check_truncates_at_the_per_step_state(case):
         np.testing.assert_array_equal(traj.y, want_states, err_msg=route)
 
 
+def test_diverged_trajectory_keeps_only_its_own_states():
+    # every row diverges at step 40 of 6000: the trajectory owns its 41 states,
+    # not a view of the whole horizon's buffer
+    loop, z0, step = growth_case(40)
+    traj = integrate_rk4(loop, z0, 6000 * H, H)
+    assert traj.diverged and len(traj.states) == step + 1
+    assert traj.states.base is None and traj.states.nbytes == (step + 1) * z0.nbytes
+
+
 # -- bundled scenario claims ------------------------------------------------------
 
 
@@ -286,7 +295,7 @@ def test_tracking_sparse_check_passes():
     report = scenarios.check_scenario(sc)
     assert report.exit_code == 0, report.render()
     analysis = [(kind, variant) for kind, variant in expected_checks(sc, sc.variants)
-                if kind not in scenarios.SIM_CHECK_KINDS]
+                if not scenarios.CHECK_KINDS[kind].simulated]
     assert [(r.kind, r.variant) for r in report.results] == analysis
 
 
