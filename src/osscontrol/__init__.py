@@ -34,11 +34,7 @@ from .subspaces import (
     check_ros,
     equilibrium_geometry,
 )
-from .omodels import (
-    OptimalityModel,
-    gather_broadcast_input,
-    om_dynamics,
-)
+from .omodels import OptimalityModel, om_dynamics
 from .stabilize import (
     ConditionReport,
     Stabilizer,
@@ -56,6 +52,7 @@ from .simulate import (
     equilibrium_solve,
     integrate_rk4,
 )
+from .power import gather_broadcast_input
 from .errors import (
     InfeasibleProblem,
     NonuniqueOptimizer,

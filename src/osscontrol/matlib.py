@@ -5,8 +5,11 @@ orthonormal basis of it, so equality and intersection tests are well
 conditioned.  The empty subspace is a first-class value: a basis with zero
 columns.
 
-Rank decisions use a relative threshold ``tol * sigma_max * max(rows, cols)``.
-``rank_decision`` is the one yes/no rank test: it also returns its margin,
+A singular value counts toward a rank when it is above ``RANK_TOL *
+sigma_max * max(rows, cols)`` (``RANK_TOL`` 1e-10; also an absolute floor in
+``subspace_intersection``), and subspaces are equal when their largest
+principal-angle sine is at most ``SINE_TOL`` (1e-8).  ``rank_decision`` is
+the one yes/no rank test, at a given ``tol``: it also returns its margin,
 the deciding singular value over the threshold (or the reciprocal when the
 answer is no), so borderline calls are visible to callers.
 """
@@ -15,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10
+SINE_TOL = 1e-8
 # Rows per block of a stacked computation: times per block of a trajectory's
 # outputs in the convergence metrics, steps per divergence check of the
 # integrator and delta samples per block of the subspace and spectrum checks.
@@ -65,17 +69,17 @@ def _rank_threshold(s: np.ndarray, shape, tol: float, floor: float = 0.0):
     return np.maximum(tol * s[..., 0] * max(shape), floor)
 
 
-def _rank_from_singular_values(s: np.ndarray, shape, tol: float, floor: float = 0.0):
+def _rank_from_singular_values(s: np.ndarray, shape, floor: float = 0.0):
     """Numerical rank from descending singular values; for a stack (..., k),
     one rank per matrix."""
     if s.shape[-1] == 0:
         return np.zeros(s.shape[:-1], dtype=np.intp)
-    thresh = _rank_threshold(s, shape, tol, floor)
+    thresh = _rank_threshold(s, shape, RANK_TOL, floor)
     rank = np.count_nonzero(s > np.expand_dims(thresh, -1), axis=-1)
     return np.where(s[..., 0] <= floor, 0, rank)
 
 
-def rank_groups(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list:
+def rank_groups(stack: np.ndarray) -> list:
     """Full SVDs of a stack of matrices (S, r, c), grouped by numerical rank.
 
     One ``(rows, u, vt, rank)`` for each rank that occurs, ``rows`` the
@@ -84,7 +88,7 @@ def rank_groups(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list:
     to the SVD of its matrix alone.
     """
     u, s, vt = np.linalg.svd(stack, full_matrices=True)
-    ranks = _rank_from_singular_values(s, stack.shape[-2:], tol)
+    ranks = _rank_from_singular_values(s, stack.shape[-2:])
     groups = []
     for rank in np.flatnonzero(np.bincount(ranks)):
         rows = np.flatnonzero(ranks == rank)
@@ -92,24 +96,20 @@ def rank_groups(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list:
     return groups
 
 
-def _factors_and_rank(m, tol: float, floor: float):
+def _factors_and_rank(m, floor: float = 0.0):
     """``u``, ``vt`` of the full SVD of ``m`` (``as_matrix``) and its
     numerical rank."""
     a = as_matrix(m)
     u, s, vt = np.linalg.svd(a, full_matrices=True)
-    return u, vt, int(_rank_from_singular_values(s, a.shape, tol, floor))
+    return u, vt, int(_rank_from_singular_values(s, a.shape, floor))
 
 
-def numerical_rank(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> int:
-    """Number of singular values above ``tol * sigma_max * max(rows, cols)``.
-
-    ``floor`` is an optional absolute cutoff for matrices built by
-    cancellation of larger factors, where sigma_max itself may be roundoff.
-    """
-    return _factors_and_rank(m, tol, floor)[2]
+def numerical_rank(m) -> int:
+    """Number of singular values above ``RANK_TOL * sigma_max * max(rows, cols)``."""
+    return _factors_and_rank(m)[2]
 
 
-def rank_decision(m, want_rank: int, tol: float = DEFAULT_RANK_TOL) -> tuple[bool, float]:
+def rank_decision(m, want_rank: int, tol: float = RANK_TOL) -> tuple[bool, float]:
     """Decide ``rank(m) >= want_rank`` for a real or complex matrix.
 
     Uses the threshold of :func:`numerical_rank`.  The margin is
@@ -133,22 +133,23 @@ def rank_decision(m, want_rank: int, tol: float = DEFAULT_RANK_TOL) -> tuple[boo
     return False, np.inf if sigma == 0.0 else float(thresh / sigma)
 
 
-def null_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the right null space of ``m``, (cols, k)."""
-    _, vt, r = _factors_and_rank(m, tol, floor)
+def null_basis(m, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of the right null space of ``m``, (cols, k); ``floor``
+    is an absolute cutoff for a product that may cancel to roundoff."""
+    _, vt, r = _factors_and_rank(m, floor)
     return vt[r:].T.copy()
 
 
-def range_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the column space of ``m``, (rows, k)."""
-    u, _, r = _factors_and_rank(m, tol, floor)
+def range_basis(m, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of the column space of ``m``, (rows, k); ``floor`` as in ``null_basis``."""
+    u, _, r = _factors_and_rank(m, floor)
     return u[:, :r].copy()
 
 
-def left_null_basis(m, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> np.ndarray:
+def left_null_basis(m) -> np.ndarray:
     """Orthonormal basis of the left null space (orthogonal complement of the
     range) of ``m``, (rows, k)."""
-    u, _, r = _factors_and_rank(m, tol, floor)
+    u, _, r = _factors_and_rank(m)
     return u[:, r:].copy()
 
 
@@ -157,13 +158,13 @@ def _same_ambient(u: np.ndarray, v: np.ndarray) -> None:
         raise ValueError(f"ambient dimensions differ: {u.shape[0]} vs {v.shape[0]}")
 
 
-def subspace_equal(u: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> bool:
+def subspace_equal(u: np.ndarray, v: np.ndarray) -> bool:
     """True iff the subspaces spanned by the orthonormal bases ``u`` and ``v``
-    have equal dimension and max principal-angle sine <= tol."""
+    have equal dimension and max principal-angle sine <= SINE_TOL."""
     _same_ambient(u, v)
     if u.shape[1] != v.shape[1]:
         return False
-    return float(max_sine(u, v)) <= tol
+    return float(max_sine(u, v)) <= SINE_TOL
 
 
 def max_sine(u: np.ndarray, v: np.ndarray):
@@ -179,7 +180,7 @@ def max_sine(u: np.ndarray, v: np.ndarray):
     return np.linalg.svd(v - u @ (u.T @ v), compute_uv=False)[..., 0]
 
 
-def subspace_intersection(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def subspace_intersection(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the intersection of the subspaces spanned by the
     orthonormal bases ``u`` and ``v``.
 
@@ -187,12 +188,12 @@ def subspace_intersection(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_RAN
     map onto the orthogonal complements.  That stack's singular values are
     at most sqrt(2), and zero along the intersection; when both bases span
     the whole space they are all roundoff, which a threshold relative to the
-    largest would count toward the rank.  So ``tol`` is also an absolute
-    floor: a singular value below it counts as zero.
+    largest would count toward the rank.  So ``RANK_TOL`` is also an
+    absolute floor: a singular value below it counts as zero.
     """
     _same_ambient(u, v)
     n = u.shape[0]
-    return null_basis(np.vstack([np.eye(n) - u @ u.T, np.eye(n) - v @ v.T]), tol, floor=tol)
+    return null_basis(np.vstack([np.eye(n) - u @ u.T, np.eye(n) - v @ v.T]), floor=RANK_TOL)
 
 
 # ``_mv(a, z)`` is ``a @ z`` for one vector z (n,) or for each row of a stack
@@ -234,3 +235,11 @@ def solve_linear(a, b) -> np.ndarray:
         raise ValueError(f"row mismatch: a has {am.shape[0]} rows, b has {bm.shape[0]}")
     x, *_ = np.linalg.lstsq(am, bm, rcond=None)
     return x.ravel() if vector_rhs else x
+
+
+def _fd_jacobian(f, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of ``f`` at a nonempty vector ``x``, each
+    column's step ``1e-7 (1 + |x_j|)``."""
+    steps = 1e-7 * (1.0 + np.abs(x))
+    return np.stack([(f(x + e) - f(x - e)) / (2 * h) for h, e in zip(steps, np.diag(steps))],
+                    axis=1)

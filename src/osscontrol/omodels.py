@@ -17,8 +17,7 @@ driven by the projection nu_dot = max(nu + g, 0) - nu, which is globally
 Lipschitz and vanishes exactly when nu >= 0, g <= 0 and nu'g = 0.
 ``om_dynamics`` evaluates a model, the one place its formulas are written,
 at one point or at a row stack of points; row i of a stacked result is
-bit-identical to the call on row i alone.  ``gather_broadcast_input`` is the
-static dispatch map of the gather-and-broadcast power controller.
+bit-identical to the call on row i alone.
 """
 
 from __future__ import annotations
@@ -135,19 +134,3 @@ def om_dynamics(om: OptimalityModel, y, w, state) -> tuple[np.ndarray, np.ndarra
     else:
         eps = eq_violation + eps
     return nu_dot, eps
-
-
-def gather_broadcast_input(a_coeffs, b_coeffs, eta) -> np.ndarray:
-    """Inverse-marginal-cost dispatch map for per-node quadratic costs.
-
-    With node cost 0.5 a_i u_i^2 + b_i u_i (a_i > 0), the input equalizing
-    all marginal costs at level ``eta`` is u_i = (eta - b_i) / a_i.  A 1-D
-    array of levels gives one input row per level.
-    """
-    a = np.asarray(a_coeffs, dtype=float).ravel()
-    b = np.asarray(b_coeffs, dtype=float).ravel()
-    if a.size != b.size:
-        raise ValueError("coefficient vectors must have equal length")
-    if a.size and a.min() <= 0:
-        raise ValueError("quadratic cost coefficients must be positive")
-    return (np.asarray(eta, dtype=float)[..., None] - b) / a

@@ -21,7 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InfeasibleProblem, NonuniqueOptimizer
-from .matlib import _mv, _row_matrix, _vdot, as_matrix, left_null_basis, null_basis, solve_linear
+from .matlib import (_fd_jacobian, _mv, _row_matrix, _vdot, as_matrix, left_null_basis, null_basis,
+                     solve_linear)
 from .plant import PlantMatrices
 
 ACTIVE_SET_CAP = 12
@@ -237,10 +238,9 @@ def _each_row(fn, y: np.ndarray, w, shape: tuple) -> np.ndarray:
     return out.reshape(y.shape[:-1] + shape)
 
 
-def check_gradients(prog: ConvexProgram, w, rng: random.Random,
-                    n_points: int = 5, rel_tol: float = 1e-5) -> None:
+def check_gradients(prog: ConvexProgram, w, rng: random.Random) -> None:
     """Verify registered gradients against central finite differences at
-    ``n_points`` standard-normal points drawn from ``rng``.
+    five standard-normal points drawn from ``rng``, to a relative 1e-5.
 
     Raises ValueError on mismatch; used at scenario load and in tests.  The
     points come from the standard library's generator: numpy.random costs
@@ -252,17 +252,14 @@ def check_gradients(prog: ConvexProgram, w, rng: random.Random,
         fns.append((prog.objective_value, prog.objective_grad))
     fns.extend(prog.inequalities)
     for f, g in fns:
-        for _ in range(n_points):
+        for _ in range(5):
             y = np.array([rng.gauss(0.0, 1.0) for _ in range(prog.p)])
             grad = np.asarray(g(y, w), dtype=float).ravel()
-            fd = np.zeros(prog.p)
             step = 1e-6 * (1.0 + np.linalg.norm(y))
-            for j in range(prog.p):
-                e = np.zeros(prog.p)
-                e[j] = step
-                fd[j] = (float(f(y + e, w)) - float(f(y - e, w))) / (2 * step)
+            fd = np.array([(float(f(y + e, w)) - float(f(y - e, w))) / (2 * step)
+                           for e in step * np.eye(prog.p)])
             scale = max(1.0, np.linalg.norm(grad))
-            if np.linalg.norm(grad - fd) > rel_tol * scale:
+            if np.linalg.norm(grad - fd) > 1e-5 * scale:
                 raise ValueError(
                     f"gradient check failed at y={y}: analytic {grad} vs fd {fd}"
                 )
@@ -304,26 +301,21 @@ def _lstsq_floor(a: np.ndarray, b: np.ndarray, floor: float) -> np.ndarray:
     return vt.T @ (inv * (u.T @ b))
 
 
-def _newton_kkt(residual, x0, max_iter: int = 60, tol: float = 1e-12):
+def _newton_kkt(residual, x0, max_iter: int = 60):
     """Damped Newton on a square root-finding problem with FD Jacobian.
 
-    Exact in one or two steps for affine residuals; returns None when it
-    fails to converge.
+    Converged at a residual norm of 1e-12 (1 + its initial norm); exact in
+    one or two steps for affine residuals; None when it fails to converge.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = residual(x)
     scale = 1.0 + np.linalg.norm(r)
+    done = 1e-12 * scale
     for _ in range(max_iter):
         nr = np.linalg.norm(r)
-        if nr <= tol * scale:
+        if nr <= done:
             return x
-        n = x.size
-        jac = np.zeros((r.size, n))
-        for j in range(n):
-            step = 1e-7 * (1.0 + abs(x[j]))
-            e = np.zeros(n)
-            e[j] = step
-            jac[:, j] = (residual(x + e) - residual(x - e)) / (2 * step)
+        jac = _fd_jacobian(residual, x)
         try:
             dx, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         except np.linalg.LinAlgError:
@@ -332,7 +324,7 @@ def _newton_kkt(residual, x0, max_iter: int = 60, tol: float = 1e-12):
         for _ in range(30):
             xn = x + t * dx
             rn = residual(xn)
-            if np.linalg.norm(rn) < nr * (1 - 1e-4 * t) or np.linalg.norm(rn) <= tol * scale:
+            if np.linalg.norm(rn) < nr * (1 - 1e-4 * t) or np.linalg.norm(rn) <= done:
                 x, r = xn, rn
                 break
             t *= 0.5
@@ -341,8 +333,7 @@ def _newton_kkt(residual, x0, max_iter: int = 60, tol: float = 1e-12):
     return x if np.linalg.norm(residual(x)) <= 1e-9 * scale else None
 
 
-def oracle_optimal_output(prog: ConvexProgram, pm: PlantMatrices, w,
-                          y_tol: float = 1e-6) -> dict:
+def oracle_optimal_output(prog: ConvexProgram, pm: PlantMatrices, w) -> dict:
     """Ground-truth optimizer of the steady-state program for one plant realization.
 
     Solves over forced equilibria (x_bar, u_bar), so the equilibrium
@@ -354,7 +345,7 @@ def oracle_optimal_output(prog: ConvexProgram, pm: PlantMatrices, w,
 
     Raises InfeasibleProblem when no forced equilibrium satisfies the
     constraints and NonuniqueOptimizer when two KKT-consistent optima differ
-    by more than ``y_tol``.
+    by more than 1e-6.
     """
     w = np.asarray(w, dtype=float).ravel()
     if prog.n_ic > ACTIVE_SET_CAP:
@@ -468,11 +459,11 @@ def oracle_optimal_output(prog: ConvexProgram, pm: PlantMatrices, w,
 
     distinct = [candidates[0]]
     for cand in candidates[1:]:
-        if all(np.linalg.norm(cand[3] - d[3]) > y_tol for d in distinct):
+        if all(np.linalg.norm(cand[3] - d[3]) > 1e-6 for d in distinct):
             distinct.append(cand)
     if len(distinct) > 1:
         raise NonuniqueOptimizer(
-            f"{len(distinct)} KKT-consistent optima differ by more than {y_tol}"
+            f"{len(distinct)} KKT-consistent optima differ by more than 1e-06"
         )
 
     return optimum(*distinct[0][:3])

@@ -15,6 +15,7 @@ optimality-model controllers, bundled as the documents ``power-dapi`` and
 ``power-novel``; the one loop built by hand here is centralized
 gather-and-broadcast with inverse-marginal-cost dispatch.  All use the
 package-wide negative-feedback convention u = -(gains . states).
+``gather_broadcast_input`` is that loop's static dispatch map.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matlib import _mv, _vdot, as_matrix, numerical_rank
-from .omodels import gather_broadcast_input
 from .optprob import ConvexProgram
 from .plant import PlantStack, UncertainPlant, eval_plant
 from .simulate import ClosedLoopSystem, _affine_maps
@@ -94,6 +94,10 @@ class PowerNetwork:
 
     def marginal_cost(self, u: np.ndarray) -> np.ndarray:
         return self.cost_a * np.asarray(u, dtype=float) + self.cost_b
+
+    def node_cost(self, u: np.ndarray):
+        """sum_i (0.5 a_i u_i^2 + b_i u_i) of an input (n,), or per row of (..., n)."""
+        return np.sum(0.5 * self.cost_a * u ** 2 + self.cost_b * u, axis=-1)
 
 
 def default_network() -> PowerNetwork:
@@ -179,6 +183,22 @@ def _validate_weights(net: PowerNetwork, c_weights) -> np.ndarray:
     return c
 
 
+def gather_broadcast_input(a_coeffs, b_coeffs, eta) -> np.ndarray:
+    """Inverse-marginal-cost dispatch map for per-node quadratic costs.
+
+    With node cost 0.5 a_i u_i^2 + b_i u_i (a_i > 0), the input equalizing
+    all marginal costs at level ``eta`` is u_i = (eta - b_i) / a_i.  A 1-D
+    array of levels gives one input row per level.
+    """
+    a = np.asarray(a_coeffs, dtype=float).ravel()
+    b = np.asarray(b_coeffs, dtype=float).ravel()
+    if a.size != b.size:
+        raise ValueError("coefficient vectors must have equal length")
+    if a.size and a.min() <= 0:
+        raise ValueError("quadratic cost coefficients must be positive")
+    return (np.asarray(eta, dtype=float)[..., None] - b) / a
+
+
 def build_gather_broadcast(net: PowerNetwork, c_weights, w=None) -> ClosedLoopSystem:
     """Centralized gather-and-broadcast loop: a scalar integrator on the
     convex-weighted frequency drives the inverse-marginal-cost dispatch.
@@ -209,11 +229,10 @@ def build_gather_broadcast(net: PowerNetwork, c_weights, w=None) -> ClosedLoopSy
         omega = zs[:, :n]
         y = np.hstack([u, omega])
         eps = np.matmul(c, omega[:, :, None])
-        cost = np.sum(0.5 * net.cost_a * u ** 2 + net.cost_b * u, axis=1)
-        return y, u, eps, cost
+        return y, u, eps, net.node_cost(u)
 
     return ClosedLoopSystem(n_state=n_state, rhs=rhs, outputs=outputs,
-                            m=n, p=2 * n, eps_dim=1, affine=_affine_maps(rhs, n_state))
+                            affine=_affine_maps(rhs, n_state))
 
 
 def dispatch_oracle(net: PowerNetwork, w=None) -> dict:
@@ -228,5 +247,5 @@ def dispatch_oracle(net: PowerNetwork, w=None) -> dict:
         "u_star": u_star,
         "marginal": tau,
         "y_star": np.concatenate([u_star, np.zeros(net.n)]),
-        "cost": float(np.sum(0.5 * net.cost_a * u_star ** 2 + net.cost_b * u_star)),
+        "cost": float(net.node_cost(u_star)),
     }

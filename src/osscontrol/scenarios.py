@@ -183,12 +183,10 @@ class VariantPlan:
 @dataclass
 class Scenario:
     name: str
-    description: str
     plant: UncertainPlant
     network: power.PowerNetwork | None
     variants: list[VariantPlan]
     expect: list[dict] = field(default_factory=list)
-    notes: str = ""
 
     def variant(self, name: str) -> VariantPlan:
         for v in self.variants:
@@ -449,8 +447,9 @@ def _check_rfs(ctx, spec):
     rep = ctx.subspaces
     ok = rep["holds"] == spec["holds"]
     detail = _witness_detail(rep)
-    if "witness" in spec and rep["witness"] is not None:
-        ok = ok and all(np.allclose(a, b) for a, b in zip(spec["witness"], rep["witness"]))
+    if "witness" in spec:  # a witness given beside a report without one fails
+        ok = ok and rep["witness"] is not None and all(
+            np.allclose(a, b) for a, b in zip(spec["witness"], rep["witness"]))
     if spec["matches_om_basis"]:
         same = rep["holds"] and subspace_equal(range_basis(ctx.om.basis), range_basis(rep["t0"]))
         ok = ok and same
@@ -769,7 +768,8 @@ def _swing(dims: dict, where: str) -> None:
 class CheckKind(NamedTuple):
     """An expectation kind: its check, whether the check reads the integrated
     trajectory, the fields it requires, its optional ones mapped to their
-    defaults (None: none), a group of which it needs one, and its kind's hook."""
+    defaults (None: none), a group of which it needs one, its kind's hook,
+    and the fields it reads only beside another, mapped to that one."""
 
     check: Callable
     simulated: bool = False
@@ -777,6 +777,7 @@ class CheckKind(NamedTuple):
     optional: dict = {}
     one_of: tuple = ()
     hook: Callable | None = None
+    needs: dict = {}
 
 
 # The hooks: a spectrum's values have any length, bound afresh by each list; oracle_y's
@@ -795,7 +796,8 @@ CHECK_KINDS = {
     "oracle_matches_dispatch": CheckKind(_check_oracle_matches_dispatch, False, (), {"tol": 1e-8},
                                          hook=_swing),
     "equilibrium_mismatch": CheckKind(_check_equilibrium_mismatch, False, ("delta",), {
-        "newton_tol": 1e-10, "at_least": 0.0, "equals": None, "equals_tol": 1e-6}),
+        "newton_tol": 1e-10, "at_least": 0.0, "equals": None, "equals_tol": 1e-6},
+        needs={"equals_tol": "equals"}),
     "final_err": CheckKind(_check_final_err, True, one_of=("min", "tol")),
     "settling": CheckKind(_check_settling, True, ("by",), {"tol": 1e-3}),
     "final_cost": CheckKind(_check_final_cost, True, ("tol",)),
@@ -820,11 +822,12 @@ CHECK_KINDS = {
 # document would give it, or as a function of the sizes.  A null object is an
 # absent one.  The ``expect[]`` rows type the fields of every kind; an
 # expectation takes those of its kind's record in CHECK_KINDS, with its defaults.
+# ``description`` and ``notes`` are checked and not kept.
 _SCHEMA = {
     "": ("object", ("name", "plant", "program"), None, None),
     "name": ("str", None, "file name", None),
-    "description": ("str", None, None, ""),
-    "notes": ("str", None, None, ""),
+    "description": ("str", None, None, None),
+    "notes": ("str", None, None, None),
     "network": ("object", tuple(f.name for f in fields(power.PowerNetwork)), None, None),
     "network.n": ("int", "net", None, None),
     "network.edges": ("numbers", ("lines", 2), ("<", "net"), None),
@@ -1050,6 +1053,9 @@ def _walk(value, path: str, where: str, dims: dict, origin: dict | None = None):
         if path == "expect[]" and isinstance(value.get("kind"), str) and value["kind"] in CHECK_KINDS:
             # the fields of the kind's record, with its defaults
             label, rec = value["kind"], CHECK_KINDS[value["kind"]]
+            for key, other in rec.needs.items():
+                if key in value and other not in value:
+                    raise ValueError(f"{prefix}{key}: {label} reads it only beside {other}")
             declared = {"kind", *rec.required, *rec.optional, *rec.one_of}
             children = {key: (p, (*row[:3], rec.optional.get(key)))
                         for key, (p, row) in children.items() if key in declared}
@@ -1198,8 +1204,8 @@ def load_scenario(source) -> Scenario:
         plans.append(VariantPlan(name=v["name"], om=om, stabilizer=stab, gb_weights=gb_w,
                                  sim=v.get("sim"), program=vprog, expect=v["expect"],
                                  objective=vobjective))
-    return Scenario(name=top["name"], description=top["description"], plant=up,
-                    network=network, variants=plans, expect=top["expect"], notes=top["notes"])
+    return Scenario(name=top["name"], plant=up, network=network, variants=plans,
+                    expect=top["expect"])
 
 
 def bundled_scenarios() -> list[str]:

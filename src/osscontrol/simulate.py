@@ -83,7 +83,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OssError
-from .matlib import ROW_BLOCK, _mv
+from .matlib import ROW_BLOCK, _fd_jacobian, _mv
 from .omodels import OptimalityModel, om_dynamics
 from .plant import UncertainPlant, eval_plant
 from .stabilize import Stabilizer
@@ -103,8 +103,8 @@ class ClosedLoopSystem:
     ``rhs`` takes one state (n_state,) or a row stack (..., n_state) and
     returns a new array, which the integrator may overwrite.  ``outputs``
     takes an array (k, ..., n_state) of states and returns ``(y, u, eps,
-    cost)`` of shapes (k, ..., p), (k, ..., m), (k, ..., eps_dim) and (k,
-    ...), evaluated at once; every entry is bit-identical to evaluating the
+    cost)`` of shapes (k, ..., p), (k, ..., m), (k, ..., e) and (k, ...),
+    evaluated at once; every entry is bit-identical to evaluating the
     output formulas at its state alone, so a caller may pass any block of
     states (a Trajectory reads its outputs this way).  ``affine`` holds
     (A_cl, b_cl) with rhs(z) = A_cl z + b_cl when the loop is affine.  A loop of S rows (see
@@ -116,9 +116,6 @@ class ClosedLoopSystem:
     n_state: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     outputs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    m: int
-    p: int
-    eps_dim: int
     affine: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -452,10 +449,8 @@ def assemble(up: UncertainPlant, delta, w, om: OptimalityModel, stab) -> ClosedL
         _, u, y, _, eps = evaluate(zs)
         return y, u, eps, prog.objective_value(y, w)
 
-    return ClosedLoopSystem(
-        n_state=n_state, rhs=rhs, outputs=outputs, m=m, p=pm.p, eps_dim=n_eta,
-        affine=_affine_maps(rhs, n_state, rows) if affine_loop else None,
-    )
+    return ClosedLoopSystem(n_state=n_state, rhs=rhs, outputs=outputs,
+                            affine=_affine_maps(rhs, n_state, rows) if affine_loop else None)
 
 
 def _affine_maps(rhs, n_state: int, rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -590,12 +585,7 @@ def equilibrium_solve(sys: ClosedLoopSystem, z_guess, tol: float = 1e-10,
         if sys.affine is not None:
             jac = sys.affine[0]
         else:
-            jac = np.zeros((sys.n_state, sys.n_state))
-            for j in range(sys.n_state):
-                step = 1e-7 * (1.0 + abs(z[j]))
-                e = np.zeros(sys.n_state)
-                e[j] = step
-                jac[:, j] = (sys.rhs(0.0, z + e) - sys.rhs(0.0, z - e)) / (2 * step)
+            jac = _fd_jacobian(lambda x: sys.rhs(0.0, x), z)
         s = np.linalg.svd(jac, compute_uv=False)
         if s[-1] <= 1e-12 * max(1.0, s[0]):
             raise OssError("equilibrium Jacobian is singular at tolerance")

@@ -15,9 +15,10 @@ beyond tolerance raises, because it means a numerics bug.  The closed-loop
 spectrum of a stabilizer is not computed here: it is read from the loop
 ``simulate.assemble`` builds, the one the simulation integrates.
 
-Every rank-style decision carries a margin (decision value over threshold, or
-its reciprocal when the decision is negative), so borderline instances can be
-excluded from equivalence checks.
+Every PBH test and clause is decided at ``PBH_TOL`` (1e-9): an eigenvalue
+with real part >= -PBH_TOL is tested, and each rank-style decision carries a
+margin (decision value over threshold, or its reciprocal when the decision
+is negative), so borderline instances can be excluded from equivalence checks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .subspaces import equilibrium_geometry, reduced_error_complement_condition
 PBH_TOL = 1e-9
 
 
-def _pbh_margin(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[bool, float]:
+def _pbh_margin(a: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
     """PBH stabilizability with the worst decision margin over tested eigenvalues."""
     n = a.shape[0]
     if n == 0:
@@ -44,21 +45,21 @@ def _pbh_margin(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[bool, float]:
     ok = True
     margin = np.inf
     for lam in eigenvalues(a):
-        if lam.real < -tol:
+        if lam.real < -PBH_TOL:
             continue
         mat = np.hstack([lam * np.eye(n) - a, b.astype(complex)])
-        full, m = rank_decision(mat, n, tol)
+        full, m = rank_decision(mat, n, PBH_TOL)
         margin = min(margin, m)
         ok = ok and full
     return ok, margin
 
 
-def pbh_stabilizable(a, b, tol: float = PBH_TOL) -> bool:
+def pbh_stabilizable(a, b) -> bool:
     """True iff [lam I - A, B] has full row rank at every eigenvalue with
-    real part >= -tol."""
+    real part >= -PBH_TOL."""
     a = as_matrix(a)
     b = as_matrix(b).reshape(a.shape[0], -1)
-    return _pbh_margin(a, b, tol)[0]
+    return _pbh_margin(a, b)[0]
 
 
 @dataclass(frozen=True)
@@ -93,19 +94,18 @@ class ConditionReport:
         return min((c.margin for c in self.clauses), default=np.inf)
 
 
-def augmented_pbh(pm: PlantMatrices, om: OptimalityModel,
-                  tol: float = PBH_TOL) -> tuple[bool, float]:
+def augmented_pbh(pm: PlantMatrices, om: OptimalityModel) -> tuple[bool, float]:
     """PBH stabilizability and detectability of the augmented plant of ``pm``
     and ``om``, measured through ``(Cm x, mu, eta)`` with ``Cm = pm.cm``.
     Returns the decision and the worse of the two margins."""
     aug = build_augmented_qp(pm, om)
-    stab, m1 = _pbh_margin(aug.a, aug.b, tol)
-    det, m2 = _pbh_margin(aug.a.T, aug.measurement_matrix(pm.cm).T, tol)
+    stab, m1 = _pbh_margin(aug.a, aug.b)
+    det, m2 = _pbh_margin(aug.a.T, aug.measurement_matrix(pm.cm).T)
     return stab and det, min(m1, m2)
 
 
 def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis,
-                variant: str, tol: float) -> ConditionReport:
+                variant: str) -> ConditionReport:
     pm = eval_plant(up, delta)
     # builds only for an equality-constrained QP, which the clauses assume
     om = OptimalityModel(variant, basis, prog)
@@ -115,8 +115,8 @@ def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis,
     # the model reads y = C x + D u through its y-map E, so a plant mode
     # hidden from Cm is still seen through E C
     e_y = om.linear_maps(np.zeros(pm.n_w))[0]
-    stab, m1 = _pbh_margin(pm.a, pm.b, tol)
-    det, m2 = _pbh_margin(pm.a.T, np.vstack([pm.cm, e_y @ pm.c]).T, tol)
+    stab, m1 = _pbh_margin(pm.a, pm.b)
+    det, m2 = _pbh_margin(pm.a.T, np.vstack([pm.cm, e_y @ pm.c]).T)
     clauses = [
         ClauseResult("(A, B) stabilizable and ([Cm; E C], A) detectable", stab and det,
                      margin=min(m1, m2)),
@@ -124,12 +124,12 @@ def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis,
 
     if variant in ("rfs", "ros"):
         rows = geom.gperp.shape[0] + prog.n_ec
-        nonred, m3 = rank_decision(np.vstack([geom.gperp, prog.h_eq]), rows, tol)
+        nonred, m3 = rank_decision(np.vstack([geom.gperp, prog.h_eq]), rows, PBH_TOL)
         clauses.append(ClauseResult(
             "nonredundant constraints", nonred,
             detail=f"rank of stacked constraints vs {rows} rows", margin=m3))
 
-    unique, m4 = unique_optimizer_check(prog.qp.m_cost, geom.t_basis, tol)
+    unique, m4 = unique_optimizer_check(prog.qp.m_cost, geom.t_basis, PBH_TOL)
     premise = subspace_equal(range_basis(basis),
                              geom.g_range if variant == "ros" else geom.t_basis)
     if variant == "rerfs":
@@ -137,7 +137,7 @@ def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis,
         # feasible direction the H rows still keep (H + t0' M) G full rank,
         # and the augmented plant can stay stabilizable
         premise = premise and unique
-        cond_ok, m5 = reduced_error_complement_condition(prog.h_eq, geom.g, basis, tol)
+        cond_ok, m5 = reduced_error_complement_condition(prog.h_eq, geom.g, basis, PBH_TOL)
         clauses.append(ClauseResult(
             "complements of range(H G) and range(t0') meet only at zero",
             cond_ok, margin=m5))
@@ -145,11 +145,11 @@ def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis,
         clauses.append(ClauseResult(
             "unique optimizer (cost positive definite on feasible directions)",
             unique, margin=m4))
-        fcr, m5 = rank_decision(basis, basis.shape[1], tol)
+        fcr, m5 = rank_decision(basis, basis.shape[1], PBH_TOL)
         clauses.append(ClauseResult(
             f"{'g0' if variant == 'ros' else 't0'} full column rank", fcr, margin=m5))
 
-    direct, m_direct = augmented_pbh(pm, om, tol)
+    direct, m_direct = augmented_pbh(pm, om)
     report = ConditionReport(
         clauses=tuple(clauses),
         premise_ok=bool(premise),
@@ -164,22 +164,19 @@ def _prop_check(up: UncertainPlant, delta, prog: ConvexProgram, basis,
     return report
 
 
-def prop4_check(up: UncertainPlant, delta, prog: ConvexProgram, t0,
-                tol: float = PBH_TOL) -> ConditionReport:
+def prop4_check(up: UncertainPlant, delta, prog: ConvexProgram, t0) -> ConditionReport:
     """Clause checks for the feasible-subspace model on an equality-constrained QP."""
-    return _prop_check(up, delta, prog, t0, "rfs", tol)
+    return _prop_check(up, delta, prog, t0, "rfs")
 
 
-def prop5_check(up: UncertainPlant, delta, prog: ConvexProgram, g0,
-                tol: float = PBH_TOL) -> ConditionReport:
+def prop5_check(up: UncertainPlant, delta, prog: ConvexProgram, g0) -> ConditionReport:
     """Clause checks for the output-subspace model on an equality-constrained QP."""
-    return _prop_check(up, delta, prog, g0, "ros", tol)
+    return _prop_check(up, delta, prog, g0, "ros")
 
 
-def prop6_check(up: UncertainPlant, delta, prog: ConvexProgram, t0,
-                tol: float = PBH_TOL) -> ConditionReport:
+def prop6_check(up: UncertainPlant, delta, prog: ConvexProgram, t0) -> ConditionReport:
     """Clause checks for the reduced-error model on an equality-constrained QP."""
-    return _prop_check(up, delta, prog, t0, "rerfs", tol)
+    return _prop_check(up, delta, prog, t0, "rerfs")
 
 
 @dataclass(frozen=True)
@@ -207,7 +204,7 @@ class Stabilizer:
         return arr
 
 
-def synthesize_lqr(aug: AugmentedPlant, q_cost, r_cost, tol: float = PBH_TOL) -> Stabilizer:
+def synthesize_lqr(aug: AugmentedPlant, q_cost, r_cost) -> Stabilizer:
     """State-feedback gain from the continuous Riccati equation.
 
     Solves via ordered Hamiltonian eigendecomposition; enforces symmetry of
@@ -221,7 +218,7 @@ def synthesize_lqr(aug: AugmentedPlant, q_cost, r_cost, tol: float = PBH_TOL) ->
     r_eigs = np.linalg.eigvalsh(0.5 * (r + r.T))
     if r_eigs.min() <= 0:
         raise ValueError("input cost must be positive definite")
-    if not pbh_stabilizable(a, b, tol):
+    if not pbh_stabilizable(a, b):
         raise NotStabilizable("augmented plant pair (A, B) is not stabilizable")
 
     rinv_bt = np.linalg.solve(r, b.T)

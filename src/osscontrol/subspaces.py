@@ -26,13 +26,16 @@ verdict is bit-identical to computing the sample alone;
 Every basis is a plain array with orthonormal columns (``matlib``), in a
 block as in one realization.
 
-Ranks can differ across a block: A may be singular at some deltas, and the
-dimension of range G or of the feasible slice may change.  Each SVD's rows
-are therefore grouped by numerical rank (``matlib.rank_groups``), and each
-group carries on with bases of one shape.  H is the program's constant
-matrix, the same for every realization of a block.  A sample whose subspace
-has another dimension than the nominal one does not match it; that is how
-the bundled RFS violation shows up.
+Ranks can differ across a block: A may be singular at some deltas (A is
+inverted for the DC-gain basis only when its reciprocal condition number is
+above ``_INVERTIBILITY_RCOND``, 1e-8), and the dimension of range G or of
+the feasible slice may change.  Each SVD's rows are therefore grouped by
+numerical rank, decided at ``matlib.RANK_TOL`` (``matlib.rank_groups``), and
+each group carries on with bases of one shape.  H is the program's constant
+matrix, the same for every realization of a block.  A sample matches the
+nominal one when its subspace has the same dimension and a largest
+principal-angle sine at most ``matlib.SINE_TOL`` from it; a change of
+dimension is how the bundled RFS violation shows up.
 
 The reduced-error model's complement condition is decided at one
 realization (``reduced_error_complement_condition``), as a clause of
@@ -48,7 +51,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .matlib import (
-    DEFAULT_RANK_TOL,
+    RANK_TOL,
+    SINE_TOL,
     _rank_from_singular_values,
     _row_matrix,
     as_matrix,
@@ -112,7 +116,8 @@ def _null_ab(a: np.ndarray, b: np.ndarray) -> list:
 
 def _cond(a: np.ndarray):
     """2-norm condition number of a matrix, or of each matrix of a stack;
-    inf where its SVD fails."""
+    inf where its SVD fails, which a NaN entry makes it do; a plant's
+    matrices are finite, and LAPACK does not fail on those in practice."""
     try:
         return np.linalg.cond(a)
     except np.linalg.LinAlgError:
@@ -154,16 +159,16 @@ def equilibrium_geometry(pm: PlantMatrices, h_eq=None) -> EquilibriumGeometry:
     return EquilibriumGeometry._make(field[0] for field in geom)
 
 
-def check_ros(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
+def check_ros(up: UncertainPlant, h_eq=None) -> dict:
     """Robust-output-subspace check: is range G(delta) the same at every sample?
 
     The nominal basis, when it holds, is returned as ``g0``.  This is the
     ``"ros"`` part of :func:`check_rfs`; range G does not depend on ``h_eq``.
     """
-    return check_rfs(up, h_eq, tol)["ros"]
+    return check_rfs(up, h_eq)["ros"]
 
 
-def check_rfs(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
+def check_rfs(up: UncertainPlant, h_eq=None) -> dict:
     """Robust-feasible-subspace check: is null [gperp(delta); H] fixed?
 
     Returns holds, the nominal orthonormal basis ``t0`` when it holds, the
@@ -189,7 +194,7 @@ def check_rfs(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
                 # a subspace of another dimension is at a right angle to the nominal
                 same = bases.shape[-1] == ref.shape[-1]
                 sine = max_sine(ref, bases) if same else 1.0
-                matches[k, lo + rows] = same & (sine <= tol)
+                matches[k, lo + rows] = same & (sine <= SINE_TOL)
                 sines[k, lo + rows] = sine
 
     def report(k: int, key: str) -> dict:
@@ -208,7 +213,7 @@ def check_rfs(up: UncertainPlant, h_eq=None, tol: float = 1e-8) -> dict:
     return report(1, "t0") | {"ros": report(0, "g0")}
 
 
-def check_robust_full_rank(up: UncertainPlant, tol: float = 1e-10) -> bool:
+def check_robust_full_rank(up: UncertainPlant) -> bool:
     """True iff [A B; C D] has rank n + p at every delta sample; decided block
     by block, stopping at the first block with a sample that fails."""
     for _, deltas in sample_blocks(up):
@@ -216,7 +221,7 @@ def check_robust_full_rank(up: UncertainPlant, tol: float = 1e-10) -> bool:
         block = np.concatenate([np.concatenate([ps.a, ps.b], axis=-1),
                                 np.concatenate([ps.c, ps.d], axis=-1)], axis=-2)
         s = np.linalg.svd(block, compute_uv=False)
-        if (_rank_from_singular_values(s, block.shape[-2:], tol) < ps.n + ps.p).any():
+        if (_rank_from_singular_values(s, block.shape[-2:]) < ps.n + ps.p).any():
             return False
     return True
 
@@ -229,7 +234,7 @@ def _reduced_error_ranges(h: np.ndarray, g: np.ndarray, t0: np.ndarray):
             range_basis(t0.T, floor=1e-12 * (1.0 + np.linalg.norm(t0))))
 
 
-def reduced_error_complement_condition(h, g, t0, tol: float = DEFAULT_RANK_TOL) -> tuple[bool, float]:
+def reduced_error_complement_condition(h, g, t0, tol: float = RANK_TOL) -> tuple[bool, float]:
     """Complement condition of the reduced-error model at one realization.
 
     The orthogonal complements of range(H G) and range(t0') meet only at
@@ -240,7 +245,7 @@ def reduced_error_complement_condition(h, g, t0, tol: float = DEFAULT_RANK_TOL) 
     return rank_decision(np.hstack([hg, t0t]), h.shape[0], tol)
 
 
-def check_rerfs_range_condition(up: UncertainPlant, h_eq, t0, tol: float = DEFAULT_RANK_TOL) -> dict:
+def check_rerfs_range_condition(up: UncertainPlant, h_eq, t0) -> dict:
     """Range condition for the reduced-error model:
     range(H G(delta)) and range(t0') intersect only at zero, at every sample.
 
@@ -266,7 +271,7 @@ def check_rerfs_range_condition(up: UncertainPlant, h_eq, t0, tol: float = DEFAU
         for rows, geom in _geometry_groups(eval_plant(up, deltas), h):
             for i, g in zip(rows, geom.g):
                 hg, t0t = _reduced_error_ranges(h, g, t0)
-                matches[lo + i] = not subspace_intersection(hg, t0t, tol).shape[1]
+                matches[lo + i] = not subspace_intersection(hg, t0t).shape[1]
     bad = np.flatnonzero(~matches)
     return {"holds": not bad.size, "witness": samples[bad[0]] if bad.size else None,
             "matches": matches}

@@ -368,7 +368,7 @@ def swing_matrices_by_formula(net, delta) -> dict:
     return {"a": a, "b": b, "bw": b.copy(), "c": c, "d": d, "q": np.zeros((2 * n, n))}
 
 
-def rerfs_range_condition_by_sample(up: UncertainPlant, h_eq, t0, tol: float = 1e-10) -> dict:
+def rerfs_range_condition_by_sample(up: UncertainPlant, h_eq, t0) -> dict:
     """``subspaces.check_rerfs_range_condition`` decided one delta sample at a
     time, each G from ``equilibrium_geometry`` of the realization alone:
     ``holds``, the first failing delta as ``witness`` and the per-sample
@@ -392,7 +392,7 @@ def rerfs_range_condition_by_sample(up: UncertainPlant, h_eq, t0, tol: float = 1
                     f"equality-constraint space: t0 needs {h.shape[0]} columns, got {t0.shape[1]}"
                 )
             g = equilibrium_geometry(pm, h).g
-            ok = not subspace_intersection(*_reduced_error_ranges(h, g, t0), tol).shape[1]
+            ok = not subspace_intersection(*_reduced_error_ranges(h, g, t0)).shape[1]
         matches.append(ok)
         if not ok and witness is None:
             witness = delta

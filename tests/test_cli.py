@@ -278,6 +278,10 @@ def edit(doc, path, value):
     pytest.param("rfs-violation", ("variants", 0, "expect", 1), {"kind": "final_input_abs", "index": 0},
                  "variants[0].expect[1]: final_input_abs needs min or max",
                  id="final_input_abs-unbounded"),
+    # a field the check reads only beside another would be ignored alone
+    pytest.param("rfs-violation", ("expect", 3, "equals"), DELETE,
+                 "expect[3].equals_tol: equilibrium_mismatch reads it only beside equals",
+                 id="equals_tol-without-equals"),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, path, value, field):
     doc = json.loads(scenarios.bundled_path(name).read_text())
@@ -317,6 +321,18 @@ def test_dispatch_check_needs_the_swing_plant(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert cli.main(["check", str(bad)]) == 2
     assert capsys.readouterr().err == "error: expect[0].kind needs the swing plant of plant.builder\n"
+
+
+def test_rfs_witness_beside_a_holding_report_fails(tmp_path, capsys):
+    # power-dapi's feasible subspace holds, so its report has no witness to
+    # compare a given one with: the check fails instead of ignoring it
+    doc = json.loads(scenarios.bundled_path("power-dapi").read_text())
+    doc["expect"][0]["witness"] = [[0.0], [0.3]]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path)]) == 1
+    line = next(x for x in capsys.readouterr().out.splitlines() if " rfs [main]" in x)
+    assert line.startswith("  [FAIL] rfs [main]: holds=True, max sine ")
 
 
 @pytest.mark.parametrize("command", ["check", "run"])

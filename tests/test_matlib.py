@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from osscontrol.matlib import (
+    _fd_jacobian,
     eigenvalues,
     left_null_basis,
     null_basis,
@@ -20,10 +21,10 @@ def basis_of(cols) -> np.ndarray:
 
 class TestNumericalRank:
     def test_identity(self):
-        assert numerical_rank(np.eye(3), 1e-12) == 3
+        assert numerical_rank(np.eye(3)) == 3
 
     def test_rank_one_outer_product(self):
-        assert numerical_rank([[1, 2], [2, 4]], 1e-12) == 1
+        assert numerical_rank([[1, 2], [2, 4]]) == 1
 
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((4, 2))) == 0
@@ -269,6 +270,16 @@ class TestSolveLinear:
     def test_row_mismatch_raises(self):
         with pytest.raises(ValueError):
             solve_linear(np.eye(2), np.zeros(3))
+
+
+def test_fd_jacobian_of_an_affine_map():
+    # central differences of an affine map: each column is A's to roundoff
+    # of the step, which is 1e-7 (1 + |x_j|)
+    a = np.array([[1.0, 2.0, 0.0], [0.0, -3.0, 0.5]])
+    x = np.array([0.5, -2.0, 10.0])
+    jac = _fd_jacobian(lambda z: a @ z + 1.0, x)
+    assert jac.shape == (2, 3)
+    np.testing.assert_allclose(jac, a, rtol=0, atol=1e-7)
 
 
 def assert_orthonormal(basis: np.ndarray, rows: int) -> None:

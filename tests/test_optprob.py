@@ -45,6 +45,12 @@ def test_newton_kkt_failures_return_none(case):
     assert optprob._newton_kkt(residual, np.array([x0]), max_iter=max_iter) is None
 
 
+def test_lstsq_floor_of_an_empty_matrix():
+    # no rows constrain the three unknowns: the min-norm solution is zero
+    got = optprob._lstsq_floor(np.zeros((0, 3)), np.zeros(0), 1.0)
+    assert got.shape == (3,) and not got.any()
+
+
 class TestQPData:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 
 from osscontrol import scenarios
 from osscontrol.matlib import numerical_rank
-from osscontrol.omodels import OptimalityModel, gather_broadcast_input, om_dynamics
+from osscontrol.omodels import OptimalityModel, om_dynamics
 from osscontrol.optprob import oracle_optimal_output
 from osscontrol.plant import eval_plant
 from osscontrol.power import (
@@ -18,6 +18,7 @@ from osscontrol.power import (
     default_network,
     dispatch_oracle,
     frequency_program,
+    gather_broadcast_input,
 )
 
 from helpers import (

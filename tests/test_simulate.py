@@ -12,9 +12,10 @@ import pytest
 
 from osscontrol import scenarios
 from osscontrol.errors import OssError
-from osscontrol.omodels import gather_broadcast_input, om_dynamics
+from osscontrol.omodels import om_dynamics
 from osscontrol.optprob import oracle_optimal_output
 from osscontrol.plant import eval_plant
+from osscontrol.power import gather_broadcast_input
 from osscontrol.simulate import (
     DIVERGENCE_LIMIT,
     ROW_BLOCK,
@@ -157,7 +158,7 @@ def diagonal_loop(rates, offset=None):
         return zs.copy(), np.zeros((k, 0)), np.zeros((k, 0)), np.zeros(k)
 
     return ClosedLoopSystem(n_state=len(rates), rhs=lambda _t, z: a @ z + b,
-                            outputs=outputs, m=0, p=len(rates), eps_dim=0, affine=(a, b))
+                            outputs=outputs, affine=(a, b))
 
 
 def per_step_reference(sys, z0, steps, h):
@@ -274,8 +275,29 @@ RUN_REPORT_SHA256 = {
 }
 
 
+# SHA-256 of the text report of ``check_scenario`` on each bundled document:
+# the spectrum info lines and every analysis check's detail.
+CHECK_REPORT_SHA256 = {
+    "equilibrium-necessity": "9841b5313ce48132b7c052ff1f8f43cc348b6bea7fb986462432774fa2a3ebd7",
+    "no-hurwitz": "9e7af00f9dea4097944e715d3248b9f687810bb3059cb7f4fd1313584e997447",
+    "pd-vs-oss": "97983208e8670da7d6ded04cd6b8289f2fcbd2b639be9d0e928c674e933badd3",
+    "power-dapi": "7e1138d3c902d3b4d7772c3c2d9c123730c18eeeba59028ed05da091909a8070",
+    "power-gb": "c4a41565557453fbd7fc643fd26d16435f1a003597e7957ca72ceba7c08293dd",
+    "power-novel": "5784d3db59bfdc883ce0a52db1aef84af85b28501a1e222df552df27659dfd0a",
+    "rfs-violation": "ddef9fbcb7867ebda38f32f380d38bfeb4d703a2f3800ae48813a9bd5aedfef0",
+    "tracking-sparse": "815018f5ff66399e7232ecee4d659af77f353a8693f97edc38d14bb936240dd0",
+}
+
+
 def render_sha256(report) -> str:
     return hashlib.sha256(report.render().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", scenarios.BUNDLED_NAMES)
+def test_bundled_check_report_is_pinned(name):
+    report = scenarios.check_scenario(load(name))
+    assert report.exit_code == 0, report.render()
+    assert render_sha256(report) == CHECK_REPORT_SHA256[name]
 
 
 @pytest.mark.parametrize("name", AFFINE_SCENARIOS)
@@ -319,8 +341,7 @@ def test_equilibrium_solve_with_finite_difference_jacobian(variant):
 def one_state_loop(rhs):
     """A hand-built nonlinear loop z_dot = rhs(z) of one state; the Newton
     solve reads no outputs."""
-    return ClosedLoopSystem(n_state=1, rhs=lambda _t, z: rhs(z), outputs=None, m=0, p=0,
-                            eps_dim=0)
+    return ClosedLoopSystem(n_state=1, rhs=lambda _t, z: rhs(z), outputs=None)
 
 
 def test_equilibrium_solve_line_search_stalls():

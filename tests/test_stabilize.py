@@ -150,6 +150,11 @@ def closed_form_loop_matrix(pm: PlantMatrices, om, stab) -> np.ndarray:
     return a - b @ np.linalg.solve(np.eye(m) + keps @ b[eps], k + keps @ a[eps])
 
 
+def test_pbh_margin_of_a_zero_state_plant():
+    # no eigenvalue to test: stabilizable, and no margin to report
+    assert stabilize._pbh_margin(np.zeros((0, 0)), np.zeros((0, 2))) == (True, np.inf)
+
+
 def test_loop_spectrum_matches_the_augmented_closed_form():
     # the spectrum the checks read comes from the simulated loop; the closed
     # form is the augmented plant under static feedback, including the Keps

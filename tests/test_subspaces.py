@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from osscontrol import matlib, scenarios
+from osscontrol import matlib, scenarios, subspaces
 from osscontrol.matlib import (
     max_sine,
     null_basis,
@@ -390,3 +390,12 @@ class TestProp6DetectabilityCondition:
         h = np.hstack([np.zeros((net.n, net.n)), np.eye(net.n)])
         t0 = np.vstack([net.laplacian.T, np.zeros((net.n, net.n))])
         assert all(complement_condition(eval_plant(up, d), h, t0) for d in up.delta_samples)
+
+
+def test_cond_falls_back_per_matrix_when_an_svd_fails():
+    # a plant's matrices are finite, and LAPACK's SVD does not fail on those
+    # in practice; a NaN entry fails the stacked SVD, and the retry gives that matrix inf and
+    # every other its own condition number
+    stack = np.array([np.diag([np.nan, 1.0]), np.diag([2.0, 1.0])])
+    got = subspaces._cond(stack)
+    assert got[0] == np.inf and got[1] == np.linalg.cond(stack[1]) == 2.0
